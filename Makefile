@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: build test race vet fmt-check lint lint-bench bench trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench bench-selftest trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke verify
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,13 @@ lint-bench:
 # the frame-path benchmarks (pooled framing, steady-state writer).
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/hub ./internal/wire | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+
+# bench-selftest builds and self-tests the benchmark of BENCHMARK.json.
+# bench/ is its own module (it imports internal/ through a replace), so
+# the root `go test ./...` never notices when a change to the packages it
+# drives breaks its build.
+bench-selftest:
+	cd bench && $(GO) test ./...
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

@@ -23,6 +23,12 @@ type Member struct {
 	W phy.AWV
 	// RSSDBm is the RSS the member gets under W.
 	RSSDBm float64
+	// Link is the member's link response, built with the designer's
+	// codebook, and Blocked the mask of its body-blocked paths. MemberFor
+	// and MemberOn fill both; the Designer's methods evaluate beams
+	// through them (Combine needs only W and RSSDBm).
+	Link    *phy.Link
+	Blocked uint64
 }
 
 // Combine builds the multi-lobe AWV from the members' individual beams
@@ -89,17 +95,25 @@ func NewDesigner(r *phy.Radio, cb *phy.Codebook) *Designer {
 
 // MemberFor builds the Member record for a user position: the codebook
 // sector a sector sweep would pick (highest delivered RSS, possibly via a
-// reflection when the LOS is blocked) and the RSS under it.
+// reflection when the LOS is blocked) and the RSS under it, with the
+// channel's current bodies as blockers.
 func (d *Designer) MemberFor(pos geom.Vec3) Member {
-	s, rss := d.Radio.SweepBestSector(d.Codebook, pos)
-	return Member{Pos: pos, W: s.W, RSSDBm: rss}
+	l := d.Radio.Link(d.Codebook, pos)
+	return MemberOn(l, l.BlockedBy(d.Radio.Channel.Bodies))
+}
+
+// MemberOn is MemberFor over a link response already built with the
+// designer's codebook, under the given blocked-path mask.
+func MemberOn(l *phy.Link, blocked uint64) Member {
+	s, rss := l.Sweep(blocked)
+	return Member{Pos: l.Rx(), W: s.W, RSSDBm: rss, Link: l, Blocked: blocked}
 }
 
 // GroupRSS returns each member's RSS under the given beam.
 func (d *Designer) GroupRSS(w phy.AWV, members []Member) []float64 {
 	out := make([]float64, len(members))
 	for i, m := range members {
-		out[i] = d.Radio.RSS(w, m.Pos)
+		out[i] = m.Link.RSS(w, m.Blocked)
 	}
 	return out
 }
@@ -146,10 +160,15 @@ func (d *Designer) DesignCustom(members []Member) (phy.AWV, error) {
 func (d *Designer) BestDefaultCommon(members []Member) (phy.AWV, float64) {
 	var best phy.AWV
 	bestMin := math.Inf(-1)
-	for _, s := range d.Codebook.Sectors {
-		m := minRSS(d.GroupRSS(s.W, members))
+	for s, sec := range d.Codebook.Sectors {
+		m := math.Inf(1)
+		for _, mem := range members {
+			if v := mem.Link.SectorRSS(s, mem.Blocked); v < m {
+				m = v
+			}
+		}
 		if m > bestMin {
-			best, bestMin = s.W, m
+			best, bestMin = sec.W, m
 		}
 	}
 	return best, bestMin

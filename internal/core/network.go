@@ -99,7 +99,7 @@ func (n *Network) SetBodies(bodies []phy.Body) {
 // under blockage). Only valid on 802.11ad.
 func (n *Network) UserRSS(pos geom.Vec3) (float64, error) {
 	if n.Kind != NetAD {
-		return 0, fmt.Errorf("stream: RSS undefined on %v", n.Kind)
+		return 0, fmt.Errorf("core: RSS undefined on %v", n.Kind)
 	}
 	_, rss := n.Radio.SweepBestSector(n.Codebook, pos)
 	return rss, nil
@@ -119,8 +119,13 @@ func (n *Network) UnicastRateOffset(pos geom.Vec3, offsetDB float64) float64 {
 		top := phy.AC_VHT80_MCS[len(phy.AC_VHT80_MCS)-1]
 		return n.MAC.EffectiveRate(top.RateMbps)
 	}
-	rss, _ := n.UserRSS(pos)
-	return n.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rss+offsetDB))
+	_, rss := n.Radio.SweepBestSector(n.Codebook, pos)
+	return n.unicastRateAt(rss + offsetDB)
+}
+
+// unicastRateAt is the effective 802.11ad unicast rate at the given RSS.
+func (n *Network) unicastRateAt(rssDBm float64) float64 {
+	return n.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rssDBm))
 }
 
 // MulticastRate returns the effective multicast rate for a group of user
@@ -139,14 +144,23 @@ func (n *Network) MulticastRateOffset(positions []geom.Vec3, offsetsDB []float64
 		return 0
 	}
 	if n.Kind == NetAC {
-		// Legacy Wi-Fi multicast runs at a basic rate; it is never a win,
-		// which is why the paper's multicast design targets mmWave.
-		return n.MAC.EffectiveRate(24)
+		return n.basicMulticastRate()
 	}
 	members := make([]beam.Member, len(positions))
 	for i, p := range positions {
 		members[i] = n.Designer.MemberFor(p)
 	}
+	return n.groupRate(members, offsetsDB, customBeams)
+}
+
+// basicMulticastRate is the 802.11ac multicast rate: legacy Wi-Fi
+// multicast runs at a basic rate; it is never a win, which is why the
+// paper's multicast design targets mmWave.
+func (n *Network) basicMulticastRate() float64 { return n.MAC.EffectiveRate(24) }
+
+// groupRate is the 802.11ad multicast rate for a non-empty group of swept
+// members (see MulticastRateOffset).
+func (n *Network) groupRate(members []beam.Member, offsetsDB []float64, customBeams bool) float64 {
 	var rss []float64
 	if customBeams {
 		_, groupRSS, _, err := n.Designer.Select(members)

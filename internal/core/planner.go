@@ -1,7 +1,9 @@
 package core
 
 import (
-	"volcast/internal/cell"
+	"math"
+
+	"volcast/internal/beam"
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/multicast"
@@ -107,9 +109,14 @@ func (p *FramePlan) OverlapBytes(members []int) int {
 
 // Planner builds per-frame delivery schedules on one network.
 //
-// Plan mutates the network's shared blockage state, so a Planner must not
-// be driven from multiple goroutines; parallel evaluations each build
-// their own Planner (and Network).
+// Plan works in scratch the Planner owns and reuses from frame to frame
+// (one link response per user, the group-rate memo, the overlap table), so
+// a Planner must not be driven from multiple goroutines; parallel
+// evaluations each build their own Planner (and Network). Blockage never
+// goes through the network's shared channel state while planning: who
+// blocks whom is a per-path mask over each user's link response. On
+// return the channel's body set is in.Bodies, which is what direct Radio
+// calls between plans (the session's proactive beam switch) then see.
 type Planner struct {
 	Net *Network
 	// Metrics receives plan timings and airtime stats; nil disables
@@ -118,71 +125,132 @@ type Planner struct {
 	// Trace receives per-frame plan and beam-design spans; nil disables
 	// tracing (every tracer method is nil-safe).
 	Trace *obs.Tracer
+
+	links    []phy.Link         // per user, rebuilt each frame
+	rates    map[uint64]float64 // by groupKey, cleared each frame
+	blockers []phy.Body
+	members  []beam.Member
+	offsets  []float64
+	overlap  overlapTable
 }
 
 // NewPlanner returns a planner for the network.
-func NewPlanner(net *Network) *Planner { return &Planner{Net: net} }
+func NewPlanner(net *Network) *Planner {
+	return &Planner{Net: net, rates: make(map[uint64]float64)}
+}
 
-// overlapBytes returns Sm for a member set: the commonly requested cells,
+// overlapTable is the scratch that request intersection works in: one
+// mark per cell ID, valid only for the call (epoch) that wrote it.
+type overlapTable struct {
+	epoch uint64
+	marks []overlapMark
+}
+
+type overlapMark struct {
+	epoch  uint64
+	hits   int32 // members seen requesting the cell, in member order
+	stride int32 // densest stride among them
+}
+
+// bytes returns Sm for a member set: the commonly requested cells,
 // counted at the densest stride any member wants (the single multicast
 // copy must satisfy the most demanding member).
-func overlapBytes(store *vivo.Store, frame int, reqs []vivo.Request, members []int) int {
+func (t *overlapTable) bytes(store *vivo.Store, frame int, reqs []vivo.Request, members []int) int {
 	if len(members) == 0 {
 		return 0
 	}
-	// Seed from the first member, then intersect in place; the temporary
-	// map per further member is sized up front, and an emptied
-	// intersection short-circuits the remaining members.
-	common := make(map[cell.ID]int, len(reqs[members[0]].Cells)) // cell -> min stride
-	for _, c := range reqs[members[0]].Cells {
-		common[c.ID] = c.Stride
+	t.epoch++
+	first := reqs[members[0]].Cells
+	for _, c := range first {
+		if int(c.ID) >= len(t.marks) {
+			t.marks = append(t.marks, make([]overlapMark, int(c.ID)+1-len(t.marks))...)
+		}
+		t.marks[c.ID] = overlapMark{epoch: t.epoch, hits: 1, stride: int32(c.Stride)}
 	}
-	for _, m := range members[1:] {
-		if len(common) == 0 {
-			return 0
-		}
-		cur := make(map[cell.ID]int, len(reqs[m].Cells))
+	for seen, m := range members[1:] {
 		for _, c := range reqs[m].Cells {
-			cur[c.ID] = c.Stride
-		}
-		for id, st := range common {
-			st2, ok := cur[id]
-			if !ok {
-				delete(common, id)
+			if int(c.ID) >= len(t.marks) {
 				continue
 			}
-			if st2 < st {
-				common[id] = st2
+			if mk := &t.marks[c.ID]; mk.epoch == t.epoch && int(mk.hits) == seen+1 {
+				mk.hits++
+				mk.stride = min(mk.stride, int32(c.Stride))
 			}
 		}
 	}
 	total := 0
-	for id, st := range common {
-		if b := store.Block(frame, id, st); b != nil {
-			total += b.Size()
+	for _, c := range first {
+		if mk := t.marks[c.ID]; int(mk.hits) == len(members) {
+			if b := store.Block(frame, c.ID, int(mk.stride)); b != nil {
+				total += b.Size()
+			}
 		}
 	}
 	return total
 }
 
-// excludeNearAny drops bodies within 0.3 m of any receiver position: a
-// user does not block their own link.
-func excludeNearAny(bodies []phy.Body, rxs []geom.Vec3) []phy.Body {
-	out := make([]phy.Body, 0, len(bodies))
-	for _, b := range bodies {
-		keep := true
-		for _, rx := range rxs {
-			d := geom.V(b.Center.X-rx.X, 0, b.Center.Z-rx.Z)
-			if d.Len() < 0.3 {
-				keep = false
-				break
+// membersOf sweeps each group member's link for a transmission whose
+// receivers are the group: every body blocks except those standing where
+// a receiver does (within 0.3 m in plan) — a user does not block their
+// own link.
+func (pl *Planner) membersOf(in FrameInput, group []int) []beam.Member {
+	pl.blockers = pl.blockers[:0]
+body:
+	for _, b := range in.Bodies {
+		for _, m := range group {
+			rx := in.Positions[m]
+			if geom.V(b.Center.X-rx.X, 0, b.Center.Z-rx.Z).Len() < 0.3 {
+				continue body
 			}
 		}
-		if keep {
-			out = append(out, b)
+		pl.blockers = append(pl.blockers, b)
+	}
+	pl.members = pl.members[:0]
+	for _, m := range group {
+		l := &pl.links[m]
+		pl.members = append(pl.members, beam.MemberOn(l, l.BlockedBy(pl.blockers)))
+	}
+	return pl.members
+}
+
+// groupKey encodes an ordered member list of n users as one integer; ok
+// is false when the list is too long to fit.
+func groupKey(group []int, n int) (key uint64, ok bool) {
+	base := uint64(n) + 1
+	for _, m := range group {
+		if key > (math.MaxUint64-base)/base {
+			return 0, false
+		}
+		key = key*base + uint64(m) + 1
+	}
+	return key, true
+}
+
+// groupRate returns the multicast rate the beam design sustains for the
+// group. Within a frame it depends on the member list alone, so it is
+// memoised: the greedy merge re-asks the pairs it did not merge every
+// round, and PlanTime re-asks the chosen groups. The key keeps the
+// members' order because the beam design's float sums do: the same set
+// in another order may differ in the last bit.
+func (pl *Planner) groupRate(in FrameInput, group []int) float64 {
+	key, memo := groupKey(group, len(in.Requests))
+	if rate, ok := pl.rates[key]; ok && memo {
+		return rate
+	}
+	// Each fresh rate estimate runs a beam design (the multi-lobe
+	// synthesis when CustomBeams is on), so attribute it to the beam stage.
+	defer pl.Trace.Begin(in.Seq, obs.PipelineUser, obs.StageBeam).End()
+	pl.offsets = pl.offsets[:0]
+	if len(in.RSSOffsetsDB) == len(in.Requests) {
+		for _, m := range group {
+			pl.offsets = append(pl.offsets, in.RSSOffsetsDB[m])
 		}
 	}
-	return out
+	rate := pl.Net.groupRate(pl.membersOf(in, group), pl.offsets, in.CustomBeams)
+	if memo {
+		pl.rates[key] = rate
+	}
+	return rate
 }
 
 // Plan schedules one frame under the given mode. For unicast modes the
@@ -198,21 +266,34 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 		}
 		return FrameContent{Store: in.Store, Frame: in.Frame}
 	}
+	ad := pl.Net.Kind == NetAD
+	if ad {
+		if cap(pl.links) < n {
+			pl.links = make([]phy.Link, n)
+		}
+		pl.links = pl.links[:n]
+		for u := range pl.links {
+			pl.links[u].Reset(pl.Net.Radio, pl.Net.Codebook, in.Positions[u])
+		}
+	}
+	clear(pl.rates)
+	pl.Net.SetBodies(in.Bodies)
+
 	users := make([]multicast.User, n)
 	for u := 0; u < n; u++ {
 		c := contentFor(u)
-		pl.Net.SetBodies(excludeNearAny(in.Bodies, in.Positions[u:u+1]))
 		off := 0.0
 		if len(in.RSSOffsetsDB) == n {
 			off = in.RSSOffsetsDB[u]
 		}
-		users[u] = multicast.User{
-			ID:              u,
-			RequestBytes:    in.Requests[u].Bytes(c.Store.SizeOracle(c.Frame)),
-			UnicastRateMbps: pl.Net.UnicastRateOffset(in.Positions[u], off),
+		users[u] = multicast.User{ID: u, RequestBytes: in.Requests[u].Bytes(c.Store.SizeOracle(c.Frame))}
+		if ad {
+			self := [1]int{u}
+			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.membersOf(in, self[:])[0].RSSDBm + off)
+		} else {
+			users[u].UnicastRateMbps = pl.Net.UnicastRateOffset(in.Positions[u], off)
 		}
 	}
-	pl.Net.SetBodies(in.Bodies)
 
 	prob := &multicast.Problem{
 		Users: users,
@@ -226,29 +307,13 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 					return 0 // different rungs share no payload
 				}
 			}
-			return overlapBytes(c0.Store, c0.Frame, in.Requests, members)
+			return pl.overlap.bytes(c0.Store, c0.Frame, in.Requests, members)
 		},
 		MulticastRate: func(members []int) float64 {
-			// Each candidate-group rate estimate runs a beam design (the
-			// multi-lobe synthesis when CustomBeams is on), so attribute
-			// it to the beam stage.
-			defer pl.Trace.Begin(in.Seq, obs.PipelineUser, obs.StageBeam).End()
-			pos := make([]geom.Vec3, len(members))
-			var offs []float64
-			if len(in.RSSOffsetsDB) == n {
-				offs = make([]float64, len(members))
+			if !ad {
+				return pl.Net.basicMulticastRate()
 			}
-			for i, m := range members {
-				pos[i] = in.Positions[m]
-				if offs != nil {
-					offs[i] = in.RSSOffsetsDB[m]
-				}
-			}
-			// Group members are receivers: their own bodies do not
-			// block their links; everyone else remains a blocker.
-			pl.Net.SetBodies(excludeNearAny(in.Bodies, pos))
-			defer pl.Net.SetBodies(in.Bodies)
-			return pl.Net.MulticastRateOffset(pos, offs, in.CustomBeams)
+			return pl.groupRate(in, members)
 		},
 	}
 	var groups [][]int

@@ -146,17 +146,21 @@ func (a *Array) localDir(world geom.Vec3) geom.Vec3 {
 // toward the world-frame unit direction dir. Element (m,n) sits at local
 // position (m·d, n·d, 0) with d the element spacing.
 func (a *Array) SteeringVector(dir geom.Vec3) AWV {
-	u := a.localDir(dir.Norm())
+	return a.steer(make(AWV, 0, a.Elements()), a.localDir(dir.Norm()))
+}
+
+// steer appends the array response toward the array-local unit
+// direction u to dst.
+func (a *Array) steer(dst AWV, u geom.Vec3) AWV {
 	d := a.SpacingWl * Wavelength()
 	k := 2 * math.Pi / Wavelength()
-	out := make(AWV, 0, a.Elements())
 	for n := 0; n < a.NY; n++ {
 		for m := 0; m < a.NX; m++ {
 			phase := k * d * (float64(m)*u.X + float64(n)*u.Y)
-			out = append(out, cmplx.Exp(complex(0, phase)))
+			dst = append(dst, cmplx.Exp(complex(0, phase)))
 		}
 	}
-	return out
+	return dst
 }
 
 // SteerTo returns the unit-power AWV that points the main lobe at the
@@ -176,25 +180,48 @@ func (a *Array) SteerTo(dir geom.Vec3) AWV {
 func (a *Array) GainDBi(w AWV, dir geom.Vec3) float64 {
 	u := a.localDir(dir.Norm())
 	if u.Z <= 0 {
-		return -60 // behind the panel: deep in the back lobe
+		return behindPanelDBi
 	}
-	sv := a.SteeringVector(dir)
-	var acc complex128
+	return arrayFactorDB(a.weigh(make(AWV, len(w)), w), a.steer(make(AWV, 0, a.Elements()), u)) + a.elementGain(u.Z)
+}
+
+// behindPanelDBi is the gain toward directions behind the panel: deep in
+// the back lobe.
+const behindPanelDBi = -60
+
+// weigh stores in dst the weights the hardware actually radiates: w with
+// each element's fixed imperfection applied. len(dst) must be len(w).
+func (a *Array) weigh(dst, w AWV) AWV {
 	for i := range w {
 		e := complex(1, 0)
 		if i < len(a.imperfections) {
 			e = a.imperfections[i]
 		}
-		acc += w[i] * e * sv[i]
+		dst[i] = w[i] * e
+	}
+	return dst
+}
+
+// arrayFactorDB returns 10·log10 |Σ we[i]·sv[i]|² for radiated weights we
+// (see weigh) and steering vector sv. For unit-norm weights it peaks at N,
+// the array gain.
+func arrayFactorDB(we, sv AWV) float64 {
+	var acc complex128
+	sv = sv[:len(we)]
+	for i := range we {
+		acc += we[i] * sv[i]
 	}
 	af := cmplx.Abs(acc)
 	if af < 1e-9 {
 		af = 1e-9
 	}
-	// |w^H a|² for unit-norm w peaks at N (the array gain); add the
-	// element pattern (cos^1.2 roll-off toward the panel plane).
-	elemGain := a.ElementGainDBi + 10*1.2*math.Log10(math.Max(u.Z, 1e-3))
-	return 10*math.Log10(af*af) + elemGain
+	return 10 * math.Log10(af*af)
+}
+
+// elementGain is the element pattern toward a direction whose local Z
+// component is uz > 0: cos^1.2 roll-off toward the panel plane.
+func (a *Array) elementGain(uz float64) float64 {
+	return a.ElementGainDBi + 10*1.2*math.Log10(math.Max(uz, 1e-3))
 }
 
 // QuantizeAWV maps an ideal weight vector onto what a COTS phased array

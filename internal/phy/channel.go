@@ -82,6 +82,27 @@ type Path struct {
 	Blocked bool
 }
 
+// maxPaths bounds a trace: the LOS, one bounce off each of the six
+// surfaces, and the 24 two-bounce pairs of surfaces on distinct axes.
+const maxPaths = 1 + 6 + 6*4
+
+// bounces holds each traced path's reflection points, transmitter side
+// first (Path.Reflections of them).
+type bounces [maxPaths][2]geom.Vec3
+
+// blocks reports whether the body intersects any segment of the path
+// tx → via[:refl] → rx.
+func (b Body) blocks(tx, rx geom.Vec3, via *[2]geom.Vec3, refl int) bool {
+	a := tx
+	for _, v := range via[:refl] {
+		if b.BlocksSegment(a, v) {
+			return true
+		}
+		a = v
+	}
+	return b.BlocksSegment(a, rx)
+}
+
 // Channel is the ray-traced propagation model: LOS plus first-order
 // reflections off the room's six surfaces, with human-body blockage.
 // It is the offline stand-in for the commercial Remcom simulator the
@@ -110,172 +131,128 @@ func NewChannel(room Room) *Channel {
 func (ch *Channel) SetBodies(bodies []Body) { ch.Bodies = bodies }
 
 // Paths enumerates the propagation paths from tx to rx: the LOS path and
-// one image-method reflection per room surface. Paths whose reflection
-// point falls outside the surface are discarded.
+// one image-method reflection per room surface, with the channel's
+// current bodies applied. Paths whose reflection point falls outside the
+// surface are discarded.
 func (ch *Channel) Paths(tx, rx geom.Vec3) []Path {
-	out := make([]Path, 0, 7)
-	out = append(out, ch.finishPath(tx, rx, tx, rx, 0))
-
-	b := ch.Room.Bounds
-	// Image method: mirror RX across each of the six planes; the straight
-	// segment tx→mirror crosses the plane at the reflection point.
-	mirrors := []struct {
-		axis  int     // 0=X, 1=Y, 2=Z
-		coord float64 // plane coordinate
-	}{
-		{0, b.Min.X}, {0, b.Max.X},
-		{1, b.Min.Y}, {1, b.Max.Y},
-		{2, b.Min.Z}, {2, b.Max.Z},
-	}
-	for _, m := range mirrors {
-		img := rx
-		switch m.axis {
-		case 0:
-			img.X = 2*m.coord - rx.X
-		case 1:
-			img.Y = 2*m.coord - rx.Y
-		default:
-			img.Z = 2*m.coord - rx.Z
+	var via bounces
+	out := ch.trace(make([]Path, 0, 7), &via, tx, rx)
+	for i := range out {
+		for _, body := range ch.Bodies {
+			if body.blocks(tx, rx, &via[i], out[i].Reflections) {
+				out[i].Blocked = true
+				out[i].ExtraLossDB += ch.BodyLossDB
+				break
+			}
 		}
-		// Reflection point: where tx→img crosses the plane.
-		d := img.Sub(tx)
-		var denom, num float64
-		switch m.axis {
-		case 0:
-			denom, num = d.X, m.coord-tx.X
-		case 1:
-			denom, num = d.Y, m.coord-tx.Y
-		default:
-			denom, num = d.Z, m.coord-tx.Z
-		}
-		if math.Abs(denom) < 1e-12 {
-			continue
-		}
-		t := num / denom
-		if t <= 1e-6 || t >= 1-1e-6 {
-			continue
-		}
-		rp := tx.Add(d.Scale(t))
-		if !b.Expand(1e-9).Contains(rp) {
-			continue
-		}
-		p := ch.finishPath(tx, rp, rp, rx, 1)
-		p.ExtraLossDB += ch.Room.WallLossDB
-		p.Length = tx.Dist(rp) + rp.Dist(rx)
-		p.Dir = rp.Sub(tx).Norm()
-		out = append(out, p)
-	}
-	if ch.SecondOrder {
-		out = append(out, ch.secondOrderPaths(tx, rx, mirrors)...)
 	}
 	return out
 }
 
-// secondOrderPaths enumerates two-bounce image-method paths: mirror RX
-// across surface B, then treat the image as the target of a first-order
-// bounce off surface A. Only distinct-axis surface pairs are used (the
-// dominant double bounces in a shoebox room).
-func (ch *Channel) secondOrderPaths(tx, rx geom.Vec3, mirrors []struct {
+// mirror is one reflecting plane of the room: coordinate axis (0=X, 1=Y,
+// 2=Z) and the plane's position along it.
+type mirror struct {
 	axis  int
 	coord float64
-}) []Path {
-	b := ch.Room.Bounds
-	var out []Path
-	reflect := func(p geom.Vec3, axis int, coord float64) geom.Vec3 {
-		switch axis {
-		case 0:
-			p.X = 2*coord - p.X
-		case 1:
-			p.Y = 2*coord - p.Y
-		default:
-			p.Z = 2*coord - p.Z
-		}
-		return p
+}
+
+// image mirrors p across the plane.
+func (m mirror) image(p geom.Vec3) geom.Vec3 {
+	switch m.axis {
+	case 0:
+		p.X = 2*m.coord - p.X
+	case 1:
+		p.Y = 2*m.coord - p.Y
+	default:
+		p.Z = 2*m.coord - p.Z
 	}
-	crossAt := func(a, c geom.Vec3, axis int, coord float64) (geom.Vec3, bool) {
-		d := c.Sub(a)
-		var denom, num float64
-		switch axis {
-		case 0:
-			denom, num = d.X, coord-a.X
-		case 1:
-			denom, num = d.Y, coord-a.Y
-		default:
-			denom, num = d.Z, coord-a.Z
+	return p
+}
+
+// cross returns where the segment a→c crosses the plane, provided the
+// crossing is interior to the segment and inside the bounds b.
+func (m mirror) cross(b geom.AABB, a, c geom.Vec3) (geom.Vec3, bool) {
+	d := c.Sub(a)
+	var denom, num float64
+	switch m.axis {
+	case 0:
+		denom, num = d.X, m.coord-a.X
+	case 1:
+		denom, num = d.Y, m.coord-a.Y
+	default:
+		denom, num = d.Z, m.coord-a.Z
+	}
+	if math.Abs(denom) < 1e-12 {
+		return geom.Vec3{}, false
+	}
+	t := num / denom
+	if t <= 1e-6 || t >= 1-1e-6 {
+		return geom.Vec3{}, false
+	}
+	p := a.Add(d.Scale(t))
+	return p, b.Contains(p)
+}
+
+// trace appends the geometric paths from tx to rx to the empty dst, and
+// stores their reflection points in via: the LOS, the image-method
+// reflection off each room surface and, with SecondOrder, the two-bounce
+// paths over distinct-axis surface pairs (the dominant double bounces in
+// a shoebox room). ExtraLossDB holds the reflection loss only; blockage
+// is the caller's to apply (Paths, Link).
+func (ch *Channel) trace(dst []Path, via *bounces, tx, rx geom.Vec3) []Path {
+	dst = append(dst, Path{Dir: rx.Sub(tx).Norm(), Length: tx.Dist(rx)})
+	b := ch.Room.Bounds
+	mirrors := [6]mirror{
+		{0, b.Min.X}, {0, b.Max.X},
+		{1, b.Min.Y}, {1, b.Max.Y},
+		{2, b.Min.Z}, {2, b.Max.Z},
+	}
+	b = b.Expand(1e-9)
+	// Image method: mirror RX across the plane; the straight segment
+	// tx→image crosses the plane at the reflection point.
+	for _, m := range mirrors {
+		rp, ok := m.cross(b, tx, m.image(rx))
+		if !ok {
+			continue
 		}
-		if math.Abs(denom) < 1e-12 {
-			return geom.Vec3{}, false
-		}
-		t := num / denom
-		if t <= 1e-6 || t >= 1-1e-6 {
-			return geom.Vec3{}, false
-		}
-		p := a.Add(d.Scale(t))
-		if !b.Expand(1e-9).Contains(p) {
-			return geom.Vec3{}, false
-		}
-		return p, true
+		via[len(dst)] = [2]geom.Vec3{rp}
+		dst = append(dst, Path{
+			Dir:         rp.Sub(tx).Norm(),
+			Length:      tx.Dist(rp) + rp.Dist(rx),
+			ExtraLossDB: ch.Room.WallLossDB,
+			Reflections: 1,
+		})
+	}
+	if !ch.SecondOrder {
+		return dst
 	}
 	for _, mA := range mirrors {
 		for _, mB := range mirrors {
 			if mA.axis == mB.axis {
 				continue
 			}
-			// Double image: rx mirrored across B then across A.
-			img := reflect(reflect(rx, mB.axis, mB.coord), mA.axis, mA.coord)
-			// First bounce point on A along tx→img.
-			rpA, ok := crossAt(tx, img, mA.axis, mA.coord)
+			// Double image: rx mirrored across B then across A gives the
+			// first bounce on A; the second bounce on B lies along
+			// rpA→(rx mirrored across B).
+			imgB := mB.image(rx)
+			rpA, ok := mA.cross(b, tx, mA.image(imgB))
 			if !ok {
 				continue
 			}
-			// Second bounce point on B along rpA→(rx mirrored across B).
-			imgB := reflect(rx, mB.axis, mB.coord)
-			rpB, ok := crossAt(rpA, imgB, mB.axis, mB.coord)
+			rpB, ok := mB.cross(b, rpA, imgB)
 			if !ok {
 				continue
 			}
-			p := Path{
+			via[len(dst)] = [2]geom.Vec3{rpA, rpB}
+			dst = append(dst, Path{
 				Dir:         rpA.Sub(tx).Norm(),
 				Length:      tx.Dist(rpA) + rpA.Dist(rpB) + rpB.Dist(rx),
-				Reflections: 2,
 				ExtraLossDB: 2 * ch.Room.WallLossDB,
-			}
-			for _, body := range ch.Bodies {
-				if body.BlocksSegment(tx, rpA) || body.BlocksSegment(rpA, rpB) || body.BlocksSegment(rpB, rx) {
-					p.Blocked = true
-					p.ExtraLossDB += ch.BodyLossDB
-					break
-				}
-			}
-			out = append(out, p)
+				Reflections: 2,
+			})
 		}
 	}
-	return out
-}
-
-// finishPath builds a path for the (possibly two-segment) route and
-// applies blockage to it.
-func (ch *Channel) finishPath(txSeg1a, txSeg1b, seg2a, seg2b geom.Vec3, refl int) Path {
-	p := Path{
-		Dir:         txSeg1b.Sub(txSeg1a).Norm(),
-		Length:      txSeg1a.Dist(txSeg1b),
-		Reflections: refl,
-	}
-	if refl == 0 {
-		p.Length = txSeg1a.Dist(seg2b)
-	}
-	for _, body := range ch.Bodies {
-		blocked := body.BlocksSegment(txSeg1a, txSeg1b)
-		if !blocked && refl > 0 {
-			blocked = body.BlocksSegment(seg2a, seg2b)
-		}
-		if blocked {
-			p.Blocked = true
-			p.ExtraLossDB += ch.BodyLossDB
-			break
-		}
-	}
-	return p
+	return dst
 }
 
 // FSPL returns the 60 GHz free-space path loss in dB for distance d.
