@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: build test race vet fmt-check lint lint-bench bench bench-selftest trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench bench-selftest fuzz-smoke trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke verify
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ bench:
 # drives breaks its build.
 bench-selftest:
 	cd bench && $(GO) test ./...
+
+# fuzz-smoke gives the native fuzz targets a short budget beyond their
+# committed seed corpora (testdata/fuzz, which plain `go test` replays):
+# the one-pass octree encoder, plain and range-coded, against the
+# recursive reference it replaced.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

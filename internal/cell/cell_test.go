@@ -3,6 +3,7 @@ package cell
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,51 @@ func TestPartitionCoversAllPoints(t *testing.T) {
 	occ := g.OccupiedCells(c)
 	if occ.Count() != len(parts) {
 		t.Errorf("OccupiedCells = %d, Partition = %d", occ.Count(), len(parts))
+	}
+}
+
+// TestPartitionMatchesAppendReference pins the count-then-fill Partition
+// to the append-per-point loop it replaced: same cells, same indices in
+// the same (ascending) order, points outside the grid dropped, and runs
+// that share a backing slice without sharing capacity.
+func TestPartitionMatchesAppendReference(t *testing.T) {
+	cfg := pointcloud.SynthConfig{Frames: 1, FPS: 30, PointsPerFrame: 20000, Seed: 5, Sway: 1}
+	c := pointcloud.SynthFrame(cfg, 0)
+	b, _ := c.Bounds()
+	// A grid over the lower half only, so many points fall outside it.
+	b.Max.Y = (b.Min.Y + b.Max.Y) / 2
+	for _, size := range []float64{Size25, Size50, Size100} {
+		g, err := NewGrid(b, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[ID][]int{}
+		for i, p := range c.Points {
+			if id, ok := g.IndexOf(p.Pos); ok {
+				want[id] = append(want[id], i)
+			}
+		}
+		got := g.Partition(c)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("size %v: Partition differs from the append reference", size)
+		}
+		occ := g.OccupiedCells(c)
+		for id, idxs := range got {
+			if !occ.Contains(id) {
+				t.Fatalf("size %v: cell %d partitioned but not occupied", size, id)
+			}
+			if cap(idxs) != len(idxs) {
+				t.Fatalf("size %v: cell %d run has spare capacity %d into its neighbour", size, id, cap(idxs)-len(idxs))
+			}
+		}
+		if occ.Count() != len(got) {
+			t.Fatalf("size %v: OccupiedCells = %d, Partition = %d", size, occ.Count(), len(got))
+		}
+	}
+	empty := &pointcloud.Cloud{}
+	g, _ := NewGrid(b, Size50)
+	if got := g.Partition(empty); len(got) != 0 {
+		t.Fatalf("empty cloud partitioned into %d cells", len(got))
 	}
 }
 

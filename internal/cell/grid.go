@@ -108,14 +108,50 @@ func (g *Grid) Bounds(id ID) geom.AABB {
 func (g *Grid) Center(id ID) geom.Vec3 { return g.Bounds(id).Center() }
 
 // Partition assigns every point of the cloud to its cell, returning for
-// each occupied cell the indices of its points. Points outside the grid
-// are ignored (they cannot occur when the grid was built from the cloud's
-// own bounds).
+// each occupied cell the indices of its points, ascending. Points outside
+// the grid are ignored (they cannot occur when the grid was built from
+// the cloud's own bounds). The keys are the frame's occupied cells.
+//
+// Each point is located once: a first pass records its cell and counts
+// the cell's points, a second deals the indices into one backing slice
+// cut into per-cell runs (capacity-limited, so appending to one run never
+// spills into the next).
 func (g *Grid) Partition(c *pointcloud.Cloud) map[ID][]int {
-	out := make(map[ID][]int)
-	for i, p := range c.Points {
-		if id, ok := g.IndexOf(p.Pos); ok {
-			out[id] = append(out[id], i)
+	const outside = -1
+	cellOf := make([]ID, len(c.Points))
+	next := make([]int, g.NumCells()+1) // next[id+1]: count, then fill cursor
+	occupied := 0
+	for i := range c.Points {
+		id, ok := g.IndexOf(c.Points[i].Pos)
+		if !ok {
+			cellOf[i] = outside
+			continue
+		}
+		cellOf[i] = id
+		if next[id+1] == 0 {
+			occupied++
+		}
+		next[id+1]++
+	}
+	// Turn counts into start offsets: next[id+1] becomes where cell id's
+	// run begins, and the fill below advances it to where the run ends.
+	inside := 0
+	for i := 1; i < len(next); i++ {
+		n := next[i]
+		next[i] = inside
+		inside += n
+	}
+	backing := make([]int, inside)
+	for i, id := range cellOf {
+		if id != outside {
+			backing[next[id+1]] = i
+			next[id+1]++
+		}
+	}
+	out := make(map[ID][]int, occupied)
+	for id := 0; id+1 < len(next); id++ {
+		if lo, hi := next[id], next[id+1]; hi > lo {
+			out[ID(id)] = backing[lo:hi:hi]
 		}
 	}
 	return out

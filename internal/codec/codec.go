@@ -2,10 +2,20 @@
 // place of Google's Draco library. Each cell of a partitioned frame is
 // encoded independently (the property the streaming system relies on for
 // viewport-adaptive fetching and multicast): positions are quantized to a
-// configurable bit depth inside the cell's bounding box, sorted in Morton
-// order, delta-coded and varint-packed; colors are delta-coded with zigzag
-// varints. The package also provides the decode-rate model that caps the
-// client at the paper's measured 550K-points-at-30-FPS ceiling.
+// configurable bit depth inside the cell's bounding box and sorted in
+// Morton order, colors are decorrelated to (G, R-G, B-G) and zigzag-varint
+// coded with zero-run RLE.
+//
+// The serving format is the layered block (layered.go): an octree
+// occupancy stream to a base depth plus one enhancement layer per further
+// depth bit, nested so that every layer prefix decodes on its own — one
+// encode serves every density rung. The flat formats remain for
+// single-rung stores and comparison: Morton-delta varints, DFS octree
+// occupancy bytes, the same range-coded, and an Auto mode that keeps the
+// smallest of the three. Every encoder runs on one kernel over the sorted
+// codes (encode.go, octree.go; DESIGN.md §15). The package also provides
+// the decode-rate model that caps the client at the paper's measured
+// 550K-points-at-30-FPS ceiling.
 package codec
 
 import (

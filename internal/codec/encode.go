@@ -1,10 +1,10 @@
 package codec
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 
 	"volcast/internal/cell"
@@ -113,46 +113,24 @@ func (e *Encoder) EncodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBo
 }
 
 // encodeCell is the uncached encode: quantize and Morton-sort the cell
-// once, then run the selected coder (or, in Auto mode, all three over the
-// same sorted scratch, recycling the losing output buffers).
+// and gather its colours once, then run the selected coder (or, in Auto
+// mode, all three over the same scratch, recycling the losing output
+// buffers).
 func (e *Encoder) encodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB) *Block {
-	qb := uint(e.params.QuantBits)
-	levels := uint64(1) << qb
 	edge := cellEdge(cellBounds)
 	layered := e.params.Layers > 0
-	inv := float64(levels-1) / edge
-	if layered {
-		// The layered coder floor-quantizes on the full [0, levels)
-		// lattice so coarse-tier codes are exact right-shifts of the
-		// full-depth codes (see layered.go).
-		inv = float64(levels) / edge
-	}
-
-	// Quantize each point to a Morton code for locality-friendly deltas.
-	// The sort breaks code ties by source index, making the permutation
-	// canonical (independent of the sort algorithm).
-	qsp := getQpoints(len(idxs))
+	// The layered coder floor-quantizes on the full [0, levels) lattice so
+	// coarse-tier codes are exact right-shifts of the full-depth codes
+	// (see layered.go).
+	qsp := e.quantizeSorted(c, idxs, cellBounds, edge, layered)
 	defer putQpoints(qsp)
 	qs := *qsp
-	for _, i := range idxs {
-		d := c.Points[i].Pos.Sub(cellBounds.Min)
-		var x, y, z uint64
-		if layered {
-			x = quantFloor(d.X*inv, levels)
-			y = quantFloor(d.Y*inv, levels)
-			z = quantFloor(d.Z*inv, levels)
-		} else {
-			x = quant(d.X*inv, levels)
-			y = quant(d.Y*inv, levels)
-			z = quant(d.Z*inv, levels)
-		}
-		qs = append(qs, qpoint{code: morton3(x, y, z, qb), idx: i})
-	}
-	*qsp = qs
-	sortQpoints(qs)
+	cp := getI64(3 * len(qs))
+	defer putI64(cp)
+	cols := gatherColors(*cp, c, qs)
 
 	if layered {
-		return encodeLayered(e.params, id, c, qs, cellBounds, edge)
+		return encodeLayered(e.params, id, qs, cols, cellBounds, edge)
 	}
 	if e.params.Auto {
 		best := []byte(nil)
@@ -161,7 +139,7 @@ func (e *Encoder) encodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBo
 			{QuantBits: e.params.QuantBits, Octree: true},
 			{QuantBits: e.params.QuantBits, Octree: true, Arithmetic: true},
 		} {
-			buf := encodeSorted(variant, id, c, qs, cellBounds, edge)
+			buf := encodeSorted(variant, id, qs, cols, cellBounds, edge)
 			switch {
 			case best == nil:
 				best = buf
@@ -174,25 +152,160 @@ func (e *Encoder) encodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBo
 		}
 		return &Block{CellID: id, NumPoints: len(qs), Data: best}
 	}
-	return &Block{CellID: id, NumPoints: len(qs), Data: encodeSorted(e.params, id, c, qs, cellBounds, edge)}
+	return &Block{CellID: id, NumPoints: len(qs), Data: encodeSorted(e.params, id, qs, cols, cellBounds, edge)}
 }
+
+// quantizeSorted quantizes the points at idxs to Morton codes (flooring
+// for the layered lattice, rounding for the flat one) and returns them in
+// the canonical (code, idx) order both coders and TierPoints share, in
+// pooled scratch the caller returns with putQpoints.
+func (e *Encoder) quantizeSorted(c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB, edge float64, floor bool) *[]qpoint {
+	qb := uint(e.params.QuantBits)
+	levels := uint64(1) << qb
+	inv := float64(levels-1) / edge
+	if floor {
+		inv = float64(levels) / edge
+	}
+	qsp := getQpoints(len(idxs))
+	qs := *qsp
+	// The pass also observes what the sort needs to know: which code bits
+	// occur at all, and whether idxs already ascend (they do when they
+	// come from Grid.Partition or a stride over it).
+	var codeBits uint64
+	ascending, last := true, -1
+	for _, i := range idxs {
+		d := c.Points[i].Pos.Sub(cellBounds.Min)
+		var x, y, z uint64
+		if floor {
+			x = quantFloor(d.X*inv, levels)
+			y = quantFloor(d.Y*inv, levels)
+			z = quantFloor(d.Z*inv, levels)
+		} else {
+			x = quant(d.X*inv, levels)
+			y = quant(d.Y*inv, levels)
+			z = quant(d.Z*inv, levels)
+		}
+		code := morton3(x, y, z, qb)
+		codeBits |= code
+		ascending = ascending && i >= last
+		last = i
+		qs = append(qs, qpoint{code: code, idx: i})
+	}
+	*qsp = qs
+	sortQpoints(qs, codeBits, ascending)
+	return qsp
+}
+
+// radixMin is the length below which sortQpoints insertion-sorts: under
+// it the radix passes' fixed cost (histograms, prefix sums) dominates.
+const radixMin = 48
 
 // sortQpoints orders quantized points by (code, idx): Morton order with
 // source index breaking ties, the canonical permutation both coders and
-// TierPoints share.
-func sortQpoints(qs []qpoint) {
-	slices.SortFunc(qs, func(a, b qpoint) int {
-		if c := cmp.Compare(a.code, b.code); c != 0 {
-			return c
+// TierPoints share. It is a stable LSD radix sort on code: when idxs
+// already ascend, stability alone leaves equal codes in idx order;
+// otherwise the points are first radix-sorted by idx (through the same
+// kernel, with the two fields swapped). codeBits is the OR of all codes
+// and bounds the digits worth sorting on.
+//
+//vollint:hotpath
+func sortQpoints(qs []qpoint, codeBits uint64, idxAscending bool) {
+	if len(qs) < radixMin {
+		for i := 1; i < len(qs); i++ {
+			q := qs[i]
+			j := i
+			for ; j > 0 && (qs[j-1].code > q.code || qs[j-1].code == q.code && qs[j-1].idx > q.idx); j-- {
+				qs[j] = qs[j-1]
+			}
+			qs[j] = q
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+		return
+	}
+	tp := getQpoints(len(qs))
+	tmp := (*tp)[:len(qs)]
+	if !idxAscending {
+		radixByCode(qs, tmp, swapFields(qs))
+		swapFields(qs)
+	}
+	radixByCode(qs, tmp, codeBits)
+	putQpoints(tp)
+}
+
+// swapFields exchanges code and idx in every element, so radixByCode can
+// sort on idx, and returns the OR of the new codes.
+func swapFields(qs []qpoint) (codeBits uint64) {
+	for i, q := range qs {
+		qs[i] = qpoint{code: uint64(q.idx), idx: int(q.code)}
+		codeBits |= uint64(q.idx)
+	}
+	return codeBits
+}
+
+// radixByCode stably sorts qs by code, one byte per pass from the least
+// significant, ping-ponging between qs and tmp (same length). Only the
+// bytes codeBits has are visited, and a byte every element agrees on is
+// skipped. The result always ends in qs.
+//
+//vollint:hotpath
+func radixByCode(qs, tmp []qpoint, codeBits uint64) {
+	ndig := (bits.Len64(codeBits) + 7) / 8
+	var hist [8][256]uint32
+	for i := range qs {
+		code := qs[i].code
+		for d := 0; d < ndig; d++ {
+			hist[d][byte(code)]++
+			code >>= 8
+		}
+	}
+	src, dst := qs, tmp
+	for d := 0; d < ndig; d++ {
+		h, shift := &hist[d], uint(8*d)
+		if int(h[byte(src[0].code>>shift)]) == len(src) {
+			continue
+		}
+		var sum uint32
+		for b, n := range h {
+			h[b] = sum
+			sum += n
+		}
+		for i := range src {
+			b := byte(src[i].code >> shift)
+			dst[h[b]] = src[i]
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &qs[0] {
+		copy(qs, src)
+	}
+}
+
+// colorPlanes holds a cell's colours planar, one slice per decorrelated
+// channel — luma-ish G, then the chroma residuals R-G and B-G
+// (near-constant on natural surfaces) — indexed by position in the sorted
+// qpoint slice.
+type colorPlanes [3][]int64
+
+// gatherColors reads each sorted point's colour from the cloud once, into
+// the three planes carved from dst (length >= 3*len(qs)); every colour
+// pass of every coder and layer then runs over the planes.
+//
+//vollint:hotpath
+func gatherColors(dst []int64, c *pointcloud.Cloud, qs []qpoint) colorPlanes {
+	n := len(qs)
+	g, rg, bg := dst[:n], dst[n:2*n], dst[2*n:3*n]
+	for j := range qs {
+		p := &c.Points[qs[j].idx]
+		gv := int64(p.G)
+		g[j], rg[j], bg[j] = gv, int64(p.R)-gv, int64(p.B)-gv
+	}
+	return colorPlanes{g, rg, bg}
 }
 
 // encodeSorted serializes one block's bytes from the already quantized and
-// sorted points. The output buffer comes from the scratch pool; callers
-// that discard it must return it via putBuf.
-func encodeSorted(p Params, id cell.ID, c *pointcloud.Cloud, qs []qpoint, cellBounds geom.AABB, edge float64) []byte {
+// sorted points and their gathered colours. The output buffer comes from
+// the scratch pool; callers that discard it must return it via putBuf.
+func encodeSorted(p Params, id cell.ID, qs []qpoint, cols colorPlanes, cellBounds geom.AABB, edge float64) []byte {
 	mode := ModeMorton
 	switch {
 	case p.Octree && p.Arithmetic, p.Arithmetic:
@@ -223,12 +336,10 @@ func encodeSorted(p Params, id cell.ID, c *pointcloud.Cloud, qs []qpoint, cellBo
 	// channel with zero-run RLE: neighbouring points in Morton order tend
 	// to share colors and the chroma channels are near-constant on real
 	// surfaces, so most symbols collapse into runs.
-	for ch := 0; ch < 3; ch++ {
+	for _, plane := range cols {
 		var prev int64
 		var zrun uint64
-		for _, q := range qs {
-			p := c.Points[q.idx]
-			v := colorChannel(p, ch)
+		for _, v := range plane {
 			d := zigzag(v - prev)
 			prev = v
 			if d == 0 {
@@ -314,15 +425,23 @@ func quant(v float64, levels uint64) uint64 {
 	return u
 }
 
-// morton3 interleaves the low `bits` bits of x, y, z into a Morton code.
+// morton3 interleaves the low `bits` bits (at most 21) of x, y, z into a
+// Morton code: x on bits 0, 3, 6, …, y one above, z two above.
 func morton3(x, y, z uint64, bits uint) uint64 {
-	var out uint64
-	for i := uint(0); i < bits; i++ {
-		out |= ((x >> i) & 1) << (3 * i)
-		out |= ((y >> i) & 1) << (3*i + 1)
-		out |= ((z >> i) & 1) << (3*i + 2)
-	}
-	return out
+	m := uint64(1)<<bits - 1
+	return spread3(x&m) | spread3(y&m)<<1 | spread3(z&m)<<2
+}
+
+// spread3 moves bit i of v (i < 21) to bit 3i by shift-and-mask doubling:
+// each step splits every run of payload bits in two and pushes the upper
+// half twice its width further up.
+func spread3(v uint64) uint64 {
+	v = (v | v<<32) & 0x001f00000000ffff
+	v = (v | v<<16) & 0x001f0000ff0000ff
+	v = (v | v<<8) & 0x100f00f00f00f00f
+	v = (v | v<<4) & 0x10c30c30c30c30c3
+	v = (v | v<<2) & 0x1249249249249249
+	return v
 }
 
 // demorton3 inverts morton3.
@@ -337,20 +456,6 @@ func demorton3(code uint64, bits uint) (x, y, z uint64) {
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// colorChannel returns the decorrelated color channel value of p:
-// channel 0 is luma-ish G, channels 1 and 2 are the chroma residuals
-// R-G and B-G (near-constant on natural surfaces).
-func colorChannel(p pointcloud.Point, ch int) int64 {
-	switch ch {
-	case 0:
-		return int64(p.G)
-	case 1:
-		return int64(p.R) - int64(p.G)
-	default:
-		return int64(p.B) - int64(p.G)
-	}
-}
 
 // flushZeroRun emits a pending run of zero deltas as the pair (0, runLen)
 // and resets the counter. A zero delta is never emitted bare, so the 0

@@ -91,209 +91,172 @@ func cellEdge(cellBounds geom.AABB) float64 {
 }
 
 // encodeLayered serializes the layered block from the floor-quantized,
-// (code, idx)-sorted points. Parameters are assumed clamped (NewEncoder):
-// 1 <= Layers <= QuantBits <= 16.
-func encodeLayered(p Params, id cell.ID, c *pointcloud.Cloud, qs []qpoint, cellBounds geom.AABB, edge float64) *Block {
+// (code, idx)-sorted points and their gathered colours. Parameters are
+// assumed clamped (NewEncoder): 1 <= Layers <= QuantBits <= 16.
+func encodeLayered(p Params, id cell.ID, qs []qpoint, cols colorPlanes, cellBounds geom.AABB, edge float64) *Block {
 	qb := uint(p.QuantBits)
 	L := int(p.Layers)
+	N := len(qs)
 
-	// Deduplicate full-depth codes; firstQ holds the qs index of each
-	// node's representative (its first point in (code, idx) order).
-	up, cp := getU64(len(qs)), getU64(len(qs))
-	defer func() { putU64(up); putU64(cp) }()
-	uniques, counts := *up, *cp
-	firstQ := make([]int, 0, len(qs))
-	hasDup := false
-	for i := 0; i < len(qs); {
-		j := i
-		for j < len(qs) && qs[j].code == qs[i].code {
-			j++
+	// One scan classifies every point by how far up the tree it parts
+	// from its predecessor: split[j] counts the low 3-bit digits of code j
+	// up to and including the highest one that differs from code j-1,
+	// capped at L. Layer t drops k = L-1-t digits, so point j is the first
+	// point of a depth-d_t node — its representative, lending the node its
+	// colour — iff split[j] > k, and it also opens a new parent one level
+	// up iff split[j] > k+1. Zero marks a duplicate of the point before,
+	// L the first point of a base node, whose code the scan collects.
+	split := getBuf(N)[:N]
+	cg := getU64(N)
+	baseCodes := *cg
+	var prev uint64
+	for j := range qs {
+		code := qs[j].code
+		v := (bits.Len64(prev^code) + 2) / 3
+		if v >= L || j == 0 {
+			v = L
+			baseCodes = append(baseCodes, code>>uint(3*(L-1)))
 		}
-		uniques = append(uniques, qs[i].code)
-		counts = append(counts, uint64(j-i))
-		firstQ = append(firstQ, i)
-		if j-i > 1 {
-			hasDup = true
-		}
-		i = j
-	}
-	*up, *cp = uniques, counts
-	U := len(uniques)
-
-	// starts[t][i] is the uniques index where the i-th depth-d_t node
-	// begins; coarser tiers group finer ones by dropping 3 code bits.
-	starts := make([][]int, L)
-	full := make([]int, U)
-	for i := range full {
-		full[i] = i
-	}
-	starts[L-1] = full
-	for t := L - 2; t >= 0; t-- {
-		shift := uint(3 * (L - 1 - t))
-		s := make([]int, 0, len(starts[t+1]))
-		for _, ui := range starts[t+1] {
-			if len(s) == 0 || uniques[ui]>>shift != uniques[s[len(s)-1]]>>shift {
-				s = append(s, ui)
-			}
-		}
-		starts[t] = s
+		split[j] = uint8(v)
+		prev = code
 	}
 
-	rep := func(ui int) pointcloud.Point { return c.Points[qs[firstQ[ui]].idx] }
-
-	seg := getBuf(16 + len(qs)*6)
-	defer putBuf(seg)
-	segEnds := make([]int, L)
-	layerPts := make([]int, L)
+	// 7 B/pt covers the 45–49 bits/pt the format produces on body-surface
+	// cells at qb 10; a denser cell grows the buffer, and the grown one is
+	// what goes back to the pool.
+	seg := getBuf(64 + 7*N)
+	var segStart [17]int // segment t is seg[segStart[t]:segStart[t+1]]
+	ints := make([]int, 2*L)
+	offsets, layerPts := ints[:L:L], ints[L:]
 
 	// Base segment: occupancy tree to d_0 plus absolute rep colors.
-	segStart := 0
-	{
-		base := starts[0]
-		cg := getU64(len(base))
-		codes0 := *cg
-		shift := uint(3 * (L - 1))
-		for _, ui := range base {
-			codes0 = append(codes0, uniques[ui]>>shift)
-		}
-		seg = octreeEncode(seg, codes0, qb-uint(L-1))
-		*cg = codes0
-		putU64(cg)
-		for ch := 0; ch < 3; ch++ {
-			var prev int64
-			var zrun uint64
-			for _, ui := range base {
-				v := colorChannel(rep(ui), ch)
-				d := zigzag(v - prev)
-				prev = v
-				if d == 0 {
-					zrun++
-					continue
-				}
-				seg = flushZeroRun(seg, &zrun)
-				seg = binary.AppendUvarint(seg, d)
+	seg = octreeEncode(seg, baseCodes, qb-uint(L-1))
+	layerPts[0] = len(baseCodes)
+	*cg = baseCodes
+	putU64(cg)
+	for _, plane := range cols {
+		var prev int64
+		var zrun uint64
+		for j, v := range plane {
+			if int(split[j]) < L {
+				continue
+			}
+			d := zigzag(v - prev)
+			prev = v
+			if d == 0 {
+				zrun++
+				continue
 			}
 			seg = flushZeroRun(seg, &zrun)
+			seg = binary.AppendUvarint(seg, d)
 		}
-		layerPts[0] = len(base)
-		if L == 1 {
-			seg = appendDupExtras(seg, c, qs, uniques, counts, firstQ, hasDup)
-			layerPts[0] = len(qs)
-		}
-		seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart:]))
-		segEnds[0] = len(seg)
+		seg = flushZeroRun(seg, &zrun)
 	}
 
 	// Enhancement segments: per-parent occupancy byte, then residual
-	// colors for the non-first children.
+	// colors for the non-first children (a first child inherits the
+	// parent's colour). The occupancy scan meets every child anyway, so it
+	// also notes each non-first child beside its parent's first point, and
+	// the colour passes touch only those pairs.
+	pp := getI64(2 * N)
 	for t := 1; t < L; t++ {
-		segStart = len(seg)
-		parents, children := starts[t-1], starts[t]
-		shift := uint(3 * (L - 1 - t))
-		ci := 0
-		for pi := range parents {
-			pe := U
-			if pi+1 < len(parents) {
-				pe = parents[pi+1]
+		seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart[t-1]:]))
+		segStart[t] = len(seg)
+		k := L - 1 - t
+		pairs, first, nodes := (*pp)[:0], 0, 0
+		for j, v := range split {
+			if int(v) <= k {
+				continue
 			}
-			var occ byte
-			for ci < len(children) && children[ci] < pe {
-				occ |= 1 << ((uniques[children[ci]] >> shift) & 7)
-				ci++
+			nodes++
+			bit := byte(1) << (qs[j].code >> uint(3*k) & 7)
+			if int(v) > k+1 {
+				first = j
+				seg = append(seg, bit)
+				continue
 			}
-			seg = append(seg, occ)
+			seg[len(seg)-1] |= bit
+			pairs = append(pairs, int64(j), int64(first))
 		}
-		for ch := 0; ch < 3; ch++ {
-			var zrun uint64
-			ci = 0
-			for pi, ps := range parents {
-				pe := U
-				if pi+1 < len(parents) {
-					pe = parents[pi+1]
-				}
-				pv := colorChannel(rep(ps), ch)
-				first := true
-				for ci < len(children) && children[ci] < pe {
-					if first {
-						first = false
-						ci++
-						continue
-					}
-					d := zigzag(colorChannel(rep(children[ci]), ch) - pv)
-					ci++
-					if d == 0 {
-						zrun++
-						continue
-					}
-					seg = flushZeroRun(seg, &zrun)
-					seg = binary.AppendUvarint(seg, d)
-				}
-			}
-			seg = flushZeroRun(seg, &zrun)
-		}
-		layerPts[t] = len(children)
-		if t == L-1 {
-			seg = appendDupExtras(seg, c, qs, uniques, counts, firstQ, hasDup)
-			layerPts[t] = len(qs)
-		}
-		seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart:]))
-		segEnds[t] = len(seg)
+		seg = appendResiduals(seg, cols, pairs)
+		layerPts[t] = nodes
 	}
 
-	hdr := getBuf(32 + 5*L)
-	defer putBuf(hdr)
-	hdr = binary.LittleEndian.AppendUint16(hdr, Magic)
-	hdr = append(hdr, VersionLayered, p.QuantBits, ModeLayered, byte(L))
-	hdr = binary.AppendUvarint(hdr, uint64(id))
-	hdr = binary.AppendUvarint(hdr, uint64(len(qs)))
-	hdr = appendFloat32(hdr, cellBounds.Min.X)
-	hdr = appendFloat32(hdr, cellBounds.Min.Y)
-	hdr = appendFloat32(hdr, cellBounds.Min.Z)
-	hdr = appendFloat32(hdr, edge)
-	prev := 0
+	// The last segment also carries the duplicates, so the full prefix
+	// returns every input point: a flag byte and, when set, per-node
+	// count-1 values plus colour residuals of every duplicate vs. its
+	// node's representative.
+	switch uniques := layerPts[L-1]; {
+	case N == 0:
+	case uniques == N:
+		seg = append(seg, 0)
+	default:
+		seg = append(seg, 1)
+		pairs, first, run := (*pp)[:0], 0, uint64(0)
+		for j, v := range split {
+			if v == 0 {
+				run++
+				pairs = append(pairs, int64(j), int64(first))
+				continue
+			}
+			if j > 0 {
+				seg = binary.AppendUvarint(seg, run)
+			}
+			first, run = j, 0
+		}
+		seg = binary.AppendUvarint(seg, run)
+		seg = appendResiduals(seg, cols, pairs)
+	}
+	putI64(pp)
+	putBuf(split)
+	layerPts[L-1] = N
+	seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart[L-1]:]))
+	segStart[L] = len(seg)
+
+	// The header goes straight into the block's own exactly-sized buffer,
+	// so its length (three varint fields aside, 26 bytes) is summed first.
+	hdrLen := 26 + uvarintLen(uint64(id)) + uvarintLen(uint64(N))
 	for t := 0; t < L; t++ {
-		hdr = binary.AppendUvarint(hdr, uint64(segEnds[t]-prev))
-		prev = segEnds[t]
+		hdrLen += uvarintLen(uint64(segStart[t+1] - segStart[t]))
 	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, checksum(hdr))
-
-	data := make([]byte, 0, len(hdr)+len(seg))
-	data = append(data, hdr...)
+	data := make([]byte, 0, hdrLen+len(seg))
+	data = binary.LittleEndian.AppendUint16(data, Magic)
+	data = append(data, VersionLayered, p.QuantBits, ModeLayered, byte(L))
+	data = binary.AppendUvarint(data, uint64(id))
+	data = binary.AppendUvarint(data, uint64(N))
+	data = appendFloat32(data, cellBounds.Min.X)
+	data = appendFloat32(data, cellBounds.Min.Y)
+	data = appendFloat32(data, cellBounds.Min.Z)
+	data = appendFloat32(data, edge)
+	for t := 0; t < L; t++ {
+		data = binary.AppendUvarint(data, uint64(segStart[t+1]-segStart[t]))
+	}
+	data = binary.LittleEndian.AppendUint32(data, checksum(data))
 	data = append(data, seg...)
-	offsets := make([]int, L)
-	for t := range segEnds {
-		offsets[t] = len(hdr) + segEnds[t]
+	putBuf(seg)
+	for t := range offsets {
+		offsets[t] = hdrLen + segStart[t+1]
 	}
-	return &Block{CellID: id, NumPoints: len(qs), Data: data, LayerOffsets: offsets, LayerPoints: layerPts}
+	return &Block{CellID: id, NumPoints: N, Data: data, LayerOffsets: offsets, LayerPoints: layerPts}
 }
 
-// appendDupExtras emits the final layer's duplicate stream: a flag byte
-// and, when duplicates exist, per-node count-1 values plus color
-// residuals of every duplicate vs. its node representative.
-func appendDupExtras(seg []byte, c *pointcloud.Cloud, qs []qpoint, uniques, counts []uint64, firstQ []int, hasDup bool) []byte {
-	if len(qs) == 0 {
-		return seg
-	}
-	if !hasDup {
-		return append(seg, 0)
-	}
-	seg = append(seg, 1)
-	for _, cnt := range counts {
-		seg = binary.AppendUvarint(seg, cnt-1)
-	}
-	for ch := 0; ch < 3; ch++ {
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// appendResiduals emits, channel by channel, the colour residual of each
+// (point, reference) index pair — zigzag with zero-run RLE, no delta
+// chaining.
+func appendResiduals(seg []byte, cols colorPlanes, pairs []int64) []byte {
+	for _, plane := range cols {
 		var zrun uint64
-		for ui := range uniques {
-			rv := colorChannel(c.Points[qs[firstQ[ui]].idx], ch)
-			for j := firstQ[ui] + 1; j < firstQ[ui]+int(counts[ui]); j++ {
-				d := zigzag(colorChannel(c.Points[qs[j].idx], ch) - rv)
-				if d == 0 {
-					zrun++
-					continue
-				}
-				seg = flushZeroRun(seg, &zrun)
-				seg = binary.AppendUvarint(seg, d)
+		for i := 0; i < len(pairs); i += 2 {
+			d := zigzag(plane[pairs[i]] - plane[pairs[i+1]])
+			if d == 0 {
+				zrun++
+				continue
 			}
+			seg = flushZeroRun(seg, &zrun)
+			seg = binary.AppendUvarint(seg, d)
 		}
 		seg = flushZeroRun(seg, &zrun)
 	}
@@ -716,22 +679,9 @@ func (e *Encoder) TierPoints(c *pointcloud.Cloud, idxs []int, cellBounds geom.AA
 	if layers > L {
 		layers = L
 	}
-	qb := uint(e.params.QuantBits)
-	levels := uint64(1) << qb
-	edge := cellEdge(cellBounds)
-	inv := float64(levels) / edge
-	qsp := getQpoints(len(idxs))
+	qsp := e.quantizeSorted(c, idxs, cellBounds, cellEdge(cellBounds), true)
 	defer putQpoints(qsp)
 	qs := *qsp
-	for _, i := range idxs {
-		d := c.Points[i].Pos.Sub(cellBounds.Min)
-		x := quantFloor(d.X*inv, levels)
-		y := quantFloor(d.Y*inv, levels)
-		z := quantFloor(d.Z*inv, levels)
-		qs = append(qs, qpoint{code: morton3(x, y, z, qb), idx: i})
-	}
-	*qsp = qs
-	sortQpoints(qs)
 	if layers == L {
 		out := make([]pointcloud.Point, len(qs))
 		for i, q := range qs {

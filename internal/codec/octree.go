@@ -1,51 +1,49 @@
 package codec
 
+import "math/bits"
+
 // Octree occupancy coding — the position coder real point-cloud codecs
 // (MPEG G-PCC, Draco) use: the quantized lattice inside a cell is
 // recursively split into octants and, for each non-empty node, one byte
 // records which children are occupied. Positions cost ~1–4 bits/point at
 // volumetric densities, versus ~10–16 for Morton-delta coding, at the
-// price of deduplicating co-located points. The encoder walks depth-first
-// so leaves emerge in Morton order — the same order the Morton coder
-// sorts into — letting both modes share the color coder unchanged.
+// price of deduplicating co-located points. The stream is depth-first, so
+// leaves emerge in Morton order — the same order the Morton coder sorts
+// into — letting both modes share the color coder unchanged.
 
 // octreeEncode appends the DFS occupancy-byte stream for the sorted,
-// deduplicated Morton codes. Codes must be sorted ascending and unique;
-// qb is the tree depth (bits per axis).
+// deduplicated Morton codes. Codes must be sorted ascending, unique and
+// below 1<<(3*qb); qb is the tree depth (bits per axis, at most 21).
+//
+// It is one forward pass. Consecutive codes share every tree node above
+// their first differing 3-bit digit, so each code ORs its bit into that
+// one still-open node and opens a fresh node at every level below it. A
+// node's byte is reserved at the end of the buffer the moment it opens —
+// after everything belonging to earlier subtrees, before anything of its
+// own — which is exactly its DFS pre-order position; later children only
+// OR into the reserved byte.
+//
+//vollint:hotpath
 func octreeEncode(buf []byte, codes []uint64, qb uint) []byte {
 	if len(codes) == 0 {
 		return buf
 	}
-	return octreeNode(buf, codes, 3*int(qb)-3)
-}
-
-// octreeNode emits one node covering codes that share all bits above
-// shift+3, partitioned by the 3-bit digit at shift. shift < 0 means leaf.
-func octreeNode(buf []byte, codes []uint64, shift int) []byte {
-	if shift < 0 {
-		return buf
+	// open[d] is the buffer index of the open node whose children are
+	// told apart by digit d (code bits 3d..3d+2); the root is d = qb-1.
+	var open [22]int
+	prev := codes[0]
+	for d := int(qb) - 1; d >= 0; d-- {
+		open[d] = len(buf)
+		buf = append(buf, 1<<(prev>>uint(3*d)&7))
 	}
-	// Partition the (sorted) codes by their 3-bit digit at shift.
-	var bounds [9]int
-	idx := 0
-	for child := uint64(0); child < 8; child++ {
-		bounds[child] = idx
-		for idx < len(codes) && (codes[idx]>>uint(shift))&7 == child {
-			idx++
+	for _, code := range codes[1:] {
+		d := (bits.Len64(prev^code) - 1) / 3
+		buf[open[d]] |= 1 << (code >> uint(3*d) & 7)
+		for d--; d >= 0; d-- {
+			open[d] = len(buf)
+			buf = append(buf, 1<<(code>>uint(3*d)&7))
 		}
-	}
-	bounds[8] = idx
-	var occ byte
-	for child := 0; child < 8; child++ {
-		if bounds[child+1] > bounds[child] {
-			occ |= 1 << uint(child)
-		}
-	}
-	buf = append(buf, occ)
-	for child := 0; child < 8; child++ {
-		if bounds[child+1] > bounds[child] {
-			buf = octreeNode(buf, codes[bounds[child]:bounds[child+1]], shift-3)
-		}
+		prev = code
 	}
 	return buf
 }

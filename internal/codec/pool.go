@@ -60,24 +60,33 @@ func getI64(n int) *[]int64 {
 
 func putI64(p *[]int64) { i64Pool.Put(p) }
 
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// bufPool holds byte buffers; bufHeaders recycles the emptied boxes they
+// travel in, so neither getBuf nor putBuf allocates.
+var (
+	bufPool    = sync.Pool{New: func() any { return new([]byte) }}
+	bufHeaders = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // getBuf returns a zero-length byte slice with capacity ≥ n. A buffer
-// that ends up as a Block's Data is simply never returned; only buffers
-// discarded (the losing Auto variants) go back via putBuf.
+// that ends up as a Block's Data is simply never returned; buffers
+// discarded (scratch, the losing Auto variants) go back via putBuf.
 //
 //vollint:hotpath
 func getBuf(n int) []byte {
 	p := bufPool.Get().(*[]byte)
-	if cap(*p) < n {
+	b := *p
+	*p = nil
+	bufHeaders.Put(p)
+	if cap(b) < n {
 		return make([]byte, 0, n)
 	}
-	return (*p)[:0]
+	return b[:0]
 }
 
 func putBuf(b []byte) {
-	b = b[:0]
-	bufPool.Put(&b)
+	p := bufHeaders.Get().(*[]byte)
+	*p = b[:0]
+	bufPool.Put(p)
 }
 
 // acScratch bundles the range coder's per-cell state — encoder (with its

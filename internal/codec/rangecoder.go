@@ -8,6 +8,11 @@ package codec
 // surfaces (mostly-empty children near the root, dense runs at the
 // leaves).
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // probBits is the probability resolution; probInit is p(0) = 0.5.
 const (
 	probBits  = 12
@@ -140,52 +145,42 @@ func occCtx(depth, bitIdx, setSoFar int) int {
 
 // octreeEncodeAC appends the range-coded occupancy stream for the sorted
 // unique codes, prefixed by a uvarint byte length so the decoder knows
-// where the raw tail (dup counts) begins.
+// where the raw tail (dup counts) begins. The occupancy bytes come from
+// octreeEncode; since that stream is DFS pre-order, a counter of children
+// still to visit per level recovers each byte's depth for its context.
 func octreeEncodeAC(buf []byte, codes []uint64, qb uint) []byte {
 	s := getAC()
 	defer putAC(s)
-	octreeNodeAC(&s.enc, &s.m, codes, 3*int(qb)-3, 0)
+	occ := octreeEncode(getBuf(2*len(codes)+1), codes, qb)
+	if len(codes) == 0 {
+		// An empty cell still codes its root, all children absent.
+		occ = append(occ, 0)
+	}
+	var left [22]int // left[d]: children of the open depth-d node not yet visited
+	depth, last := 0, int(qb)-1
+	for _, o := range occ {
+		set := 0
+		for child := 0; child < 8; child++ {
+			bit := int(o>>uint(child)) & 1
+			s.enc.encodeBit(&s.m[occCtx(depth, child, set)], bit)
+			set += bit
+		}
+		if depth < last {
+			left[depth] = bits.OnesCount8(o) - 1
+			depth++ // into the first child
+			continue
+		}
+		for depth > 0 && left[depth-1] == 0 {
+			depth-- // subtree complete
+		}
+		if depth > 0 {
+			left[depth-1]-- // on to the next sibling
+		}
+	}
+	putBuf(occ)
 	stream := s.enc.finish()
-	buf = appendUvarintLen(buf, stream)
+	buf = binary.AppendUvarint(buf, uint64(len(stream)))
 	return append(buf, stream...)
-}
-
-func appendUvarintLen(buf, payload []byte) []byte {
-	n := uint64(len(payload))
-	for n >= 0x80 {
-		buf = append(buf, byte(n)|0x80)
-		n >>= 7
-	}
-	return append(buf, byte(n))
-}
-
-func octreeNodeAC(enc *rcEncoder, m *occModel, codes []uint64, shift, depth int) {
-	if shift < 0 {
-		return
-	}
-	var bounds [9]int
-	idx := 0
-	for child := uint64(0); child < 8; child++ {
-		bounds[child] = idx
-		for idx < len(codes) && (codes[idx]>>uint(shift))&7 == child {
-			idx++
-		}
-	}
-	bounds[8] = idx
-	set := 0
-	for child := 0; child < 8; child++ {
-		bit := 0
-		if bounds[child+1] > bounds[child] {
-			bit = 1
-		}
-		enc.encodeBit(&m[occCtx(depth, child, set)], bit)
-		set += bit
-	}
-	for child := 0; child < 8; child++ {
-		if bounds[child+1] > bounds[child] {
-			octreeNodeAC(enc, m, codes[bounds[child]:bounds[child+1]], shift-3, depth+1)
-		}
-	}
 }
 
 // octreeDecodeAC reads the range-coded occupancy stream (length-prefixed)

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"volcast/internal/blockcache"
 	"volcast/internal/cell"
 	"volcast/internal/codec"
+	"volcast/internal/metrics"
 	"volcast/internal/pointcloud"
 )
 
@@ -127,6 +129,29 @@ func BenchmarkReadStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadStore(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildStoreCold is the "generate → encode → cache" stage of a
+// never-seen scene: ten 50 K-point frames partitioned, hashed, encoded
+// once as two-layer blocks and inserted into an empty encode tier.
+func BenchmarkBuildStoreCold(b *testing.B) {
+	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
+		Frames: 10, FPS: 30, PointsPerFrame: 50_000, Seed: 3, Sway: 1,
+	})
+	bounds, _ := video.Bounds()
+	g, err := cell.NewGrid(bounds, cell.Size50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := blockcache.New("bench", 256<<20, metrics.NewRegistry())
+		enc := codec.NewEncoder(codec.DefaultParams()).Cached(blockcache.BlockCacheOn(cache))
+		if _, err := BuildStore(video, g, enc, []int{1, 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

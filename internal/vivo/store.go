@@ -110,11 +110,14 @@ func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Sto
 // A single-rung ladder (or a non-layered encoder) keeps the flat
 // one-encode-per-stride path.
 func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, ss []int) *FrameBlocks {
+	parts := g.Partition(frame)
 	fb := &FrameBlocks{
-		Occupied: g.OccupiedCells(frame),
+		Occupied: cell.NewSet(g.NumCells()),
 		ByStride: make(map[int]map[cell.ID]*codec.Block, len(ss)),
 	}
-	parts := g.Partition(frame)
+	for id := range parts {
+		fb.Occupied.Add(id)
+	}
 	if enc.Params().Layers > 0 {
 		full := make(map[cell.ID]*codec.Block, len(parts))
 		for id, idxs := range parts {

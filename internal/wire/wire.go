@@ -551,10 +551,10 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeMessage frames one message into a standalone buffer — exactly the
-// bytes WriteMessage would put on the wire. The hub's fan-out path uses it
-// to serialize a frame's cells once and enqueue the same immutable buffer
-// to every subscriber.
+// EncodeMessage frames one message into a standalone, freshly allocated
+// buffer — exactly the bytes WriteMessage puts on the wire, and
+// WriteMessage is its one caller outside tests. The hub's fan-out frames
+// into pooled Buffers through AppendMessage instead.
 func EncodeMessage(m Message) ([]byte, error) {
 	buf, err := AppendMessage(make([]byte, 0, 5+64), m)
 	if err != nil {
