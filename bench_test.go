@@ -274,8 +274,8 @@ func BenchmarkPredEval(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecModes is the codec ablation: Morton-delta vs octree
-// occupancy vs auto position coding, at a coarse and a fine lattice.
+// BenchmarkCodecModes is the codec ladder: encode cost and bits/pt by
+// layer count, at a coarse and a fine lattice.
 func BenchmarkCodecModes(b *testing.B) {
 	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
 		Frames: 1, FPS: 30, PointsPerFrame: 100_000, Seed: 1, Sway: 1,
@@ -290,13 +290,10 @@ func BenchmarkCodecModes(b *testing.B) {
 		name string
 		p    codec.Params
 	}{
-		{"morton-qb10", codec.Params{QuantBits: 10}},
-		{"octree-qb10", codec.Params{QuantBits: 10, Octree: true}},
-		{"morton-qb6", codec.Params{QuantBits: 6}},
-		{"octree-qb6", codec.Params{QuantBits: 6, Octree: true}},
-		{"octreeAC-qb6", codec.Params{QuantBits: 6, Arithmetic: true}},
-		{"octreeAC-qb10", codec.Params{QuantBits: 10, Arithmetic: true}},
-		{"auto-qb6", codec.Params{QuantBits: 6, Auto: true}},
+		{"layers1-qb10", codec.Params{QuantBits: 10, Layers: 1}},
+		{"layers4-qb10", codec.Params{QuantBits: 10, Layers: 4}},
+		{"layers1-qb6", codec.Params{QuantBits: 6, Layers: 1}},
+		{"layers4-qb6", codec.Params{QuantBits: 6, Layers: 4}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			enc := codec.NewEncoder(cfg.p)

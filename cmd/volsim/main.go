@@ -18,7 +18,6 @@
 //	volsim multiap  [-users N] [-points N]      multi-AP spatial reuse sweep
 //	volsim ablate   [-users N] [-seconds S]     feature ablation (QoE per feature)
 //	volsim gcr                                  reliable-groupcast cost table
-//	volsim codec   [-points N]                  position-coder comparison
 //
 // The global -stats flag dumps the process metrics registry (stage timers,
 // counters, per-layer latency histograms) to stderr after the subcommand
@@ -53,7 +52,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: volsim [-stats] [-workers N] [-cache MB] [-trace out.json] <table1|fig2a|fig2b|fig3b|fig3d|fig3e|all|session|predeval|multiap|ablate|gcr|codec> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: volsim [-stats] [-workers N] [-cache MB] [-trace out.json] <table1|fig2a|fig2b|fig3b|fig3d|fig3e|all|session|predeval|multiap|ablate|gcr> [flags]")
 	os.Exit(2)
 }
 
@@ -160,8 +159,6 @@ func main() {
 		err = runAblate(args)
 	case "gcr":
 		err = runGCR()
-	case "codec":
-		err = runCodec(args)
 	default:
 		usage()
 	}
@@ -476,19 +473,5 @@ func runAblate(args []string) error {
 func runGCR() error {
 	fmt.Println("== Reliable groupcast (802.11aa GCR): airtime vs residual loss ==")
 	fmt.Print(experiments.RenderGCR(experiments.GCRSweep()))
-	return nil
-}
-
-func runCodec(args []string) error {
-	fs := flag.NewFlagSet("codec", flag.ExitOnError)
-	points := fs.Int("points", 550_000, "points in the measured frame")
-	seed := fs.Int64("seed", 1, "content seed")
-	fs.Parse(args)
-	rows, err := experiments.CodecSweep(*points, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Codec position-coder comparison (one frame, 50cm cells) ==")
-	fmt.Print(experiments.RenderCodec(rows))
 	return nil
 }

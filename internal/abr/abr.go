@@ -249,11 +249,11 @@ type State struct {
 	DemandMbps float64
 	// NextUpDemandMbps is the bitrate one quality rung up (0 = at top).
 	NextUpDemandMbps float64
-	// UpgradeDeltaMbps is the transition cost of the upgrade itself: with
-	// the layered codec an upgrade ships only the enhancement layers, so
-	// the rate needed during the switch is DemandMbps + UpgradeDeltaMbps
-	// rather than the full next rung. 0 means unknown (flat content) and
-	// falls back to costing the upgrade at NextUpDemandMbps.
+	// UpgradeDeltaMbps is the transition cost of the upgrade itself: an
+	// upgrade ships only the enhancement layers, so the rate needed
+	// during the switch is DemandMbps + UpgradeDeltaMbps rather than the
+	// full next rung. 0 means the caller did not price it and falls back
+	// to costing the upgrade at NextUpDemandMbps.
 	UpgradeDeltaMbps float64
 	// BufferLevel / BufferCapacity describe the playback buffer.
 	BufferLevel, BufferCapacity float64
@@ -345,10 +345,10 @@ func (c *Controller) Decide(s State) Action {
 		return ActionRegroup
 	}
 	if s.NextUpDemandMbps > 0 && bufFrac >= c.cfg.SafeBufferFrac {
-		// The rate the upgrade must sustain: the full next rung for flat
-		// content, but only current demand plus the enhancement delta when
-		// the layered codec ships upgrades incrementally — the cheaper
-		// transition unlocks upgrades a full re-send could not afford.
+		// The rate the upgrade must sustain: at most the full next rung,
+		// but only current demand plus the enhancement delta when the
+		// caller priced the incremental upgrade — the cheaper transition
+		// unlocks upgrades a full re-send could not afford.
 		upCost := s.NextUpDemandMbps
 		if s.UpgradeDeltaMbps > 0 {
 			if c := s.DemandMbps + s.UpgradeDeltaMbps; c < upCost {

@@ -6,10 +6,9 @@
 //
 //   - the encode tier memoizes encoded blocks by cell content, so
 //     vivo.BuildStore reuses the previous frame's block for temporally
-//     static cells instead of re-running the (triple, in Auto mode) coder.
-//     Keys address (content, layer count): the encoder folds Params.Layers
-//     into the hash, so one layered entry serves every density rung as a
-//     prefix — a base-layer hit never re-encodes for an enhancement
+//     static cells instead of re-running the coder. Keys address
+//     (content, layer count): the encoder folds its layer count into the
+//     hash, so one entry serves every density rung as a prefix — a base-layer hit never re-encodes for an enhancement
 //     request, and a different layering is a different entry;
 //   - the decode tier memoizes decoded cells by block bytes, so N users
 //     requesting the same overlapping cell decode it exactly once.

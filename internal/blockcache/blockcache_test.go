@@ -43,8 +43,8 @@ func TestEncodeCacheParity(t *testing.T) {
 	}
 	for _, p := range []codec.Params{
 		{QuantBits: 10},
-		{QuantBits: 8, Octree: true},
-		{QuantBits: 8, Auto: true},
+		{QuantBits: 8, Layers: 1},
+		{QuantBits: 8, Layers: 4},
 	} {
 		plain := codec.NewEncoder(p)
 		cached := plain.Cached(BlockCacheOn(New("t", 8<<20, metrics.NewRegistry())))
@@ -66,7 +66,7 @@ func TestDecodeCacheParity(t *testing.T) {
 	for i := range idxs {
 		idxs[i] = i
 	}
-	blk := codec.NewEncoder(codec.Params{QuantBits: 9, Auto: true}).
+	blk := codec.NewEncoder(codec.Params{QuantBits: 9, Layers: 3}).
 		EncodeCell(cell.ID(0), c, idxs, unitAABB())
 	var plain codec.Decoder
 	cached := codec.Decoder{Cache: CellCacheOn(New("t", 8<<20, metrics.NewRegistry()))}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 
 	"volcast/internal/cell"
@@ -47,127 +48,438 @@ func (d *Decoder) Decode(data []byte) (*DecodedCell, error) {
 	return d.decode(data)
 }
 
-// decode is the uncached decode path. It dispatches on the version byte:
-// flat Version-2 blocks carry one trailing checksum, layered Version-3
-// blocks checksum the header and each layer segment separately (so any
-// layer prefix still verifies).
-func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
+// maxBlockPoints bounds the point count a block header may claim. A cell
+// holds a fraction of a frame and frames top out near the 550K-point
+// client ceiling, so anything beyond this is a corrupt or hostile header,
+// rejected before the count sizes a single allocation.
+const maxBlockPoints = 1 << 22
+
+// blockHeader is the parsed fixed part of a block.
+type blockHeader struct {
+	qb, layers int
+	id         cell.ID
+	numPoints  int
+	origin     geom.Vec3
+	edge       float64
+	// ends[t] is the end offset in the block of segment t (the first
+	// starts at ends[-1] = hdrLen): a full block is ends[layers-1] long.
+	ends   [16]int
+	hdrLen int
+}
+
+// parseHeader reads and verifies a block's header: magic, version,
+// geometry, the segment table and the header checksum. It looks at no
+// segment, so it accepts any prefix that still holds the whole header.
+func parseHeader(data []byte) (h blockHeader, err error) {
 	if len(data) < 4+4 {
-		return nil, ErrTruncated
+		return h, ErrTruncated
 	}
 	if binary.LittleEndian.Uint16(data) != Magic {
-		return nil, ErrBadMagic
+		return h, ErrBadMagic
 	}
-	switch data[2] {
-	case Version:
-	case VersionLayered:
-		return d.decodeLayered(data)
-	default:
-		return nil, ErrBadVersion
+	if data[2] != VersionLayered {
+		return h, ErrBadVersion
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if checksum(body) != sum {
-		return nil, ErrChecksum
+	h.qb, h.layers = int(data[3]), int(data[5])
+	if h.qb == 0 || h.qb > 16 || data[4] != ModeLayered || h.layers < 1 || h.layers > h.qb {
+		return h, ErrBadGeometry
 	}
-	qb := uint(body[3])
-	if qb == 0 || qb > 16 {
-		return nil, ErrBadGeometry
-	}
-	mode := body[4]
-	if mode != ModeMorton && mode != ModeOctree && mode != ModeOctreeAC {
-		return nil, ErrBadGeometry
-	}
-	p := body[5:]
+	p := data[6:]
 	id, n := binary.Uvarint(p)
 	if n <= 0 {
-		return nil, ErrTruncated
+		return h, ErrTruncated
 	}
 	p = p[n:]
 	count, n := binary.Uvarint(p)
 	if n <= 0 {
-		return nil, ErrTruncated
+		return h, ErrTruncated
 	}
 	p = p[n:]
+	if count > maxBlockPoints {
+		return h, ErrBadGeometry
+	}
+	h.id, h.numPoints = cell.ID(id), int(count)
 	if len(p) < 16 {
+		return h, ErrTruncated
+	}
+	h.origin = geom.V(readFloat32(p[0:]), readFloat32(p[4:]), readFloat32(p[8:]))
+	h.edge = readFloat32(p[12:])
+	p = p[16:]
+	if h.edge <= 0 || math.IsNaN(h.edge) || math.IsInf(h.edge, 0) {
+		return h, ErrBadGeometry
+	}
+	end := 0
+	for t := 0; t < h.layers; t++ {
+		v, vn := binary.Uvarint(p)
+		if vn <= 0 || v < 4 || v > uint64(len(data)) {
+			return h, ErrTruncated
+		}
+		p = p[vn:]
+		end += int(v)
+		h.ends[t] = end
+	}
+	if len(p) < 4 {
+		return h, ErrTruncated
+	}
+	h.hdrLen = len(data) - len(p) + 4
+	if checksum(data[:h.hdrLen-4]) != binary.LittleEndian.Uint32(p) {
+		return h, ErrChecksum
+	}
+	for t := 0; t < h.layers; t++ {
+		h.ends[t] += h.hdrLen
+	}
+	return h, nil
+}
+
+// segment returns the checksum-verified payload of segment t, which must
+// lie wholly inside data.
+func (h *blockHeader) segment(data []byte, t int) ([]byte, error) {
+	start := h.hdrLen
+	if t > 0 {
+		start = h.ends[t-1]
+	}
+	s := data[start:h.ends[t]]
+	pay, sum := s[:len(s)-4], binary.LittleEndian.Uint32(s[len(s)-4:])
+	if checksum(pay) != sum {
+		return nil, ErrChecksum
+	}
+	return pay, nil
+}
+
+// ParseBlock rebuilds the Block of a complete encoded block from its
+// bytes — the layer offsets come out of the header's segment table — and
+// the per-layer point counts stored beside it (the header records only
+// the last). It verifies the header, not the segments: Decode does that.
+func ParseBlock(data []byte, layerPoints []int) (*Block, error) {
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if h.ends[h.layers-1] != len(data) {
 		return nil, ErrTruncated
 	}
-	ox := readFloat32(p[0:])
-	oy := readFloat32(p[4:])
-	oz := readFloat32(p[8:])
-	edge := readFloat32(p[12:])
-	p = p[16:]
-	if edge <= 0 || math.IsNaN(edge) || math.IsInf(edge, 0) {
+	if len(layerPoints) != h.layers || layerPoints[h.layers-1] != h.numPoints {
 		return nil, ErrBadGeometry
 	}
-	levels := uint64(1) << qb
-	scale := edge / float64(levels-1)
-	origin := geom.V(ox, oy, oz)
+	return &Block{
+		CellID:       h.id,
+		NumPoints:    h.numPoints,
+		Data:         data,
+		LayerOffsets: append([]int(nil), h.ends[:h.layers]...),
+		LayerPoints:  layerPoints,
+	}, nil
+}
 
-	out := &DecodedCell{CellID: cell.ID(id), Points: make([]pointcloud.Point, count)}
-	if mode == ModeOctree || mode == ModeOctreeAC {
-		var err error
-		p, err = decodeOctreePositions(p, out, count, qb, origin, scale, mode)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var code uint64
-		for i := uint64(0); i < count; i++ {
-			d, n := binary.Uvarint(p)
-			if n <= 0 {
-				return nil, ErrTruncated
-			}
-			p = p[n:]
-			code += d
-			x, y, z := demorton3(code, qb)
-			out.Points[i].Pos = origin.Add(geom.V(float64(x)*scale, float64(y)*scale, float64(z)*scale))
+// decode is the uncached decode path: a whole block or any whole-segment
+// prefix of one. The header and each layer segment carry their own
+// checksum, so every prefix verifies on its own.
+func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	qb, L, N := uint(h.qb), h.layers, h.numPoints
+
+	// The supplied bytes must end exactly on a segment boundary; the
+	// boundary index is the number of layers this prefix carries.
+	k := 0
+	for t := 0; t < L && h.ends[t] <= len(data); t++ {
+		if h.ends[t] == len(data) {
+			k = t + 1
 		}
 	}
-	// Decode the three decorrelated channels (G, R-G, B-G), expanding
-	// zero-run pairs. The luma plane arrives first and is kept in pooled
-	// scratch; the chroma residuals recombine into RGB as they stream in.
-	gp := getI64(int(count))
-	defer putI64(gp)
-	gvals := *gp
-	var ch int
-	var prev int64
-	var i uint64
-	emit := func(v int64) {
-		switch ch {
-		case 0:
-			gvals[i] = v
-			out.Points[i].G = uint8(clampI64(v, 0, 255))
-		case 1:
-			out.Points[i].R = uint8(clampI64(gvals[i]+v, 0, 255))
-		default:
-			out.Points[i].B = uint8(clampI64(gvals[i]+v, 0, 255))
-		}
-		i++
+	if k == 0 {
+		return nil, ErrTruncated
 	}
-	for ch = 0; ch < 3; ch++ {
-		prev, i = 0, 0
-		for i < count {
-			u, n := binary.Uvarint(p)
-			if n <= 0 {
+
+	out := &DecodedCell{CellID: h.id}
+	if N == 0 {
+		// Degenerate empty cell: every segment is just its checksum.
+		for t := 0; t < k; t++ {
+			pay, err := h.segment(data, t)
+			if err != nil {
+				return nil, err
+			}
+			if len(pay) != 0 {
 				return nil, ErrTruncated
 			}
-			p = p[n:]
+		}
+		out.Points = []pointcloud.Point{}
+		return out, nil
+	}
+
+	// Ping-pong node codes and unclamped decorrelated color channels
+	// between two pooled buffers as each segment refines them. Every node
+	// costs at least one occupancy bit, so the bytes at hand bound the
+	// scratch however many points the header claims.
+	M := min(N, 8*len(data))
+	codeBuf := [2]*[]uint64{getU64(M), getU64(M)}
+	chanBuf := [2][3]*[]int64{
+		{getI64(M), getI64(M), getI64(M)},
+		{getI64(M), getI64(M), getI64(M)},
+	}
+	defer func() {
+		putU64(codeBuf[0])
+		putU64(codeBuf[1])
+		for s := 0; s < 2; s++ {
+			for ch := 0; ch < 3; ch++ {
+				putI64(chanBuf[s][ch])
+			}
+		}
+	}()
+	cur := 0
+
+	// Base segment.
+	pay, err := h.segment(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	rest, codes, ok := octreeDecodeBounded(pay, M, qb-uint(L-1), (*codeBuf[0])[:0])
+	if !ok {
+		return nil, ErrTruncated
+	}
+	*codeBuf[0] = codes
+	pay = rest
+	np := len(codes)
+	for ch := 0; ch < 3; ch++ {
+		vals := (*chanBuf[0][ch])[:M]
+		var prev int64
+		i := 0
+		for i < np {
+			u, un := binary.Uvarint(pay)
+			if un <= 0 {
+				return nil, ErrTruncated
+			}
+			pay = pay[un:]
 			if u == 0 {
-				run, n := binary.Uvarint(p)
-				if n <= 0 || run == 0 || i+run > count {
+				run, rn := binary.Uvarint(pay)
+				if rn <= 0 || run == 0 || uint64(np-i) < run {
 					return nil, ErrTruncated
 				}
-				p = p[n:]
+				pay = pay[rn:]
 				for j := uint64(0); j < run; j++ {
-					emit(prev)
+					vals[i] = prev
+					i++
 				}
 				continue
 			}
 			prev += unzigzag(u)
-			emit(prev)
+			vals[i] = prev
+			i++
 		}
 	}
+
+	// Enhancement segments 1..k-1 refine codes and colors in place.
+	for t := 1; t < k; t++ {
+		if len(pay) != 0 {
+			return nil, ErrTruncated
+		}
+		if pay, err = h.segment(data, t); err != nil {
+			return nil, err
+		}
+		if len(pay) < np {
+			return nil, ErrTruncated
+		}
+		occ := pay[:np]
+		pay = pay[np:]
+		nc := 0
+		for _, o := range occ {
+			if o == 0 {
+				return nil, ErrTruncated
+			}
+			nc += bits.OnesCount8(o)
+		}
+		if nc > N {
+			return nil, ErrTruncated
+		}
+		nxt := 1 - cur
+		ncodes := (*codeBuf[nxt])[:0]
+		for pi, o := range occ {
+			base := codes[pi] << 3
+			for digit := uint64(0); digit < 8; digit++ {
+				if o&(1<<digit) != 0 {
+					ncodes = append(ncodes, base|digit)
+				}
+			}
+		}
+		*codeBuf[nxt] = ncodes
+		for ch := 0; ch < 3; ch++ {
+			oldv := (*chanBuf[cur][ch])[:np]
+			newv := (*chanBuf[nxt][ch])[:M]
+			rd := residReader{p: pay}
+			ci := 0
+			for pi, o := range occ {
+				pv := oldv[pi]
+				first := true
+				for digit := 0; digit < 8; digit++ {
+					if o&(1<<digit) == 0 {
+						continue
+					}
+					if first {
+						newv[ci] = pv
+						first = false
+						ci++
+						continue
+					}
+					resid, err := rd.next()
+					if err != nil {
+						return nil, err
+					}
+					newv[ci] = pv + resid
+					ci++
+				}
+			}
+			if err := rd.done(); err != nil {
+				return nil, err
+			}
+			pay = rd.p
+		}
+		codes = ncodes
+		np = nc
+		cur = nxt
+	}
+
+	depth := qb - uint(L-k)
+	scale := h.edge / float64(uint64(1)<<depth)
+	origin := h.origin
+	U := np
+	g, rg, bg := (*chanBuf[cur][0])[:U], (*chanBuf[cur][1])[:U], (*chanBuf[cur][2])[:U]
+
+	// A tier prefix ends with its last refinement; the full prefix goes on
+	// with the duplicate flag.
+	dups := false
+	if k == L {
+		if len(pay) < 1 || pay[0] > 1 {
+			return nil, ErrTruncated
+		}
+		dups = pay[0] == 1
+		pay = pay[1:]
+	}
+	if !dups {
+		// One point per node, voxel-center positions.
+		if len(pay) != 0 || k == L && U != N {
+			return nil, ErrTruncated
+		}
+		out.Points = make([]pointcloud.Point, U)
+		for i, code := range codes {
+			x, y, z := demorton3(code, depth)
+			out.Points[i].Pos = origin.Add(geom.V(
+				(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
+			out.Points[i].G = uint8(clampI64(g[i], 0, 255))
+			out.Points[i].R = uint8(clampI64(g[i]+rg[i], 0, 255))
+			out.Points[i].B = uint8(clampI64(g[i]+bg[i], 0, 255))
+		}
+		return out, nil
+	}
+
+	// Expand duplicates so every input point comes back.
+	countsP := getU64(U)
+	defer putU64(countsP)
+	counts := (*countsP)[:0]
+	var total uint64
+	for i := 0; i < U; i++ {
+		c, cn := binary.Uvarint(pay)
+		if cn <= 0 || c >= uint64(N) {
+			return nil, ErrTruncated
+		}
+		pay = pay[cn:]
+		counts = append(counts, c+1)
+		total += c + 1
+	}
+	*countsP = counts
+	if total != uint64(N) {
+		return nil, ErrTruncated
+	}
+	out.Points = make([]pointcloud.Point, N)
+	starts := make([]int, U)
+	pi := 0
+	for i, code := range codes {
+		starts[i] = pi
+		x, y, z := demorton3(code, depth)
+		pos := origin.Add(geom.V(
+			(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
+		for r := uint64(0); r < counts[i]; r++ {
+			out.Points[pi].Pos = pos
+			pi++
+		}
+		out.Points[starts[i]].G = uint8(clampI64(g[i], 0, 255))
+		out.Points[starts[i]].R = uint8(clampI64(g[i]+rg[i], 0, 255))
+		out.Points[starts[i]].B = uint8(clampI64(g[i]+bg[i], 0, 255))
+	}
+	// Duplicate colors: residuals vs. the node representative, planar.
+	dgP := getI64(N - U)
+	defer putI64(dgP)
+	dg := *dgP
+	for ch, rep := range [3][]int64{g, rg, bg} {
+		rd := residReader{p: pay}
+		di := 0
+		for i := 0; i < U; i++ {
+			rv := rep[i]
+			for j := 1; j < int(counts[i]); j++ {
+				resid, err := rd.next()
+				if err != nil {
+					return nil, err
+				}
+				v := rv + resid
+				idx := starts[i] + j
+				switch ch {
+				case 0:
+					dg[di] = v
+					out.Points[idx].G = uint8(clampI64(v, 0, 255))
+				case 1:
+					out.Points[idx].R = uint8(clampI64(dg[di]+v, 0, 255))
+				default:
+					out.Points[idx].B = uint8(clampI64(dg[di]+v, 0, 255))
+				}
+				di++
+			}
+		}
+		if err := rd.done(); err != nil {
+			return nil, err
+		}
+		pay = rd.p
+	}
+	if len(pay) != 0 {
+		return nil, ErrTruncated
+	}
 	return out, nil
+}
+
+// residReader streams zigzag residual symbols with zero-run RLE (the 0
+// symbol introduces a run length).
+type residReader struct {
+	p   []byte
+	run uint64
+}
+
+func (r *residReader) next() (int64, error) {
+	if r.run > 0 {
+		r.run--
+		return 0, nil
+	}
+	u, n := binary.Uvarint(r.p)
+	if n <= 0 {
+		return 0, ErrTruncated
+	}
+	r.p = r.p[n:]
+	if u == 0 {
+		c, n := binary.Uvarint(r.p)
+		if n <= 0 || c == 0 {
+			return 0, ErrTruncated
+		}
+		r.p = r.p[n:]
+		r.run = c - 1
+		return 0, nil
+	}
+	return unzigzag(u), nil
+}
+
+// done fails when a zero run claimed more symbols than were consumed.
+func (r *residReader) done() error {
+	if r.run != 0 {
+		return ErrTruncated
+	}
+	return nil
 }
 
 // DecodeFrame decodes a set of blocks into a single cloud, spreading the
@@ -202,68 +514,6 @@ func (d *Decoder) DecodeFrame(blocks map[cell.ID]*Block) (*pointcloud.Cloud, err
 		out.Points = append(out.Points, pts...)
 	}
 	return out, nil
-}
-
-// decodeOctreePositions reads the occupancy tree plus duplicate counts
-// and fills the output positions in Morton order.
-func decodeOctreePositions(p []byte, out *DecodedCell, count uint64, qb uint, origin geom.Vec3, scale float64, mode uint8) ([]byte, error) {
-	// The unique-code count is implied by the tree; decode up to `count`
-	// leaves (duplicates only ever reduce the unique count). The code and
-	// count slices are per-decode scratch and come from the pool.
-	codesP := getU64(int(count))
-	defer putU64(codesP)
-	var rest []byte
-	var codes []uint64
-	var ok bool
-	if mode == ModeOctreeAC {
-		rest, codes, ok = octreeDecodeAC(p, int(count), qb, *codesP)
-	} else {
-		rest, codes, ok = octreeDecodeBounded(p, int(count), qb, *codesP)
-	}
-	*codesP = codes[:0]
-	if !ok {
-		return nil, ErrTruncated
-	}
-	p = rest
-	if len(p) < 1 {
-		return nil, ErrTruncated
-	}
-	dupFlag := p[0]
-	p = p[1:]
-	countsP := getU64(len(codes))
-	defer putU64(countsP)
-	counts := (*countsP)[:0]
-	if dupFlag == 1 {
-		for i := 0; i < len(codes); i++ {
-			c, n := binary.Uvarint(p)
-			if n <= 0 {
-				return nil, ErrTruncated
-			}
-			p = p[n:]
-			counts = append(counts, c+1)
-		}
-	} else {
-		for i := 0; i < len(codes); i++ {
-			counts = append(counts, 1)
-		}
-	}
-	*countsP = counts
-	pi := 0
-	for ci, code := range codes {
-		x, y, z := demorton3(code, qb)
-		pos := origin.Add(geom.V(float64(x)*scale, float64(y)*scale, float64(z)*scale))
-		for r := uint64(0); r < counts[ci]; r++ {
-			if pi >= int(count) {
-				return nil, ErrTruncated
-			}
-			out.Points[pi].Pos = pos
-			pi++
-		}
-	}
-	if pi != int(count) {
-		return nil, ErrTruncated
-	}
-	return p, nil
 }
 
 func readFloat32(b []byte) float64 {

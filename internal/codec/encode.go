@@ -1,5 +1,51 @@
 package codec
 
+// Block layout (little-endian; varints are unsigned LEB128). One encode
+// yields a base layer plus enhancement layers, nested so that the byte
+// prefix of any t+1 leading layers is a self-contained decodable block —
+// the point-cloud analog of SHVC output layer sets. Layer t covers octree
+// depth d_t = quantBits-(L-1)+t: the base layer carries the occupancy
+// tree to depth d_0 plus one representative color per node, and each
+// enhancement layer refines every node by one depth bit (one occupancy
+// byte per parent) plus color residuals for the newly split children.
+// The final layer additionally carries duplicate counts and residuals so
+// the full prefix reproduces every input point.
+//
+//	magic     uint16
+//	version   uint8 = VersionLayered
+//	quantBits uint8
+//	mode      uint8 = ModeLayered
+//	layers    uint8          (L, 1..quantBits)
+//	cellID    uvarint
+//	numPoints uvarint        (full-prefix point count)
+//	origin    3 × float32   (cell AABB min corner)
+//	edge      float32       (cell edge length)
+//	segLen    L × uvarint    (segment byte length, incl. its crc32)
+//	crc32     uint32         (IEEE, over the header above)
+//	segment   L × (payload ‖ crc32 over that payload)
+//
+// Segment payloads (colors planar decorrelated (G, R-G, B-G), zigzag
+// uvarints with zero-run RLE: a 0 symbol introduces a run length):
+//
+//	base:    DFS occupancy bytes to depth d_0 over the node codes, then
+//	         per-node representative colors, delta-coded.
+//	enh t:   one occupancy byte per depth d_{t-1} node (Morton order,
+//	         never zero), then color residuals vs. the parent's
+//	         representative for every non-first child (no delta
+//	         chaining). The first child inherits the parent color — the
+//	         representative is always the node's first full-depth point,
+//	         so that residual is zero by construction and elided.
+//	final:   the last segment appends a duplicate flag byte and, when
+//	         set, per-node uvarint count-1 values plus color residuals
+//	         for every duplicate vs. its node representative.
+//
+// Positions quantize by flooring (u = ⌊d·2^qb/edge⌋, clamped) and decode
+// to voxel centers (origin + (u+0.5)·edge/2^depth). Flooring makes code
+// truncation commute with coarse quantization exactly — the code of a
+// point at depth d_t is its full-depth code shifted right by 3(L-1-t) —
+// which is what makes a layer prefix decode byte-identical to an
+// independent encode at that tier's depth (see TierPoints).
+
 import (
 	"context"
 	"encoding/binary"
@@ -13,25 +59,6 @@ import (
 	"volcast/internal/par"
 	"volcast/internal/pointcloud"
 )
-
-// Block layout (all multi-byte integers little-endian unless varint):
-//
-//	magic     uint16
-//	version   uint8
-//	quantBits uint8
-//	mode      uint8          (ModeMorton | ModeOctree)
-//	cellID    uvarint
-//	numPoints uvarint
-//	origin    3 × float32   (cell AABB min corner)
-//	edge      float32       (cell edge length)
-//	positions mode-dependent:
-//	  Morton: numPoints × uvarint (delta of Morton-sorted codes)
-//	  Octree: DFS occupancy bytes over the deduplicated codes, then a
-//	          dup flag byte (1 → per-unique-code uvarint count-1 list)
-//	colors    3 × numPoints × uvarint (zigzag delta + zero-run RLE,
-//	          planar, decorrelated (G, R-G, B-G); point order is the
-//	          Morton order in both modes)
-//	crc32     uint32        (IEEE, over everything before it)
 
 // qpoint is one quantized point: its Morton code and source index.
 type qpoint struct {
@@ -53,13 +80,11 @@ type Encoder struct {
 	Trace *obs.Tracer
 }
 
-// NewEncoder returns an encoder with the given parameters; zero-value
-// params are replaced by DefaultParams.
+// NewEncoder returns an encoder with the given parameters; a zero
+// QuantBits is replaced by the default's.
 func NewEncoder(p Params) *Encoder {
 	if p.QuantBits == 0 {
-		q := p
-		p = DefaultParams()
-		p.Layers = q.Layers
+		p.QuantBits = DefaultParams().QuantBits
 	}
 	if p.QuantBits > 16 {
 		p.QuantBits = 16
@@ -84,9 +109,9 @@ func (e *Encoder) Cached(c BlockCache) *Encoder {
 	return &cp
 }
 
-// Layered returns a copy of the encoder that produces layered blocks of
-// n layers (clamped to QuantBits). n == 0, or an encoder that already
-// requests layering, returns the encoder unchanged.
+// Layered returns a copy of the encoder that produces blocks of n layers
+// (clamped to QuantBits). n == 0, or an encoder whose layer count is
+// already set, returns the encoder unchanged.
 func (e *Encoder) Layered(n uint8) *Encoder {
 	if n == 0 || e.params.Layers != 0 {
 		return e
@@ -99,10 +124,17 @@ func (e *Encoder) Layered(n uint8) *Encoder {
 	return &cp
 }
 
+// layers is the effective layer count: an unset Params.Layers encodes one.
+func (e *Encoder) layers() int {
+	if e.params.Layers == 0 {
+		return 1
+	}
+	return int(e.params.Layers)
+}
+
 // EncodeCell encodes the points at the given indices of the cloud, which
-// must all lie inside cellBounds. In Auto mode every position coder runs
-// and the smallest block wins. With a Cache attached, the cell's content
-// key is looked up first and the encode is skipped on a hit.
+// must all lie inside cellBounds. With a Cache attached, the cell's
+// content key is looked up first and the encode is skipped on a hit.
 func (e *Encoder) EncodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB) *Block {
 	if e.Cache != nil {
 		return e.Cache.Block(e.cellKey(id, c, idxs, cellBounds), func() *Block {
@@ -112,60 +144,28 @@ func (e *Encoder) EncodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBo
 	return e.encodeCell(id, c, idxs, cellBounds)
 }
 
-// encodeCell is the uncached encode: quantize and Morton-sort the cell
-// and gather its colours once, then run the selected coder (or, in Auto
-// mode, all three over the same scratch, recycling the losing output
-// buffers).
+// encodeCell is the uncached encode: quantize and Morton-sort the cell,
+// gather its colours once, and serialize the layers.
 func (e *Encoder) encodeCell(id cell.ID, c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB) *Block {
 	edge := cellEdge(cellBounds)
-	layered := e.params.Layers > 0
-	// The layered coder floor-quantizes on the full [0, levels) lattice so
-	// coarse-tier codes are exact right-shifts of the full-depth codes
-	// (see layered.go).
-	qsp := e.quantizeSorted(c, idxs, cellBounds, edge, layered)
+	qsp := e.quantizeSorted(c, idxs, cellBounds, edge)
 	defer putQpoints(qsp)
 	qs := *qsp
 	cp := getI64(3 * len(qs))
 	defer putI64(cp)
 	cols := gatherColors(*cp, c, qs)
-
-	if layered {
-		return encodeLayered(e.params, id, qs, cols, cellBounds, edge)
-	}
-	if e.params.Auto {
-		best := []byte(nil)
-		for _, variant := range []Params{
-			{QuantBits: e.params.QuantBits},
-			{QuantBits: e.params.QuantBits, Octree: true},
-			{QuantBits: e.params.QuantBits, Octree: true, Arithmetic: true},
-		} {
-			buf := encodeSorted(variant, id, qs, cols, cellBounds, edge)
-			switch {
-			case best == nil:
-				best = buf
-			case len(buf) < len(best):
-				putBuf(best)
-				best = buf
-			default:
-				putBuf(buf)
-			}
-		}
-		return &Block{CellID: id, NumPoints: len(qs), Data: best}
-	}
-	return &Block{CellID: id, NumPoints: len(qs), Data: encodeSorted(e.params, id, qs, cols, cellBounds, edge)}
+	return encodeLayered(uint(e.params.QuantBits), e.layers(), id, qs, cols, cellBounds, edge)
 }
 
-// quantizeSorted quantizes the points at idxs to Morton codes (flooring
-// for the layered lattice, rounding for the flat one) and returns them in
-// the canonical (code, idx) order both coders and TierPoints share, in
-// pooled scratch the caller returns with putQpoints.
-func (e *Encoder) quantizeSorted(c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB, edge float64, floor bool) *[]qpoint {
+// quantizeSorted floor-quantizes the points at idxs on the full
+// [0, levels) lattice — so coarse-tier codes are exact right-shifts of the
+// full-depth codes — and returns their Morton codes in the canonical
+// (code, idx) order the coder and TierPoints share, in pooled scratch the
+// caller returns with putQpoints.
+func (e *Encoder) quantizeSorted(c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB, edge float64) *[]qpoint {
 	qb := uint(e.params.QuantBits)
 	levels := uint64(1) << qb
-	inv := float64(levels-1) / edge
-	if floor {
-		inv = float64(levels) / edge
-	}
+	inv := float64(levels) / edge
 	qsp := getQpoints(len(idxs))
 	qs := *qsp
 	// The pass also observes what the sort needs to know: which code bits
@@ -175,16 +175,9 @@ func (e *Encoder) quantizeSorted(c *pointcloud.Cloud, idxs []int, cellBounds geo
 	ascending, last := true, -1
 	for _, i := range idxs {
 		d := c.Points[i].Pos.Sub(cellBounds.Min)
-		var x, y, z uint64
-		if floor {
-			x = quantFloor(d.X*inv, levels)
-			y = quantFloor(d.Y*inv, levels)
-			z = quantFloor(d.Z*inv, levels)
-		} else {
-			x = quant(d.X*inv, levels)
-			y = quant(d.Y*inv, levels)
-			z = quant(d.Z*inv, levels)
-		}
+		x := quantFloor(d.X*inv, levels)
+		y := quantFloor(d.Y*inv, levels)
+		z := quantFloor(d.Z*inv, levels)
 		code := morton3(x, y, z, qb)
 		codeBits |= code
 		ascending = ascending && i >= last
@@ -194,6 +187,37 @@ func (e *Encoder) quantizeSorted(c *pointcloud.Cloud, idxs []int, cellBounds geo
 	*qsp = qs
 	sortQpoints(qs, codeBits, ascending)
 	return qsp
+}
+
+// quantFloor floor-quantizes v (already scaled by levels/edge) onto
+// [0, levels-1]. Flooring, unlike rounding, commutes with right-shifting
+// the resulting code — the property layer prefixes rely on.
+func quantFloor(v float64, levels uint64) uint64 {
+	if v <= 0 {
+		return 0
+	}
+	u := uint64(v)
+	if u >= levels {
+		u = levels - 1
+	}
+	return u
+}
+
+// cellEdge returns the quantization edge of a cell: the largest AABB
+// dimension, floored away from zero.
+func cellEdge(cellBounds geom.AABB) float64 {
+	s := cellBounds.Size()
+	edge := s.X
+	if s.Y > edge {
+		edge = s.Y
+	}
+	if s.Z > edge {
+		edge = s.Z
+	}
+	if edge <= 0 {
+		edge = 1e-6
+	}
+	return edge
 }
 
 // radixMin is the length below which sortQpoints insertion-sorts: under
@@ -302,57 +326,175 @@ func gatherColors(dst []int64, c *pointcloud.Cloud, qs []qpoint) colorPlanes {
 	return colorPlanes{g, rg, bg}
 }
 
-// encodeSorted serializes one block's bytes from the already quantized and
-// sorted points and their gathered colours. The output buffer comes from
-// the scratch pool; callers that discard it must return it via putBuf.
-func encodeSorted(p Params, id cell.ID, qs []qpoint, cols colorPlanes, cellBounds geom.AABB, edge float64) []byte {
-	mode := ModeMorton
-	switch {
-	case p.Octree && p.Arithmetic, p.Arithmetic:
-		mode = ModeOctreeAC
-	case p.Octree:
-		mode = ModeOctree
-	}
-	buf := getBuf(8 + len(qs)*4)
-	buf = binary.LittleEndian.AppendUint16(buf, Magic)
-	buf = append(buf, Version, p.QuantBits, mode)
-	buf = binary.AppendUvarint(buf, uint64(id))
-	buf = binary.AppendUvarint(buf, uint64(len(qs)))
-	buf = appendFloat32(buf, cellBounds.Min.X)
-	buf = appendFloat32(buf, cellBounds.Min.Y)
-	buf = appendFloat32(buf, cellBounds.Min.Z)
-	buf = appendFloat32(buf, edge)
+// encodeLayered serializes the block from the floor-quantized,
+// (code, idx)-sorted points and their gathered colours. Parameters are
+// assumed clamped (NewEncoder): 1 <= L <= qb <= 16.
+func encodeLayered(qb uint, L int, id cell.ID, qs []qpoint, cols colorPlanes, cellBounds geom.AABB, edge float64) *Block {
+	N := len(qs)
 
-	if mode == ModeOctree || mode == ModeOctreeAC {
-		buf = appendOctreePositions(buf, qs, uint(p.QuantBits), mode)
-	} else {
-		var prev uint64
-		for _, q := range qs {
-			buf = binary.AppendUvarint(buf, q.code-prev)
-			prev = q.code
+	// One scan classifies every point by how far up the tree it parts
+	// from its predecessor: split[j] counts the low 3-bit digits of code j
+	// up to and including the highest one that differs from code j-1,
+	// capped at L. Layer t drops k = L-1-t digits, so point j is the first
+	// point of a depth-d_t node — its representative, lending the node its
+	// colour — iff split[j] > k, and it also opens a new parent one level
+	// up iff split[j] > k+1. Zero marks a duplicate of the point before,
+	// L the first point of a base node, whose code the scan collects.
+	split := getBuf(N)[:N]
+	cg := getU64(N)
+	baseCodes := *cg
+	var prev uint64
+	for j := range qs {
+		code := qs[j].code
+		v := (bits.Len64(prev^code) + 2) / 3
+		if v >= L || j == 0 {
+			v = L
+			baseCodes = append(baseCodes, code>>uint(3*(L-1)))
 		}
+		split[j] = uint8(v)
+		prev = code
 	}
-	// Colors planar in decorrelated (G, R-G, B-G) space, delta+zigzag per
-	// channel with zero-run RLE: neighbouring points in Morton order tend
-	// to share colors and the chroma channels are near-constant on real
-	// surfaces, so most symbols collapse into runs.
+
+	// 7 B/pt covers the 45–49 bits/pt the format produces on body-surface
+	// cells at qb 10; a denser cell grows the buffer, and the grown one is
+	// what goes back to the pool.
+	seg := getBuf(64 + 7*N)
+	var segStart [17]int // segment t is seg[segStart[t]:segStart[t+1]]
+	ints := make([]int, 2*L)
+	offsets, layerPts := ints[:L:L], ints[L:]
+
+	// Base segment: occupancy tree to d_0 plus absolute rep colors.
+	seg = octreeEncode(seg, baseCodes, qb-uint(L-1))
+	layerPts[0] = len(baseCodes)
+	*cg = baseCodes
+	putU64(cg)
 	for _, plane := range cols {
 		var prev int64
 		var zrun uint64
-		for _, v := range plane {
+		for j, v := range plane {
+			if int(split[j]) < L {
+				continue
+			}
 			d := zigzag(v - prev)
 			prev = v
 			if d == 0 {
 				zrun++
 				continue
 			}
-			buf = flushZeroRun(buf, &zrun)
-			buf = binary.AppendUvarint(buf, d)
+			seg = flushZeroRun(seg, &zrun)
+			seg = binary.AppendUvarint(seg, d)
 		}
-		buf = flushZeroRun(buf, &zrun)
+		seg = flushZeroRun(seg, &zrun)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, checksum(buf))
-	return buf
+
+	// Enhancement segments: per-parent occupancy byte, then residual
+	// colors for the non-first children (a first child inherits the
+	// parent's colour). The occupancy scan meets every child anyway, so it
+	// also notes each non-first child beside its parent's first point, and
+	// the colour passes touch only those pairs.
+	pp := getI64(2 * N)
+	for t := 1; t < L; t++ {
+		seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart[t-1]:]))
+		segStart[t] = len(seg)
+		k := L - 1 - t
+		pairs, first, nodes := (*pp)[:0], 0, 0
+		for j, v := range split {
+			if int(v) <= k {
+				continue
+			}
+			nodes++
+			bit := byte(1) << (qs[j].code >> uint(3*k) & 7)
+			if int(v) > k+1 {
+				first = j
+				seg = append(seg, bit)
+				continue
+			}
+			seg[len(seg)-1] |= bit
+			pairs = append(pairs, int64(j), int64(first))
+		}
+		seg = appendResiduals(seg, cols, pairs)
+		layerPts[t] = nodes
+	}
+
+	// The last segment also carries the duplicates, so the full prefix
+	// returns every input point: a flag byte and, when set, per-node
+	// count-1 values plus colour residuals of every duplicate vs. its
+	// node's representative.
+	switch uniques := layerPts[L-1]; {
+	case N == 0:
+	case uniques == N:
+		seg = append(seg, 0)
+	default:
+		seg = append(seg, 1)
+		pairs, first, run := (*pp)[:0], 0, uint64(0)
+		for j, v := range split {
+			if v == 0 {
+				run++
+				pairs = append(pairs, int64(j), int64(first))
+				continue
+			}
+			if j > 0 {
+				seg = binary.AppendUvarint(seg, run)
+			}
+			first, run = j, 0
+		}
+		seg = binary.AppendUvarint(seg, run)
+		seg = appendResiduals(seg, cols, pairs)
+	}
+	putI64(pp)
+	putBuf(split)
+	layerPts[L-1] = N
+	seg = binary.LittleEndian.AppendUint32(seg, checksum(seg[segStart[L-1]:]))
+	segStart[L] = len(seg)
+
+	// The header goes straight into the block's own exactly-sized buffer,
+	// so its length (three varint fields aside, 26 bytes) is summed first.
+	hdrLen := 26 + uvarintLen(uint64(id)) + uvarintLen(uint64(N))
+	for t := 0; t < L; t++ {
+		hdrLen += uvarintLen(uint64(segStart[t+1] - segStart[t]))
+	}
+	data := make([]byte, 0, hdrLen+len(seg))
+	data = binary.LittleEndian.AppendUint16(data, Magic)
+	data = append(data, VersionLayered, byte(qb), ModeLayered, byte(L))
+	data = binary.AppendUvarint(data, uint64(id))
+	data = binary.AppendUvarint(data, uint64(N))
+	data = appendFloat32(data, cellBounds.Min.X)
+	data = appendFloat32(data, cellBounds.Min.Y)
+	data = appendFloat32(data, cellBounds.Min.Z)
+	data = appendFloat32(data, edge)
+	for t := 0; t < L; t++ {
+		data = binary.AppendUvarint(data, uint64(segStart[t+1]-segStart[t]))
+	}
+	data = binary.LittleEndian.AppendUint32(data, checksum(data))
+	data = append(data, seg...)
+	putBuf(seg)
+	for t := range offsets {
+		offsets[t] = hdrLen + segStart[t+1]
+	}
+	return &Block{CellID: id, NumPoints: N, Data: data, LayerOffsets: offsets, LayerPoints: layerPts}
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// appendResiduals emits, channel by channel, the colour residual of each
+// (point, reference) index pair — zigzag with zero-run RLE, no delta
+// chaining.
+func appendResiduals(seg []byte, cols colorPlanes, pairs []int64) []byte {
+	for _, plane := range cols {
+		var zrun uint64
+		for i := 0; i < len(pairs); i += 2 {
+			d := zigzag(plane[pairs[i]] - plane[pairs[i+1]])
+			if d == 0 {
+				zrun++
+				continue
+			}
+			seg = flushZeroRun(seg, &zrun)
+			seg = binary.AppendUvarint(seg, d)
+		}
+		seg = flushZeroRun(seg, &zrun)
+	}
+	return seg
 }
 
 // EncodeFrame partitions the cloud on the grid and encodes every occupied
@@ -378,51 +520,41 @@ func (e *Encoder) EncodeFrame(g *cell.Grid, c *pointcloud.Cloud) map[cell.ID]*Bl
 	return out
 }
 
-// appendOctreePositions emits the occupancy tree over the sorted codes
-// plus the duplicate-count stream.
-func appendOctreePositions(buf []byte, qs []qpoint, qb uint, mode uint8) []byte {
-	up, cp := getU64(len(qs)), getU64(len(qs))
-	defer func() { putU64(up); putU64(cp) }()
-	uniques, counts := *up, *cp
-	hasDup := false
-	for i := 0; i < len(qs); {
-		j := i
-		for j < len(qs) && qs[j].code == qs[i].code {
-			j++
+// TierPoints returns the point set a layer prefix represents: one
+// representative per occupied octree node at the tier's depth, carrying
+// its original (unquantized) position and color. The representative is
+// the node's first point in (code, idx) order. An independent
+// single-layer encode (Params{QuantBits: d_t, Layers: 1}) of this set
+// over the same bounds decodes byte-identically to the corresponding
+// layer prefix — the parity contract the experiments pin. layers clamps
+// to [1, Layers]; at the top tier the original point set (duplicates
+// included) comes back.
+func (e *Encoder) TierPoints(c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB, layers int) []pointcloud.Point {
+	L := e.layers()
+	if layers < 1 {
+		layers = 1
+	}
+	if layers > L {
+		layers = L
+	}
+	qsp := e.quantizeSorted(c, idxs, cellBounds, cellEdge(cellBounds))
+	defer putQpoints(qsp)
+	qs := *qsp
+	if layers == L {
+		out := make([]pointcloud.Point, len(qs))
+		for i, q := range qs {
+			out[i] = c.Points[q.idx]
 		}
-		uniques = append(uniques, qs[i].code)
-		counts = append(counts, uint64(j-i))
-		if j-i > 1 {
-			hasDup = true
+		return out
+	}
+	shift := uint(3 * (L - layers))
+	out := make([]pointcloud.Point, 0, len(qs))
+	for i := 0; i < len(qs); i++ {
+		if i == 0 || qs[i].code>>shift != qs[i-1].code>>shift {
+			out = append(out, c.Points[qs[i].idx])
 		}
-		i = j
 	}
-	*up, *cp = uniques, counts
-	if mode == ModeOctreeAC {
-		buf = octreeEncodeAC(buf, uniques, qb)
-	} else {
-		buf = octreeEncode(buf, uniques, qb)
-	}
-	if hasDup {
-		buf = append(buf, 1)
-		for _, c := range counts {
-			buf = binary.AppendUvarint(buf, c-1)
-		}
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-func quant(v float64, levels uint64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	u := uint64(math.Round(v))
-	if u >= levels {
-		u = levels - 1
-	}
-	return u
+	return out
 }
 
 // morton3 interleaves the low `bits` bits (at most 21) of x, y, z into a

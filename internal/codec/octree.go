@@ -5,11 +5,10 @@ import "math/bits"
 // Octree occupancy coding — the position coder real point-cloud codecs
 // (MPEG G-PCC, Draco) use: the quantized lattice inside a cell is
 // recursively split into octants and, for each non-empty node, one byte
-// records which children are occupied. Positions cost ~1–4 bits/point at
-// volumetric densities, versus ~10–16 for Morton-delta coding, at the
-// price of deduplicating co-located points. The stream is depth-first, so
-// leaves emerge in Morton order — the same order the Morton coder sorts
-// into — letting both modes share the color coder unchanged.
+// records which children are occupied. The stream is depth-first, so
+// leaves emerge in Morton order — the order the encoder sorts into — and
+// co-located points collapse into one leaf (the block's final layer
+// carries their counts).
 
 // octreeEncode appends the DFS occupancy-byte stream for the sorted,
 // deduplicated Morton codes. Codes must be sorted ascending, unique and
@@ -77,10 +76,10 @@ func octreeDecodeNode(buf []byte, shift int, prefix uint64, out *[]uint64, max i
 	return buf, true
 }
 
-// octreeDecodeBounded decodes at most maxLeaves leaves; unlike
-// octreeDecode it tolerates the leaf count being smaller than the point
-// count (duplicates collapse into one leaf). The leaves accumulate into
-// scratch (grown as needed), so callers can recycle the backing array.
+// octreeDecodeBounded decodes at most maxLeaves leaves; the leaf count
+// may be smaller than the point count (duplicates collapse into one
+// leaf). The leaves accumulate into scratch (grown as needed), so callers
+// can recycle the backing array.
 func octreeDecodeBounded(buf []byte, maxLeaves int, qb uint, scratch []uint64) (rest []byte, codes []uint64, ok bool) {
 	codes = scratch[:0]
 	rest, ok = octreeDecodeNode(buf, 3*int(qb)-3, 0, &codes, maxLeaves)

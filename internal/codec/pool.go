@@ -3,11 +3,10 @@ package codec
 import "sync"
 
 // Scratch pools for the codec hot path. Per-cell encode/decode runs at
-// frame rate across every cell of every frame (and, in Auto mode, three
-// coder variants per cell), so the quantized-point slice, the octree
-// code/count slices and the output byte buffers are recycled instead of
-// reallocated. Pools hold pointers to slices so Put never allocates a
-// slice header.
+// frame rate across every cell of every frame, so the quantized-point
+// slice, the octree code/count slices and the segment byte buffers are
+// recycled instead of reallocated. Pools hold pointers to slices so Put
+// never allocates a slice header.
 
 var qpointPool = sync.Pool{New: func() any { return new([]qpoint) }}
 
@@ -67,9 +66,9 @@ var (
 	bufHeaders = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// getBuf returns a zero-length byte slice with capacity ≥ n. A buffer
-// that ends up as a Block's Data is simply never returned; buffers
-// discarded (scratch, the losing Auto variants) go back via putBuf.
+// getBuf returns a zero-length byte slice with capacity ≥ n; the caller
+// hands it back via putBuf (a Block's Data is never pooled — it is
+// allocated at its exact size).
 //
 //vollint:hotpath
 func getBuf(n int) []byte {
@@ -88,29 +87,3 @@ func putBuf(b []byte) {
 	*p = b[:0]
 	bufPool.Put(p)
 }
-
-// acScratch bundles the range coder's per-cell state — encoder (with its
-// growable output buffer), decoder and context model — so an AC encode or
-// decode costs zero allocations once the pool is warm.
-type acScratch struct {
-	enc rcEncoder
-	dec rcDecoder
-	m   occModel
-}
-
-var acPool = sync.Pool{New: func() any { return new(acScratch) }}
-
-// getAC returns scratch with the model reset and the encoder primed
-// (output truncated, state cleared).
-//
-//vollint:hotpath
-func getAC() *acScratch {
-	s := acPool.Get().(*acScratch)
-	s.enc = rcEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: s.enc.out[:0]}
-	for i := range s.m {
-		s.m[i] = probInit
-	}
-	return s
-}
-
-func putAC(s *acScratch) { acPool.Put(s) }

@@ -2,9 +2,9 @@ package codec
 
 // The encoder as it stood before the encode kernel (DESIGN.md §15), kept
 // verbatim apart from the ref prefix: the bit-loop Morton interleave, the
-// comparator sort, the recursive octree (plain and range-coded) and the
-// flat and layered serializers built on them. The differential tests
-// below pin the kernel's output to these byte for byte.
+// comparator sort, the recursive octree and the layered serializer built
+// on them. The differential tests below pin the kernel's output to these
+// byte for byte.
 
 import (
 	"bytes"
@@ -25,14 +25,9 @@ func refEncodeCell(e *Encoder, id cell.ID, c *pointcloud.Cloud, idxs []int, cell
 	qb := uint(e.params.QuantBits)
 	levels := uint64(1) << qb
 	edge := cellEdge(cellBounds)
-	layered := e.params.Layers > 0
-	inv := float64(levels-1) / edge
-	if layered {
-		// The layered coder floor-quantizes on the full [0, levels)
-		// lattice so coarse-tier codes are exact right-shifts of the
-		// full-depth codes (see layered.go).
-		inv = float64(levels) / edge
-	}
+	// The coder floor-quantizes on the full [0, levels) lattice so
+	// coarse-tier codes are exact right-shifts of the full-depth codes.
+	inv := float64(levels) / edge
 
 	// Quantize each point to a Morton code for locality-friendly deltas.
 	// The sort breaks code ties by source index, making the permutation
@@ -42,45 +37,14 @@ func refEncodeCell(e *Encoder, id cell.ID, c *pointcloud.Cloud, idxs []int, cell
 	qs := *qsp
 	for _, i := range idxs {
 		d := c.Points[i].Pos.Sub(cellBounds.Min)
-		var x, y, z uint64
-		if layered {
-			x = quantFloor(d.X*inv, levels)
-			y = quantFloor(d.Y*inv, levels)
-			z = quantFloor(d.Z*inv, levels)
-		} else {
-			x = quant(d.X*inv, levels)
-			y = quant(d.Y*inv, levels)
-			z = quant(d.Z*inv, levels)
-		}
+		x := quantFloor(d.X*inv, levels)
+		y := quantFloor(d.Y*inv, levels)
+		z := quantFloor(d.Z*inv, levels)
 		qs = append(qs, qpoint{code: refMorton3(x, y, z, qb), idx: i})
 	}
 	*qsp = qs
 	refSortQpoints(qs)
-
-	if layered {
-		return refEncodeLayered(e.params, id, c, qs, cellBounds, edge)
-	}
-	if e.params.Auto {
-		best := []byte(nil)
-		for _, variant := range []Params{
-			{QuantBits: e.params.QuantBits},
-			{QuantBits: e.params.QuantBits, Octree: true},
-			{QuantBits: e.params.QuantBits, Octree: true, Arithmetic: true},
-		} {
-			buf := refEncodeSorted(variant, id, c, qs, cellBounds, edge)
-			switch {
-			case best == nil:
-				best = buf
-			case len(buf) < len(best):
-				putBuf(best)
-				best = buf
-			default:
-				putBuf(buf)
-			}
-		}
-		return &Block{CellID: id, NumPoints: len(qs), Data: best}
-	}
-	return &Block{CellID: id, NumPoints: len(qs), Data: refEncodeSorted(e.params, id, c, qs, cellBounds, edge)}
+	return refEncodeLayered(e.params, id, c, qs, cellBounds, edge)
 }
 
 func refSortQpoints(qs []qpoint) {
@@ -90,92 +54,6 @@ func refSortQpoints(qs []qpoint) {
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-}
-
-func refEncodeSorted(p Params, id cell.ID, c *pointcloud.Cloud, qs []qpoint, cellBounds geom.AABB, edge float64) []byte {
-	mode := ModeMorton
-	switch {
-	case p.Octree && p.Arithmetic, p.Arithmetic:
-		mode = ModeOctreeAC
-	case p.Octree:
-		mode = ModeOctree
-	}
-	buf := getBuf(8 + len(qs)*4)
-	buf = binary.LittleEndian.AppendUint16(buf, Magic)
-	buf = append(buf, Version, p.QuantBits, mode)
-	buf = binary.AppendUvarint(buf, uint64(id))
-	buf = binary.AppendUvarint(buf, uint64(len(qs)))
-	buf = appendFloat32(buf, cellBounds.Min.X)
-	buf = appendFloat32(buf, cellBounds.Min.Y)
-	buf = appendFloat32(buf, cellBounds.Min.Z)
-	buf = appendFloat32(buf, edge)
-
-	if mode == ModeOctree || mode == ModeOctreeAC {
-		buf = refAppendOctreePositions(buf, qs, uint(p.QuantBits), mode)
-	} else {
-		var prev uint64
-		for _, q := range qs {
-			buf = binary.AppendUvarint(buf, q.code-prev)
-			prev = q.code
-		}
-	}
-	// Colors planar in decorrelated (G, R-G, B-G) space, delta+zigzag per
-	// channel with zero-run RLE: neighbouring points in Morton order tend
-	// to share colors and the chroma channels are near-constant on real
-	// surfaces, so most symbols collapse into runs.
-	for ch := 0; ch < 3; ch++ {
-		var prev int64
-		var zrun uint64
-		for _, q := range qs {
-			p := c.Points[q.idx]
-			v := refColorChannel(p, ch)
-			d := zigzag(v - prev)
-			prev = v
-			if d == 0 {
-				zrun++
-				continue
-			}
-			buf = flushZeroRun(buf, &zrun)
-			buf = binary.AppendUvarint(buf, d)
-		}
-		buf = flushZeroRun(buf, &zrun)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, checksum(buf))
-	return buf
-}
-
-func refAppendOctreePositions(buf []byte, qs []qpoint, qb uint, mode uint8) []byte {
-	up, cp := getU64(len(qs)), getU64(len(qs))
-	defer func() { putU64(up); putU64(cp) }()
-	uniques, counts := *up, *cp
-	hasDup := false
-	for i := 0; i < len(qs); {
-		j := i
-		for j < len(qs) && qs[j].code == qs[i].code {
-			j++
-		}
-		uniques = append(uniques, qs[i].code)
-		counts = append(counts, uint64(j-i))
-		if j-i > 1 {
-			hasDup = true
-		}
-		i = j
-	}
-	*up, *cp = uniques, counts
-	if mode == ModeOctreeAC {
-		buf = refOctreeEncodeAC(buf, uniques, qb)
-	} else {
-		buf = refOctreeEncode(buf, uniques, qb)
-	}
-	if hasDup {
-		buf = append(buf, 1)
-		for _, c := range counts {
-			buf = binary.AppendUvarint(buf, c-1)
-		}
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
 }
 
 func refMorton3(x, y, z uint64, bits uint) uint64 {
@@ -233,53 +111,6 @@ func refOctreeNode(buf []byte, codes []uint64, shift int) []byte {
 		}
 	}
 	return buf
-}
-
-func refOctreeEncodeAC(buf []byte, codes []uint64, qb uint) []byte {
-	s := getAC()
-	defer putAC(s)
-	refOctreeNodeAC(&s.enc, &s.m, codes, 3*int(qb)-3, 0)
-	stream := s.enc.finish()
-	buf = refAppendUvarintLen(buf, stream)
-	return append(buf, stream...)
-}
-
-func refAppendUvarintLen(buf, payload []byte) []byte {
-	n := uint64(len(payload))
-	for n >= 0x80 {
-		buf = append(buf, byte(n)|0x80)
-		n >>= 7
-	}
-	return append(buf, byte(n))
-}
-
-func refOctreeNodeAC(enc *rcEncoder, m *occModel, codes []uint64, shift, depth int) {
-	if shift < 0 {
-		return
-	}
-	var bounds [9]int
-	idx := 0
-	for child := uint64(0); child < 8; child++ {
-		bounds[child] = idx
-		for idx < len(codes) && (codes[idx]>>uint(shift))&7 == child {
-			idx++
-		}
-	}
-	bounds[8] = idx
-	set := 0
-	for child := 0; child < 8; child++ {
-		bit := 0
-		if bounds[child+1] > bounds[child] {
-			bit = 1
-		}
-		enc.encodeBit(&m[occCtx(depth, child, set)], bit)
-		set += bit
-	}
-	for child := 0; child < 8; child++ {
-		if bounds[child+1] > bounds[child] {
-			refOctreeNodeAC(enc, m, codes[bounds[child]:bounds[child+1]], shift-3, depth+1)
-		}
-	}
 }
 
 func refEncodeLayered(p Params, id cell.ID, c *pointcloud.Cloud, qs []qpoint, cellBounds geom.AABB, edge float64) *Block {
@@ -568,22 +399,18 @@ func refCells(t testing.TB) []refCell {
 
 // TestEncodeMatchesReferenceByteExact pins the encode kernel to the
 // encoder it replaced: same bytes, same layer offsets, same layer point
-// counts, for every coder and every (QuantBits, Layers) pair.
+// counts, for every (QuantBits, Layers) pair.
 func TestEncodeMatchesReferenceByteExact(t *testing.T) {
 	var params []Params
 	for qb := uint8(1); qb <= 16; qb++ {
-		for l := uint8(0); l <= qb; l++ {
+		for l := uint8(1); l <= qb; l++ {
 			params = append(params, Params{QuantBits: qb, Layers: l})
 		}
-		params = append(params,
-			Params{QuantBits: qb, Octree: true},
-			Params{QuantBits: qb, Octree: true, Arithmetic: true},
-			Params{QuantBits: qb, Auto: true})
 	}
 	for _, rc := range refCells(t) {
 		ps := params
 		if len(rc.idxs) > 10_000 && testing.Short() {
-			ps = []Params{{QuantBits: 10, Layers: 4}, {QuantBits: 10, Octree: true}}
+			ps = []Params{{QuantBits: 10, Layers: 4}, {QuantBits: 10, Layers: 1}}
 		}
 		for _, p := range ps {
 			enc := NewEncoder(p)
@@ -592,7 +419,7 @@ func TestEncodeMatchesReferenceByteExact(t *testing.T) {
 			if !bytes.Equal(got.Data, want.Data) {
 				t.Fatalf("%s %+v: block bytes differ (%d vs reference %d)", rc.name, p, len(got.Data), len(want.Data))
 			}
-			if p.Layers > 0 && cap(got.Data) != len(got.Data) {
+			if cap(got.Data) != len(got.Data) {
 				t.Fatalf("%s %+v: layered block holds %d spare bytes; the header length sum is off", rc.name, p, cap(got.Data)-len(got.Data))
 			}
 			if got.NumPoints != want.NumPoints ||
@@ -631,9 +458,9 @@ func codesFromFuzz(data []byte, qb uint) []uint64 {
 	return slices.Compact(codes)
 }
 
-// FuzzOctreeEncodeMatchesReference drives the one-pass octree (plain and
-// range-coded) against the recursive reference over arbitrary code sets,
-// and round-trips the plain stream through the decoder.
+// FuzzOctreeEncodeMatchesReference drives the one-pass octree against the
+// recursive reference over arbitrary code sets, and round-trips the
+// stream through the decoder.
 func FuzzOctreeEncodeMatchesReference(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(10), binary.LittleEndian.AppendUint64(nil, 0x2aaaaaaa))
@@ -643,9 +470,6 @@ func FuzzOctreeEncodeMatchesReference(f *testing.F) {
 		got, want := octreeEncode(nil, codes, qb), refOctreeEncode(nil, codes, qb)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("qb %d, %d codes: octreeEncode differs from reference", qb, len(codes))
-		}
-		if ac, refAC := octreeEncodeAC(nil, codes, qb), refOctreeEncodeAC(nil, codes, qb); !bytes.Equal(ac, refAC) {
-			t.Fatalf("qb %d, %d codes: octreeEncodeAC differs from reference", qb, len(codes))
 		}
 		if len(codes) == 0 {
 			return

@@ -2,9 +2,37 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestExperimentsDocMatchesTable1 pins EXPERIMENTS.md to the code: the
+// Table 1 block it prints must be, verbatim but for the padding at the
+// line ends, what `volsim table1` renders at the documented (default)
+// configuration. The document drifted from the simulator once without
+// anything failing.
+func TestExperimentsDocMatchesTable1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders Table 1 at full content scale")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Table1(DefaultTable1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(RenderTable1(rows), "\n")
+	for i := range lines {
+		lines[i] = strings.TrimRight(lines[i], " ")
+	}
+	table := strings.Join(lines, "\n")
+	if !strings.Contains(string(doc), "```\n"+table+"```") {
+		t.Errorf("EXPERIMENTS.md does not contain the Table 1 that `go run ./cmd/volsim table1` prints:\n%s", table)
+	}
+}
 
 // smallTable1 runs Table 1 at 10% content scale: the absolute FPS values
 // shift but the structural properties (monotonicity, ViVo ≥ vanilla,

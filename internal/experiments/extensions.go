@@ -356,76 +356,3 @@ func RenderGCR(rows []GCRRow) string {
 	}
 	return b.String()
 }
-
-// ---- Codec position-coder comparison ----
-
-// CodecRow is one (mode, quant-bits) compression measurement.
-type CodecRow struct {
-	Mode      string
-	QuantBits uint8
-	// BitsPerPoint is the total (positions + colors) coding cost.
-	BitsPerPoint float64
-	// Mbps30 is the streaming bitrate of the measured frame at 30 FPS.
-	Mbps30 float64
-}
-
-// CodecSweep compares the position coders (Morton-delta, octree
-// occupancy, octree + adaptive range coding, and the per-cell Auto pick)
-// across quantization depths on one 550K-point frame — the density
-// crossover real codecs exploit.
-func CodecSweep(points int, seed int64) ([]CodecRow, error) {
-	if points <= 0 {
-		points = 550_000
-	}
-	frame := pointcloud.SynthFrame(pointcloud.SynthConfig{
-		Frames: 1, FPS: 30, PointsPerFrame: points, Seed: seed, Sway: 1,
-	}, 0)
-	b, ok := frame.Bounds()
-	if !ok {
-		return nil, fmt.Errorf("experiments: empty frame")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		return nil, err
-	}
-	modes := []struct {
-		name string
-		mk   func(qb uint8) codec.Params
-	}{
-		{"morton", func(qb uint8) codec.Params { return codec.Params{QuantBits: qb} }},
-		{"octree", func(qb uint8) codec.Params { return codec.Params{QuantBits: qb, Octree: true} }},
-		{"octree+ac", func(qb uint8) codec.Params { return codec.Params{QuantBits: qb, Arithmetic: true} }},
-		{"auto", func(qb uint8) codec.Params { return codec.Params{QuantBits: qb, Auto: true} }},
-	}
-	// One work item per (quant-bits, mode) cell; every item gets a fresh
-	// encoder, and the frame/grid are read-only.
-	type rowSpec struct {
-		qb   uint8
-		mode int
-	}
-	var specs []rowSpec
-	for _, qb := range []uint8{6, 8, 10} {
-		for mi := range modes {
-			specs = append(specs, rowSpec{qb: qb, mode: mi})
-		}
-	}
-	return par.Map(context.Background(), len(specs), func(i int) (CodecRow, error) {
-		qb, m := specs[i].qb, modes[specs[i].mode]
-		s := codec.Measure(codec.NewEncoder(m.mk(qb)).EncodeFrame(g, frame))
-		return CodecRow{
-			Mode: m.name, QuantBits: qb,
-			BitsPerPoint: s.BitsPerPoint,
-			Mbps30:       codec.BitrateMbps(float64(s.Bytes), 30),
-		}, nil
-	})
-}
-
-// RenderCodec prints the sweep.
-func RenderCodec(rows []CodecRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %-10s %-10s\n", "mode", "qbits", "bits/pt", "Mbps@30")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-6d %-10.1f %-10.0f\n", r.Mode, r.QuantBits, r.BitsPerPoint, r.Mbps30)
-	}
-	return b.String()
-}

@@ -138,45 +138,3 @@ func TestGCRSweep(t *testing.T) {
 		t.Error("RenderGCR malformed")
 	}
 }
-
-func TestCodecSweep(t *testing.T) {
-	rows, err := CodecSweep(60_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 { // 4 modes × 3 depths
-		t.Fatalf("%d rows", len(rows))
-	}
-	get := func(mode string, qb uint8) CodecRow {
-		for _, r := range rows {
-			if r.Mode == mode && r.QuantBits == qb {
-				return r
-			}
-		}
-		t.Fatalf("missing %s qb=%d", mode, qb)
-		return CodecRow{}
-	}
-	// Auto never exceeds either single mode.
-	for _, qb := range []uint8{6, 8, 10} {
-		a := get("auto", qb).BitsPerPoint
-		if a > get("morton", qb).BitsPerPoint+1e-9 || a > get("octree+ac", qb).BitsPerPoint+1e-9 {
-			t.Errorf("qb=%d: auto %.1f not minimal", qb, a)
-		}
-	}
-	// The crossover: octree wins at qb 6, morton at qb 10.
-	if get("octree", 6).BitsPerPoint >= get("morton", 6).BitsPerPoint {
-		t.Error("octree did not win dense regime")
-	}
-	if get("morton", 10).BitsPerPoint >= get("octree", 10).BitsPerPoint {
-		t.Error("morton did not win sparse regime")
-	}
-	// AC never worse than raw octree.
-	for _, qb := range []uint8{6, 8, 10} {
-		if get("octree+ac", qb).BitsPerPoint > get("octree", qb).BitsPerPoint+0.2 {
-			t.Errorf("qb=%d: AC worse than raw octree", qb)
-		}
-	}
-	if out := RenderCodec(rows); !strings.Contains(out, "bits/pt") {
-		t.Error("RenderCodec malformed")
-	}
-}

@@ -159,13 +159,47 @@ func TestDegradeSaturatesAtCoarsestRung(t *testing.T) {
 	}
 }
 
-// TestUpgradeShipsOnlyDeltaLayers is the tentpole's wire-level claim: a
-// layer-aware subscriber upgrading an unchanged cell from a coarse rung
-// to a finer one receives only the enhancement segment (BaseLayers > 0,
-// payload = Block.Delta), while a legacy subscriber making the same
-// upgrade gets the full finer prefix re-sent.
+// TestUpgradeShipsOnlyDeltaLayers is the layered format's wire-level
+// claim: a layer-aware subscriber upgrading an unchanged cell from a
+// coarse rung to a finer one receives only the enhancement segment
+// (BaseLayers > 0, payload = Block.Delta), while a legacy subscriber
+// making the same upgrade gets the full finer prefix re-sent. A store
+// loaded from a container must serve exactly what the built one does —
+// the same number of deltas, the same bytes.
 func TestUpgradeShipsOnlyDeltaLayers(t *testing.T) {
-	_, s := bareSession(t, Config{NewStore: testFactory(nil), Vanilla: true})
+	built := testFactory(nil)
+	reloaded := func(scene uint32, blocks codec.BlockCache) (*vivo.Store, error) {
+		st, err := built(scene, blocks)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := vivo.WriteStore(&buf, st); err != nil {
+			return nil, err
+		}
+		return vivo.ReadStore(&buf)
+	}
+	type shipped struct{ deltas, deltaBytes int }
+	var got []shipped
+	for _, tc := range []struct {
+		name    string
+		factory func(uint32, codec.BlockCache) (*vivo.Store, error)
+	}{{"built", built}, {"reloaded", reloaded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			deltas, deltaBytes := upgradeShipsOnlyDeltaLayers(t, tc.factory)
+			got = append(got, shipped{deltas, deltaBytes})
+		})
+	}
+	if len(got) == 2 && got[0] != got[1] {
+		t.Errorf("built store shipped %+v, reloaded store %+v", got[0], got[1])
+	}
+}
+
+// upgradeShipsOnlyDeltaLayers runs the degrade-then-upgrade scenario
+// over one store and returns how many deltas the layer-aware subscriber
+// was sent and their total payload bytes.
+func upgradeShipsOnlyDeltaLayers(t *testing.T, factory func(uint32, codec.BlockCache) (*vivo.Store, error)) (deltas, deltaBytes int) {
+	_, s := bareSession(t, Config{NewStore: factory, Vanilla: true})
 
 	a := bareSub(1, true)  // layer-aware
 	b := bareSub(1, false) // legacy
@@ -196,7 +230,7 @@ func TestUpgradeShipsOnlyDeltaLayers(t *testing.T) {
 	}
 	s.pushFrame(0)
 
-	var deltaBytes, fullBytes int
+	var fullBytes int
 	acds := cellDatas(drainMsgs(t, a))
 	if len(acds) == 0 {
 		t.Fatal("layered subscriber: no CellData in upgrade frame")
@@ -210,6 +244,7 @@ func TestUpgradeShipsOnlyDeltaLayers(t *testing.T) {
 		if !bytes.Equal(cd.Payload, blk.Delta(1, blk.Layers())) {
 			t.Errorf("cell %d: upgrade payload is not the enhancement delta", cd.CellID)
 		}
+		deltas++
 		deltaBytes += len(cd.Payload)
 		fullBytes += len(blk.Data)
 	}
@@ -230,83 +265,7 @@ func TestUpgradeShipsOnlyDeltaLayers(t *testing.T) {
 			t.Errorf("cell %d: legacy upgrade payload is not the full block", cd.CellID)
 		}
 	}
-}
-
-// TestDegradedMissFallsBack is the regression test for the silent-drop
-// bug: a flat store with holes at the degraded rung used to drop those
-// cells from the frame entirely. They must instead be served from the
-// nearest prepared rung that has them, counted under degrade.fallbacks.
-func TestDegradedMissFallsBack(t *testing.T) {
-	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-		Frames: 1, FPS: 30, PointsPerFrame: 1500, Seed: 7, Sway: 1,
-	})
-	bounds, _ := video.Bounds()
-	g, err := cell.NewGrid(bounds, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A flat (non-layered) two-rung store, as a v1 container load would
-	// produce, with the coarse rung missing for two cells.
-	enc := codec.NewEncoder(codec.DefaultParams())
-	frame := video.Frames[0]
-	fb := &vivo.FrameBlocks{
-		Occupied: g.OccupiedCells(frame),
-		ByStride: map[int]map[cell.ID]*codec.Block{
-			1: {}, 2: {},
-		},
-	}
-	for id, idxs := range g.Partition(frame) {
-		fb.ByStride[1][id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
-		sub := idxs[:0:0]
-		for i := 0; i < len(idxs); i += 2 {
-			sub = append(sub, idxs[i])
-		}
-		fb.ByStride[2][id] = enc.EncodeCell(id, frame, sub, g.Bounds(id))
-	}
-	var holes []cell.ID
-	for id := range fb.ByStride[2] {
-		holes = append(holes, id)
-		delete(fb.ByStride[2], id)
-		if len(holes) == 2 {
-			break
-		}
-	}
-	if len(holes) != 2 {
-		t.Fatalf("store too small to punch 2 holes (%d cells)", len(fb.ByStride[2])+len(holes))
-	}
-
-	reg := metrics.NewRegistry()
-	factory := func(uint32, codec.BlockCache) (*vivo.Store, error) {
-		return vivo.NewStore(g, []int{1, 2}, 30, []*vivo.FrameBlocks{fb})
-	}
-	_, s := bareSession(t, Config{NewStore: factory, Vanilla: true, Metrics: reg})
-
-	c := bareSub(1, false) // degrade 1: stride 1 requests land on rung 2
-	if !s.addSub(c) {
-		t.Fatal("addSub")
-	}
-	s.pushFrame(0)
-
-	cds := cellDatas(drainMsgs(t, c))
-	if want := fb.Occupied.Count(); len(cds) != want {
-		t.Errorf("delivered %d cells, want %d — degraded holes still dropped", len(cds), want)
-	}
-	holed := map[uint32]bool{}
-	for _, id := range holes {
-		holed[uint32(id)] = true
-	}
-	for _, cd := range cds {
-		if holed[cd.CellID] {
-			if !bytes.Equal(cd.Payload, fb.ByStride[1][cell.ID(cd.CellID)].Data) {
-				t.Errorf("cell %d: fallback payload is not the denser rung's block", cd.CellID)
-			}
-		} else if !bytes.Equal(cd.Payload, fb.ByStride[2][cell.ID(cd.CellID)].Data) {
-			t.Errorf("cell %d: payload is not the degraded rung's block", cd.CellID)
-		}
-	}
-	if got := reg.Snapshot().Counters["hub.session.0.degrade.fallbacks"]; got != int64(len(holes)) {
-		t.Errorf("degrade.fallbacks = %d, want %d", got, len(holes))
-	}
+	return deltas, deltaBytes
 }
 
 // TestAdaptDwellStopsFlapping pins the hysteresis fix: a queue depth

@@ -56,10 +56,6 @@ type session struct {
 	cConnects, cDisconnects   *metrics.Counter
 	cDropsEnqueue, cDropsSlow *metrics.Counter
 	cPullHits, cPullMisses    *metrics.Counter
-	// cDegradeFallbacks counts slots whose block was missing at the
-	// degraded rung and was served from another prepared rung instead of
-	// being silently dropped (hub.session.<scene>.degrade.fallbacks).
-	cDegradeFallbacks *metrics.Counter
 	// Per-stage budget-violation counters
 	// (hub.session.<scene>.budget_violations.*).
 	cViolCull, cViolSerialize, cViolSend *metrics.Counter
@@ -382,9 +378,8 @@ type bufKey struct {
 }
 
 // slotMeta carries the planning loop's block resolution to the
-// serialization workers: the cell's full layered block (nil = flat
-// store, resolve per stride in the worker) and the layer-prefix length
-// the slot's rung consumes.
+// serialization workers: the cell's full layered block and the
+// layer-prefix length the slot's rung consumes.
 type slotMeta struct {
 	blk    *codec.Block
 	layers int
@@ -464,16 +459,17 @@ func (s *session) pushFrame(frame int) {
 		degrade := s.adapt(c, len(reqs[i].Cells))
 		plan := make([]int, 0, len(reqs[i].Cells))
 		for _, cr := range reqs[i].Cells {
+			blk := s.store.LayeredBlock(fi, cr.ID)
+			if blk == nil {
+				continue // occupied but never ingested: a miss
+			}
 			eff, _ := lad.Degrade(cr.Stride, degrade)
 			rung := lad.RungFor(eff)
 			k := bufKey{id: cr.ID, stride: lad.StrideAt(rung)}
-			m := slotMeta{}
-			if blk := s.store.LayeredBlock(fi, cr.ID); blk != nil && blk.Layers() > 1 {
-				m = slotMeta{blk: blk, layers: lad.LayersFor(rung, blk.Layers())}
-				if c.layers {
-					if prev, ok := c.sent[cr.ID]; ok && prev.blk == blk && prev.layers < m.layers {
-						k.base = prev.layers
-					}
+			m := slotMeta{blk: blk, layers: lad.LayersFor(rung, blk.Layers())}
+			if c.layers {
+				if prev, ok := c.sent[cr.ID]; ok && prev.blk == blk && prev.layers < m.layers {
+					k.base = prev.layers
 				}
 			}
 			idx, ok := keyIdx[k]
@@ -491,42 +487,28 @@ func (s *session) pushFrame(frame int) {
 	// Serialize every slot once, in parallel. Workers publish completed
 	// slot indices through the buffered ready channel — the send gives the
 	// dispatcher its happens-before on the slot write. A nil slot is a
-	// miss (no block at any rung, or a serialize error). Every tier of a
-	// layered cell slices the same encode: the base-layer bytes degraded
-	// subscribers receive alias the full block's buffer.
+	// serialize error. Every tier of a cell slices the same encode: the
+	// base-layer bytes degraded subscribers receive alias the full block's
+	// buffer.
 	slots := make([]*wire.Buffer, len(keys))
 	ready := make(chan int, len(keys))
 	go func() {
 		par.ForEach(s.ctx, len(keys), func(j int) error {
-			k := keys[j]
-			var payload []byte
-			var layersOut, baseOut uint8
-			if m := meta[j]; m.blk != nil {
-				if k.base > 0 {
-					payload = m.blk.Delta(k.base, m.layers)
-				} else {
-					payload = m.blk.Prefix(m.layers)
-				}
-				layersOut, baseOut = uint8(m.layers), uint8(k.base)
-			} else if blk := s.resolveBlock(fi, k.id, k.stride); blk != nil {
-				payload = blk.Data
-			}
-			if payload != nil {
-				b, err := wire.NewBuffer(&wire.CellData{
-					Frame:      uint32(frame),
-					CellID:     uint32(k.id),
-					Stride:     tier.WireStride(k.stride),
-					Multicast:  counts[k.id] > 1,
-					Payload:    payload,
-					Layers:     layersOut,
-					BaseLayers: baseOut,
-				})
-				if err != nil {
-					cfg.Metrics.Counter("hub.serialize.errors").Inc()
-					cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
-				} else {
-					slots[j] = b
-				}
+			k, m := keys[j], meta[j]
+			b, err := wire.NewBuffer(&wire.CellData{
+				Frame:      uint32(frame),
+				CellID:     uint32(k.id),
+				Stride:     tier.WireStride(k.stride),
+				Multicast:  counts[k.id] > 1,
+				Payload:    layerPayload(m.blk, k.base, m.layers),
+				Layers:     uint8(m.layers),
+				BaseLayers: uint8(k.base),
+			})
+			if err != nil {
+				cfg.Metrics.Counter("hub.serialize.errors").Inc()
+				cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
+			} else {
+				slots[j] = b
 			}
 			ready <- j
 			return nil
@@ -568,9 +550,7 @@ func (s *session) pushFrame(frame int) {
 			// Record what the client now holds — only on a successful
 			// enqueue, so a dropped buffer leaves the delivery memory
 			// describing the client's true state.
-			if m := meta[j]; m.blk != nil {
-				c.sent[keys[j].id] = sentCell{blk: m.blk, layers: m.layers}
-			}
+			c.sent[keys[j].id] = sentCell{blk: meta[j].blk, layers: meta[j].layers}
 		}
 	}
 	for j := range ready {
@@ -649,31 +629,14 @@ func (s *session) pushFrame(frame int) {
 	s.cFrames.Inc()
 }
 
-// resolveBlock finds a cell's block at the requested (already prepared)
-// stride, falling back to the nearest other prepared rung — denser
-// first, then coarser — when that rung's map has a hole (a partially
-// ingested store). A fallback counts under degrade.fallbacks; before it
-// existed a degraded request whose rung was missing silently dropped
-// the cell even though other rungs held it.
-func (s *session) resolveBlock(fi int, id cell.ID, stride int) *codec.Block {
-	if blk := s.store.Block(fi, id, stride); blk != nil {
-		return blk
+// layerPayload is what a subscriber holding the first `base` layers of
+// blk needs to hold `layers` of them: the enhancement delta, or with
+// nothing held the whole prefix.
+func layerPayload(blk *codec.Block, base, layers int) []byte {
+	if base > 0 {
+		return blk.Delta(base, layers)
 	}
-	lad := s.store.Ladder()
-	want := lad.RungFor(stride)
-	for r := want - 1; r >= 0; r-- {
-		if blk := s.store.Block(fi, id, lad.StrideAt(r)); blk != nil {
-			s.cDegradeFallbacks.Inc()
-			return blk
-		}
-	}
-	for r := want + 1; r < lad.Rungs(); r++ {
-		if blk := s.store.Block(fi, id, lad.StrideAt(r)); blk != nil {
-			s.cDegradeFallbacks.Inc()
-			return blk
-		}
-	}
-	return nil
+	return blk.Prefix(layers)
 }
 
 // maxWriteBatch bounds one vectored write: enough to coalesce a frame's
@@ -927,44 +890,31 @@ func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
 		rung := lad.RungFor(int(ref.Stride))
 		k := bufKey{id: cell.ID(ref.CellID), stride: lad.StrideAt(rung)}
 		full := s.store.LayeredBlock(fi, k.id)
-		layered := full != nil && full.Layers() > 1
-		var want int
-		if layered {
-			want = lad.LayersFor(rung, full.Layers())
-			// A client that declared a held prefix gets only the
-			// enhancement delta — but only when its token proves the held
-			// bytes are this very block (looped playback revisits frames;
-			// a stale prefix silently corrupts the reassembly otherwise).
-			if c.layers && ref.HaveLayers > 0 && int(ref.HaveLayers) < want &&
-				ref.Token == codec.HashBytes(full.Prefix(int(ref.HaveLayers)))[0] {
-				k.base = int(ref.HaveLayers)
-			}
+		if full == nil {
+			continue
+		}
+		want := lad.LayersFor(rung, full.Layers())
+		// A client that declared a held prefix gets only the enhancement
+		// delta — but only when its token proves the held bytes are this
+		// very block (looped playback revisits frames; a stale prefix
+		// silently corrupts the reassembly otherwise).
+		if c.layers && ref.HaveLayers > 0 && int(ref.HaveLayers) < want &&
+			ref.Token == codec.HashBytes(full.Prefix(int(ref.HaveLayers)))[0] {
+			k.base = int(ref.HaveLayers)
 		}
 		b := s.cache.lookup(req.Frame, k)
 		if b != nil {
 			s.cPullHits.Inc()
 		} else {
-			m := &wire.CellData{
-				Frame:  req.Frame,
-				CellID: ref.CellID,
-				Stride: tier.WireStride(k.stride),
-			}
-			if layered {
-				if k.base > 0 {
-					m.Payload = full.Delta(k.base, want)
-				} else {
-					m.Payload = full.Prefix(want)
-				}
-				m.Layers, m.BaseLayers = uint8(want), uint8(k.base)
-			} else {
-				blk := s.resolveBlock(fi, k.id, k.stride)
-				if blk == nil {
-					continue
-				}
-				m.Payload = blk.Data
-			}
 			var err error
-			b, err = wire.NewBuffer(m)
+			b, err = wire.NewBuffer(&wire.CellData{
+				Frame:      req.Frame,
+				CellID:     ref.CellID,
+				Stride:     tier.WireStride(k.stride),
+				Payload:    layerPayload(full, k.base, want),
+				Layers:     uint8(want),
+				BaseLayers: uint8(k.base),
+			})
 			if err != nil {
 				cfg.Metrics.Counter("hub.serialize.errors").Inc()
 				continue

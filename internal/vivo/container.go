@@ -28,14 +28,19 @@ import (
 //	nstrides uvarint, then each stride as uvarint
 //	per frame:
 //	  occupied count + delta-varint cell IDs
-//	  per stride: block count, then per block:
-//	    cellID uvarint, numPoints uvarint, payload len uvarint, payload
-//	crc-less: each codec block already carries its own checksum.
+//	  block count, then per block (ascending cell ID, once — every rung
+//	  is a layer prefix of it):
+//	    layers uvarint, per-layer point count × uvarint,
+//	    payload len uvarint, payload
+//	crc-less: each codec block already carries its own checksums. The
+//	cell ID, point count and layer offsets are read back out of the
+//	block header (codec.ParseBlock).
 
 var storeMagic = [6]byte{'V', 'C', 'S', 'T', 'O', 'R'}
 
-// storeVersion is the current container version.
-const storeVersion = 1
+// storeVersion is the current container version. Version 1 stored every
+// rung's prefix as a block of its own, without the layer tables.
+const storeVersion = 2
 
 // Errors returned by the container codec.
 var (
@@ -102,23 +107,29 @@ func WriteStore(w io.Writer, s *Store) error {
 			}
 			prev = int64(id)
 		}
-		for _, stride := range s.strides {
-			blocks := fb.ByStride[stride]
-			if err := put(uint64(len(blocks))); err != nil {
+		blocks := fb.ByStride[s.strides[0]]
+		if err := put(uint64(len(blocks))); err != nil {
+			return err
+		}
+		// Deterministic order: ascending cell ID via the occupied set.
+		for _, id := range ids {
+			blk, ok := blocks[id]
+			if !ok {
+				continue
+			}
+			if err := put(uint64(blk.Layers())); err != nil {
 				return err
 			}
-			// Deterministic order: ascending cell ID via the occupied set.
-			for _, id := range ids {
-				blk, ok := blocks[id]
-				if !ok {
-					continue
-				}
-				if err := put(uint64(blk.CellID), uint64(blk.NumPoints), uint64(len(blk.Data))); err != nil {
+			for _, n := range blk.LayerPoints {
+				if err := put(uint64(n)); err != nil {
 					return err
 				}
-				if _, err := bw.Write(blk.Data); err != nil {
-					return err
-				}
+			}
+			if err := put(uint64(len(blk.Data))); err != nil {
+				return err
+			}
+			if _, err := bw.Write(blk.Data); err != nil {
+				return err
 			}
 		}
 	}
@@ -140,7 +151,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadContainer, err)
 	}
 	if ver != storeVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadContainer, ver)
+		return nil, fmt.Errorf("%w: version %d, this build reads %d — re-pack the content with volpack", ErrBadContainer, ver, storeVersion)
 	}
 	get := func() (uint64, error) { return binary.ReadUvarint(br) }
 	getF := func() (float64, error) {
@@ -221,29 +232,42 @@ func ReadStore(r io.Reader) (*Store, error) {
 			}
 			occ.Add(cell.ID(prev))
 		}
-		fb := &FrameBlocks{Occupied: occ, ByStride: map[int]map[cell.ID]*codec.Block{}}
-		for _, stride := range strides {
-			n, err := get()
-			if err != nil || n > uint64(maxCells) {
-				return nil, fmt.Errorf("%w: frame %d stride %d count", ErrBadContainer, f, stride)
-			}
-			m := make(map[cell.ID]*codec.Block, n)
-			for i := uint64(0); i < n; i++ {
-				id, err1 := get()
-				np, err2 := get()
-				plen, err3 := get()
-				if err1 != nil || err2 != nil || err3 != nil ||
-					id >= uint64(maxCells) || plen > 64<<20 {
-					return nil, fmt.Errorf("%w: frame %d block header", ErrBadContainer, f)
-				}
-				data := make([]byte, plen)
-				if _, err := io.ReadFull(br, data); err != nil {
-					return nil, fmt.Errorf("%w: frame %d payload: %v", ErrBadContainer, f, err)
-				}
-				m[cell.ID(id)] = &codec.Block{CellID: cell.ID(id), NumPoints: int(np), Data: data}
-			}
-			fb.ByStride[stride] = m
+		n, err := get()
+		if err != nil || n > nOcc {
+			return nil, fmt.Errorf("%w: frame %d block count", ErrBadContainer, f)
 		}
+		full := make(map[cell.ID]*codec.Block, n)
+		for i := uint64(0); i < n; i++ {
+			layers, err := get()
+			if err != nil || layers == 0 || layers > 16 {
+				return nil, fmt.Errorf("%w: frame %d block layers", ErrBadContainer, f)
+			}
+			layerPoints := make([]int, layers)
+			for t := range layerPoints {
+				np, err := get()
+				if err != nil || np > math.MaxInt32 {
+					return nil, fmt.Errorf("%w: frame %d layer points", ErrBadContainer, f)
+				}
+				layerPoints[t] = int(np)
+			}
+			plen, err := get()
+			if err != nil || plen > 64<<20 {
+				return nil, fmt.Errorf("%w: frame %d payload length", ErrBadContainer, f)
+			}
+			data := make([]byte, plen)
+			if _, err := io.ReadFull(br, data); err != nil {
+				return nil, fmt.Errorf("%w: frame %d payload: %v", ErrBadContainer, f, err)
+			}
+			blk, err := codec.ParseBlock(data, layerPoints)
+			if err != nil {
+				return nil, fmt.Errorf("%w: frame %d block: %v", ErrBadContainer, f, err)
+			}
+			if !occ.Contains(blk.CellID) {
+				return nil, fmt.Errorf("%w: frame %d block for unoccupied cell %d", ErrBadContainer, f, blk.CellID)
+			}
+			full[blk.CellID] = blk
+		}
+		fb := &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, st.ladder)}
 		st.frames = append(st.frames, fb)
 	}
 	return st, nil

@@ -2,6 +2,8 @@ package vivo
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +36,15 @@ func TestContainerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteStore(&buf, orig); err != nil {
 		t.Fatal(err)
+	}
+	// One block per cell, not one per rung: the container is the stride-1
+	// payload plus a few varints per block.
+	payload := 0
+	for f := 0; f < orig.NumFrames(); f++ {
+		payload += orig.FrameBytes(f)
+	}
+	if float64(buf.Len()) > 1.05*float64(payload) {
+		t.Errorf("container is %d B for %d B of stride-1 payload (> 1.05x)", buf.Len(), payload)
 	}
 	got, err := ReadStore(&buf)
 	if err != nil {
@@ -68,6 +79,29 @@ func TestContainerRoundTrip(t *testing.T) {
 				if !bytes.Equal(gb.Data, ob.Data) || gb.NumPoints != ob.NumPoints {
 					t.Fatalf("frame %d stride %d cell %d payload mismatch", f, stride, id)
 				}
+				// The reloaded block is the same layered block, not a flat
+				// copy of its bytes: same tiers, same prefixes, same deltas.
+				if gb.Layers() != ob.Layers() || !slices.Equal(gb.LayerPoints, ob.LayerPoints) ||
+					!slices.Equal(gb.LayerOffsets, ob.LayerOffsets) {
+					t.Fatalf("frame %d stride %d cell %d: layers %d %v %v, built %d %v %v", f, stride, id,
+						gb.Layers(), gb.LayerPoints, gb.LayerOffsets, ob.Layers(), ob.LayerPoints, ob.LayerOffsets)
+				}
+				for tr := 1; tr <= ob.Layers(); tr++ {
+					if !bytes.Equal(gb.Prefix(tr), ob.Prefix(tr)) {
+						t.Fatalf("frame %d stride %d cell %d: Prefix(%d) differs", f, stride, id, tr)
+					}
+				}
+				for _, from := range os {
+					if g, o := got.UpgradeBytes(f, id, from, stride), orig.UpgradeBytes(f, id, from, stride); g != o {
+						t.Fatalf("frame %d cell %d: UpgradeBytes(%d→%d) = %d, built store %d", f, id, from, stride, g, o)
+					}
+				}
+			}
+		}
+		// A full upgrade is never free.
+		for id := range ofb.ByStride[1] {
+			if got.UpgradeBytes(f, id, os[len(os)-1], 1) <= 0 {
+				t.Fatalf("frame %d cell %d: upgrade from the coarsest rung priced at 0 bytes", f, id)
 			}
 		}
 	}
@@ -90,6 +124,11 @@ func TestContainerRejectsGarbage(t *testing.T) {
 		if _, err := ReadStore(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	// A version-1 file (one offset-less block per rung) names the fix.
+	_, err := ReadStore(strings.NewReader("VCSTOR\x01\x1e\x02"))
+	if !errors.Is(err, ErrBadContainer) || !strings.Contains(err.Error(), "volpack") {
+		t.Errorf("version-1 container: %v, want ErrBadContainer naming volpack", err)
 	}
 }
 

@@ -16,11 +16,10 @@ import (
 )
 
 // FrameBlocks holds one frame's encoded cells at every prepared density
-// stride, as a content server would store them. With the layered codec
-// (the default for multi-rung ladders) every stride's block is a tier
-// view of one shared layered encode: the entries of coarser strides
-// alias prefixes of the stride-1 block's buffer rather than holding
-// independent encodes.
+// stride, as a content server would store them. Every stride's block is
+// a tier view of one shared layered encode: the entries of coarser
+// strides alias prefixes of the stride-1 block's buffer rather than
+// holding independent encodes.
 type FrameBlocks struct {
 	// Occupied is the frame's occupied-cell set.
 	Occupied *cell.Set
@@ -46,12 +45,11 @@ type Store struct {
 // include 1 (full density); it is sorted and deduplicated. Frame slots
 // are filled by index, so the store is identical for any pool width.
 //
-// With more than one rung, each cell is encoded exactly once as a
-// layered block of len(strides) layers and every rung is served as a
-// layer-prefix view of that block — one encode serves every tier, and a
-// coarse rung's bytes alias the dense rung's buffer. An encoder that
-// already requests layering (Params.Layers > 0) keeps its own layer
-// count.
+// Each cell is encoded exactly once as a block of len(strides) layers
+// and every rung is served as a layer-prefix view of that block — one
+// encode serves every tier, and a coarse rung's bytes alias the dense
+// rung's buffer. An encoder whose layer count is already set
+// (Params.Layers > 0) keeps it.
 //
 // Unless the encoder already carries a cache, encoding runs through the
 // process-wide content-addressed encode tier (internal/blockcache), so
@@ -65,9 +63,7 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	if enc.Cache == nil {
 		enc = enc.Cached(blockcache.Blocks())
 	}
-	if len(ss) > 1 {
-		enc = enc.Layered(uint8(len(ss)))
-	}
+	enc = enc.Layered(uint8(len(ss)))
 	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS, frames: make([]*FrameBlocks, len(v.Frames))}
 
 	// Wall-clock sampling happens inside the obs/metrics layers (Begin/End,
@@ -80,7 +76,7 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	if err := par.ForEach(context.Background(), len(v.Frames), func(fi int) error {
 		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
 		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
-		st.frames[fi] = encodeFrame(v.Frames[fi], g, enc, ss)
+		st.frames[fi] = encodeFrame(v.Frames[fi], g, enc, st.ladder)
 		stopFrame()
 		sp.End()
 		return nil
@@ -93,10 +89,9 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 }
 
 // NewStore assembles a store from pre-built frames — the ingestion path
-// for content encoded elsewhere (and the way tests construct stores with
-// deliberately incomplete rung maps). The strides slice must include 1
-// and is sorted and deduplicated; each frame's ByStride maps are used as
-// given, holes included.
+// for content encoded elsewhere. The strides slice must include 1 and is
+// sorted and deduplicated; each frame's ByStride maps are used as given
+// (the densest rung's map is what the serving paths slice).
 func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Store, error) {
 	ss := dedupSorted(strides)
 	if len(ss) == 0 || ss[0] != 1 {
@@ -107,48 +102,31 @@ func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Sto
 
 // encodeFrame partitions and encodes one frame: each cell once, with
 // every coarser stride's entry a layer-prefix view of the full block.
-// A single-rung ladder (or a non-layered encoder) keeps the flat
-// one-encode-per-stride path.
-func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, ss []int) *FrameBlocks {
+func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad tier.Ladder) *FrameBlocks {
 	parts := g.Partition(frame)
-	fb := &FrameBlocks{
-		Occupied: cell.NewSet(g.NumCells()),
-		ByStride: make(map[int]map[cell.ID]*codec.Block, len(ss)),
+	occ := cell.NewSet(g.NumCells())
+	full := make(map[cell.ID]*codec.Block, len(parts))
+	for id, idxs := range parts {
+		occ.Add(id)
+		full[id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
 	}
-	for id := range parts {
-		fb.Occupied.Add(id)
-	}
-	if enc.Params().Layers > 0 {
-		full := make(map[cell.ID]*codec.Block, len(parts))
-		for id, idxs := range parts {
-			full[id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
+	return &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, lad)}
+}
+
+// rungMaps presents one frame's blocks at every prepared stride: the
+// densest rung holds the blocks themselves, each coarser rung their
+// layer-prefix views.
+func rungMaps(full map[cell.ID]*codec.Block, lad tier.Ladder) map[int]map[cell.ID]*codec.Block {
+	by := make(map[int]map[cell.ID]*codec.Block, lad.Rungs())
+	by[lad.StrideAt(0)] = full
+	for r := 1; r < lad.Rungs(); r++ {
+		m := make(map[cell.ID]*codec.Block, len(full))
+		for id, b := range full {
+			m[id] = b.TierView(lad.LayersFor(r, b.Layers()))
 		}
-		fb.ByStride[ss[0]] = full
-		lad := tier.New(ss)
-		for r := 1; r < len(ss); r++ {
-			m := make(map[cell.ID]*codec.Block, len(full))
-			for id, b := range full {
-				m[id] = b.TierView(lad.LayersFor(r, b.Layers()))
-			}
-			fb.ByStride[ss[r]] = m
-		}
-		return fb
+		by[lad.StrideAt(r)] = m
 	}
-	for _, stride := range ss {
-		m := make(map[cell.ID]*codec.Block, len(parts))
-		for id, idxs := range parts {
-			sub := idxs
-			if stride > 1 {
-				sub = sub[:0:0]
-				for i := 0; i < len(idxs); i += stride {
-					sub = append(sub, idxs[i])
-				}
-			}
-			m[id] = enc.EncodeCell(id, frame, sub, g.Bounds(id))
-		}
-		fb.ByStride[stride] = m
-	}
-	return fb
+	return by
 }
 
 func dedupSorted(in []int) []int {
@@ -200,9 +178,8 @@ func (s *Store) nearestStride(stride int) int {
 }
 
 // Block returns the encoded block of a cell at (the nearest prepared
-// stride to) the requested stride, or nil when the cell is unoccupied.
-// With a layered store the returned block is a layer-prefix view of the
-// cell's single encode.
+// stride to) the requested stride — a layer-prefix view of the cell's
+// single encode — or nil when the cell is unoccupied.
 func (s *Store) Block(fi int, id cell.ID, stride int) *codec.Block {
 	fb := s.Frame(fi)
 	if fb == nil {
@@ -223,10 +200,9 @@ func (s *Store) LayeredBlock(fi int, id cell.ID) *codec.Block {
 }
 
 // UpgradeBytes returns the bytes a subscriber already holding a cell at
-// fromStride must receive to reach toStride: with layered blocks only
-// the enhancement delta between the two tiers' prefixes, with flat
-// blocks a full re-send of the finer rung. Downgrades (and unoccupied
-// cells) cost zero.
+// fromStride must receive to reach toStride: the enhancement delta
+// between the two tiers' prefixes. Downgrades (and unoccupied cells)
+// cost zero.
 func (s *Store) UpgradeBytes(fi int, id cell.ID, fromStride, toStride int) int {
 	b := s.LayeredBlock(fi, id)
 	if b == nil {
@@ -234,16 +210,7 @@ func (s *Store) UpgradeBytes(fi int, id cell.ID, fromStride, toStride int) int {
 	}
 	from := s.ladder.LayersFor(s.ladder.RungFor(fromStride), b.Layers())
 	to := s.ladder.LayersFor(s.ladder.RungFor(toStride), b.Layers())
-	if to <= from {
-		return 0
-	}
-	if b.Layers() > 1 {
-		return len(b.Delta(from, to))
-	}
-	if blk := s.Block(fi, id, toStride); blk != nil {
-		return blk.Size()
-	}
-	return 0
+	return len(b.Delta(from, to))
 }
 
 // SizeOracle returns a Request.Bytes oracle for frame fi.

@@ -11,10 +11,10 @@ import (
 const maxPooledBuffer = 1 << 20
 
 // Buffer is a pooled, reference-counted framing buffer holding one (or
-// more) wire-framed messages. It is the allocation-free counterpart of
-// EncodeMessage for the hot send path: NewBuffer draws the backing array
-// from a sync.Pool, the fan-out tree retains one reference per reader,
-// and the last Release returns the array to the pool.
+// more) wire-framed messages, the allocation-free framing of the send
+// path: NewBuffer draws the backing array from a sync.Pool, the fan-out
+// tree retains one reference per reader, and the last Release returns
+// the array to the pool.
 //
 // Ownership rules (enforced interprocedurally by the vollint bufown
 // check across the hub, transport and wire packages):

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func TestAppendMessageMatchesEncodeMessage(t *testing.T) {
+func TestAppendMessageMatchesWriteMessage(t *testing.T) {
 	msgs := []Message{
 		&Hello{ClientID: 9, Name: "p", Scene: 2},
 		&CellData{Frame: 3, CellID: 7, Stride: 2, Multicast: true, Payload: []byte{1, 2, 3, 4}},
@@ -15,16 +15,16 @@ func TestAppendMessageMatchesEncodeMessage(t *testing.T) {
 	}
 	var batch []byte
 	for _, m := range msgs {
-		want, err := EncodeMessage(m)
-		if err != nil {
+		var want bytes.Buffer
+		if err := WriteMessage(&want, m); err != nil {
 			t.Fatal(err)
 		}
 		got, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%v: append %x != encode %x", m.Type(), got, want)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%v: append %x != written %x", m.Type(), got, want.Bytes())
 		}
 		batch, err = AppendMessage(batch, m)
 		if err != nil {
@@ -68,7 +68,7 @@ func TestBufferRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := EncodeMessage(m)
+	want, _ := AppendMessage(nil, m)
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Fatalf("buffer bytes %x != %x", b.Bytes(), want)
 	}
@@ -157,16 +157,5 @@ func BenchmarkBufferEncodeRelease(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf.Release()
-	}
-}
-
-func BenchmarkEncodeMessage(b *testing.B) {
-	m := &CellData{Frame: 1, CellID: 2, Stride: 1, Payload: make([]byte, 1024)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeMessage(m); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

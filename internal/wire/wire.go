@@ -531,11 +531,11 @@ func newMessage(t MsgType) (Message, error) {
 }
 
 // AppendMessage frames one message onto dst and returns the extended
-// slice — the append-style core of the codec. Unlike EncodeMessage it
-// allocates nothing when dst has capacity, which is what lets pooled
-// buffers (see Buffer) and batch framing reuse one backing array across
-// messages. Multiple messages may be framed back to back onto the same
-// slice; a reader consumes them as a valid stream.
+// slice — the append-style core of the codec. It allocates nothing when
+// dst has capacity, which is what lets pooled buffers (see Buffer) and
+// batch framing reuse one backing array across messages. Multiple
+// messages may be framed back to back onto the same slice; a reader
+// consumes them as a valid stream.
 //
 //vollint:hotpath
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
@@ -551,25 +551,14 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeMessage frames one message into a standalone, freshly allocated
-// buffer — exactly the bytes WriteMessage puts on the wire, and
-// WriteMessage is its one caller outside tests. The hub's fan-out frames
-// into pooled Buffers through AppendMessage instead.
-func EncodeMessage(m Message) ([]byte, error) {
-	buf, err := AppendMessage(make([]byte, 0, 5+64), m)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// WriteMessage frames and writes one message.
+// WriteMessage frames one message into a pooled Buffer and writes it.
 func WriteMessage(w io.Writer, m Message) error {
-	buf, err := EncodeMessage(m)
+	b, err := NewBuffer(m)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
+	_, err = w.Write(b.Bytes())
+	b.Release()
 	return err
 }
 

@@ -67,7 +67,7 @@ func TestHelloLegacyWithoutSceneParsesSceneZero(t *testing.T) {
 	}
 }
 
-func TestEncodeMessageMatchesWriteMessage(t *testing.T) {
+func TestWriteMessageMatchesAppendMessage(t *testing.T) {
 	msgs := []Message{
 		&Hello{ClientID: 9, Name: "enc", Scene: 2},
 		&CellData{Frame: 4, CellID: 7, Stride: 2, Multicast: true, Payload: []byte{1, 2, 3}},
@@ -75,7 +75,7 @@ func TestEncodeMessageMatchesWriteMessage(t *testing.T) {
 		&Ping{Seq: 1, T: 123},
 	}
 	for _, m := range msgs {
-		enc, err := EncodeMessage(m)
+		enc, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestEncodeMessageMatchesWriteMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(enc, buf.Bytes()) {
-			t.Errorf("%v: EncodeMessage differs from WriteMessage bytes", m.Type())
+			t.Errorf("%v: AppendMessage differs from WriteMessage bytes", m.Type())
 		}
 		got, err := ReadMessage(bytes.NewReader(enc))
 		if err != nil {
