@@ -594,8 +594,6 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 	s.cDisconnects = h.cfg.Metrics.Counter(prefix + "disconnects")
 	s.cDropsEnqueue = h.cfg.Metrics.Counter(prefix + "drops.enqueue")
 	s.cDropsSlow = h.cfg.Metrics.Counter(prefix + "drops.slowclient")
-	s.cPullHits = h.cfg.Metrics.Counter(prefix + "pull.hits")
-	s.cPullMisses = h.cfg.Metrics.Counter(prefix + "pull.misses")
 	s.cViolCull = h.cfg.Metrics.Counter(prefix + "budget_violations.cull")
 	s.cViolSerialize = h.cfg.Metrics.Counter(prefix + "budget_violations.serialize")
 	s.cViolSend = h.cfg.Metrics.Counter(prefix + "budget_violations.send")

@@ -105,6 +105,40 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestStoreValidation covers what the transport.Server facade used to
+// reject at construction: a hub needs a store factory, and a factory that
+// yields no content (nil, zero frames, an error) fails the first join —
+// the client is turned away before Welcome and no session is hosted.
+func TestStoreValidation(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Error("hub without a NewStore factory accepted")
+	}
+	for name, factory := range map[string]func(uint32, codec.BlockCache) (*vivo.Store, error){
+		"nil store":   func(uint32, codec.BlockCache) (*vivo.Store, error) { return nil, nil },
+		"empty store": func(uint32, codec.BlockCache) (*vivo.Store, error) { return &vivo.Store{}, nil },
+		"build error": func(uint32, codec.BlockCache) (*vivo.Store, error) { return nil, io.ErrUnexpectedEOF },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, addr := startHub(t, Config{NewStore: factory, HeartbeatEvery: -1, ReapAfter: -1})
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := wire.WriteMessage(conn, &wire.Hello{ClientID: 1, Name: "raw"}); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if msg, err := wire.ReadMessage(conn); err == nil {
+				t.Errorf("join answered with %v, want the connection closed", msg.Type())
+			}
+			if n := h.NumSessions(); n != 0 {
+				t.Errorf("NumSessions = %d after a failed first join", n)
+			}
+		})
+	}
+}
+
 func TestConcurrentJoinDistinctScenes(t *testing.T) {
 	snap := leakcheck.Take()
 	var builds atomic.Int64

@@ -3,6 +3,7 @@ package hub
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"volcast/internal/cell"
@@ -17,7 +18,7 @@ import (
 // bareSession builds a hub + session pair without a listener or frame
 // loop: tests drive pushFrame by hand and read subscribers' outbound
 // queues directly.
-func bareSession(t *testing.T, cfg Config) (*Hub, *session) {
+func bareSession(t testing.TB, cfg Config) (*Hub, *session) {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -36,7 +37,6 @@ func bareSession(t *testing.T, cfg Config) (*Hub, *session) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		s.cache.close()
 		s.cancel()
 		h.cancel()
 	})
@@ -324,4 +324,80 @@ func TestAdaptDwellStopsFlapping(t *testing.T) {
 		t.Errorf("level changed %d times in %d oscillating calls, want <= %d", changes, calls, max)
 	}
 	drainMsgs(t, c)
+}
+
+// TestPullMatchesPush pins the one delivery path from both ends: a pull
+// request and a push subscriber owed the same (cell, rung) receive the
+// same CellData — as a full prefix, and as an enhancement delta once the
+// push side's delivery memory and the pull side's token each prove the
+// held base layer — differing only in the multicast bit, which a pull
+// request (one client's own choice) never carries. A token that does not
+// match the held bytes gets the full prefix, never a delta.
+func TestPullMatchesPush(t *testing.T) {
+	_, s := bareSession(t, Config{NewStore: testFactory(nil), Vanilla: true})
+	push, other := bareSub(1, true), bareSub(1, true)
+	if !s.addSub(push) || !s.addSub(other) {
+		t.Fatal("addSub")
+	}
+	pull := bareSub(0, true)
+	pull.pull = true
+
+	// request asks for every cell the push side was just sent, at stride,
+	// declaring `have` held layers proven by token(cell).
+	request := func(pushed []*wire.CellData, stride, have uint8, token func(cell.ID) uint64) []*wire.CellData {
+		req := &wire.SegmentRequest{Frame: 0}
+		for _, cd := range pushed {
+			ref := wire.CellRef{CellID: cd.CellID, Stride: stride, HaveLayers: have}
+			if have > 0 {
+				ref.Token = token(cell.ID(cd.CellID))
+			}
+			req.Cells = append(req.Cells, ref)
+		}
+		s.servePull(pull, req)
+		return cellDatas(drainMsgs(t, pull))
+	}
+	same := func(what string, pushed, pulled []*wire.CellData, wantBase uint8) {
+		t.Helper()
+		if len(pushed) == 0 || len(pushed) != len(pulled) {
+			t.Fatalf("%s: push delivered %d cells, pull %d", what, len(pushed), len(pulled))
+		}
+		for i, cd := range pushed {
+			if !cd.Multicast || pulled[i].Multicast {
+				t.Errorf("%s cell %d: multicast push=%v pull=%v, want true/false", what, cd.CellID, cd.Multicast, pulled[i].Multicast)
+			}
+			if cd.BaseLayers != wantBase {
+				t.Errorf("%s cell %d: push BaseLayers = %d, want %d", what, cd.CellID, cd.BaseLayers, wantBase)
+			}
+			want := *cd
+			want.Multicast = false
+			if !reflect.DeepEqual(&want, pulled[i]) {
+				t.Errorf("%s cell %d: pull CellData differs from push beyond the multicast bit", what, cd.CellID)
+			}
+		}
+	}
+	heldToken := func(id cell.ID) uint64 {
+		return codec.HashBytes(s.store.LayeredBlock(0, id).Prefix(1))[0]
+	}
+
+	// Coarse rung, nothing held: the full base-layer prefix.
+	s.pushFrame(0)
+	drainMsgs(t, other)
+	pushed := cellDatas(drainMsgs(t, push))
+	same("full", pushed, request(pushed, 2, 0, nil), 0)
+
+	// Same content at the fine rung, base layer held: the delta.
+	for _, c := range []*subscriber{push, other} {
+		c.degrade = 0
+	}
+	s.pushFrame(0)
+	drainMsgs(t, other)
+	pushed = cellDatas(drainMsgs(t, push))
+	same("delta", pushed, request(pushed, 1, 1, heldToken), 1)
+
+	// A token for bytes the client does not hold must not yield a delta.
+	for _, cd := range request(pushed, 1, 1, func(id cell.ID) uint64 { return heldToken(id) + 1 }) {
+		if cd.BaseLayers != 0 {
+			t.Errorf("cell %d: stale token answered with a delta (base %d)", cd.CellID, cd.BaseLayers)
+		}
+	}
 }

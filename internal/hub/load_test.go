@@ -1,8 +1,8 @@
 package hub_test
 
-// The load smoke lives in an external test package so it can drive the
-// hub with real transport clients: transport imports hub (the Server
-// facade), so an in-package test could not import transport back.
+// The load smoke lives in an external test package: it drives the hub
+// the way a deployment does, through its exported surface and with real
+// transport clients.
 
 import (
 	"context"

@@ -221,99 +221,6 @@ func TestWriterShortWrite(t *testing.T) {
 
 func addr(ln net.Listener) string { return ln.Addr().String() }
 
-// TestServePullReusesSharedBuffers: two pull clients requesting the same
-// frame must share serialized buffers — the first populates the frame
-// cache (misses), the second hits it — and both must receive identical
-// payload bytes.
-func TestServePullReusesSharedBuffers(t *testing.T) {
-	snap := leakcheck.Take()
-	reg := metrics.NewRegistry()
-	h, hubAddr := startHub(t, Config{
-		NewStore: testFactory(nil), HeartbeatEvery: -1, ReapAfter: -1,
-		Metrics: reg,
-	})
-
-	store, err := testFactory(nil)(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refs []wire.CellRef
-	for _, cr := range vivo.VanillaRequest(store.Frame(0).Occupied).Cells {
-		refs = append(refs, wire.CellRef{CellID: uint32(cr.ID), Stride: uint8(cr.Stride)})
-	}
-
-	pullJoin := func(id uint32) net.Conn {
-		conn, err := net.DialTimeout("tcp", hubAddr, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.WriteMessage(conn, &wire.Hello{
-			ClientID: id, Name: "pull", Flags: wire.HelloFlagPull,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if msg, err := wire.ReadMessage(conn); err != nil {
-			t.Fatal(err)
-		} else if _, ok := msg.(*wire.Welcome); !ok {
-			t.Fatalf("expected Welcome, got %v", msg.Type())
-		}
-		return conn
-	}
-	fetch := func(conn net.Conn) map[uint32][]byte {
-		if err := wire.WriteMessage(conn, &wire.SegmentRequest{Frame: 0, Cells: refs}); err != nil {
-			t.Fatal(err)
-		}
-		got := map[uint32][]byte{}
-		for {
-			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			msg, err := wire.ReadMessage(conn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch m := msg.(type) {
-			case *wire.CellData:
-				got[m.CellID] = m.Payload
-			case *wire.FrameComplete:
-				if int(m.Cells) != len(got) {
-					t.Errorf("FrameComplete.Cells = %d, received %d", m.Cells, len(got))
-				}
-				return got
-			}
-		}
-	}
-
-	c1 := pullJoin(1)
-	got1 := fetch(c1)
-	counters := reg.Snapshot().Counters
-	if misses := counters["hub.session.0.pull.misses"]; misses == 0 {
-		t.Error("first pull recorded no cache misses")
-	}
-	if hits := counters["hub.session.0.pull.hits"]; hits != 0 {
-		t.Errorf("first pull recorded %d hits on a cold cache", hits)
-	}
-
-	c2 := pullJoin(2)
-	got2 := fetch(c2)
-	counters = reg.Snapshot().Counters
-	if hits := counters["hub.session.0.pull.hits"]; hits != int64(len(refs)) {
-		t.Errorf("second pull hits = %d, want %d (full reuse)", hits, len(refs))
-	}
-	if len(got1) != len(got2) || len(got1) == 0 {
-		t.Fatalf("pull clients received %d vs %d cells", len(got1), len(got2))
-	}
-	for id, p1 := range got1 {
-		if !bytes.Equal(p1, got2[id]) {
-			t.Errorf("cell %d: payload diverges between pull clients", id)
-		}
-	}
-
-	c1.Close()
-	c2.Close()
-	h.Shutdown()
-	snap.Check(t)
-}
-
 // BenchmarkWriterSteadyState measures the per-message cost of the full
 // hub send path — pooled framing, enqueue, vectored writer — against a
 // live TCP loopback. The acceptance bar is zero allocations per message
@@ -401,6 +308,43 @@ func BenchmarkWriterSteadyState(b *testing.B) {
 	<-writerDone
 	conn.Close()
 	<-drained
+}
+
+// BenchmarkPushFrame measures one tick of the served path — cull, adapt,
+// resolve, deliver — for 4 and 16 subscribers whose queues are emptied
+// after every frame, so no enqueue ever drops. The subscribers are
+// never-seen (whole-frame requests) and alternate between the full rung
+// for the layer-aware and the coarse rung for the legacy, so a frame
+// frames every cell at two rungs and fans each out to half the set.
+func BenchmarkPushFrame(b *testing.B) {
+	for _, n := range []int{4, 16} {
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			_, s := bareSession(b, Config{NewStore: testFactory(nil), Logf: func(string, ...any) {}})
+			subs := make([]*subscriber, n)
+			for i := range subs {
+				subs[i] = bareSub(i%2, i%2 == 0)
+				subs[i].sub = uint32(i + 1)
+				if !s.addSub(subs[i]) {
+					b.Fatal("addSub")
+				}
+			}
+			drain := func() {
+				for _, c := range subs {
+					for len(c.out) > 0 {
+						(<-c.out).buf.Release()
+					}
+				}
+			}
+			s.pushFrame(0)
+			drain()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.pushFrame(i)
+				drain()
+			}
+		})
+	}
 }
 
 // TestEnqueueDropUsesHoistedCounter pins the hot-path counter hoist:

@@ -12,7 +12,6 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
-	"volcast/internal/par"
 	"volcast/internal/tier"
 	"volcast/internal/vivo"
 	"volcast/internal/wire"
@@ -45,17 +44,11 @@ type session struct {
 	// done closes when frameLoop exits; the reaper waits on it.
 	done chan struct{}
 
-	// cache holds the latest frame's serialized cell buffers so pull
-	// requests for the frame being pushed reuse them instead of
-	// re-encoding.
-	cache frameCache
-
 	// Per-session counters (hub.session.<scene>.*), resolved once at
 	// build time so the frame loop never does registry lookups.
 	cFrames, cCells, cBytes   *metrics.Counter
 	cConnects, cDisconnects   *metrics.Counter
 	cDropsEnqueue, cDropsSlow *metrics.Counter
-	cPullHits, cPullMisses    *metrics.Counter
 	// Per-stage budget-violation counters
 	// (hub.session.<scene>.budget_violations.*).
 	cViolCull, cViolSerialize, cViolSend *metrics.Counter
@@ -163,98 +156,6 @@ func (c *subscriber) releaseQueued() {
 	}
 }
 
-// frameCache shares the current frame's serialized cell buffers between
-// the push fan-out and servePull: the push path installs its table after
-// each frame, pull requests for that frame reuse the bytes, and
-// pull-built buffers join the table so concurrent pull clients share
-// them too. The cache holds one reference per buffer; rotating to a
-// newer frame (or closing) releases the old table.
-type frameCache struct {
-	mu    sync.Mutex
-	frame uint32
-	valid bool
-	dead  bool
-	bufs  map[bufKey]*wire.Buffer
-}
-
-// install replaces the table with a pushed frame's buffers, taking
-// ownership of one reference per non-nil slot.
-func (fc *frameCache) install(frame uint32, keys []bufKey, slots []*wire.Buffer) {
-	m := make(map[bufKey]*wire.Buffer, len(keys))
-	for j, k := range keys {
-		if slots[j] != nil {
-			m[k] = slots[j]
-		}
-	}
-	fc.mu.Lock()
-	if fc.dead {
-		fc.mu.Unlock()
-		for _, b := range m {
-			b.Release()
-		}
-		return
-	}
-	old := fc.bufs
-	fc.frame, fc.valid, fc.bufs = frame, true, m
-	fc.mu.Unlock()
-	for _, b := range old {
-		b.Release()
-	}
-}
-
-// lookup returns the cached buffer for (frame, key) with a reference
-// retained for the caller, or nil on a miss.
-func (fc *frameCache) lookup(frame uint32, k bufKey) *wire.Buffer {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if !fc.valid || fc.frame != frame {
-		return nil
-	}
-	b := fc.bufs[k]
-	if b != nil {
-		b.Retain(1)
-	}
-	return b
-}
-
-// add contributes a pull-built buffer (retaining its own reference),
-// rotating the table forward when the request outran the cached frame —
-// that is what keeps pull-only sessions, where no push installs tables,
-// sharing work across clients.
-func (fc *frameCache) add(frame uint32, k bufKey, b *wire.Buffer) {
-	var old map[bufKey]*wire.Buffer
-	fc.mu.Lock()
-	if fc.dead {
-		fc.mu.Unlock()
-		return
-	}
-	if !fc.valid || frame > fc.frame {
-		old = fc.bufs
-		fc.frame, fc.valid, fc.bufs = frame, true, map[bufKey]*wire.Buffer{}
-	}
-	if fc.frame == frame {
-		if _, ok := fc.bufs[k]; !ok {
-			b.Retain(1)
-			fc.bufs[k] = b
-		}
-	}
-	fc.mu.Unlock()
-	for _, o := range old {
-		o.Release()
-	}
-}
-
-// close releases the table and refuses further installs.
-func (fc *frameCache) close() {
-	fc.mu.Lock()
-	old := fc.bufs
-	fc.bufs, fc.valid, fc.dead = nil, false, true
-	fc.mu.Unlock()
-	for _, b := range old {
-		b.Release()
-	}
-}
-
 // addSub registers c, failing when the session was already closed (reaped
 // or shut down) so the caller re-resolves the scene.
 func (s *session) addSub(c *subscriber) bool {
@@ -341,7 +242,6 @@ func (s *session) closeAll() {
 func (s *session) frameLoop() {
 	defer s.hub.wg.Done()
 	defer close(s.done)
-	defer s.cache.close()
 	interval := time.Second / time.Duration(s.fps)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -377,254 +277,205 @@ type bufKey struct {
 	base   int
 }
 
-// slotMeta carries the planning loop's block resolution to the
-// serialization workers: the cell's full layered block and the
-// layer-prefix length the slot's rung consumes.
-type slotMeta struct {
-	blk    *codec.Block
-	layers int
+// want is one cell a subscriber is owed this frame, in the order it is
+// owed. stride is the requested density — degrade already applied, not
+// yet snapped onto the ladder — and held is what the subscriber provably
+// has of the cell: the hub's own delivery memory for a push subscriber,
+// a token-verified claim for a pull request, zero for a legacy client.
+type want struct {
+	id     cell.ID
+	stride int
+	held   sentCell
 }
 
-// pushFrame computes per-subscriber requests for one frame and fans the
-// cell bursts out as a bounded producer pipeline. Each (cell, stride) is
-// serialized exactly once into an immutable pooled buffer shared by every
-// subscriber that needs it — encode once, serialize once, enqueue N
-// times — and, unlike the old barriered path, each buffer is enqueued the
-// moment its serialization completes: a par worker pool fills the slot
-// table while the dispatcher advances per-subscriber cursors over it, so
-// the first cell's socket write overlaps the last cell's encode. Cursors
-// preserve each subscriber's visibility-ranked cell order, FrameComplete
-// stays last, and an unenqueueable subscriber degrades then drops frames
-// exactly as before. The multicast bit is stable per frame (it depends
-// only on the request overlap), so it lives inside the shared buffer too.
+// frameTable is what one frame's deliveries share: every (cell, rung,
+// delta base) is serialized on first use and each later subscriber owed
+// the same bytes retains the same buffer — encode once, serialize once,
+// enqueue N times. The table holds one reference per buffer until
+// release; a nil entry remembers a serialize error so it is counted once.
+type frameTable struct {
+	// frame is the number the wire carries; fi is the store frame it
+	// plays (frame modulo the loop length).
+	frame uint32
+	fi    int
+	// t0 is the frame's production start, from which the writer measures
+	// the delivered latency.
+	t0 time.Time
+	// shared counts the subscribers that requested each cell; more than
+	// one marks the cell multicast. The bit depends only on the request
+	// overlap, so it lives inside the shared buffer. Nil for a pull
+	// request, which is one client's own choice.
+	shared map[cell.ID]int
+	bufs   map[bufKey]*wire.Buffer
+}
+
+func (t *frameTable) release() {
+	for _, b := range t.bufs {
+		if b != nil {
+			b.Release()
+		}
+	}
+}
+
+// resolve maps one want onto store frame fi: the cell's block, the
+// prepared rung its stride snaps to (a degraded stride saturates
+// at the coarsest rung instead of wrapping the wire's uint8) and the
+// layer prefix that rung consumes. A subscriber holding a shallower
+// prefix of this very block gets a delta key (base > 0): only the
+// enhancement layers travel, the rest is already client-side. blk is nil
+// for a cell the store never ingested.
+func (s *session) resolve(fi int, w want) (k bufKey, blk *codec.Block, layers int) {
+	if blk = s.store.LayeredBlock(fi, w.id); blk == nil {
+		return k, nil, 0
+	}
+	lad := s.store.Ladder()
+	rung := lad.RungFor(w.stride)
+	k = bufKey{id: w.id, stride: lad.StrideAt(rung)}
+	layers = lad.LayersFor(rung, blk.Layers())
+	if w.held.blk == blk && w.held.layers < layers {
+		k.base = w.held.layers
+	}
+	return k, blk, layers
+}
+
+// deliver is the one path from an assignment to bytes on a subscriber's
+// queue: it walks the wants in order, serializes each through the frame's
+// table, enqueues one reference per cell and signs off with the
+// subscriber's FrameComplete. Cells the store cannot supply or the wire
+// cannot frame are skipped — FrameComplete's count tells the client what
+// it got — and a full queue ends the burst (the marker is still tried, so
+// a peer that is not draining is noticed and eventually dropped). sent,
+// when non-nil, is the subscriber's delivery memory: it records what the
+// client now holds, only on a successful enqueue, so a dropped buffer
+// leaves it describing the client's true state.
+func (s *session) deliver(c *subscriber, wants []want, t *frameTable, sent map[cell.ID]sentCell) {
+	cfg := &s.hub.cfg
+	defer cfg.Trace.Begin(int(t.frame), int(c.sub), obs.StageSerialize).End()
+	var cells, bytes uint64
+	for _, w := range wants {
+		k, blk, layers := s.resolve(t.fi, w)
+		if blk == nil {
+			continue
+		}
+		b, built := t.bufs[k]
+		if !built {
+			// Every tier of a cell slices the same encode: the base-layer
+			// bytes a degraded subscriber receives alias the full block.
+			var err error
+			b, err = wire.NewBuffer(&wire.CellData{
+				Frame:      t.frame,
+				CellID:     uint32(k.id),
+				Stride:     tier.WireStride(k.stride),
+				Multicast:  t.shared[k.id] > 1,
+				Payload:    layerPayload(blk, k.base, layers),
+				Layers:     uint8(layers),
+				BaseLayers: uint8(k.base),
+			})
+			if err != nil {
+				cfg.Metrics.Counter("hub.serialize.errors").Inc()
+				cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
+			}
+			t.bufs[k] = b
+		}
+		if b == nil {
+			continue
+		}
+		n := b.Len()
+		b.Retain(1)
+		if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
+			break
+		}
+		cells++
+		bytes += uint64(n)
+		if sent != nil {
+			sent[w.id] = sentCell{blk: blk, layers: layers}
+		}
+	}
+	fcOK := s.enqueueMsg(c, &wire.FrameComplete{Frame: t.frame, Cells: uint32(cells), Bytes: bytes}, int32(t.frame), t.t0)
+	if !fcOK {
+		// Never delivered: the writer will not see this frame, so the miss
+		// is counted here (delivered-but-late misses are the writer's).
+		s.wMisses.Add(1)
+	}
+	s.cCells.Add(int64(cells))
+	s.cBytes.Add(int64(bytes))
+	s.noteSlowClient(c, fcOK)
+}
+
+// pushFrame is one tick of the served path: cull every push subscriber's
+// viewport into a request, then for each subscriber adapt its degrade
+// level to its queue and deliver the request through a table shared for
+// the frame. Delivery is sequential — framing a cell is a header plus
+// one copy of a block prefix — and the overlap that matters survives it:
+// each subscriber's writer is its own goroutine, so the first cell is on
+// a socket while later ones are still being framed.
 func (s *session) pushFrame(frame int) {
 	subs := s.snapshotSubs()
 	if len(subs) == 0 {
 		return
 	}
 	cfg := &s.hub.cfg
-	frameStart := time.Now()
-	fi := frame % s.store.NumFrames()
-	occ := s.store.Frame(fi).Occupied
+	t := &frameTable{
+		frame:  uint32(frame),
+		fi:     frame % s.store.NumFrames(),
+		t0:     time.Now(),
+		shared: map[cell.ID]int{},
+		bufs:   map[bufKey]*wire.Buffer{},
+	}
+	defer t.release()
+	occ := s.store.Frame(t.fi).Occupied
 
 	cull := cfg.Trace.Begin(frame, obs.PipelineUser, obs.StageCull)
-	reqs := make([]vivo.Request, len(subs))
-	isPull := make([]bool, len(subs))
-	counts := map[cell.ID]int{}
-	for i, c := range subs {
+	push := subs[:0]
+	reqs := make([]vivo.Request, 0, len(subs))
+	for _, c := range subs {
 		c.mu.Lock()
 		pose, seen, pull := c.pose, c.seen, c.pull
 		c.mu.Unlock()
 		if pull {
-			isPull[i] = true
 			continue // client fetches for itself
 		}
 		if c.sent == nil {
 			c.sent = map[cell.ID]sentCell{}
 		}
+		var req vivo.Request
 		if !seen || cfg.Vanilla {
-			reqs[i] = vivo.VanillaRequest(occ)
+			req = vivo.VanillaRequest(occ)
 		} else {
-			reqs[i] = s.vis.Request(occ, pose)
+			req = s.vis.Request(occ, pose)
 		}
-		for _, cr := range reqs[i].Cells {
-			counts[cr.ID]++
+		for _, cr := range req.Cells {
+			t.shared[cr.ID]++
 		}
+		push, reqs = append(push, c), append(reqs, req)
 	}
 	cull.End()
-	if b := cfg.Trace.StageBudget(obs.StageCull); b > 0 && time.Since(frameStart) > b {
+	if b := cfg.Trace.StageBudget(obs.StageCull); b > 0 && time.Since(t.t0) > b {
 		s.cViolCull.Inc()
 		s.wBudgetViol.Add(1)
 	}
 
-	// Plan the fan-out: dedupe (cell, rung, delta-base) triples into a
-	// slot index and give every push subscriber an ordered cursor walk
-	// over it. Degradation is decided up front (it reads the live queue
-	// depth), so the plans are immutable for the rest of the frame. The
-	// degrade shift snaps onto the prepared ladder — it saturates at the
-	// coarsest rung instead of shifting past it and wrapping the wire's
-	// uint8 stride. A layer-aware subscriber that already holds the very
-	// block at a shallower prefix gets a delta slot (base > 0): only the
-	// enhancement layers, the rest is already client-side.
 	serStart := time.Now()
 	lad := s.store.Ladder()
-	keyIdx := map[bufKey]int{}
-	var keys []bufKey
-	var meta []slotMeta
-	plans := make([][]int, len(subs))
-	for i, c := range subs {
-		if isPull[i] {
-			continue
-		}
+	var wants []want
+	for i, c := range push {
+		// Degradation reads the live queue depth, before this frame's
+		// burst lands on it.
 		degrade := s.adapt(c, len(reqs[i].Cells))
-		plan := make([]int, 0, len(reqs[i].Cells))
+		wants = wants[:0]
 		for _, cr := range reqs[i].Cells {
-			blk := s.store.LayeredBlock(fi, cr.ID)
-			if blk == nil {
-				continue // occupied but never ingested: a miss
-			}
 			eff, _ := lad.Degrade(cr.Stride, degrade)
-			rung := lad.RungFor(eff)
-			k := bufKey{id: cr.ID, stride: lad.StrideAt(rung)}
-			m := slotMeta{blk: blk, layers: lad.LayersFor(rung, blk.Layers())}
+			w := want{id: cr.ID, stride: eff}
 			if c.layers {
-				if prev, ok := c.sent[cr.ID]; ok && prev.blk == blk && prev.layers < m.layers {
-					k.base = prev.layers
-				}
+				w.held = c.sent[cr.ID]
 			}
-			idx, ok := keyIdx[k]
-			if !ok {
-				idx = len(keys)
-				keyIdx[k] = idx
-				keys = append(keys, k)
-				meta = append(meta, m)
-			}
-			plan = append(plan, idx)
+			wants = append(wants, w)
 		}
-		plans[i] = plan
-	}
-
-	// Serialize every slot once, in parallel. Workers publish completed
-	// slot indices through the buffered ready channel — the send gives the
-	// dispatcher its happens-before on the slot write. A nil slot is a
-	// serialize error. Every tier of a cell slices the same encode: the
-	// base-layer bytes degraded subscribers receive alias the full block's
-	// buffer.
-	slots := make([]*wire.Buffer, len(keys))
-	ready := make(chan int, len(keys))
-	go func() {
-		par.ForEach(s.ctx, len(keys), func(j int) error {
-			k, m := keys[j], meta[j]
-			b, err := wire.NewBuffer(&wire.CellData{
-				Frame:      uint32(frame),
-				CellID:     uint32(k.id),
-				Stride:     tier.WireStride(k.stride),
-				Multicast:  counts[k.id] > 1,
-				Payload:    layerPayload(m.blk, k.base, m.layers),
-				Layers:     uint8(m.layers),
-				BaseLayers: uint8(k.base),
-			})
-			if err != nil {
-				cfg.Metrics.Counter("hub.serialize.errors").Inc()
-				cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
-			} else {
-				slots[j] = b
-			}
-			ready <- j
-			return nil
-		})
-		close(ready)
-	}()
-
-	// Dispatch: as slots become ready, advance each subscriber's cursor
-	// past every ready-in-order cell, enqueueing the shared buffer (one
-	// reference per subscriber). A failed enqueue marks the subscriber
-	// dead for the rest of the frame — its cursor keeps advancing so the
-	// bookkeeping finishes, but nothing more is queued.
-	isReady := make([]bool, len(keys))
-	cursor := make([]int, len(subs))
-	dead := make([]bool, len(subs))
-	cells := make([]uint64, len(subs))
-	bytes := make([]uint64, len(subs))
-	advance := func(i int) {
-		c := subs[i]
-		plan := plans[i]
-		for cursor[i] < len(plan) {
-			j := plan[cursor[i]]
-			if !isReady[j] {
-				return
-			}
-			cursor[i]++
-			b := slots[j]
-			if b == nil || dead[i] {
-				continue
-			}
-			n := b.Len()
-			b.Retain(1)
-			if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
-				dead[i] = true
-				continue
-			}
-			cells[i]++
-			bytes[i] += uint64(n)
-			// Record what the client now holds — only on a successful
-			// enqueue, so a dropped buffer leaves the delivery memory
-			// describing the client's true state.
-			c.sent[keys[j].id] = sentCell{blk: meta[j].blk, layers: meta[j].layers}
-		}
-	}
-	for j := range ready {
-		isReady[j] = true
-		for i := range subs {
-			if !isPull[i] {
-				advance(i)
-			}
-		}
-	}
-	// ready closed: every slot either completed or was abandoned on
-	// shutdown. Force the cursors through whatever remains (abandoned
-	// slots read as misses).
-	for j := range isReady {
-		isReady[j] = true
-	}
-	for i := range subs {
-		if !isPull[i] {
-			advance(i)
-		}
+		s.deliver(c, wants, t, c.sent)
 	}
 	if b := cfg.Trace.StageBudget(obs.StageSerialize); b > 0 && time.Since(serStart) > b {
 		s.cViolSerialize.Inc()
 		s.wBudgetViol.Add(1)
-	}
-
-	// FrameComplete, last, per subscriber — but the payload only depends
-	// on (frame, cells, bytes), so identical verdicts share one buffer
-	// instead of being re-serialized N times.
-	type fcKey struct{ cells, bytes uint64 }
-	fcBufs := map[fcKey]*wire.Buffer{}
-	for i, c := range subs {
-		if isPull[i] {
-			continue
-		}
-		k := fcKey{cells[i], bytes[i]}
-		fb, cached := fcBufs[k]
-		if !cached {
-			var err error
-			fb, err = wire.NewBuffer(&wire.FrameComplete{
-				Frame: uint32(frame), Cells: uint32(cells[i]), Bytes: bytes[i],
-			})
-			if err != nil {
-				cfg.Metrics.Counter("hub.serialize.errors").Inc()
-				fb = nil
-			}
-			fcBufs[k] = fb
-		}
-		fcOK := false
-		if fb != nil {
-			fb.Retain(1)
-			fcOK = s.enqueue(c, outBuf{buf: fb, fc: int32(frame), t0: frameStart})
-		}
-		if !fcOK {
-			// Never delivered: the writer will not see this frame, so the
-			// miss is counted here (delivered-but-late misses are the
-			// writer's).
-			s.wMisses.Add(1)
-		}
-		cfg.Trace.Record(frame, int(c.sub), obs.StageSerialize, serStart, time.Since(serStart))
-		s.cCells.Add(int64(cells[i]))
-		s.cBytes.Add(int64(bytes[i]))
-		s.noteSlowClient(c, fcOK)
-	}
-	for _, fb := range fcBufs {
-		if fb != nil {
-			fb.Release()
-		}
-	}
-
-	// Hand the slot table (and its references) to the frame cache so pull
-	// requests for this frame reuse the serialized bytes.
-	if len(keys) > 0 {
-		s.cache.install(uint32(frame), keys, slots)
 	}
 	s.cFrames.Inc()
 }
@@ -666,6 +517,22 @@ type batchWriter struct {
 	// accounting below compares against them per delivered frame.
 	deadline   time.Duration
 	sendBudget time.Duration
+	// until, once set by drain, replaces the per-write timeout with the
+	// drain budget's absolute deadline.
+	until time.Time
+}
+
+// fill moves whatever is already queued into the batch without blocking,
+// so one wakeup's backlog coalesces into one vectored write.
+func (w *batchWriter) fill() {
+	for len(w.batch) < maxWriteBatch {
+		select {
+		case b := <-w.c.out:
+			w.batch = append(w.batch, b)
+		default:
+			return
+		}
+	}
 }
 
 // flush writes everything batched in one vectored write (net.Buffers →
@@ -684,8 +551,12 @@ func (w *batchWriter) flush() error {
 		w.scratch[i] = b.buf.Bytes()
 	}
 	nb := net.Buffers(w.scratch[:len(w.batch)])
-	w.c.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 	t0 := time.Now()
+	if w.until.IsZero() {
+		w.c.conn.SetWriteDeadline(t0.Add(cfg.WriteTimeout))
+	} else {
+		w.c.conn.SetWriteDeadline(w.until)
+	}
 	_, err := nb.WriteTo(w.c.conn)
 	if w.sendStart.IsZero() {
 		w.sendStart = t0
@@ -754,17 +625,7 @@ func (s *session) writeLoop(c *subscriber) {
 		select {
 		case b := <-c.out:
 			w.batch = append(w.batch, b)
-			// Coalesce whatever else is already queued into the same
-			// vectored write.
-		coalesce:
-			for len(w.batch) < maxWriteBatch {
-				select {
-				case nb := <-c.out:
-					w.batch = append(w.batch, nb)
-				default:
-					break coalesce
-				}
-			}
+			w.fill()
 			if !writeBatch() {
 				return
 			}
@@ -780,7 +641,7 @@ func (s *session) writeLoop(c *subscriber) {
 				return
 			}
 		case <-c.drain:
-			s.flush(c)
+			w.drain()
 			return
 		case <-c.done:
 			return
@@ -788,49 +649,25 @@ func (s *session) writeLoop(c *subscriber) {
 	}
 }
 
-// flush empties the queued buffers in vectored batches and signs off with
-// a Bye, bounded by the drain budget via per-write deadlines.
-func (s *session) flush(c *subscriber) {
-	cfg := &s.hub.cfg
-	budget := time.Now().Add(cfg.DrainTimeout)
-	batch := make([]outBuf, 0, maxWriteBatch)
-	scratch := make([][]byte, maxWriteBatch)
+// drain is the graceful close: it flushes what is queued through the same
+// batched writes — drained frames keep their send spans and windowed
+// accounting — and signs off with a Bye. Every write carries the drain
+// budget as its deadline, so a past budget fails the next write at once.
+func (w *batchWriter) drain() {
+	cfg := &w.s.hub.cfg
+	w.until = time.Now().Add(cfg.DrainTimeout)
 	for {
-		batch = batch[:0]
-	collect:
-		for len(batch) < maxWriteBatch {
-			select {
-			case b := <-c.out:
-				batch = append(batch, b)
-			default:
-				break collect
-			}
-		}
-		if len(batch) == 0 {
-			c.conn.SetWriteDeadline(budget)
-			if err := wire.WriteMessage(c.conn, &wire.Bye{}); err != nil {
+		w.fill()
+		if len(w.batch) == 0 {
+			w.c.conn.SetWriteDeadline(w.until)
+			if err := wire.WriteMessage(w.c.conn, &wire.Bye{}); err != nil {
 				// The goodbye is best-effort, but a failed one is worth
 				// counting: it means the peer vanished mid-drain.
 				cfg.Metrics.Counter("transport.drain.bye_failed").Inc()
 			}
 			return
 		}
-		if time.Now().After(budget) {
-			for _, b := range batch {
-				b.buf.Release()
-			}
-			return
-		}
-		for i, b := range batch {
-			scratch[i] = b.buf.Bytes()
-		}
-		nb := net.Buffers(scratch[:len(batch)])
-		c.conn.SetWriteDeadline(budget)
-		_, err := nb.WriteTo(c.conn)
-		for _, b := range batch {
-			b.buf.Release()
-		}
-		if err != nil {
+		if w.flush() != nil {
 			return
 		}
 	}
@@ -869,69 +706,31 @@ func (s *session) noteSlowClient(c *subscriber, fcEnqueued bool) {
 	}
 }
 
-// servePull answers a pull-mode request: the client asked for specific
-// cells (it runs its own visibility pipeline), the server returns exactly
-// those, followed by a FrameComplete marker. Unknown cells are skipped —
-// the FrameComplete's Cells count tells the client what it got. When the
-// requested frame is the one the push path just serialized (or another
-// pull client already built), the shared buffer is reused instead of
-// re-encoding; a reused push buffer may carry the multicast accounting
-// bit, which pull clients ignore.
+// servePull answers a pull-mode request: a pull is a push whose cell
+// list the client chose (it runs its own visibility pipeline), so the
+// request becomes wants and takes the same delivery path, with a table of
+// its own. Unknown cells are skipped — the FrameComplete's Cells count
+// tells the client what it got.
 func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
-	cfg := &s.hub.cfg
-	pullStart := time.Now()
-	defer cfg.Trace.Begin(int(req.Frame), int(c.sub), obs.StageSerialize).End()
 	fi := int(req.Frame) % s.store.NumFrames()
-	lad := s.store.Ladder()
-	var cells, bytes uint64
-	for _, ref := range req.Cells {
-		// Snap onto the prepared ladder so pull keys coincide with the
-		// push fan-out's and both populations share cached buffers.
-		rung := lad.RungFor(int(ref.Stride))
-		k := bufKey{id: cell.ID(ref.CellID), stride: lad.StrideAt(rung)}
-		full := s.store.LayeredBlock(fi, k.id)
-		if full == nil {
-			continue
-		}
-		want := lad.LayersFor(rung, full.Layers())
+	wants := make([]want, len(req.Cells))
+	for i, ref := range req.Cells {
+		w := want{id: cell.ID(ref.CellID), stride: int(ref.Stride)}
 		// A client that declared a held prefix gets only the enhancement
 		// delta — but only when its token proves the held bytes are this
 		// very block (looped playback revisits frames; a stale prefix
 		// silently corrupts the reassembly otherwise).
-		if c.layers && ref.HaveLayers > 0 && int(ref.HaveLayers) < want &&
-			ref.Token == codec.HashBytes(full.Prefix(int(ref.HaveLayers)))[0] {
-			k.base = int(ref.HaveLayers)
-		}
-		b := s.cache.lookup(req.Frame, k)
-		if b != nil {
-			s.cPullHits.Inc()
-		} else {
-			var err error
-			b, err = wire.NewBuffer(&wire.CellData{
-				Frame:      req.Frame,
-				CellID:     ref.CellID,
-				Stride:     tier.WireStride(k.stride),
-				Payload:    layerPayload(full, k.base, want),
-				Layers:     uint8(want),
-				BaseLayers: uint8(k.base),
-			})
-			if err != nil {
-				cfg.Metrics.Counter("hub.serialize.errors").Inc()
-				continue
+		if have := int(ref.HaveLayers); c.layers && have > 0 {
+			if blk := s.store.LayeredBlock(fi, w.id); blk != nil && have < blk.Layers() &&
+				ref.Token == codec.HashBytes(blk.Prefix(have))[0] {
+				w.held = sentCell{blk: blk, layers: have}
 			}
-			s.cPullMisses.Inc()
-			s.cache.add(req.Frame, k, b)
 		}
-		n := b.Len()
-		if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
-			break
-		}
-		cells++
-		bytes += uint64(n)
+		wants[i] = w
 	}
-	if !s.enqueueMsg(c, &wire.FrameComplete{Frame: req.Frame, Cells: uint32(cells), Bytes: bytes}, int32(req.Frame), pullStart) {
-		s.wMisses.Add(1)
-	}
+	t := &frameTable{frame: req.Frame, fi: fi, t0: time.Now(), bufs: map[bufKey]*wire.Buffer{}}
+	defer t.release()
+	s.deliver(c, wants, t, nil)
 }
 
 // maxDegrade bounds the server-side density reduction (stride ×8).
@@ -1005,11 +804,12 @@ func (s *session) enqueue(c *subscriber, b outBuf) bool {
 	}
 }
 
-// enqueueMsg serializes m into a pooled buffer (per subscriber — only
-// control messages come through here; the fan-out path and servePull
-// share buffers) and enqueues it. fc >= 0 tags the buffer as a
-// FrameComplete for Send-span accounting; a non-zero t0 additionally
-// marks the frame's production start for windowed latency accounting.
+// enqueueMsg serializes m into a pooled buffer of the subscriber's own
+// (control messages and FrameComplete markers come through here; cells
+// share buffers through the frame table) and enqueues it. fc >= 0 tags
+// the buffer as a FrameComplete for Send-span accounting; a non-zero t0
+// additionally marks the frame's production start for windowed latency
+// accounting.
 func (s *session) enqueueMsg(c *subscriber, m wire.Message, fc int32, t0 time.Time) bool {
 	b, err := wire.NewBuffer(m)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // (a) any cycle — two lock classes each acquired while the other is held
 // somewhere in the module is a potential deadlock the race detector only
 // catches when the interleaving actually happens — and (b) any edge that
-// contradicts the declared hub→session→subscriber→frameCache hierarchy.
+// contradicts the declared hub→session→subscriber hierarchy.
 //
 // A lock class is a project mutex identified by where it lives, not by
 // instance: a field class "pkg.Type.field" (hub.session.mu) or a
@@ -50,13 +50,12 @@ var LockHierarchy = []struct {
 	{"volcast/internal/hub.Hub.mu", 0},
 	{"volcast/internal/hub.session.mu", 1},
 	{"volcast/internal/hub.subscriber.mu", 2},
-	{"volcast/internal/hub.frameCache.mu", 3},
 }
 
 var analyzerLockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "mutex acquisition across hub/transport/blockcache must stay acyclic and " +
-		"follow the declared hub→session→subscriber→frameCache hierarchy",
+		"follow the declared hub→session→subscriber hierarchy",
 	RunModule: runLockOrder,
 }
 

@@ -1,10 +1,11 @@
 // Package lockorder is the lockorder golden fixture. It impersonates
 // volcast/internal/hub, so it must define the declared hierarchy types
-// (Hub, session, subscriber, frameCache) with their mutex fields, and it
-// exercises: an A/B cycle across two functions, an interprocedural
-// self-deadlock through a callee summary, a hierarchy-rank violation,
-// and the clean shapes (declared order, sequential reuse, branch-local
-// critical sections, go-literal isolation, local mutexes).
+// (Hub, session, subscriber) with their mutex fields; frameCache is an
+// undeclared class of its own. It exercises: an A/B cycle across two
+// functions, an interprocedural self-deadlock through a callee summary,
+// a hierarchy-rank violation, and the clean shapes (declared order,
+// sequential reuse, branch-local critical sections, go-literal
+// isolation, local mutexes).
 package lockorder
 
 import "sync"
@@ -83,7 +84,8 @@ func Demote(h *Hub, s *session) {
 	h.mu.Unlock()
 }
 
-// Fanout takes subscriber then frameCache: the declared order, clean.
+// Fanout takes subscriber then the undeclared frameCache: no rank to
+// contradict, clean.
 func Fanout(c *subscriber, fc *frameCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -136,7 +136,16 @@ func (f *FlightRecorder) Capture(scene string, window int64, reason string) (str
 	name := fmt.Sprintf("flight_%s_%d_%s.json",
 		sanitizeToken(scene), window, sanitizeToken(reason))
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Write under a name neither the flight_*.json glob nor the pruner
+	// matches, then rename: a reader polling the directory sees a whole
+	// dump or none, never a torn one.
+	tmp := filepath.Join(dir, "."+name+".tmp")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return "", err
 	}
 	pruneFlightDumps(dir, maxDumps)

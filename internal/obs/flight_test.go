@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -72,5 +74,59 @@ func TestFlightFilenameSanitization(t *testing.T) {
 	}
 	if filepath.Base(path) != "flight_we_ird_scene_7_miss_rate_.json" {
 		t.Fatalf("path = %s", path)
+	}
+}
+
+// TestFlightDumpsAreNeverTorn polls the dump directory the way the SLO
+// tests and tracelint do — glob flight_*.json, parse every match — while
+// captures of a well-filled ring run. A dump becomes visible only once
+// it is complete, so every file the glob ever matches must parse.
+func TestFlightDumpsAreNeverTorn(t *testing.T) {
+	dir := t.TempDir()
+	tr := New(1 << 10)
+	for i := 0; i < 1<<10; i++ {
+		tr.Record(i, i%8, StageSerialize, time.Unix(0, int64(i)), time.Microsecond)
+	}
+	f := NewFlightRecorder(dir, tr, 4, time.Nanosecond)
+
+	const captures = 24
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < captures; i++ {
+			if _, err := f.Capture("s", int64(i), "p99"); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	parsed := 0
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		matches, _ := filepath.Glob(filepath.Join(dir, "flight_*.json"))
+		for _, m := range matches {
+			data, err := os.ReadFile(m)
+			if err != nil {
+				continue // pruned between the glob and the read
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatalf("%s is visible but unparsable (%d bytes): %v", filepath.Base(m), len(data), err)
+			}
+			parsed++
+		}
+	}
+	if parsed == 0 {
+		t.Fatal("poller never saw a dump — nothing checked")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".*.tmp")); len(left) != 0 {
+		t.Errorf("temporary files left behind: %v", left)
 	}
 }

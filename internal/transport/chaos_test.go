@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"volcast/internal/faultnet"
+	"volcast/internal/hub"
 	"volcast/internal/metrics"
 	"volcast/internal/testutil/leakcheck"
 	"volcast/internal/trace"
@@ -45,24 +46,13 @@ func TestChaosSoak(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	store := testStore(t, 5, 8_000)
-	srv, err := NewServer(ServerConfig{
-		Store: store, Logf: t.Logf, Metrics: reg,
+	srv, fln, addr := startHub(t, store, hub.Config{
+		Metrics:        reg,
 		HeartbeatEvery: 250 * time.Millisecond,
 		IdleTimeout:    2 * time.Second,
 		DrainTimeout:   time.Second,
 		WriteTimeout:   2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fln := faultnet.NewListener(ln, chaosConfig)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(fln) }()
-	addr := ln.Addr().String()
+	}, chaosConfig)
 
 	const soak = 3 * time.Second
 	study := trace.GenerateStudy(int(soak/time.Second)*30+60, 1)
@@ -133,11 +123,8 @@ func TestChaosSoak(t *testing.T) {
 		t.Error("no reconnects in a soak with injected resets")
 	}
 
-	// Graceful drain to zero.
+	// Graceful drain to zero (startHub reports a Serve error).
 	srv.Shutdown()
-	if err := <-serveDone; err != nil {
-		t.Errorf("serve returned %v", err)
-	}
 	if n := srv.NumClients(); n != 0 {
 		t.Errorf("%d clients still registered after shutdown", n)
 	}

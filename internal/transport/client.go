@@ -1,6 +1,24 @@
+// Package transport is the player side of the runnable TCP streaming
+// system: a trace-driven push client (RunClient) that streams poses and
+// consumes what the server pushes, and a pull client (RunPullClient) that
+// runs its own visibility pipeline and requests cells per frame. Both
+// decode what they receive through one receiver and report QoE
+// statistics. The serving side is the hub package; volplay, volload and the
+// examples are thin wrappers around this package.
+//
+// Fault model: the transport assumes the link misbehaves. Each
+// connection has exactly one owning writer goroutine whose death tears
+// the connection down (no zombie writers), both sides run a Ping/Pong
+// heartbeat with idle timeouts so a silent peer becomes a prompt
+// disconnect, clients reconnect with exponential backoff + jitter and
+// resume via the normal Hello/Welcome exchange, and the hub's Shutdown
+// drains each client's queued frames inside a bounded budget before
+// closing. Every fault path increments a metrics counter so chaos runs
+// are auditable.
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -124,13 +142,6 @@ func RunClient(ctx context.Context, cfg ClientConfig) (ClientStats, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Second
 	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: 5 * time.Second}
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-
 	sessionCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	// Jittered backoff from a per-client seed: deterministic given the
@@ -193,27 +204,16 @@ func RunClient(ctx context.Context, cfg ClientConfig) (ClientStats, error) {
 // ticker and the reader (pong replies, final Bye) only enqueue, so two
 // message frames can never interleave on the socket.
 func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientStats, sessionStart time.Time) error {
-	conn, err := cfg.Dial(sessionCtx, cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("transport: dial: %w", err)
-	}
-	defer conn.Close()
-
 	var helloFlags uint8
 	if cfg.Layers {
 		helloFlags |= wire.HelloFlagLayers
 	}
-	if err := wire.WriteMessage(conn, &wire.Hello{ClientID: cfg.ID, Name: cfg.Name, Scene: cfg.Scene, Flags: helloFlags}); err != nil {
-		return fmt.Errorf("transport: hello: %w", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.ReadMessage(conn)
+	conn, _, err := join(sessionCtx, cfg.Dial, cfg.Addr,
+		&wire.Hello{ClientID: cfg.ID, Name: cfg.Name, Scene: cfg.Scene, Flags: helloFlags})
 	if err != nil {
-		return fmt.Errorf("transport: welcome: %w", err)
+		return err
 	}
-	if _, ok := msg.(*wire.Welcome); !ok {
-		return fmt.Errorf("transport: expected Welcome, got %v", msg.Type())
-	}
+	defer conn.Close()
 
 	// The single owned writer. Closing the connection is its job: writer
 	// exit (error or stop) severs the socket, which unblocks the reader.
@@ -342,30 +342,10 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	}()
 	defer func() { close(poseStop); <-poseDone }()
 
-	// Receiver until the deadline. Decoding runs through the shared
-	// content-addressed cache: temporally static cells repeat byte-
-	// identical blocks across frames and decode only once.
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = obs.Default()
-	}
-	dec := codec.Decoder{Cache: blockcache.Cells()}
-	// held retains each cell's layered prefix bytes so enhancement-only
-	// deltas (BaseLayers > 0) can be appended to what the client already
-	// has. Connection-scoped, matching the server's per-subscriber
-	// delivery memory: a reconnect starts both sides from scratch.
-	var held map[uint32][]byte
-	if cfg.Layers {
-		held = map[uint32][]byte{}
-	}
-	// Per-frame decode time accumulates across the frame's cells and lands
-	// as one span at FrameComplete; the gap between consecutive
-	// FrameCompletes is the client's presentation interval.
-	var decStart, lastComplete time.Time
-	var decDur time.Duration
-	inFrame := false
+	rx := newReceiver(stats, int(cfg.ID), cfg.Tracer, cfg.Decode, cfg.Layers)
 	// frameStart anchors the burst latency (first cell → FrameComplete)
 	// reported through OnFrameLatency.
+	inFrame := false
 	var frameStart time.Time
 	for {
 		// Idle timeout bounds every read: a silent server (crash, stall,
@@ -402,64 +382,14 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 				frameStart = time.Now()
 			}
 			inFrame = true
-			stats.Cells++
-			stats.Bytes += int64(len(m.Payload))
-			if m.Multicast {
-				stats.MulticastBytes += int64(len(m.Payload))
-			}
-			payload := m.Payload
-			assembled := m.BaseLayers == 0
-			if m.BaseLayers > 0 {
-				// Enhancement-only delta: append to the retained prefix.
-				// Without it (shouldn't happen — the server tracks what we
-				// hold) the delta is undecodable and counts as corrupt.
-				if prev := held[m.CellID]; len(prev) > 0 {
-					buf := make([]byte, 0, len(prev)+len(m.Payload))
-					payload = append(append(buf, prev...), m.Payload...)
-					assembled = true
-					stats.DeltaCells++
-					stats.DeltaBytes += int64(len(m.Payload))
-					stats.DeltaFullBytes += int64(len(payload))
-				}
-			}
-			if held != nil && m.Layers > 0 && assembled {
-				cp := make([]byte, len(payload))
-				copy(cp, payload)
-				held[m.CellID] = cp
-			}
-			if !assembled {
-				stats.DecodeErrors++
-				break
-			}
-			if cfg.Decode {
-				t0 := time.Now()
-				dc, err := dec.Decode(payload)
-				if decStart.IsZero() {
-					decStart = t0
-				}
-				decDur += time.Since(t0)
-				if err != nil {
-					stats.DecodeErrors++
-				} else {
-					stats.Points += int64(len(dc.Points))
-				}
-			}
+			rx.cell(m)
 		case *wire.FrameComplete:
 			if cfg.OnFrameLatency != nil && inFrame && !frameStart.IsZero() {
 				cfg.OnFrameLatency(time.Since(frameStart))
 			}
 			frameStart = time.Time{}
 			inFrame = false
-			stats.Frames++
-			if decDur > 0 {
-				tr.Record(int(m.Frame), int(cfg.ID), obs.StageDecode, decStart, decDur)
-			}
-			decStart, decDur = time.Time{}, 0
-			now := time.Now()
-			if !lastComplete.IsZero() {
-				tr.Record(int(m.Frame), int(cfg.ID), obs.StagePresent, lastComplete, now.Sub(lastComplete))
-			}
-			lastComplete = now
+			rx.complete(m.Frame)
 		case *wire.Ping:
 			enqueue(&wire.Pong{Seq: m.Seq, T: m.T})
 		case *wire.Bye:
@@ -475,6 +405,142 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	// Graceful goodbye through the writer (flushed by stopWriter).
 	enqueue(&wire.Bye{})
 	return nil
+}
+
+// join dials addr (dial nil = plain TCP), sends hello and waits for the
+// server's Welcome — the handshake both players open every connection
+// with. The caller owns the returned connection.
+func join(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, hello *wire.Hello) (net.Conn, *wire.Welcome, error) {
+	if dial == nil {
+		dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			d := net.Dialer{Timeout: 5 * time.Second}
+			return d.DialContext(ctx, "tcp", addr)
+		}
+	}
+	conn, err := dial(ctx, addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: dial: %w", err)
+	}
+	if err := wire.WriteMessage(conn, hello); err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("transport: hello: %w", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	msg, err := wire.ReadMessage(conn)
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("transport: welcome: %w", err)
+	}
+	welcome, ok := msg.(*wire.Welcome)
+	if !ok {
+		conn.Close()
+		return nil, nil, fmt.Errorf("transport: expected Welcome, got %v", msg.Type())
+	}
+	return conn, welcome, nil
+}
+
+// heldCell is one retained layered prefix: the bytes, their layer count,
+// and the content token a pull request attaches so the server can verify
+// the prefix before answering with an enhancement-only delta.
+type heldCell struct {
+	data   []byte
+	layers uint8
+	token  uint64
+}
+
+// receiver is the client half of the delivery path, shared by the push
+// and pull players: it accounts every CellData, reassembles
+// enhancement-only deltas onto the retained prefixes, decodes through
+// the shared content-addressed cache (temporally static cells repeat
+// byte-identical blocks across frames and decode only once) and closes
+// each frame out with its Decode and Present spans.
+type receiver struct {
+	stats  *ClientStats
+	id     int
+	tracer *obs.Tracer
+	decode bool
+	dec    codec.Decoder
+	// held retains each cell's layered prefix (nil unless the client
+	// advertised HelloFlagLayers). Connection-scoped, matching the
+	// server's per-subscriber delivery memory: a reconnect starts both
+	// sides from scratch.
+	held map[uint32]*heldCell
+	// Per-frame decode time accumulates across the frame's cells and lands
+	// as one span at FrameComplete; the gap between consecutive
+	// FrameCompletes is the client's presentation interval.
+	decStart, lastComplete time.Time
+	decDur                 time.Duration
+}
+
+func newReceiver(stats *ClientStats, id int, tracer *obs.Tracer, decode, layers bool) *receiver {
+	if tracer == nil {
+		tracer = obs.Default()
+	}
+	r := &receiver{
+		stats: stats, id: id, tracer: tracer, decode: decode,
+		dec: codec.Decoder{Cache: blockcache.Cells()},
+	}
+	if layers {
+		r.held = map[uint32]*heldCell{}
+	}
+	return r
+}
+
+// cell consumes one CellData.
+func (r *receiver) cell(m *wire.CellData) {
+	st := r.stats
+	st.Cells++
+	st.Bytes += int64(len(m.Payload))
+	if m.Multicast {
+		st.MulticastBytes += int64(len(m.Payload))
+	}
+	payload := m.Payload
+	if m.BaseLayers > 0 {
+		// Enhancement-only delta: append to the retained prefix. Without
+		// it (shouldn't happen — the server tracks or verifies what we
+		// hold) the delta is undecodable and counts as corrupt.
+		hc := r.held[m.CellID]
+		if hc == nil || len(hc.data) == 0 {
+			st.DecodeErrors++
+			return
+		}
+		payload = append(append(make([]byte, 0, len(hc.data)+len(m.Payload)), hc.data...), m.Payload...)
+		st.DeltaCells++
+		st.DeltaBytes += int64(len(m.Payload))
+		st.DeltaFullBytes += int64(len(payload))
+	}
+	if r.held != nil && m.Layers > 0 {
+		cp := bytes.Clone(payload)
+		r.held[m.CellID] = &heldCell{data: cp, layers: m.Layers, token: codec.HashBytes(cp)[0]}
+	}
+	if !r.decode {
+		return
+	}
+	t0 := time.Now()
+	dc, err := r.dec.Decode(payload)
+	if r.decStart.IsZero() {
+		r.decStart = t0
+	}
+	r.decDur += time.Since(t0)
+	if err != nil {
+		st.DecodeErrors++
+	} else {
+		st.Points += int64(len(dc.Points))
+	}
+}
+
+// complete closes out a frame at its FrameComplete marker.
+func (r *receiver) complete(frame uint32) {
+	r.stats.Frames++
+	if r.decDur > 0 {
+		r.tracer.Record(int(frame), r.id, obs.StageDecode, r.decStart, r.decDur)
+	}
+	r.decStart, r.decDur = time.Time{}, 0
+	now := time.Now()
+	if !r.lastComplete.IsZero() {
+		r.tracer.Record(int(frame), r.id, obs.StagePresent, r.lastComplete, now.Sub(r.lastComplete))
+	}
+	r.lastComplete = now
 }
 
 func isTimeout(err error) bool {

@@ -8,34 +8,14 @@ import (
 	"time"
 
 	"volcast/internal/faultnet"
+	"volcast/internal/hub"
 	"volcast/internal/metrics"
 	"volcast/internal/trace"
 	"volcast/internal/wire"
 )
 
-// startFaultServer serves through a fault-injecting listener.
-func startFaultServer(t *testing.T, cfg ServerConfig, fcfg faultnet.Config) (*Server, *faultnet.Listener, string) {
-	t.Helper()
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fln := faultnet.NewListener(ln, fcfg)
-	go func() {
-		if err := srv.Serve(fln); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	t.Cleanup(srv.Shutdown)
-	return srv, fln, ln.Addr().String()
-}
-
 // waitNoClients polls until the server has no registered clients.
-func waitNoClients(t *testing.T, srv *Server, timeout time.Duration) {
+func waitNoClients(t *testing.T, srv *hub.Hub, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -53,8 +33,7 @@ func waitNoClients(t *testing.T, srv *Server, timeout time.Duration) {
 func TestWriterDeathCleansUpConnection(t *testing.T) {
 	reg := metrics.NewRegistry()
 	store := testStore(t, 3, 8_000)
-	srv, _, addr := startFaultServer(t,
-		ServerConfig{Store: store, Logf: t.Logf, Metrics: reg, Vanilla: true},
+	srv, _, addr := startHub(t, store, hub.Config{Metrics: reg, Vanilla: true},
 		faultnet.Config{Seed: 3, ResetProb: 1, ResetAfterBytes: [2]int64{16 << 10, 32 << 10}},
 	)
 
@@ -92,7 +71,7 @@ func TestWriterDeathCleansUpConnection(t *testing.T) {
 func TestMidFrameDisconnectCleansUp(t *testing.T) {
 	reg := metrics.NewRegistry()
 	store := testStore(t, 3, 8_000)
-	srv, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf, Metrics: reg, Vanilla: true})
+	srv, _, addr := startHub(t, store, hub.Config{Metrics: reg, Vanilla: true})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -118,8 +97,8 @@ func TestMidFrameDisconnectCleansUp(t *testing.T) {
 func TestSlowClientDegradeThenDrop(t *testing.T) {
 	reg := metrics.NewRegistry()
 	store := testStore(t, 2, 60_000)
-	srv, addr := startServer(t, ServerConfig{
-		Store: store, Logf: t.Logf, Metrics: reg, Vanilla: true,
+	srv, _, addr := startHub(t, store, hub.Config{
+		Metrics: reg, Vanilla: true,
 		SlowClientFrames: 10,
 		QueueDepth:       64,
 		// The stalled peer also goes idle (it sends nothing) and wedges
@@ -158,7 +137,7 @@ func TestSlowClientDegradeThenDrop(t *testing.T) {
 // registration race) or arriving concurrently.
 func TestShutdownDuringHandshake(t *testing.T) {
 	store := testStore(t, 2, 2_000)
-	srv, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf, Metrics: metrics.NewRegistry()})
+	srv, _, addr := startHub(t, store, hub.Config{Metrics: metrics.NewRegistry()})
 
 	// A few sockets that never send Hello (stuck in handshake)…
 	for i := 0; i < 3; i++ {
@@ -204,7 +183,7 @@ func TestShutdownDuringHandshake(t *testing.T) {
 // nominal duration (no reconnect storm against a dying server).
 func TestShutdownDrainsAndSaysBye(t *testing.T) {
 	store := testStore(t, 3, 8_000)
-	srv, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf, Metrics: metrics.NewRegistry()})
+	srv, _, addr := startHub(t, store, hub.Config{Metrics: metrics.NewRegistry()})
 
 	study := trace.GenerateStudy(60, 1)
 	type result struct {
@@ -245,8 +224,7 @@ func TestShutdownDrainsAndSaysBye(t *testing.T) {
 // backoff, re-handshake, and keep receiving frames.
 func TestReconnectThroughInjectedReset(t *testing.T) {
 	store := testStore(t, 3, 8_000)
-	_, fln, addr := startFaultServer(t,
-		ServerConfig{Store: store, Logf: t.Logf, Metrics: metrics.NewRegistry(), Vanilla: true},
+	_, fln, addr := startHub(t, store, hub.Config{Metrics: metrics.NewRegistry(), Vanilla: true},
 		faultnet.Config{Seed: 11, ResetProb: 1, ResetAfterBytes: [2]int64{96 << 10, 256 << 10}},
 	)
 

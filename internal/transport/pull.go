@@ -6,9 +6,7 @@ import (
 	"net"
 	"time"
 
-	"volcast/internal/blockcache"
 	"volcast/internal/cell"
-	"volcast/internal/codec"
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
@@ -71,36 +69,17 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
 	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: 5 * time.Second}
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	conn, err := cfg.Dial(ctx, cfg.Addr)
-	if err != nil {
-		return stats, fmt.Errorf("transport: dial: %w", err)
-	}
-	defer conn.Close()
-
 	helloFlags := wire.HelloFlagPull
 	if cfg.Layers {
 		helloFlags |= wire.HelloFlagLayers
 	}
-	if err := wire.WriteMessage(conn, &wire.Hello{
-		ClientID: cfg.ID, Name: "pull", Flags: helloFlags, Scene: cfg.Scene,
-	}); err != nil {
-		return stats, fmt.Errorf("transport: hello: %w", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.ReadMessage(conn)
+	conn, welcome, err := join(ctx, cfg.Dial, cfg.Addr,
+		&wire.Hello{ClientID: cfg.ID, Name: "pull", Flags: helloFlags, Scene: cfg.Scene})
 	if err != nil {
-		return stats, fmt.Errorf("transport: welcome: %w", err)
+		return stats, err
 	}
-	welcome, ok := msg.(*wire.Welcome)
-	if !ok {
-		return stats, fmt.Errorf("transport: expected Welcome, got %v", msg.Type())
-	}
+	defer conn.Close()
+
 	// Rebuild the partition grid from the advertised geometry.
 	dims := welcome.GridDims
 	if welcome.CellSize <= 0 || dims[0] == 0 || dims[1] == 0 || dims[2] == 0 {
@@ -132,20 +111,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 	}
 
 	deadline := time.Now().Add(cfg.Duration)
-	tr := obs.Default()
-	dec := codec.Decoder{Cache: blockcache.Cells()}
-	// heldCell is one retained layered prefix: the bytes, their layer
-	// count, and the content token the server verifies before answering
-	// with an enhancement-only delta.
-	type heldCell struct {
-		data   []byte
-		layers uint8
-		token  uint64
-	}
-	var held map[uint32]*heldCell
-	if cfg.Layers {
-		held = map[uint32]*heldCell{}
-	}
+	rx := newReceiver(&stats, int(cfg.ID), nil, cfg.Decode, cfg.Layers)
 	start := time.Now()
 	frame := uint32(0)
 	next := time.Now()
@@ -160,7 +126,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		next = next.Add(interval)
 
 		t := time.Since(start).Seconds()
-		cullSpan := tr.Begin(int(frame), int(cfg.ID), obs.StageCull)
+		cullSpan := rx.tracer.Begin(int(frame), int(cfg.ID), obs.StageCull)
 		pose := geom.Pose{Rot: geom.QuatIdent()}
 		if cfg.Trace != nil {
 			pose = cfg.Trace.PoseAtTime(t)
@@ -179,7 +145,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		for id := cell.ID(0); int(id) < grid.NumCells(); id++ {
 			if fr.IntersectsAABB(grid.Bounds(id)) {
 				ref := wire.CellRef{CellID: uint32(id), Stride: stride}
-				if hc := held[uint32(id)]; hc != nil {
+				if hc := rx.held[uint32(id)]; hc != nil {
 					ref.HaveLayers, ref.Token = hc.layers, hc.token
 				}
 				refs = append(refs, ref)
@@ -201,8 +167,6 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		if frameDeadline.After(deadline) {
 			frameDeadline = deadline
 		}
-		var decStart time.Time
-		var decDur time.Duration
 	drain:
 		for {
 			conn.SetReadDeadline(frameDeadline)
@@ -228,48 +192,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 					stats.FramesDropped++
 					frame = m.Frame
 				}
-				stats.Cells++
-				stats.Bytes += int64(len(m.Payload))
-				payload := m.Payload
-				assembled := m.BaseLayers == 0
-				if m.BaseLayers > 0 {
-					// Enhancement delta onto the retained prefix (the server
-					// only sends one after verifying our token).
-					if hc := held[m.CellID]; hc != nil && len(hc.data) > 0 {
-						buf := make([]byte, 0, len(hc.data)+len(m.Payload))
-						payload = append(append(buf, hc.data...), m.Payload...)
-						assembled = true
-						stats.DeltaCells++
-						stats.DeltaBytes += int64(len(m.Payload))
-						stats.DeltaFullBytes += int64(len(payload))
-					}
-				}
-				if held != nil && m.Layers > 0 && assembled {
-					cp := make([]byte, len(payload))
-					copy(cp, payload)
-					held[m.CellID] = &heldCell{
-						data:   cp,
-						layers: m.Layers,
-						token:  codec.HashBytes(cp)[0],
-					}
-				}
-				if !assembled {
-					stats.DecodeErrors++
-					continue drain
-				}
-				if cfg.Decode {
-					t0 := time.Now()
-					dc, err := dec.Decode(payload)
-					if decStart.IsZero() {
-						decStart = t0
-					}
-					decDur += time.Since(t0)
-					if err != nil {
-						stats.DecodeErrors++
-					} else {
-						stats.Points += int64(len(dc.Points))
-					}
-				}
+				rx.cell(m)
 			case *wire.FrameComplete:
 				if m.Frame < frame {
 					continue drain // marker of an abandoned frame
@@ -278,10 +201,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 					stats.FramesDropped++
 					frame = m.Frame
 				}
-				stats.Frames++
-				if decDur > 0 {
-					tr.Record(int(m.Frame), int(cfg.ID), obs.StageDecode, decStart, decDur)
-				}
+				rx.complete(m.Frame)
 				break drain
 			case *wire.Ping:
 				// The reader is the only writer on this connection

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"sync"
@@ -9,6 +10,8 @@ import (
 
 	"volcast/internal/cell"
 	"volcast/internal/codec"
+	"volcast/internal/faultnet"
+	"volcast/internal/hub"
 	"volcast/internal/pointcloud"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
@@ -33,32 +36,41 @@ func testStore(t testing.TB, frames, points int) *vivo.Store {
 	return store
 }
 
-func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
+// startHub serves store as every scene of a hub listening on loopback —
+// behind a fault-injecting listener when faults are given — and shuts it
+// down with the test.
+func startHub(t *testing.T, store *vivo.Store, cfg hub.Config, faults ...faultnet.Config) (*hub.Hub, *faultnet.Listener, string) {
 	t.Helper()
-	srv, err := NewServer(cfg)
+	cfg.NewStore = func(uint32, codec.BlockCache) (*vivo.Store, error) { return store, nil }
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
+	h, err := hub.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready := make(chan string, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fln *faultnet.Listener
+	serving := ln
+	if len(faults) > 0 {
+		fln = faultnet.NewListener(ln, faults[0])
+		serving = fln
+	}
 	go func() {
-		if err := srv.ListenAndServe("127.0.0.1:0", ready); err != nil {
+		if err := h.Serve(serving); err != nil {
 			t.Errorf("serve: %v", err)
 		}
 	}()
-	addr := <-ready
-	t.Cleanup(srv.Shutdown)
-	return srv, addr
-}
-
-func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{}); err == nil {
-		t.Error("nil store accepted")
-	}
+	t.Cleanup(h.Shutdown)
+	return h, fln, ln.Addr().String()
 }
 
 func TestEndToEndSingleClient(t *testing.T) {
 	store := testStore(t, 5, 8_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 
 	study := trace.GenerateStudy(60, 1)
 	stats, err := RunClient(context.Background(), ClientConfig{
@@ -90,7 +102,7 @@ func TestEndToEndSingleClient(t *testing.T) {
 
 func TestEndToEndMultiClientMulticastMarking(t *testing.T) {
 	store := testStore(t, 5, 8_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 
 	study := trace.GenerateStudy(60, 1)
 	var wg sync.WaitGroup
@@ -135,7 +147,7 @@ func TestEndToEndMultiClientMulticastMarking(t *testing.T) {
 
 func TestServerVanillaMode(t *testing.T) {
 	store := testStore(t, 3, 5_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Vanilla: true, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{Vanilla: true})
 	stats, err := RunClient(context.Background(), ClientConfig{
 		Addr: addr, ID: 7, Duration: 700 * time.Millisecond,
 	})
@@ -149,7 +161,7 @@ func TestServerVanillaMode(t *testing.T) {
 
 func TestServerRejectsGarbageHandshake(t *testing.T) {
 	store := testStore(t, 2, 2_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +180,7 @@ func TestServerRejectsGarbageHandshake(t *testing.T) {
 
 func TestServerShutdownUnblocksClients(t *testing.T) {
 	store := testStore(t, 3, 2_000)
-	srv, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	srv, _, addr := startHub(t, store, hub.Config{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -190,7 +202,7 @@ func TestServerAdaptsToSlowClient(t *testing.T) {
 	// outbound queue must back up and the server must announce a
 	// degradation level via Adapt.
 	store := testStore(t, 2, 120_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Vanilla: true, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{Vanilla: true})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -229,20 +241,7 @@ func TestServerAdaptsToSlowClient(t *testing.T) {
 
 func TestPullModeSegmentRequest(t *testing.T) {
 	store := testStore(t, 3, 8_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, &wire.Hello{ClientID: 3, Name: "pull", Flags: wire.HelloFlagPull}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadMessage(conn); err != nil { // Welcome
-		t.Fatal(err)
-	}
+	_, _, addr := startHub(t, store, hub.Config{})
 
 	// Ask for every occupied cell of frame 1 at stride 2, plus a bogus id.
 	var refs []wire.CellRef
@@ -251,46 +250,68 @@ func TestPullModeSegmentRequest(t *testing.T) {
 	})
 	want := len(refs)
 	refs = append(refs, wire.CellRef{CellID: 99999, Stride: 2})
-	if err := wire.WriteMessage(conn, &wire.SegmentRequest{Frame: 1, Cells: refs}); err != nil {
-		t.Fatal(err)
-	}
 
-	var dec codec.Decoder
-	gotCells := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		conn.SetReadDeadline(deadline)
-		msg, err := wire.ReadMessage(conn)
+	// fetch joins as a pull client, sends the request and returns the
+	// payloads of the answering burst by cell.
+	fetch := func(id uint32) map[uint32][]byte {
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch m := msg.(type) {
-		case *wire.CellData:
-			if m.Frame != 1 {
-				t.Fatalf("cell from frame %d", m.Frame)
+		defer conn.Close()
+		if err := wire.WriteMessage(conn, &wire.Hello{ClientID: id, Name: "pull", Flags: wire.HelloFlagPull}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := wire.ReadMessage(conn); err != nil { // Welcome
+			t.Fatal(err)
+		}
+		if err := wire.WriteMessage(conn, &wire.SegmentRequest{Frame: 1, Cells: refs}); err != nil {
+			t.Fatal(err)
+		}
+		var dec codec.Decoder
+		got := map[uint32][]byte{}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			msg, err := wire.ReadMessage(conn)
+			if err != nil {
+				t.Fatalf("pull response never completed: %v", err)
 			}
-			if _, err := dec.Decode(m.Payload); err != nil {
-				t.Fatalf("pull payload undecodable: %v", err)
+			switch m := msg.(type) {
+			case *wire.CellData:
+				if m.Frame != 1 {
+					t.Fatalf("cell from frame %d", m.Frame)
+				}
+				if _, err := dec.Decode(m.Payload); err != nil {
+					t.Fatalf("pull payload undecodable: %v", err)
+				}
+				got[m.CellID] = m.Payload
+			case *wire.FrameComplete:
+				if int(m.Cells) != want {
+					t.Fatalf("FrameComplete.Cells = %d, want %d (bogus id must be skipped)", m.Cells, want)
+				}
+				if len(got) != want {
+					t.Fatalf("received %d cells, want %d", len(got), want)
+				}
+				wire.WriteMessage(conn, &wire.Bye{})
+				return got
 			}
-			gotCells++
-		case *wire.FrameComplete:
-			if int(m.Cells) != want {
-				t.Fatalf("FrameComplete.Cells = %d, want %d (bogus id must be skipped)", m.Cells, want)
-			}
-			if gotCells != want {
-				t.Fatalf("received %d cells, want %d", gotCells, want)
-			}
-			wire.WriteMessage(conn, &wire.Bye{})
-			return
 		}
 	}
-	t.Fatal("pull response never completed")
+
+	// Two pull clients asking for the same cells receive the same bytes.
+	first, second := fetch(3), fetch(4)
+	for id, p := range first {
+		if !bytes.Equal(p, second[id]) {
+			t.Errorf("cell %d: payload diverges between pull clients", id)
+		}
+	}
 }
 
 func TestSegmentRequestRoundTripOnWire(t *testing.T) {
 	// Pull clients must not also receive pushed frames.
 	store := testStore(t, 3, 8_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +340,7 @@ func TestSegmentRequestRoundTripOnWire(t *testing.T) {
 
 func TestRunPullClient(t *testing.T) {
 	store := testStore(t, 5, 10_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 	study := trace.GenerateStudy(90, 1)
 	stats, err := RunPullClient(context.Background(), PullClientConfig{
 		Addr: addr, ID: 11, Trace: study.Traces[0],
@@ -344,7 +365,7 @@ func TestRunPullClient(t *testing.T) {
 
 func TestPushAndPullClientsCoexist(t *testing.T) {
 	store := testStore(t, 5, 10_000)
-	_, addr := startServer(t, ServerConfig{Store: store, Logf: t.Logf})
+	_, _, addr := startHub(t, store, hub.Config{})
 	study := trace.GenerateStudy(90, 1)
 	var wg sync.WaitGroup
 	var pushStats, pullStats ClientStats
@@ -368,5 +389,102 @@ func TestPushAndPullClientsCoexist(t *testing.T) {
 	}
 	if pushStats.Frames == 0 || pullStats.Frames == 0 {
 		t.Errorf("starved: push %d, pull %d frames", pushStats.Frames, pullStats.Frames)
+	}
+}
+
+// TestReceiverSharedByPushAndPull feeds one server script at a time —
+// a full cell, a delta onto the held prefix, a delta with nothing held —
+// through both players' entry points. The receive path is one piece of
+// code, so the two must account, reassemble and decode identically.
+func TestReceiverSharedByPushAndPull(t *testing.T) {
+	store := testStore(t, 1, 4_000)
+	var id cell.ID
+	store.Frame(0).Occupied.ForEach(func(c cell.ID) { id = c })
+	blk := store.LayeredBlock(0, id)
+	if blk == nil || blk.Layers() < 2 {
+		t.Fatal("test store has no layered block to script with")
+	}
+	full := blk.Layers()
+	base := &wire.CellData{CellID: 5, Stride: 4, Payload: blk.Prefix(1), Layers: 1}
+	delta := &wire.CellData{CellID: 5, Stride: 1, Payload: blk.Delta(1, full), Layers: uint8(full), BaseLayers: 1}
+	orphan := &wire.CellData{CellID: 6, Stride: 1, Payload: blk.Delta(1, full), Layers: uint8(full), BaseLayers: 1}
+	var dec codec.Decoder
+	points := func(payload []byte) int64 {
+		dc, err := dec.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(dc.Points))
+	}
+
+	for _, tc := range []struct {
+		name   string
+		script []*wire.CellData
+		want   ClientStats
+	}{
+		{"full cell", []*wire.CellData{base}, ClientStats{
+			Frames: 1, Cells: 1, Bytes: int64(len(base.Payload)), Points: points(blk.Prefix(1)),
+		}},
+		{"delta onto held prefix", []*wire.CellData{base, delta}, ClientStats{
+			Frames: 1, Cells: 2, Bytes: int64(len(blk.Data)),
+			DeltaCells: 1, DeltaBytes: int64(len(delta.Payload)), DeltaFullBytes: int64(len(blk.Data)),
+			Points: points(blk.Prefix(1)) + points(blk.Data),
+		}},
+		{"delta with nothing held", []*wire.CellData{orphan}, ClientStats{
+			Frames: 1, Cells: 1, Bytes: int64(len(orphan.Payload)), DecodeErrors: 1,
+		}},
+	} {
+		// serve answers the handshake, waits for the first request when
+		// the player pulls, plays the script as frame 0 and signs off.
+		serve := func(pull bool) string {
+			return fakeServer(t, func(conn net.Conn) {
+				if !welcomeFor(conn) {
+					return
+				}
+				for pull {
+					conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+					msg, err := wire.ReadMessage(conn)
+					if err != nil {
+						return
+					}
+					if _, ok := msg.(*wire.SegmentRequest); ok {
+						break
+					}
+				}
+				for _, cd := range tc.script {
+					if wire.WriteMessage(conn, cd) != nil {
+						return
+					}
+				}
+				if wire.WriteMessage(conn, &wire.FrameComplete{Cells: uint32(len(tc.script))}) == nil {
+					wire.WriteMessage(conn, &wire.Bye{})
+				}
+			})
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			push, err := RunClient(context.Background(), ClientConfig{
+				Addr: serve(false), ID: 1, Duration: 5 * time.Second, Decode: true, Layers: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pull, err := RunPullClient(context.Background(), PullClientConfig{
+				Addr: serve(true), ID: 2, Duration: 5 * time.Second, Decode: true, Layers: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pose and request counts and the wall-clock rate are the
+			// players' own; everything the receiver accounts must agree.
+			for _, st := range []*ClientStats{&push, &pull} {
+				st.PosesSent, st.AvgFPS = 0, 0
+			}
+			if push != tc.want {
+				t.Errorf("push stats %+v, want %+v", push, tc.want)
+			}
+			if pull != tc.want {
+				t.Errorf("pull stats %+v, want %+v", pull, tc.want)
+			}
+		})
 	}
 }

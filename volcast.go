@@ -25,6 +25,7 @@ import (
 
 	"volcast/internal/cell"
 	"volcast/internal/codec"
+	"volcast/internal/hub"
 	"volcast/internal/pointcloud"
 	"volcast/internal/stream"
 	"volcast/internal/trace"
@@ -274,7 +275,10 @@ func (s *Session) Run() (QoE, error) { return s.inner.Run() }
 // Serve streams the content over TCP until ctx is canceled. The bound
 // address is sent on ready (pass ":0" to pick a free port).
 func Serve(ctx context.Context, addr string, c *Content, ready chan<- string) error {
-	srv, err := transport.NewServer(transport.ServerConfig{Store: c.store})
+	// One content, one store: every scene a client names serves it.
+	srv, err := hub.New(hub.Config{
+		NewStore: func(uint32, codec.BlockCache) (*vivo.Store, error) { return c.store, nil },
+	})
 	if err != nil {
 		return err
 	}
