@@ -135,6 +135,8 @@ layer-smoke:
 		-merge $(BENCH_OUT) -merge-key layer
 
 # verify is the CI gate: static checks (vet, gofmt, vollint), a full
-# build, and the test suite under the race detector (the parallel
-# execution substrate makes -race part of tier-1, not an extra).
-verify: vet fmt-check lint build race
+# build, the test suite under the race detector (the parallel
+# execution substrate makes -race part of tier-1, not an extra), and the
+# benchmark module's own build and self-test, which is the only thing
+# that notices a deleted name bench/ compiles against.
+verify: vet fmt-check lint build race bench-selftest

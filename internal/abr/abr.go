@@ -58,44 +58,6 @@ func (e *EWMA) Observe(s Sample) {
 // Predict implements Predictor.
 func (e *EWMA) Predict() float64 { return e.est }
 
-// Harmonic is the harmonic-mean-of-recent-samples predictor used by
-// MPC-style players; it is robust to throughput spikes.
-type Harmonic struct {
-	n   int
-	buf []float64
-}
-
-// NewHarmonic returns a harmonic-mean predictor over the last n samples.
-func NewHarmonic(n int) *Harmonic {
-	if n < 1 {
-		n = 5
-	}
-	return &Harmonic{n: n}
-}
-
-// Observe implements Predictor.
-func (h *Harmonic) Observe(s Sample) {
-	if s.Mbps <= 0 {
-		s.Mbps = 1e-6
-	}
-	h.buf = append(h.buf, s.Mbps)
-	if len(h.buf) > h.n {
-		h.buf = h.buf[len(h.buf)-h.n:]
-	}
-}
-
-// Predict implements Predictor.
-func (h *Harmonic) Predict() float64 {
-	if len(h.buf) == 0 {
-		return 0
-	}
-	var inv float64
-	for _, v := range h.buf {
-		inv += 1 / v
-	}
-	return float64(len(h.buf)) / inv
-}
-
 // PHYHint carries the physical-layer indicators into the predictor — the
 // cross-layer information an application-only player never sees.
 type PHYHint struct {

@@ -24,42 +24,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-func TestHarmonic(t *testing.T) {
-	h := NewHarmonic(3)
-	if got := h.Predict(); got != 0 {
-		t.Errorf("cold harmonic = %v", got)
-	}
-	for _, v := range []float64{100, 100, 400} {
-		h.Observe(Sample{Mbps: v})
-	}
-	// Harmonic mean of 100,100,400 = 3 / (1/100+1/100+1/400) = 133.33.
-	if got := h.Predict(); math.Abs(got-133.333333) > 1e-3 {
-		t.Errorf("harmonic = %v", got)
-	}
-	// Window slides.
-	h.Observe(Sample{Mbps: 400})
-	h.Observe(Sample{Mbps: 400})
-	h.Observe(Sample{Mbps: 400})
-	if got := h.Predict(); math.Abs(got-400) > 1e-9 {
-		t.Errorf("post-slide harmonic = %v", got)
-	}
-	// Harmonic mean is dominated by the slow samples (spike robustness).
-	h2 := NewHarmonic(5)
-	h2.Observe(Sample{Mbps: 10})
-	h2.Observe(Sample{Mbps: 1000})
-	if got := h2.Predict(); got > 100 {
-		t.Errorf("harmonic not spike-robust: %v", got)
-	}
-	// Zero-valued samples don't divide by zero.
-	h2.Observe(Sample{Mbps: 0})
-	if got := h2.Predict(); math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Errorf("harmonic with zero sample = %v", got)
-	}
-	if NewHarmonic(0).n != 5 {
-		t.Error("n clamping failed")
-	}
-}
-
 func TestCrossLayerCeiling(t *testing.T) {
 	c := NewCrossLayer(NewEWMA(1))
 	c.Observe(Sample{Mbps: 800})

@@ -6,7 +6,8 @@ package abr
 // [Reservoir, Reservoir+Cushion] linearly onto the quality ladder,
 // pinning the lowest rung below the reservoir and the highest above the
 // cushion. It completes the controller family (rule-based cross-layer,
-// MPC lookahead, BBA) used by the ablations.
+// MPC lookahead, BBA) that examples/adaptation compares; the session
+// engine runs the rule-based one.
 type BBA struct {
 	// ReservoirSec is the buffer level below which quality pins to the
 	// bottom rung.

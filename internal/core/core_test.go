@@ -111,35 +111,6 @@ func TestPlannerMulticastGroupsOverlappingViewers(t *testing.T) {
 	}
 }
 
-func TestPlannerPerUserContent(t *testing.T) {
-	stA := testStore(t, 2, 20_000)
-	stB := testStore(t, 2, 10_000)
-	net, err := NewAD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPlanner(net)
-	positions := []geom.Vec3{geom.V(-0.2, 1.5, -2.2), geom.V(0.2, 1.5, -2.2)}
-	reqsA := viewersAt(t, stA, 0, positions[:1])
-	reqsB := viewersAt(t, stB, 0, positions[1:])
-	reqs := []vivo.Request{reqsA[0], reqsB[0]}
-	plan, err := pl.Plan(ModeMulticast, FrameInput{
-		PerUser:   []FrameContent{{Store: stA, Frame: 0}, {Store: stB, Frame: 0}},
-		Requests:  reqs,
-		Positions: positions,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different stores share no payload → grouping cannot help → plan
-	// stays unicast.
-	for _, g := range plan.Groups {
-		if len(g) > 1 {
-			t.Errorf("cross-store users grouped: %v", plan.Groups)
-		}
-	}
-}
-
 func TestPlannerBlockageReducesRate(t *testing.T) {
 	st := testStore(t, 2, 20_000)
 	net, err := NewAD()

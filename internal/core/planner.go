@@ -41,23 +41,13 @@ func (m Mode) String() string {
 	}
 }
 
-// FrameContent points at one user's content source (store + frame); the
-// session engine uses it when users sit on different quality rungs.
-type FrameContent struct {
-	Store *vivo.Store
-	Frame int
-}
-
 // FrameInput is everything the planner needs to schedule one frame.
 type FrameInput struct {
 	// Store is the encoded content; Frame indexes into it.
 	Store *vivo.Store
 	Frame int
-	// PerUser optionally overrides Store/Frame per user (users at
-	// different quality rungs read different stores; cross-store groups
-	// then share no multicast payload).
-	PerUser []FrameContent
-	// Requests holds each user's fetch decision for this frame.
+	// Requests holds each user's fetch decision for this frame: the cells
+	// in view, each at the stride the user's quality level leaves it.
 	Requests []vivo.Request
 	// Positions are the users' receive-antenna positions.
 	Positions []geom.Vec3
@@ -260,12 +250,6 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 	defer pl.Metrics.Timer("core.plan").Time()()
 	defer pl.Trace.Begin(in.Seq, obs.PipelineUser, obs.StagePlan).End()
 	n := len(in.Requests)
-	contentFor := func(u int) FrameContent {
-		if len(in.PerUser) == n {
-			return in.PerUser[u]
-		}
-		return FrameContent{Store: in.Store, Frame: in.Frame}
-	}
 	ad := pl.Net.Kind == NetAD
 	if ad {
 		if cap(pl.links) < n {
@@ -280,13 +264,13 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 	pl.Net.SetBodies(in.Bodies)
 
 	users := make([]multicast.User, n)
+	size := in.Store.SizeOracle(in.Frame)
 	for u := 0; u < n; u++ {
-		c := contentFor(u)
 		off := 0.0
 		if len(in.RSSOffsetsDB) == n {
 			off = in.RSSOffsetsDB[u]
 		}
-		users[u] = multicast.User{ID: u, RequestBytes: in.Requests[u].Bytes(c.Store.SizeOracle(c.Frame))}
+		users[u] = multicast.User{ID: u, RequestBytes: in.Requests[u].Bytes(size)}
 		if ad {
 			self := [1]int{u}
 			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.membersOf(in, self[:])[0].RSSDBm + off)
@@ -298,16 +282,7 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 	prob := &multicast.Problem{
 		Users: users,
 		OverlapBytes: func(members []int) int {
-			if len(members) == 0 {
-				return 0
-			}
-			c0 := contentFor(members[0])
-			for _, m := range members[1:] {
-				if contentFor(m) != c0 {
-					return 0 // different rungs share no payload
-				}
-			}
-			return pl.overlap.bytes(c0.Store, c0.Frame, in.Requests, members)
+			return pl.overlap.bytes(in.Store, in.Frame, in.Requests, members)
 		},
 		MulticastRate: func(members []int) float64 {
 			if !ad {

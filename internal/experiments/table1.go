@@ -88,14 +88,14 @@ func table1World(cfg Table1Config) (map[pointcloud.Quality]*vivo.Store, *trace.S
 		}
 		stores[q] = st
 	}
-	return stores, table1Study(cfg.Frames, cfg.Seed), nil
+	return stores, table1Study(cfg.Frames), nil
 }
 
 // table1Study models the paper's testbed clients: stationary seats,
 // equidistant from the AP (an arc centered on the AP, so no client sits
 // in another's line of sight and everyone trains to a strong sector),
 // all watching the soldier at the origin with small head motion.
-func table1Study(frames int, seed int64) *trace.Study {
+func table1Study(frames int) *trace.Study {
 	const (
 		seats    = 8
 		apZ      = -4.0 // front wall (phy.DefaultRoom)
@@ -120,7 +120,6 @@ func table1Study(frames int, seed int64) *trace.Study {
 		}
 		study.Traces = append(study.Traces, tr)
 	}
-	_ = seed
 	return study
 }
 

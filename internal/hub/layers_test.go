@@ -11,6 +11,7 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/pointcloud"
+	"volcast/internal/tier"
 	"volcast/internal/vivo"
 	"volcast/internal/wire"
 )
@@ -131,7 +132,7 @@ func TestDegradeSaturatesAtCoarsestRung(t *testing.T) {
 		t.Fatal("test pose sees no cells — nothing to push")
 	}
 
-	c := bareSub(3, false) // maxDegrade: the old code computed 40<<3 = 320
+	c := bareSub(tier.MaxDegrade, false) // the old code computed 40<<3 = 320
 	c.pose, c.seen = pose, true
 	if !s.addSub(c) {
 		t.Fatal("addSub")
@@ -155,6 +156,85 @@ func TestDegradeSaturatesAtCoarsestRung(t *testing.T) {
 		}
 		if cd.Layers != 1 {
 			t.Errorf("cell %d: Layers = %d, want 1 (base layer only)", cd.CellID, cd.Layers)
+		}
+	}
+}
+
+// TestModeledBytesMatchServedBytes pins the simulator's byte model to what
+// the hub puts on the wire, the first of the "identical decisions on
+// identical inputs" the two sides owe each other: for one pose and every
+// degrade level, the bytes internal/stream prices a user's request at
+// (cull → Ladder.Degrade → SizeOracle) are the CellData payload bytes a
+// subscriber pinned at that level is sent (cull → Ladder.Degrade → resolve
+// → Prefix) — same cells, same strides, same total.
+func TestModeledBytesMatchServedBytes(t *testing.T) {
+	factory := func(uint32, codec.BlockCache) (*vivo.Store, error) {
+		video := pointcloud.SynthVideo(pointcloud.SynthConfig{
+			Frames: 2, FPS: 30, PointsPerFrame: 6000, Seed: 7, Sway: 1,
+		})
+		b, _ := video.Bounds()
+		g, err := cell.NewGrid(b, cell.Size50)
+		if err != nil {
+			return nil, err
+		}
+		return vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	}
+	_, s := bareSession(t, Config{NewStore: factory})
+	store, lad := s.store, s.store.Ladder()
+	occ := store.Frame(0).Occupied
+
+	// From 1.8 m out, the figure spans the first two LOD bands, so the
+	// culled request mixes strides.
+	var cen geom.Vec3
+	occ.ForEach(func(id cell.ID) { cen = cen.Add(store.Grid().Center(id)) })
+	cen = cen.Scale(1 / float64(occ.Count()))
+	pose := geom.Pose{
+		Pos: cen.Add(geom.V(0, 0, 1.8)),
+		Rot: geom.LookRotation(geom.V(0, 0, -1), geom.V(0, 1, 0)),
+	}
+	vis := vivo.New(store.Grid(), vivo.DefaultParams()) // as internal/stream builds it
+	culled := vis.Request(occ, pose)
+	strides := map[int]bool{}
+	for _, cr := range culled.Cells {
+		strides[cr.Stride] = true
+	}
+	if len(strides) < 2 {
+		t.Fatalf("test pose culls to strides %v, want a mix", strides)
+	}
+
+	size := store.SizeOracle(0)
+	for level := 0; level <= tier.MaxDegrade; level++ {
+		modeled := vivo.Request{Cells: append([]vivo.CellRequest(nil), culled.Cells...)}
+		for i := range modeled.Cells {
+			modeled.Cells[i].Stride, _ = lad.Degrade(modeled.Cells[i].Stride, level)
+		}
+
+		c := bareSub(level, false)
+		c.pose, c.seen = pose, true
+		if !s.addSub(c) {
+			t.Fatal("addSub")
+		}
+		s.pushFrame(0)
+		s.removeSub(c)
+		served := cellDatas(drainMsgs(t, c))
+
+		if len(served) != len(modeled.Cells) {
+			t.Fatalf("level %d: %d cells served, %d modeled", level, len(served), len(modeled.Cells))
+		}
+		total := 0
+		for i, cd := range served {
+			cr := modeled.Cells[i]
+			if cell.ID(cd.CellID) != cr.ID || int(cd.Stride) != lad.StrideAt(lad.RungFor(cr.Stride)) {
+				t.Errorf("level %d cell %d: served (cell %d, stride %d), modeled (cell %d, stride %d)",
+					level, i, cd.CellID, cd.Stride, cr.ID, cr.Stride)
+			}
+			if len(cd.Payload) != size(cr.ID, cr.Stride) {
+				t.Errorf("level %d cell %d: %d payload bytes served, %d modeled", level, cr.ID, len(cd.Payload), size(cr.ID, cr.Stride))
+			}
+			total += len(cd.Payload)
+		}
+		if want := modeled.Bytes(size); total != want || total == 0 {
+			t.Errorf("level %d: %d bytes served, %d modeled", level, total, want)
 		}
 	}
 }

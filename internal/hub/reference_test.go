@@ -376,7 +376,7 @@ func TestPushFrameMatchesReference(t *testing.T) {
 				if sp.adapts || sp.pull {
 					continue
 				}
-				level := (sp.degrade + step) % (maxDegrade + 1)
+				level := (sp.degrade + step) % (tier.MaxDegrade + 1)
 				got[i].degrade, want[i].degrade = level, level
 			}
 			install(got)

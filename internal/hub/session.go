@@ -733,9 +733,6 @@ func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
 	s.deliver(c, wants, t, nil)
 }
 
-// maxDegrade bounds the server-side density reduction (stride ×8).
-const maxDegrade = 3
-
 // adaptMinDwellFrames pins the degradation level for this many frames
 // after every change. A queue hovering right at a watermark used to flip
 // the level every frame — each flip re-keying the fan-out plan and
@@ -761,7 +758,7 @@ func (s *session) adapt(c *subscriber, burst int) int {
 		c.adaptDwell--
 	} else {
 		switch {
-		case depth > 4*burst && c.degrade < maxDegrade:
+		case depth > 4*burst && c.degrade < tier.MaxDegrade:
 			c.degrade++
 		case depth < burst/2 && c.degrade > 0:
 			c.degrade--

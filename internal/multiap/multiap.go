@@ -29,6 +29,9 @@ type System struct {
 	MinSIRdB float64
 
 	channel *phy.Channel
+	// planners holds one frame planner per AP, so each keeps its scratch
+	// from frame to frame.
+	planners []*core.Planner
 }
 
 // New places n APs (n in 1..4) on distinct walls of the default room,
@@ -62,13 +65,15 @@ func New(n int) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.APs = append(sys.APs, &core.Network{
+		ap := &core.Network{
 			Kind:     core.NetAD,
 			MAC:      sched,
 			Radio:    radio,
 			Codebook: cb,
 			Designer: beam.NewDesigner(radio, cb),
-		})
+		}
+		sys.APs = append(sys.APs, ap)
+		sys.planners = append(sys.planners, core.NewPlanner(ap))
 	}
 	return sys, nil
 }
@@ -110,8 +115,8 @@ type Plan struct {
 }
 
 // PlanFrame builds per-AP plans for the users and decides concurrency.
-// All users read from one store/frame (extend with core.FrameInput's
-// PerUser for mixed-quality audiences).
+// All users read from one store/frame; a user's quality is the strides of
+// its request.
 func (s *System) PlanFrame(mode core.Mode, store *vivo.Store, frame int, reqs []vivo.Request, positions []geom.Vec3, bodies []phy.Body, customBeams bool, capFPS float64) (*Plan, error) {
 	if len(reqs) != len(positions) {
 		return nil, fmt.Errorf("multiap: %d requests, %d positions", len(reqs), len(positions))
@@ -135,7 +140,7 @@ func (s *System) PlanFrame(mode core.Mode, store *vivo.Store, frame int, reqs []
 			subReqs[j] = reqs[u]
 			subPos[j] = positions[u]
 		}
-		p, err := core.NewPlanner(s.APs[i]).Plan(mode, core.FrameInput{
+		p, err := s.planners[i].Plan(mode, core.FrameInput{
 			Store: store, Frame: frame,
 			Requests: subReqs, Positions: subPos, Bodies: bodies,
 			CustomBeams: customBeams,

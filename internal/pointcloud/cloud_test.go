@@ -166,26 +166,6 @@ func TestSynthAnimates(t *testing.T) {
 	}
 }
 
-func TestQualityLadder(t *testing.T) {
-	lad := QualityLadder(2, 1)
-	if len(lad) != 3 {
-		t.Fatalf("ladder size %d", len(lad))
-	}
-	prev := 0.0
-	for _, q := range Qualities() {
-		v := lad[q]
-		avg := v.AvgPoints()
-		target := float64(q.Points())
-		if avg < target*0.9 || avg > target*1.01 {
-			t.Errorf("%v: avg points %v, want ~%v", q, avg, target)
-		}
-		if avg <= prev {
-			t.Errorf("ladder not increasing at %v", q)
-		}
-		prev = avg
-	}
-}
-
 func TestQualityString(t *testing.T) {
 	if QualityLow.String() != "330K" || QualityMedium.String() != "430K" || QualityHigh.String() != "550K" {
 		t.Error("quality names wrong")

@@ -238,17 +238,3 @@ func SynthScene(cfg SceneConfig) *Video {
 	}
 	return v
 }
-
-// QualityLadder generates the three-version ladder of the same content at
-// the paper's point densities. All versions are frame-aligned (same
-// animation), differing only in sampling density, exactly like the
-// re-encoded dataset versions.
-func QualityLadder(frames int, seed int64) map[Quality]*Video {
-	out := make(map[Quality]*Video, 3)
-	for _, q := range Qualities() {
-		cfg := SynthConfig{Frames: frames, FPS: 30, PointsPerFrame: q.Points(), Seed: seed, Sway: 1}
-		out[q] = SynthVideo(cfg)
-		out[q].Name = "soldier-synth-" + q.String()
-	}
-	return out
-}

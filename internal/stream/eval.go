@@ -8,18 +8,13 @@
 package stream
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"volcast/internal/blockcache"
 	"volcast/internal/codec"
 	"volcast/internal/core"
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
-	"volcast/internal/par"
-	"volcast/internal/phy"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
 )
@@ -83,45 +78,16 @@ type Result struct {
 	PerUserRateMbps float64
 }
 
-// Evaluator owns the pieces needed to evaluate frame rates for a set of
-// users on one network.
+// Evaluator evaluates frame rates for a set of users on one network.
 type Evaluator struct {
-	Store *vivo.Store
-	Vis   *vivo.Visibility
-	Study *trace.Study
-	Net   *Network
-	// Trace receives per-frame, per-user stage spans (set by NewEvaluator
-	// to the process tracer; nil disables tracing).
-	Trace *obs.Tracer
-
-	planner *core.Planner
-	decoder codec.Decoder
+	study *trace.Study
+	path  framePath
 }
 
-// NewEvaluator wires an evaluator; the visibility pipeline is built on
-// the store's grid with default ViVo parameters.
+// NewEvaluator wires an evaluator over the store, reporting to the
+// process-wide registry and tracer.
 func NewEvaluator(store *vivo.Store, study *trace.Study, net *Network) *Evaluator {
-	pl := core.NewPlanner(net)
-	pl.Metrics = metrics.Default()
-	pl.Trace = obs.Default()
-	return &Evaluator{
-		Store:   store,
-		Vis:     vivo.New(store.Grid(), vivo.DefaultParams()),
-		Study:   study,
-		Net:     net,
-		Trace:   pl.Trace,
-		planner: pl,
-		decoder: codec.Decoder{Cache: blockcache.Cells()},
-	}
-}
-
-// userRequest computes user u's fetch request for frame f under the mode.
-func (e *Evaluator) userRequest(mode Mode, f int, pose geom.Pose) vivo.Request {
-	occ := e.Store.Frame(f).Occupied
-	if mode == ModeVanilla {
-		return vivo.VanillaRequest(occ)
-	}
-	return e.Vis.Request(occ, pose)
+	return &Evaluator{study: study, path: newFramePath(store, net, metrics.Default(), obs.Default())}
 }
 
 // EvalFPS runs the offline evaluation: for each frame in the window it
@@ -134,8 +100,8 @@ func (e *Evaluator) EvalFPS(cfg EvalConfig) (Result, error) {
 	if cfg.Users < 1 {
 		return Result{}, fmt.Errorf("stream: need at least 1 user")
 	}
-	if cfg.Users > e.Study.Users() {
-		return Result{}, fmt.Errorf("stream: %d users requested, %d traces", cfg.Users, e.Study.Users())
+	if cfg.Users > e.study.Users() {
+		return Result{}, fmt.Errorf("stream: %d users requested, %d traces", cfg.Users, e.study.Users())
 	}
 	if cfg.TargetFPS <= 0 {
 		cfg.TargetFPS = 30
@@ -143,114 +109,49 @@ func (e *Evaluator) EvalFPS(cfg EvalConfig) (Result, error) {
 	if cfg.DecodeRate.PointsPerSecond <= 0 {
 		cfg.DecodeRate = codec.DefaultDecodeRate()
 	}
+	store := e.path.store
 	frames := cfg.Frames
-	if frames <= 0 || frames > e.Store.NumFrames() {
-		frames = e.Store.NumFrames()
+	if frames <= 0 || frames > store.NumFrames() {
+		frames = store.NumFrames()
 	}
 
 	var sumFPS, sumBytes, sumRate float64
-	var mcBytes, totBytes float64
+	var split byteSplit
+	levels := make([]int, cfg.Users) // everyone at full density
 	for f := 0; f < frames; f++ {
-		positions := make([]geom.Vec3, cfg.Users)
-		reqs := make([]vivo.Request, cfg.Users)
-		bodies := make([]phy.Body, cfg.Users)
-		points := e.Store.PointsOracle(f)
-		// Per-user frustum culling + visibility fans out on the par pool
-		// (the visibility pipeline only reads the grid and occupancy);
-		// slots fill by user index, then the max reduces sequentially.
-		userPoints := make([]int, cfg.Users)
-		if err := par.ForEach(context.Background(), cfg.Users, func(u int) error {
-			cull := e.Trace.Begin(f, u, obs.StageCull)
-			pose := e.Study.Traces[u].PoseAt(f)
-			positions[u] = pose.Pos
-			bodies[u] = phy.DefaultBody(pose.Pos)
-			reqs[u] = e.userRequest(cfg.Mode, f, pose)
-			userPoints[u] = reqs[u].Points(points)
-			cull.End()
-			if cfg.DecodeClouds {
-				defer e.Trace.Begin(f, u, obs.StageDecode).End()
-				// Client render path: the shared cache's singleflight
-				// dedup decodes each distinct block once per frame even
-				// though every overlapping user requests it.
-				for _, cr := range reqs[u].Cells {
-					blk := e.Store.Block(f, cr.ID, cr.Stride)
-					if blk == nil {
-						continue
-					}
-					if _, err := e.decoder.Decode(blk.Data); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}); err != nil {
-			return Result{}, err
+		poses := make([]geom.Pose, cfg.Users)
+		for u := range poses {
+			poses[u] = e.study.Traces[u].PoseAt(f)
 		}
-		maxPoints := 0
-		for _, p := range userPoints {
-			if p > maxPoints {
-				maxPoints = p
-			}
-		}
-		// The planner mutates the network's blockage state, so planning
-		// itself stays sequential.
-		plan, err := e.planner.Plan(cfg.Mode, core.FrameInput{
-			Store: e.Store, Frame: f,
-			Requests: reqs, Positions: positions, Bodies: bodies,
-			CustomBeams: cfg.CustomBeams,
-			Seq:         f,
+		fr, err := e.path.step(frameSpec{
+			seq: f, mode: cfg.Mode, poses: poses, views: poses, levels: levels,
+			customBeams: cfg.CustomBeams, decode: cfg.DecodeClouds,
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		// Attribute each user's share of the schedule as modeled airtime
-		// (bytes over the planned unicast rate, the paper's Tm model for
-		// singletons; good enough for per-frame attribution).
-		for u := range plan.Users {
-			bytes := float64(plan.Users[u].RequestBytes)
-			rate := plan.Users[u].UnicastRateMbps
-			if bytes <= 0 || rate <= 0 {
-				continue
-			}
-			air := time.Duration(bytes * 8 / (rate * 1e6) * float64(time.Second))
-			if air > time.Second {
-				air = time.Second
-			}
-			e.Trace.RecordModeled(f, u, obs.StageAirtime, air)
+		points := store.PointsOracle(f)
+		maxPoints := 0
+		for _, r := range fr.reqs {
+			maxPoints = max(maxPoints, r.Points(points))
 		}
-		fps := plan.AchievableFPS(cfg.TargetFPS)
+		fps := fr.plan.AchievableFPS(cfg.TargetFPS)
 		if d := cfg.DecodeRate.MaxFPS(maxPoints, cfg.TargetFPS); d < fps {
 			fps = d
 		}
 		sumFPS += fps
 
-		for _, u := range plan.Users {
+		for _, u := range fr.plan.Users {
 			sumBytes += float64(u.RequestBytes)
 			sumRate += u.UnicastRateMbps
 		}
-		for _, g := range plan.Groups {
-			if len(g) >= 2 {
-				sm := float64(plan.OverlapBytes(g))
-				mcBytes += sm
-				totBytes += sm
-				for _, m := range g {
-					if rest := float64(plan.Users[m].RequestBytes) - sm; rest > 0 {
-						totBytes += rest
-					}
-				}
-			} else if len(g) == 1 {
-				totBytes += float64(plan.Users[g[0]].RequestBytes)
-			}
-		}
+		split.add(fr.plan, 1)
 	}
 	n := float64(frames)
-	res := Result{
+	return Result{
 		FPS:             sumFPS / n,
 		PerUserBytes:    sumBytes / (n * float64(cfg.Users)),
 		PerUserRateMbps: sumRate / (n * float64(cfg.Users)),
-	}
-	if totBytes > 0 {
-		res.MulticastShare = mcBytes / totBytes
-	}
-	return res, nil
+		MulticastShare:  split.share(),
+	}, nil
 }

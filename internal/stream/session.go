@@ -1,21 +1,18 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"volcast/internal/abr"
-	"volcast/internal/blockcache"
 	"volcast/internal/codec"
-	"volcast/internal/core"
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
-	"volcast/internal/par"
 	"volcast/internal/phy"
 	"volcast/internal/pointcloud"
 	"volcast/internal/predict"
+	"volcast/internal/tier"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
 )
@@ -33,14 +30,12 @@ type SessionConfig struct {
 	// Predictive enables joint viewport prediction, blockage forecasting
 	// and the cross-layer controller (prefetch / beam switch / regroup).
 	Predictive bool
-	// StartQuality indexes the quality ladder each user starts at.
+	// StartQuality names the entry of NewSession's stores map the session
+	// streams from; every user starts at that store's full density.
 	StartQuality pointcloud.Quality
-	// AdaptQuality lets the controller move users across the ladder.
+	// AdaptQuality lets the cross-layer controller move each user along
+	// the rungs of the store's density ladder, once per second.
 	AdaptQuality bool
-	// UseMPC selects the model-predictive quality controller instead of
-	// the rule-based cross-layer controller (an ablation knob; both read
-	// the same cross-layer bandwidth prediction).
-	UseMPC bool
 	// DecodeClouds makes the session actually decode every delivered cell
 	// per user each step (the client render path), through the shared
 	// content-addressed decode cache: overlapping viewports and repeated
@@ -76,9 +71,11 @@ type QoE struct {
 	Stalls int
 	// StallSeconds is the total stalled time across users.
 	StallSeconds float64
-	// AvgQuality is the mean quality rung (0=low..2=high) played.
+	// AvgQuality is the mean degrade level played, in steps down the
+	// store's ladder from each cell's culled stride: 0 is full density,
+	// tier.MaxDegrade the coarsest. A run without AdaptQuality reports 0.
 	AvgQuality float64
-	// QualitySwitches counts ladder moves across users.
+	// QualitySwitches counts level changes across users.
 	QualitySwitches int
 	// BeamSwitches counts proactive reflection-path switches.
 	BeamSwitches int
@@ -92,27 +89,25 @@ type QoE struct {
 // WLAN. Construct with NewSession and advance with Run.
 type Session struct {
 	cfg     SessionConfig
-	stores  map[pointcloud.Quality]*vivo.Store
-	visByQ  map[pointcloud.Quality]*vivo.Visibility
+	path    framePath
 	study   *trace.Study
 	net     *Network
-	planner *core.Planner
-	decode  codec.DecodeRate
-	decoder codec.Decoder
 	joint   *predict.Joint
 	ctrl    *abr.Controller
-	mpc     *abr.MPC
 	buffers []*abr.Buffer
 	bwPred  []*abr.CrossLayer
-	quality []pointcloud.Quality
-	fading  []*phy.Fading
-	reg     *metrics.Registry
-	tr      *obs.Tracer
+	// level is each user's degrade level along the store's ladder, the
+	// unit the hub's adapt moves its subscribers in.
+	level  []int
+	fading []*phy.Fading
 }
 
-// NewSession validates the configuration and assembles a session.
-// The stores map must hold one store per quality rung on the same grid
-// layout; study must provide at least cfg.Users traces.
+// NewSession validates the configuration and assembles a session over the
+// store filed under cfg.StartQuality; study must provide at least
+// cfg.Users traces. Quality moves along that one store's rungs, so a map
+// with any other entry is rejected. The map shape is a leftover of the
+// store-per-quality ladder that the benchmark compiles against: it can
+// only become a plain *vivo.Store in a benchmark PR.
 func NewSession(cfg SessionConfig, stores map[pointcloud.Quality]*vivo.Store, study *trace.Study, net *Network) (*Session, error) {
 	if cfg.Users < 1 {
 		return nil, fmt.Errorf("stream: need at least one user")
@@ -120,11 +115,9 @@ func NewSession(cfg SessionConfig, stores map[pointcloud.Quality]*vivo.Store, st
 	if study.Users() < cfg.Users {
 		return nil, fmt.Errorf("stream: %d traces for %d users", study.Users(), cfg.Users)
 	}
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("stream: no content stores")
-	}
-	if _, ok := stores[cfg.StartQuality]; !ok {
-		return nil, fmt.Errorf("stream: missing store for start quality %v", cfg.StartQuality)
+	store, ok := stores[cfg.StartQuality]
+	if !ok || len(stores) != 1 {
+		return nil, fmt.Errorf("stream: %d content stores, want exactly the one at start quality %v", len(stores), cfg.StartQuality)
 	}
 	if cfg.Seconds <= 0 {
 		cfg.Seconds = 5
@@ -144,23 +137,12 @@ func NewSession(cfg SessionConfig, stores map[pointcloud.Quality]*vivo.Store, st
 		tr = obs.Default()
 	}
 	s := &Session{
-		cfg:     cfg,
-		stores:  stores,
-		visByQ:  map[pointcloud.Quality]*vivo.Visibility{},
-		study:   study,
-		net:     net,
-		planner: core.NewPlanner(net),
-		decode:  codec.DefaultDecodeRate(),
-		decoder: codec.Decoder{Cache: blockcache.Cells()},
-		ctrl:    abr.NewController(abr.DefaultConfig()),
-		mpc:     abr.NewMPC(),
-		reg:     reg,
-		tr:      tr,
-	}
-	s.planner.Metrics = reg
-	s.planner.Trace = tr
-	for q, st := range stores {
-		s.visByQ[q] = vivo.New(st.Grid(), vivo.DefaultParams())
+		cfg:   cfg,
+		path:  newFramePath(store, net, reg, tr),
+		study: study,
+		net:   net,
+		ctrl:  abr.NewController(abr.DefaultConfig()),
+		level: make([]int, cfg.Users),
 	}
 	preds := make([]predict.Predictor, cfg.Users)
 	for u := 0; u < cfg.Users; u++ {
@@ -171,7 +153,6 @@ func NewSession(cfg SessionConfig, stores map[pointcloud.Quality]*vivo.Store, st
 		preds[u] = lin
 		s.buffers = append(s.buffers, abr.NewBuffer(cfg.BufferSeconds))
 		s.bwPred = append(s.bwPred, abr.NewCrossLayer(abr.NewEWMA(0.3)))
-		s.quality = append(s.quality, cfg.StartQuality)
 	}
 	if cfg.Fading {
 		seed := cfg.Seed
@@ -186,59 +167,34 @@ func NewSession(cfg SessionConfig, stores map[pointcloud.Quality]*vivo.Store, st
 	return s, nil
 }
 
-// qualityStep moves along the available ladder.
-func (s *Session) qualityStep(q pointcloud.Quality, up bool) pointcloud.Quality {
-	ladder := pointcloud.Qualities()
-	idx := 0
-	for i, l := range ladder {
-		if l == q {
-			idx = i
-		}
-	}
-	for {
-		if up {
-			idx++
-		} else {
-			idx--
-		}
-		if idx < 0 || idx >= len(ladder) {
-			return q
-		}
-		if _, ok := s.stores[ladder[idx]]; ok {
-			return ladder[idx]
-		}
-	}
-}
-
 // Run advances the whole session and returns its QoE summary.
 func (s *Session) Run() (QoE, error) {
 	const dt = 1.0 / 30
+	const horizon = 0.3
 	steps := int(s.cfg.Seconds * 30)
+	reg, tr := s.path.reg, s.path.tr
 	var q QoE
-	var mcBytes, totBytes float64
+	var split byteSplit
 	var fpsSum float64
-	horizon := 0.3
+	// played is the content delivered since the last adaptation pass, in
+	// seconds: what a player that shows frames as they arrive has in place
+	// of a buffer level.
+	var played float64
 
 	for step := 0; step < steps; step++ {
 		stepStart := time.Now()
 		poses := make([]geom.Pose, s.cfg.Users)
-		positions := make([]geom.Vec3, s.cfg.Users)
-		for u := 0; u < s.cfg.Users; u++ {
+		for u := range poses {
 			poses[u] = s.study.Traces[u].PoseAt(step)
-			positions[u] = poses[u].Pos
 		}
 		if err := s.joint.Observe(poses); err != nil {
 			return q, err
-		}
-		bodies := make([]phy.Body, s.cfg.Users)
-		for u := range positions {
-			bodies[u] = phy.DefaultBody(positions[u])
 		}
 
 		// Cross-layer forecasting: predicted poses → predicted blockages.
 		var futureBlocked map[int]bool
 		if s.cfg.Predictive && s.net.Kind == NetAD {
-			predSpan := s.tr.Begin(step, obs.PipelineUser, obs.StagePredict)
+			predSpan := tr.Begin(step, obs.PipelineUser, obs.StagePredict)
 			predPoses := s.joint.PredictAll(horizon)
 			futureBlocked = map[int]bool{}
 			for _, b := range predict.ForecastBlockages(s.net.Radio.Array.Pos, predPoses) {
@@ -246,49 +202,38 @@ func (s *Session) Run() (QoE, error) {
 			}
 			predSpan.End()
 		}
-
-		// Per-user requests at their current quality. The visibility
-		// pipeline only reads shared state and each user's predictor is
-		// private, so the culling fans out on the par pool by user index;
-		// the stateful control reactions below stay sequential.
-		reqs := make([]vivo.Request, s.cfg.Users)
-		perUser := make([]core.FrameContent, s.cfg.Users)
-		visDone := s.reg.Timer("session.visibility").Time()
-		if err := par.ForEach(context.Background(), s.cfg.Users, func(u int) error {
-			defer s.tr.Begin(step, u, obs.StageCull).End()
-			st := s.stores[s.quality[u]]
-			vis := s.visByQ[s.quality[u]]
-			fi := step % st.NumFrames()
-			perUser[u] = core.FrameContent{Store: st, Frame: fi}
-			occ := st.Frame(fi).Occupied
-			if s.cfg.Mode == ModeVanilla {
-				reqs[u] = vivo.VanillaRequest(occ)
-			} else {
-				pose := poses[u]
-				if s.cfg.Predictive {
-					// Fetch for the predicted viewport (hides latency).
-					pose = s.joint.Users[u].Predict(horizon)
-				}
-				reqs[u] = vis.Request(occ, pose)
+		views := poses
+		if s.cfg.Predictive && s.cfg.Mode != ModeVanilla {
+			// Fetch for the predicted viewport (hides latency).
+			views = make([]geom.Pose, s.cfg.Users)
+			for u := range views {
+				views[u] = s.joint.Users[u].Predict(horizon)
 			}
-			return nil
-		}); err != nil {
-			return q, err
 		}
-		visDone()
+		var rssOffsets []float64
+		if s.fading != nil {
+			rssOffsets = make([]float64, s.cfg.Users)
+			for u := range s.fading {
+				rssOffsets[u] = s.fading[u].Step(dt)
+			}
+		}
 
 		// Cross-layer reaction to predicted blockage (sequential: the
 		// controller, buffers and QoE counters are shared state).
 		beamSwitched := map[int]bool{}
-		rateOverride := map[int]float64{}
-		for u := 0; u < s.cfg.Users; u++ {
-			if s.cfg.Predictive && futureBlocked[u] && s.net.Kind == NetAD {
-				st := s.stores[s.quality[u]]
-				fi := step % st.NumFrames()
-				bytes := reqs[u].Bytes(st.SizeOracle(fi))
+		steer := func(reqs []vivo.Request) map[int]float64 {
+			if len(futureBlocked) == 0 {
+				return nil
+			}
+			floors := map[int]float64{}
+			size := s.path.store.SizeOracle(step)
+			for u := range reqs {
+				if !futureBlocked[u] {
+					continue
+				}
 				st8 := abr.State{
 					PredictedMbps:       s.bwPred[u].Predict(),
-					DemandMbps:          codec.BitrateMbps(float64(bytes), 30),
+					DemandMbps:          codec.BitrateMbps(float64(reqs[u].Bytes(size)), 30),
 					BufferLevel:         s.buffers[u].Level(),
 					BufferCapacity:      s.buffers[u].Capacity,
 					BlockageExpected:    true,
@@ -298,11 +243,11 @@ func (s *Session) Run() (QoE, error) {
 				case abr.ActionBeamSwitch:
 					// Steer a dedicated beam along the strongest path
 					// (reflection) instead of the blocked LOS sector.
-					if dir, ok := s.net.Radio.BestPathDir(positions[u]); ok {
+					if dir, ok := s.net.Radio.BestPathDir(poses[u].Pos); ok {
 						w := s.net.Radio.Array.SteerTo(dir)
-						rss := s.net.Radio.RSS(w, positions[u])
+						rss := s.net.Radio.RSS(w, poses[u].Pos)
 						if r2 := s.net.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rss)); r2 > 0 {
-							rateOverride[u] = r2
+							floors[u] = r2
 						}
 						q.BeamSwitches++
 						beamSwitched[u] = true
@@ -312,108 +257,38 @@ func (s *Session) Run() (QoE, error) {
 					s.buffers[u].Add(0.2)
 				}
 			}
+			return floors
 		}
 
-		var rssOffsets []float64
-		if len(s.fading) == s.cfg.Users {
-			rssOffsets = make([]float64, s.cfg.Users)
-			for u := range s.fading {
-				rssOffsets[u] = s.fading[u].Step(dt)
-			}
-		}
-		plan, err := s.planner.Plan(s.cfg.Mode, core.FrameInput{
-			PerUser:      perUser,
-			Requests:     reqs,
-			Positions:    positions,
-			Bodies:       bodies,
-			CustomBeams:  s.cfg.CustomBeams,
-			RSSOffsetsDB: rssOffsets,
-			Seq:          step,
+		fr, err := s.path.step(frameSpec{
+			seq: step, mode: s.cfg.Mode, poses: poses, views: views, levels: s.level,
+			customBeams: s.cfg.CustomBeams, decode: s.cfg.DecodeClouds,
+			rssOffsets: rssOffsets, steer: steer, rateCaps: s.cfg.LinkCapMbps,
 		})
 		if err != nil {
 			return q, err
 		}
-		// Proactive beam switches replace the swept sector rate when the
-		// steered reflection beam is stronger.
-		for u, r2 := range rateOverride {
-			if r2 > plan.Users[u].UnicastRateMbps {
-				plan.Users[u].UnicastRateMbps = r2
-			}
-		}
-		// Link emulation: cap throttled users' delivered rates.
-		for u, lim := range s.cfg.LinkCapMbps {
-			if lim > 0 && plan.Users[u].UnicastRateMbps > lim {
-				plan.Users[u].UnicastRateMbps = lim
-			}
-		}
-		// Attribute each user's modeled MAC airtime for this frame: the
-		// time the user's requested bytes occupy the medium at their
-		// delivered rate. A dead link is clamped to one second so the
-		// attribution stays finite (and unmistakably a miss).
-		for u := 0; u < s.cfg.Users; u++ {
-			bytes := float64(plan.Users[u].RequestBytes)
-			if bytes <= 0 {
-				continue
-			}
-			air := time.Second
-			if rate := plan.Users[u].UnicastRateMbps; rate > 0 {
-				if d := time.Duration(bytes * 8 / (rate * 1e6) * float64(time.Second)); d < air {
-					air = d
-				}
-			}
-			s.tr.RecordModeled(step, u, obs.StageAirtime, air)
-		}
+		plan := fr.plan
 
-		// This step's deliverable fraction of a frame per user.
-		frameFrac := 1.0
+		// The schedule fits the step's airtime budget slack times over;
+		// a user is delivered at most the one frame there is.
+		slack := 1.0
 		if plan.PlanTime > 0 {
-			frameFrac = plan.Airtime * dt / plan.PlanTime
-			if frameFrac > 1 {
-				frameFrac = 1
-			}
+			slack = plan.Airtime * dt / plan.PlanTime
 		}
+		frameFrac := min(slack, 1)
 		fpsSum += frameFrac * 30
-
-		// Client render path: decode each user's delivered cells through
-		// the shared decode cache. Users fan out on the par pool; the
-		// cache's singleflight dedup guarantees each distinct block is
-		// decoded once per frame no matter how many viewports overlap.
-		if s.cfg.DecodeClouds {
-			decodeDone := s.reg.Timer("session.decode").Time()
-			perUserPts := make([]int64, s.cfg.Users)
-			if err := par.ForEach(context.Background(), s.cfg.Users, func(u int) error {
-				defer s.tr.Begin(step, u, obs.StageDecode).End()
-				st, fi := perUser[u].Store, perUser[u].Frame
-				for _, cr := range reqs[u].Cells {
-					blk := st.Block(fi, cr.ID, cr.Stride)
-					if blk == nil {
-						continue
-					}
-					dc, err := s.decoder.Decode(blk.Data)
-					if err != nil {
-						return err
-					}
-					perUserPts[u] += int64(len(dc.Points))
-				}
-				return nil
-			}); err != nil {
-				return q, err
-			}
-			decodeDone()
-			var pts int64
-			for _, p := range perUserPts {
-				pts += p
-			}
-			s.reg.Counter("session.decoded_points").Add(pts)
-		}
+		played += frameFrac * dt
 
 		// Buffers: each user receives frameFrac frames of playback.
-		presentSpan := s.tr.Begin(step, obs.PipelineUser, obs.StagePresent)
+		presentSpan := tr.Begin(step, obs.PipelineUser, obs.StagePresent)
 		for u := 0; u < s.cfg.Users; u++ {
 			s.buffers[u].Add(frameFrac * dt)
 			s.buffers[u].Drain(dt)
-			// Observe the achieved goodput for the predictor.
-			got := frameFrac * float64(plan.Users[u].RequestBytes) * 8 / dt / 1e6
+			// Observe the goodput the schedule delivered the request at:
+			// its bytes over its share of the step, not over the whole
+			// step, or no sample could exceed the demand it measures.
+			got := slack * float64(plan.Users[u].RequestBytes) * 8 / dt / 1e6
 			s.bwPred[u].Observe(abr.Sample{T: float64(step) * dt, Mbps: got})
 			hint := abr.PHYHint{RateCeilingMbps: plan.Users[u].UnicastRateMbps}
 			if futureBlocked[u] && !beamSwitched[u] {
@@ -421,35 +296,18 @@ func (s *Session) Run() (QoE, error) {
 				hint.BlockageLossFrac = 0.35
 			}
 			s.bwPred[u].ObservePHY(hint)
+			q.AvgQuality += float64(s.level[u])
 		}
+		split.add(plan, frameFrac)
 
 		// Rate adaptation once per second.
 		if s.cfg.AdaptQuality && step%30 == 29 {
-			s.adaptQuality(plan, &q)
-		}
-
-		// Byte accounting.
-		for _, g := range plan.Groups {
-			if len(g) >= 2 {
-				sm := float64(plan.OverlapBytes(g)) * frameFrac
-				mcBytes += sm
-				totBytes += sm
-				for _, m := range g {
-					rest := (float64(plan.Users[m].RequestBytes) - float64(plan.OverlapBytes(g))) * frameFrac
-					if rest > 0 {
-						totBytes += rest
-					}
-				}
-			} else if len(g) == 1 {
-				totBytes += float64(plan.Users[g[0]].RequestBytes) * frameFrac
-			}
-		}
-		for u := 0; u < s.cfg.Users; u++ {
-			q.AvgQuality += float64(s.quality[u])
+			s.adaptQuality(fr, played, &q)
+			played = 0
 		}
 		presentSpan.End()
-		s.reg.Counter("session.steps").Inc()
-		s.reg.Histogram("session.step_ms", nil).
+		reg.Counter("session.steps").Inc()
+		reg.Histogram("session.step_ms", nil).
 			Observe(float64(time.Since(stepStart)) / float64(time.Millisecond))
 	}
 
@@ -461,80 +319,45 @@ func (s *Session) Run() (QoE, error) {
 		q.AvgFPS = fpsSum / float64(steps)
 		q.AvgQuality /= float64(steps * s.cfg.Users)
 	}
-	if totBytes > 0 {
-		q.MulticastShare = mcBytes / totBytes
-	}
+	q.MulticastShare = split.share()
 	return q, nil
 }
 
-// adaptQuality runs the once-per-second controller pass (rule-based
-// cross-layer controller or MPC, per SessionConfig.UseMPC).
-func (s *Session) adaptQuality(plan *core.FramePlan, q *QoE) {
-	for u := 0; u < s.cfg.Users; u++ {
-		demand := codec.BitrateMbps(float64(plan.Users[u].RequestBytes), 30)
-		if s.cfg.UseMPC {
-			s.adaptQualityMPC(u, demand, q)
-			continue
-		}
-		upQ := s.qualityStep(s.quality[u], true)
-		upDemand := 0.0
-		if upQ != s.quality[u] {
-			upDemand = demand * float64(upQ.Points()) / float64(s.quality[u].Points())
-		}
-		// With the layered codec the switch itself ships only enhancement
-		// layers: the extra rate over current demand, not a full re-send of
-		// the finer rung.
-		upDelta := 0.0
-		if upDemand > demand {
-			upDelta = upDemand - demand
-		}
+// adaptQuality is the once-per-second controller pass. A user's current
+// rate is what the frame just planned; the next level up is priced from
+// the store — the same culled request one level denser, and the
+// enhancement layers that separate the two.
+func (s *Session) adaptQuality(fr frame, played float64, q *QoE) {
+	store := s.path.store
+	lad, size := store.Ladder(), store.SizeOracle(fr.fi)
+	for u := range s.level {
 		st8 := abr.State{
-			PredictedMbps:    s.bwPred[u].Predict(),
-			DemandMbps:       demand,
-			NextUpDemandMbps: upDemand,
-			UpgradeDeltaMbps: upDelta,
-			BufferLevel:      s.buffers[u].Level(),
-			BufferCapacity:   s.buffers[u].Capacity,
-			GroupEfficiency:  1,
+			PredictedMbps:   s.bwPred[u].Predict(),
+			DemandMbps:      codec.BitrateMbps(float64(fr.plan.Users[u].RequestBytes), 30),
+			BufferLevel:     played,
+			BufferCapacity:  1,
+			GroupEfficiency: 1,
+		}
+		if s.level[u] > 0 {
+			up := degrade(lad, fr.culled[u], s.level[u]-1)
+			delta := 0
+			for i, c := range up.Cells {
+				delta += store.UpgradeBytes(fr.fi, c.ID, fr.reqs[u].Cells[i].Stride, c.Stride)
+			}
+			st8.NextUpDemandMbps = codec.BitrateMbps(float64(up.Bytes(size)), 30)
+			st8.UpgradeDeltaMbps = codec.BitrateMbps(float64(delta), 30)
 		}
 		switch s.ctrl.Decide(st8) {
 		case abr.ActionQualityDown:
-			if nq := s.qualityStep(s.quality[u], false); nq != s.quality[u] {
-				s.quality[u] = nq
+			if s.level[u] < tier.MaxDegrade {
+				s.level[u]++
 				q.QualitySwitches++
 			}
-		case abr.ActionQualityUp:
-			if nq := s.qualityStep(s.quality[u], true); nq != s.quality[u] {
-				s.quality[u] = nq
-				q.QualitySwitches++
-			}
+		case abr.ActionQualityUp: // only offered below full density
+			s.level[u]--
+			q.QualitySwitches++
 		case abr.ActionRegroup:
 			q.Regroups++
 		}
-	}
-}
-
-// adaptQualityMPC is the MPC arm of the ablation: build the per-rung
-// demand ladder by scaling the observed demand with the point-count
-// ratios, then let the lookahead controller pick the rung.
-func (s *Session) adaptQualityMPC(u int, demand float64, q *QoE) {
-	ladder := pointcloud.Qualities()
-	demands := make([]float64, 0, len(ladder))
-	avail := make([]pointcloud.Quality, 0, len(ladder))
-	cur := 0
-	for _, l := range ladder {
-		if _, ok := s.stores[l]; !ok {
-			continue
-		}
-		if l == s.quality[u] {
-			cur = len(avail)
-		}
-		demands = append(demands, demand*float64(l.Points())/float64(s.quality[u].Points()))
-		avail = append(avail, l)
-	}
-	pick := s.mpc.Choose(demands, cur, s.bwPred[u].Predict(), s.buffers[u].Level())
-	if pick != cur {
-		s.quality[u] = avail[pick]
-		q.QualitySwitches++
 	}
 }

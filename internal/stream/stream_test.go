@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 
 	"volcast/internal/blockcache"
@@ -9,6 +10,7 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/pointcloud"
+	"volcast/internal/tier"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
 )
@@ -195,7 +197,7 @@ func TestSessionRunsAndReportsQoE(t *testing.T) {
 		t.Errorf("AvgFPS = %v", q.AvgFPS)
 	}
 	if q.AvgQuality != 0 {
-		t.Errorf("AvgQuality = %v with a single rung", q.AvgQuality)
+		t.Errorf("AvgQuality = %v without AdaptQuality", q.AvgQuality)
 	}
 }
 
@@ -214,6 +216,10 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(SessionConfig{Users: 1, StartQuality: pointcloud.QualityLow}, nil, study, ad); err == nil {
 		t.Error("no stores accepted")
+	}
+	two := map[pointcloud.Quality]*vivo.Store{pointcloud.QualityLow: store, pointcloud.QualityMedium: store}
+	if _, err := NewSession(SessionConfig{Users: 1, StartQuality: pointcloud.QualityLow}, two, study, ad); err == nil {
+		t.Error("a second store accepted: quality moves along the rungs of one")
 	}
 }
 
@@ -282,37 +288,84 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestSessionMPCAdaptsQuality(t *testing.T) {
-	// Two quality rungs and a link that cannot carry the upper one for 4
-	// users: the MPC controller must keep/steer users toward the rung
-	// that avoids stalls, and the rule-based controller must too; both
-	// paths must run without error.
-	low, study := testWorld(t, 10, 40_000)
-	high, _ := testWorld(t, 10, 80_000)
-	stores := map[pointcloud.Quality]*vivo.Store{
-		pointcloud.QualityLow:    low,
-		pointcloud.QualityMedium: high,
-	}
-	ad, _ := NewAD()
-	for _, useMPC := range []bool{false, true} {
+func TestSessionAdaptsAlongStoreRungs(t *testing.T) {
+	// One store, four viewers on a link that carries them all with room to
+	// spare, one of them throttled far below what its viewport costs. The
+	// controller must walk that user, and only that user, down the store's
+	// rungs, and bring a user who starts below full density back up.
+	store, study := testWorld(t, 10, 40_000)
+	stores := map[pointcloud.Quality]*vivo.Store{pointcloud.QualityLow: store}
+	const starved, recovering = 1, 3
+	run := func() (QoE, *Session) {
+		ad, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
 		sess, err := NewSession(SessionConfig{
-			Users: 4, Seconds: 2, Mode: ModeViVo,
-			StartQuality: pointcloud.QualityMedium,
-			AdaptQuality: true, UseMPC: useMPC,
+			Users: 4, Seconds: 4, Mode: ModeMulticast, AdaptQuality: true,
+			StartQuality: pointcloud.QualityLow,
+			LinkCapMbps:  []float64{0, 2, 0, 0},
+			Metrics:      metrics.NewRegistry(),
 		}, stores, study, ad)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess.level[recovering] = 2
 		q, err := sess.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.AvgFPS <= 0 {
-			t.Errorf("useMPC=%v: AvgFPS %v", useMPC, q.AvgFPS)
+		return q, sess
+	}
+	q, sess := run()
+	for u, l := range sess.level {
+		want := 0
+		if u == starved {
+			want = tier.MaxDegrade
 		}
-		if q.AvgQuality < 0 || q.AvgQuality > 2 {
-			t.Errorf("useMPC=%v: AvgQuality %v", useMPC, q.AvgQuality)
+		if l != want {
+			t.Errorf("user %d ends at level %d, want %d (levels %v)", u, l, want, sess.level)
 		}
+	}
+	// Three steps down for the starved user, two back up for the other.
+	if q.QualitySwitches != 5 {
+		t.Errorf("QualitySwitches = %d, want 5", q.QualitySwitches)
+	}
+	if q.AvgQuality <= 0 || q.AvgQuality >= tier.MaxDegrade {
+		t.Errorf("AvgQuality = %v, want a mean level inside (0, %d)", q.AvgQuality, tier.MaxDegrade)
+	}
+	if q2, _ := run(); q2 != q {
+		t.Errorf("adapting session not deterministic: %+v vs %+v", q, q2)
+	}
+
+	// The frame after the run, at the levels it ended on: the starved
+	// user's request got cheaper, and the multicast group it shares with
+	// full-density members still has a payload in common, the densest copy
+	// of every cell all of them see.
+	poses := make([]geom.Pose, len(sess.level))
+	for u := range poses {
+		poses[u] = study.Traces[u].PoseAt(0)
+	}
+	fr, err := sess.path.step(frameSpec{mode: ModeMulticast, poses: poses, views: poses, levels: sess.level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := fr.culled[starved].Bytes(store.SizeOracle(fr.fi))
+	if got := fr.plan.Users[starved].RequestBytes; got <= 0 || got >= full {
+		t.Errorf("starved user requests %d B at level %d, %d B at level 0", got, sess.level[starved], full)
+	}
+	mixed := false
+	for _, g := range fr.plan.Groups {
+		if len(g) < 2 || !slices.Contains(g, starved) {
+			continue
+		}
+		mixed = true
+		if fr.plan.OverlapBytes(g) <= 0 {
+			t.Errorf("mixed-level group %v (levels %v) shares no payload", g, sess.level)
+		}
+	}
+	if !mixed {
+		t.Errorf("starved user multicast with nobody: groups %v", fr.plan.Groups)
 	}
 }
 

@@ -75,6 +75,11 @@ func (l Ladder) LayersFor(r int, layers int) int {
 	return n
 }
 
+// MaxDegrade bounds the degrade level a receiver can be moved to (stride
+// ×8): the hub's queue-driven adapt and the simulator's rate controller
+// both stop here.
+const MaxDegrade = 3
+
 // maxShift bounds degrade shifts so stride<<degrade cannot overflow int.
 const maxShift = 16
 

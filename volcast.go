@@ -214,9 +214,10 @@ type SessionOptions struct {
 	WiFi5 bool
 	// Fading adds seeded small-scale RSS fading to every link.
 	Fading bool
-	// AdaptQuality lets the cross-layer controller move users across the
-	// quality ladder (requires a Content per rung; the facade runs a
-	// single rung, so this mainly exercises the controller).
+	// AdaptQuality lets the cross-layer controller move each user along
+	// the density rungs of the content's layered store, once per second:
+	// down when the predicted bandwidth falls short of the user's demand,
+	// back up when it affords the enhancement layers.
 	AdaptQuality bool
 	// Seed drives the session's stochastic components (default 1).
 	Seed int64
