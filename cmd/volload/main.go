@@ -17,7 +17,7 @@
 //	volload -clients 500 -sessions 8 -churn-every 2s     # churn at scale
 //	volload -fault-reset 0.3 -load-seed 7                # seeded chaos
 //	volload -addr host:7272                              # external server
-//	volload -out report.json -merge BENCH_2026-08-08.json
+//	volload -out report.json                             # report to a file
 //	volload -cap-scene 1 -cap-mbps 0.25 -flight-dir /tmp/fl \
 //	        -debug-addr 127.0.0.1:0 -min-breaches 1      # SLO-plane smoke
 package main
@@ -53,8 +53,7 @@ import (
 	"volcast/internal/vivo"
 )
 
-// report is the JSON document volload emits; the schema is consumed by
-// the BENCH_*.json trajectory (merged under the "loadtest" key).
+// report is the JSON document volload emits.
 type report struct {
 	Sessions   int     `json:"sessions"`
 	Clients    int     `json:"clients"`
@@ -132,9 +131,8 @@ type layerStats struct {
 	SavingsFrac    float64 `json:"savings_frac"`
 }
 
-// sloReport lands in the JSON report (and is merged into BENCH under
-// "slo"): the per-session breach counts plus what the /sessions scrapes
-// observed during the run.
+// sloReport lands in the JSON report under "slo": the per-session breach
+// counts plus what the /sessions scrapes observed during the run.
 type sloReport struct {
 	Targets       *obs.SLOTargets       `json:"targets,omitempty"`
 	Scrapes       int                   `json:"scrapes"`
@@ -229,12 +227,7 @@ func main() {
 	probeUpgrade := flag.Bool("probe-upgrade", false, "run one layered pull probe per scene that requests a coarse rung for the first half of the run, then flips to full density — a deterministic tier upgrade that must arrive as enhancement-only deltas")
 	probeStride := flag.Int("probe-stride", 2, "coarse rung the -probe-upgrade probes start at")
 	out := flag.String("out", "", "write the JSON report here (empty = stdout)")
-	merge := flag.String("merge", "", "merge the report into this benchjson BENCH_*.json (created if absent) under -merge-key")
-	mergeKey := flag.String("merge-key", "loadtest", "top-level key the report is merged under in the -merge file")
 	minFrames := flag.Int64("min-frames", 1, "exit nonzero unless at least this many frames completed in total")
-	maxP50 := flag.Float64("max-p50", 0, "exit nonzero when p50 frame latency exceeds this many ms (0 = no gate)")
-	maxP95 := flag.Float64("max-p95", 0, "exit nonzero when p95 frame latency exceeds this many ms (0 = no gate)")
-	maxP99 := flag.Float64("max-p99", 0, "exit nonzero when p99 frame latency exceeds this many ms (0 = no gate)")
 	minDeltaCells := flag.Int64("min-delta-cells", -1, "exit nonzero unless at least this many cells arrived as enhancement-only deltas AND their wire bytes undercut a full re-send (-1 = no gate)")
 	minCacheHits := flag.Int64("min-cache-hits", -1, "exit nonzero unless the self-host encode tier recorded at least this many hits (-1 = no gate)")
 	minBreaches := flag.Int64("min-breaches", -1, "exit nonzero unless total SLO breaches >= this (-1 = no gate)")
@@ -261,6 +254,7 @@ func main() {
 	// recorder — so a single volload run can gate breach behavior end to
 	// end (make slo-smoke).
 	var h *hub.Hub
+	var debugSrv *http.Server
 	var engine *obs.SLOEngine
 	var flight *obs.FlightRecorder
 	target := *addr
@@ -309,7 +303,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("volload: debug listener: %v", err)
 			}
-			debugSrv := &http.Server{Handler: obs.NewDebugMux(obs.DebugConfig{
+			debugSrv = &http.Server{Handler: obs.NewDebugMux(obs.DebugConfig{
 				Tracer:    tracer,
 				UserLabel: h.SubscriberLabel,
 				Sessions:  h.SessionInfos,
@@ -317,7 +311,6 @@ func main() {
 				Events:    events,
 			})}
 			go debugSrv.Serve(ln)
-			defer debugSrv.Close()
 			scrapeBase = "http://" + ln.Addr().String()
 			log.Printf("volload: debug endpoint on %s", ln.Addr())
 		}
@@ -592,9 +585,15 @@ func main() {
 		rep.SLO = slo
 	}
 
+	// Stop everything this process started, the scrape plumbing included,
+	// so the goroutine gate below counts leaks and nothing else.
 	if h != nil {
 		h.Shutdown()
 	}
+	if debugSrv != nil {
+		debugSrv.Close()
+	}
+	http.DefaultClient.CloseIdleConnections()
 
 	// Aggregate.
 	var all []float64
@@ -700,18 +699,6 @@ func main() {
 	} else {
 		os.Stdout.Write(data)
 	}
-	if *merge != "" {
-		if err := mergeIntoBench(*merge, *mergeKey, rep); err != nil {
-			log.Fatalf("volload: merge: %v", err)
-		}
-		log.Printf("volload: merged under %q in %s", *mergeKey, *merge)
-		if rep.SLO != nil {
-			if err := mergeIntoBench(*merge, "slo", rep.SLO); err != nil {
-				log.Fatalf("volload: merge slo: %v", err)
-			}
-			log.Printf("volload: merged under %q in %s", "slo", *merge)
-		}
-	}
 
 	log.Printf("volload: %d frames, p50/p95/p99 %.1f/%.1f/%.1f ms, %d joins, %d reconnects, goroutines %d→%d",
 		rep.Frames, rep.Latency.P50, rep.Latency.P95, rep.Latency.P99,
@@ -722,20 +709,8 @@ func main() {
 	if rep.Frames < *minFrames {
 		log.Fatalf("volload: FAILED: %d frames < -min-frames %d", rep.Frames, *minFrames)
 	}
-	// Latency gates run last, after the report has been written/merged, so
-	// a red gate still leaves the measured numbers on disk for triage.
-	for _, g := range []struct {
-		name  string
-		limit float64
-		got   float64
-	}{
-		{"p50", *maxP50, rep.Latency.P50},
-		{"p95", *maxP95, rep.Latency.P95},
-		{"p99", *maxP99, rep.Latency.P99},
-	} {
-		if g.limit > 0 && g.got > g.limit {
-			log.Fatalf("volload: FAILED: %s frame latency %.1fms > -max-%s %.1fms", g.name, g.got, g.name, g.limit)
-		}
+	if rep.GoroutinesEnd > goroutinesStart+2 {
+		log.Fatalf("volload: FAILED: goroutine leak: %d at start, still %d after the hub and fleet stopped", goroutinesStart, rep.GoroutinesEnd)
 	}
 	// SLO gates: exact breach-count windows for pinned scenarios (the
 	// slo-smoke contract is min=max=1), zero tolerance for breaches on
@@ -827,27 +802,4 @@ func percentile(sorted []float64, q float64) float64 {
 	}
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-// mergeIntoBench adds the load report to a benchjson document under the
-// given top-level key, preserving every other field as-is. A missing
-// file is created, so latency gates can run before the bench target has
-// snapshotted anything.
-func mergeIntoBench(path, key string, rep any) error {
-	doc := map[string]any{}
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	case !os.IsNotExist(err):
-		return err
-	}
-	doc[key] = rep
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -19,8 +19,9 @@
 //	volsim ablate   [-users N] [-seconds S]     feature ablation (QoE per feature)
 //	volsim gcr                                  reliable-groupcast cost table
 //
-// The global -stats flag dumps the process metrics registry (stage timers,
-// counters, per-layer latency histograms) to stderr after the subcommand
+// The global -stats flag dumps the process metrics registry (counters,
+// then stage-duration and per-layer latency histograms in ms, the text
+// form the volserve stats log prints) to stderr after the subcommand
 // finishes; -workers N sets the parallel pool width (default GOMAXPROCS,
 // also settable via VOLCAST_WORKERS; 1 = fully sequential); -cache MB sets
 // the content-addressed block cache budget (default 64, also settable via

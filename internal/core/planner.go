@@ -247,7 +247,7 @@ func (pl *Planner) groupRate(in FrameInput, group []int) float64 {
 // partition is all-singletons; for ModeMulticast the greedy
 // viewport-similarity grouping of the paper's Tm(k) model runs.
 func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
-	defer pl.Metrics.Timer("core.plan").Time()()
+	defer pl.Metrics.Histogram("core.plan", nil).TimeMillis()()
 	defer pl.Trace.Begin(in.Seq, obs.PipelineUser, obs.StagePlan).End()
 	n := len(in.Requests)
 	ad := pl.Net.Kind == NetAD

@@ -108,12 +108,12 @@ type Hub struct {
 	// Shutdown can sever them without waiting for handshake deadlines.
 	pending map[net.Conn]struct{}
 	nextSub uint32
-	// subLabels maps subscriber ids (the tracer's user axis) to
-	// "scene/client" labels for /qoe readability with many sessions.
+	// subLabels maps connected subscribers' ids (the tracer's user axis)
+	// to "scene/client" labels for /qoe readability with many sessions.
 	subLabels map[uint32]string
-	// seenClients remembers every (scene, client id) pair that ever
-	// registered, so a repeat registration is reported as a reconnect
-	// event rather than a join.
+	// seenClients remembers the (scene, client id) pairs registered since
+	// the scene was built (the reaper drops them with it), so a repeat
+	// registration is reported as a reconnect event rather than a join.
 	seenClients map[uint64]struct{}
 
 	wg       sync.WaitGroup
@@ -320,7 +320,7 @@ func (h *Hub) ListenAndServe(addr string, ready chan<- string) error {
 // DrainTimeout budget; stragglers are force-closed when the budget
 // expires. Connections still mid-handshake are severed immediately.
 func (h *Hub) Shutdown() {
-	start := time.Now()
+	drained := h.cfg.Metrics.Histogram("transport.shutdown.drain", nil).TimeMillis()
 	// Cancel under h.mu: handle() checks h.ctx under the same lock before
 	// registering, so no subscriber can slip into a session after the
 	// snapshot below (the zombie-registration race).
@@ -370,7 +370,7 @@ func (h *Hub) Shutdown() {
 	})
 	h.wg.Wait()
 	forceTimer.Stop()
-	h.cfg.Metrics.Timer("transport.shutdown.drain").Observe(time.Since(start))
+	drained()
 }
 
 // reaper drains and reaps sessions that have been empty past the
@@ -400,7 +400,15 @@ func (h *Hub) reaper() {
 		var reap []*session
 		for id, s := range h.sessions {
 			if s.emptyFor(h.cfg.ReapAfter) && s.markClosed() {
+				// What is keyed by the scene goes under the same lock hold
+				// as the scene: a rejoin cannot yet have rebuilt the label.
 				delete(h.sessions, id)
+				for key := range h.seenClients {
+					if uint32(key>>32) == id {
+						delete(h.seenClients, key)
+					}
+				}
+				h.cfg.Metrics.Forget("hub.session." + s.label + ".")
 				reap = append(reap, s)
 			}
 		}
@@ -418,9 +426,9 @@ func (h *Hub) reaper() {
 	}
 }
 
-// sloLoop periodically feeds every session's windowed readout to the SLO
-// engine; breach/recovery transitions (events, flight captures) happen
-// inside Evaluate.
+// sloLoop periodically feeds every session's windowed readout — the row
+// /sessions shows — to the SLO engine; breach/recovery transitions
+// (events, flight captures) happen inside Evaluate.
 func (h *Hub) sloLoop() {
 	defer h.wg.Done()
 	if h.cfg.SLO == nil || h.cfg.SLOEvery < 0 {
@@ -438,18 +446,11 @@ func (h *Hub) sloLoop() {
 			return
 		case <-ticker.C:
 		}
-		h.mu.Lock()
-		sessions := make([]*session, 0, len(h.sessions))
-		for _, s := range h.sessions {
-			sessions = append(sessions, s)
-		}
-		h.mu.Unlock()
-		for _, s := range sessions {
-			st := s.wFrameMS.Stats()
-			h.cfg.SLO.Evaluate(s.label, obs.SLOWindow{
-				P99MS:  st.P99,
-				Frames: s.wFrames.Value(),
-				Misses: s.wMisses.Value(),
+		for _, si := range h.SessionInfos() {
+			h.cfg.SLO.Evaluate(si.Scene, obs.SLOWindow{
+				P99MS:  si.P99MS,
+				Frames: si.WindowFrames,
+				Misses: si.WindowMisses,
 			})
 		}
 	}
@@ -479,7 +480,7 @@ func (h *Hub) SessionInfos() []obs.SessionInfo {
 			Scene:        s.label,
 			Subscribers:  s.numSubs(),
 			Frames:       s.cFrames.Value(),
-			WindowFrames: s.wFrames.Value(),
+			WindowFrames: st.Count,
 			WindowMisses: s.wMisses.Value(),
 			P50MS:        st.P50,
 			P95MS:        st.P95,
@@ -556,7 +557,7 @@ func (h *Hub) joinSession(scene uint32) (*session, error) {
 // the per-session visibility pipeline, counters, and lifecycle.
 func (h *Hub) buildSession(scene uint32) (*session, error) {
 	label := strconv.FormatUint(uint64(scene), 10)
-	buildStart := time.Now()
+	built := h.cfg.Metrics.Histogram("hub.store_build", nil).TimeMillis()
 	store, err := h.cfg.NewStore(scene, blockcache.SessionBlocks(h.tier, label))
 	if err != nil {
 		return nil, fmt.Errorf("hub: scene %d store: %w", scene, err)
@@ -565,7 +566,7 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 		return nil, fmt.Errorf("hub: scene %d has an empty store", scene)
 	}
 	h.cBuilt.Inc()
-	h.cfg.Metrics.Timer("hub.store_build").Observe(time.Since(buildStart))
+	built()
 	fps := h.cfg.FPS
 	if fps <= 0 {
 		fps = store.FPS()
@@ -598,7 +599,6 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 	s.cViolSerialize = h.cfg.Metrics.Counter(prefix + "budget_violations.serialize")
 	s.cViolSend = h.cfg.Metrics.Counter(prefix + "budget_violations.send")
 	s.wFrameMS = h.cfg.Metrics.Windowed(prefix+"window.frame_ms", nil)
-	s.wFrames = h.cfg.Metrics.WindowedCounter(prefix + "window.frames")
 	s.wMisses = h.cfg.Metrics.WindowedCounter(prefix + "window.misses")
 	s.wBudgetViol = h.cfg.Metrics.WindowedCounter(prefix + "window.budget_violations")
 	return s, nil
@@ -686,6 +686,9 @@ func (h *Hub) handle(conn net.Conn) {
 	s.cConnects.Inc()
 	defer func() {
 		s.removeSub(c)
+		h.mu.Lock()
+		delete(h.subLabels, c.sub)
+		h.mu.Unlock()
 		h.cDisconnects.Inc()
 		s.cDisconnects.Inc()
 		h.cfg.Events.Append(obs.EventLeave, s.label, int(c.sub), "")

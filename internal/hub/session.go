@@ -57,8 +57,7 @@ type session struct {
 	// SLO engine and /sessions read these for "the last ~10s" instead
 	// of lifetime totals. All nil-safe, so the bare sessions tests and
 	// benchmarks build skip the whole plane at zero cost.
-	wFrameMS    *metrics.Windowed        // frame push→socket latency (ms)
-	wFrames     *metrics.WindowedCounter // FrameComplete deliveries
+	wFrameMS    *metrics.Windowed        // push→socket latency (ms), one sample per delivered FrameComplete
 	wMisses     *metrics.WindowedCounter // late deliveries + dropped FCs
 	wBudgetViol *metrics.WindowedCounter // per-stage budget violations
 }
@@ -578,7 +577,6 @@ func (w *batchWriter) flush() error {
 			if !b.t0.IsZero() {
 				lat := time.Since(b.t0)
 				w.s.wFrameMS.Observe(float64(lat) / float64(time.Millisecond))
-				w.s.wFrames.Add(1)
 				if lat > w.deadline {
 					w.s.wMisses.Add(1)
 				}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,6 +189,69 @@ func TestHubLifecycleEvents(t *testing.T) {
 		return false
 	})
 	conn2.Close()
+	h.Shutdown()
+	snap.Check(t)
+}
+
+// TestReapForgetsSceneState: scene churn must not grow the hub. Fresh
+// scenes, each joined, rejoined before the reap (still a reconnect) and
+// left, end with no subscriber label, no seen-client pair and no
+// hub.session.* instrument once the reaper has claimed them; a scene
+// joined again after its reap starts over, instruments included.
+func TestReapForgetsSceneState(t *testing.T) {
+	snap := leakcheck.Take()
+	reg := metrics.NewRegistry()
+	events := obs.NewEventLog(256)
+	h, addr := startHub(t, Config{
+		NewStore: testFactory(nil), HeartbeatEvery: -1,
+		ReapAfter: 250 * time.Millisecond, Metrics: reg, Events: events,
+	})
+	// The text dump names every instrument of every kind.
+	holdsSessionKeys := func() bool { return strings.Contains(reg.String(), "hub.session.") }
+	count := func(typ string) (n int) {
+		for _, ev := range events.Snapshot() {
+			if ev.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+
+	const scenes = 6
+	for scene := uint32(0); scene < scenes; scene++ {
+		rawJoin(t, addr, 1, scene).Close()
+		conn := rawJoin(t, addr, 1, scene)
+		if got := count(obs.EventReconnect); got != int(scene)+1 {
+			t.Fatalf("scene %d: %d reconnect events after a rejoin before the reap, want %d", scene, got, scene+1)
+		}
+		conn.Close()
+	}
+	if !holdsSessionKeys() {
+		t.Fatal("live scenes registered no hub.session.* instrument: the test checks nothing")
+	}
+	waitFor(t, "every scene reaped", 10*time.Second, func() bool {
+		return reg.Snapshot().Counters["hub.sessions.reaped"] == scenes
+	})
+	h.mu.Lock()
+	labels, seen := len(h.subLabels), len(h.seenClients)
+	h.mu.Unlock()
+	if labels != 0 || seen != 0 {
+		t.Errorf("after the reaps: %d subscriber labels, %d seen-client pairs, want 0 and 0", labels, seen)
+	}
+	if holdsSessionKeys() {
+		t.Errorf("after the reaps the registry still holds hub.session.* instruments:\n%s", reg)
+	}
+
+	// A reaped scene starts over: a join, not a reconnect, and a fresh set
+	// of instruments.
+	conn := rawJoin(t, addr, 1, 0)
+	if joins, reconnects := count(obs.EventJoin), count(obs.EventReconnect); joins != scenes+1 || reconnects != scenes {
+		t.Errorf("after rejoining a reaped scene: %d joins, %d reconnects, want %d and %d", joins, reconnects, scenes+1, scenes)
+	}
+	if _, ok := reg.Snapshot().Counters["hub.session.0.frames"]; !ok {
+		t.Error("the rebuilt scene has no hub.session.0.frames counter")
+	}
+	conn.Close()
 	h.Shutdown()
 	snap.Check(t)
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHistogramQuantile(t *testing.T) {
@@ -54,13 +53,13 @@ func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("steady").Add(5)
 	r.Counter("busy").Add(10)
-	r.Timer("work").Observe(10 * time.Millisecond)
+	r.Histogram("work", nil).Observe(10)
 	r.Histogram("lat", []float64{1, 10}).Observe(0.5)
 	prev := r.Snapshot()
 
 	r.Counter("busy").Add(3)
 	r.Counter("fresh").Add(2)
-	r.Timer("work").Observe(30 * time.Millisecond)
+	r.Histogram("work", nil).Observe(30)
 	r.Histogram("lat", []float64{1, 10}).Observe(5)
 	d := r.Snapshot().Delta(prev)
 
@@ -75,15 +74,15 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Errorf("fresh delta = %d, want 2", d.Counters["fresh"])
 	}
 
-	w, ok := d.Timers["work"]
+	w, ok := d.Histograms["work"]
 	if !ok {
-		t.Fatal("active timer dropped from the delta")
+		t.Fatal("active stage histogram dropped from the delta")
 	}
 	if w.Count != 1 {
-		t.Errorf("timer delta count = %d, want 1", w.Count)
+		t.Errorf("stage delta count = %d, want 1", w.Count)
 	}
-	if w.MeanMS < 29 || w.MeanMS > 31 {
-		t.Errorf("timer interval mean = %vms, want ~30", w.MeanMS)
+	if w.Mean < 29 || w.Mean > 31 {
+		t.Errorf("stage interval mean = %vms, want ~30", w.Mean)
 	}
 
 	l, ok := d.Histograms["lat"]
@@ -107,7 +106,7 @@ func TestSnapshotDelta(t *testing.T) {
 	// A fully idle interval produces an empty delta and empty string.
 	same := r.Snapshot()
 	idle := same.Delta(same)
-	if len(idle.Counters)+len(idle.Timers)+len(idle.Histograms) != 0 {
+	if len(idle.Counters)+len(idle.Histograms) != 0 {
 		t.Errorf("self-delta is non-empty: %+v", idle)
 	}
 	if idle.String() != "" {

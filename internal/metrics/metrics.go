@@ -1,9 +1,10 @@
 // Package metrics is the pipeline's stage instrumentation: named
-// counters, stage timers and per-layer histograms collected into a
-// Registry with a stable text dump and a JSON dump. All instruments are
-// safe for concurrent use, and every method is nil-safe — a component
-// holding a nil *Registry (instrumentation disabled) records nothing at
-// zero cost, so callers never need nil checks at the recording sites.
+// counters and histograms (stage durations in milliseconds, per-layer
+// values) collected into a Registry with a stable text dump and a JSON
+// dump. All instruments are safe for concurrent use, and every method is
+// nil-safe — a component holding a nil *Registry (instrumentation
+// disabled) records nothing at zero cost, so callers never need nil
+// checks at the recording sites.
 package metrics
 
 import (
@@ -43,95 +44,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Timer aggregates durations of one pipeline stage.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	sum   time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one stage execution.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.sum += d
-}
-
-// Time starts a measurement; the returned func records the elapsed time.
-// Usage: defer r.Timer("stage").Time()().
-func (t *Timer) Time() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// Total returns the summed duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sum
-}
-
-// Mean returns the mean observed duration (0 with no observations).
-func (t *Timer) Mean() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 {
-		return 0
-	}
-	return t.sum / time.Duration(t.count)
-}
-
-// Min returns the smallest observed duration.
-func (t *Timer) Min() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.min
-}
-
-// Max returns the largest observed duration.
-func (t *Timer) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.max
 }
 
 // Histogram counts observations into fixed buckets (upper-bound
@@ -256,7 +168,6 @@ func MillisBuckets() []float64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	windows  map[string]*Windowed
 	wcounts  map[string]*WindowedCounter
@@ -266,7 +177,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		timers:   map[string]*Timer{},
 		hists:    map[string]*Histogram{},
 		windows:  map[string]*Windowed{},
 		wcounts:  map[string]*WindowedCounter{},
@@ -292,21 +202,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Timer returns (creating if needed) the named timer.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns (creating if needed) the named histogram. The bounds
@@ -366,17 +261,31 @@ func (r *Registry) WindowedCounter(name string) *WindowedCounter {
 }
 
 // Reset drops every instrument.
-func (r *Registry) Reset() {
+func (r *Registry) Reset() { r.Forget("") }
+
+// Forget drops every instrument whose name starts with prefix, so a
+// namespace that names something finite-lived (a reaped scene's
+// "hub.session.<label>.") does not outlive it. A holder of a dropped
+// instrument keeps recording into it, unseen by Snapshot; the next lookup
+// of the name starts a fresh one.
+func (r *Registry) Forget(prefix string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.timers = map[string]*Timer{}
-	r.hists = map[string]*Histogram{}
-	r.windows = map[string]*Windowed{}
-	r.wcounts = map[string]*WindowedCounter{}
+	forget(r.counters, prefix)
+	forget(r.hists, prefix)
+	forget(r.windows, prefix)
+	forget(r.wcounts, prefix)
+}
+
+func forget[T any](m map[string]T, prefix string) {
+	for name := range m {
+		if strings.HasPrefix(name, prefix) {
+			delete(m, name)
+		}
+	}
 }
 
 // names returns the sorted keys of one instrument map.
@@ -390,103 +299,7 @@ func names[T any](m map[string]T) []string {
 }
 
 // String renders every instrument in a stable, name-sorted text form.
-func (r *Registry) String() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	windows := make(map[string]*Windowed, len(r.windows))
-	for k, v := range r.windows {
-		windows[k] = v
-	}
-	wcounts := make(map[string]*WindowedCounter, len(r.wcounts))
-	for k, v := range r.wcounts {
-		wcounts[k] = v
-	}
-	r.mu.Unlock()
-
-	var b strings.Builder
-	if len(counters) > 0 {
-		b.WriteString("counters:\n")
-		for _, name := range names(counters) {
-			fmt.Fprintf(&b, "  %-32s %d\n", name, counters[name].Value())
-		}
-	}
-	if len(timers) > 0 {
-		b.WriteString("timers:\n")
-		for _, name := range names(timers) {
-			t := timers[name]
-			fmt.Fprintf(&b, "  %-32s count=%d total=%v mean=%v min=%v max=%v\n",
-				name, t.Count(), t.Total().Round(time.Microsecond),
-				t.Mean().Round(time.Microsecond),
-				t.Min().Round(time.Microsecond), t.Max().Round(time.Microsecond))
-		}
-	}
-	if len(hists) > 0 {
-		b.WriteString("histograms:\n")
-		for _, name := range names(hists) {
-			bounds, counts, sum, n := hists[name].snapshot()
-			mean := 0.0
-			if n > 0 {
-				mean = sum / float64(n)
-			}
-			fmt.Fprintf(&b, "  %-32s n=%d mean=%.3g", name, n, mean)
-			if n > 0 {
-				fmt.Fprintf(&b, " p50=%.3g p95=%.3g p99=%.3g",
-					quantileFrom(bounds, counts, n, 0.50),
-					quantileFrom(bounds, counts, n, 0.95),
-					quantileFrom(bounds, counts, n, 0.99))
-			}
-			for i, c := range counts {
-				if c == 0 {
-					continue
-				}
-				if i < len(bounds) {
-					fmt.Fprintf(&b, " le%g:%d", bounds[i], c)
-				} else {
-					fmt.Fprintf(&b, " inf:%d", c)
-				}
-			}
-			b.WriteByte('\n')
-		}
-	}
-	if len(windows) > 0 {
-		b.WriteString("windows:\n")
-		for _, name := range names(windows) {
-			s := windows[name].Stats()
-			fmt.Fprintf(&b, "  %-32s n=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g window=%.0fs\n",
-				name, s.Count, s.Mean, s.P50, s.P95, s.P99, s.WindowS)
-		}
-	}
-	if len(wcounts) > 0 {
-		b.WriteString("window counters:\n")
-		for _, name := range names(wcounts) {
-			fmt.Fprintf(&b, "  %-32s %d\n", name, wcounts[name].Value())
-		}
-	}
-	return b.String()
-}
-
-// TimerStats is the JSON form of one timer.
-type TimerStats struct {
-	Count   int64   `json:"count"`
-	TotalMS float64 `json:"total_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-	MinMS   float64 `json:"min_ms"`
-	MaxMS   float64 `json:"max_ms"`
-}
+func (r *Registry) String() string { return r.Snapshot().String() }
 
 // HistogramStats is the JSON form of one histogram. P50/P95/P99 are
 // bucket-interpolated percentile estimates.
@@ -505,7 +318,6 @@ type HistogramStats struct {
 // per-interval by construction, so Delta carries them through as-is.
 type Snapshot struct {
 	Counters       map[string]int64          `json:"counters"`
-	Timers         map[string]TimerStats     `json:"timers"`
 	Histograms     map[string]HistogramStats `json:"histograms"`
 	Windows        map[string]WindowStats    `json:"windows,omitempty"`
 	WindowCounters map[string]int64          `json:"window_counters,omitempty"`
@@ -515,7 +327,6 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
-		Timers:     map[string]TimerStats{},
 		Histograms: map[string]HistogramStats{},
 	}
 	if r == nil {
@@ -525,10 +336,6 @@ func (r *Registry) Snapshot() Snapshot {
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
-	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
@@ -555,15 +362,8 @@ func (r *Registry) Snapshot() Snapshot {
 			s.WindowCounters[name] = c.Value()
 		}
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	for name, c := range counters {
 		s.Counters[name] = c.Value()
-	}
-	for name, t := range timers {
-		s.Timers[name] = TimerStats{
-			Count: t.Count(), TotalMS: ms(t.Total()), MeanMS: ms(t.Mean()),
-			MinMS: ms(t.Min()), MaxMS: ms(t.Max()),
-		}
 	}
 	for name, h := range hists {
 		bounds, counts, sum, n := h.snapshot()
@@ -586,35 +386,20 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Delta returns the per-interval difference between this snapshot and an
-// earlier one: counter increments, timer count/total deltas (Mean is the
-// interval mean; Min/Max carry the cumulative values, since extremes
-// cannot be un-merged), and histogram bucket deltas with the interval's
-// mean and percentiles recomputed. Instruments with no activity in the
-// interval are dropped, so the result is exactly "what happened since
-// prev" — the periodic stats log uses it to report rates instead of
-// since-boot totals.
+// earlier one: counter increments, and histogram bucket deltas with the
+// interval's mean and percentiles recomputed. Instruments with no
+// activity in the interval are dropped, so the result is exactly "what
+// happened since prev" — the periodic stats log uses it to report rates
+// instead of since-boot totals.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Counters:   map[string]int64{},
-		Timers:     map[string]TimerStats{},
 		Histograms: map[string]HistogramStats{},
 	}
 	for name, v := range s.Counters {
 		if dv := v - prev.Counters[name]; dv != 0 {
 			d.Counters[name] = dv
 		}
-	}
-	for name, t := range s.Timers {
-		p := prev.Timers[name]
-		dc := t.Count - p.Count
-		if dc == 0 {
-			continue
-		}
-		dt := TimerStats{Count: dc, TotalMS: t.TotalMS - p.TotalMS, MinMS: t.MinMS, MaxMS: t.MaxMS}
-		if dc > 0 {
-			dt.MeanMS = dt.TotalMS / float64(dc)
-		}
-		d.Timers[name] = dt
 	}
 	for name, h := range s.Histograms {
 		p, ok := prev.Histograms[name]
@@ -661,22 +446,14 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return d
 }
 
-// String renders a snapshot in the same stable, name-sorted text form as
-// Registry.String (used for the per-interval stats log).
+// String renders a snapshot in a stable, name-sorted text form (the
+// -stats dumps and the per-interval stats log).
 func (s Snapshot) String() string {
 	var b strings.Builder
 	if len(s.Counters) > 0 {
 		b.WriteString("counters:\n")
 		for _, name := range names(s.Counters) {
 			fmt.Fprintf(&b, "  %-32s %d\n", name, s.Counters[name])
-		}
-	}
-	if len(s.Timers) > 0 {
-		b.WriteString("timers:\n")
-		for _, name := range names(s.Timers) {
-			t := s.Timers[name]
-			fmt.Fprintf(&b, "  %-32s count=%d total=%.3gms mean=%.3gms min=%.3gms max=%.3gms\n",
-				name, t.Count, t.TotalMS, t.MeanMS, t.MinMS, t.MaxMS)
 		}
 	}
 	if len(s.Histograms) > 0 {

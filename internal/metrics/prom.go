@@ -19,8 +19,7 @@ import (
 //     label, so all scenes share one metric family
 //     (hub_session_rest{scene="<scene>"}) instead of exploding the
 //     family space per session;
-//   - counters gain the conventional _total suffix, timers export as
-//     <name>_seconds summaries (sum + count), histograms export
+//   - counters gain the conventional _total suffix, histograms export
 //     cumulative _bucket/_sum/_count series with an explicit +Inf
 //     bucket, and sliding-window instruments export as gauges (the
 //     quantile-labeled windowed readout, plus <name>_count).
@@ -121,14 +120,6 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	for _, name := range names(s.Counters) {
 		m, labels := promName(name)
 		add(m+"_total", "counter", promSample{m + "_total", labels, strconv.FormatInt(s.Counters[name], 10)})
-	}
-	for _, name := range names(s.Timers) {
-		t := s.Timers[name]
-		m, labels := promName(name)
-		m += "_seconds"
-		add(m, "summary",
-			promSample{m + "_sum", labels, promFloat(t.TotalMS / 1e3)},
-			promSample{m + "_count", labels, strconv.FormatInt(t.Count, 10)})
 	}
 	for _, name := range names(s.Histograms) {
 		h := s.Histograms[name]

@@ -51,7 +51,7 @@ type SessionInfo struct {
 
 // NewDebugMux returns the live debug mux served by volserve -debug-addr:
 //
-//	/metrics        stage timers, counters, histograms (text; ?format=json)
+//	/metrics        counters, stage and latency histograms (text; ?format=json)
 //	/trace          last-N-spans Perfetto dump (load in ui.perfetto.dev;
 //	                ?format=text for the compact timeline)
 //	/qoe            per-user frame/deadline-miss/stall table (?format=json)

@@ -113,7 +113,7 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 	}
 	occ := p.store.Frame(fr.fi).Occupied
 	lad := p.store.Ladder()
-	visDone := p.reg.Timer("session.visibility").Time()
+	visDone := p.reg.Histogram("session.visibility", nil).TimeMillis()
 	if err := par.ForEach(context.Background(), n, func(u int) error {
 		defer p.tr.Begin(in.seq, u, obs.StageCull).End()
 		if in.mode == ModeVanilla {
@@ -129,7 +129,7 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 	visDone()
 
 	if in.decode {
-		decodeDone := p.reg.Timer("session.decode").Time()
+		decodeDone := p.reg.Histogram("session.decode", nil).TimeMillis()
 		decoded := p.reg.Counter("session.decoded_points")
 		if err := par.ForEach(context.Background(), n, func(u int) error {
 			defer p.tr.Begin(in.seq, u, obs.StageDecode).End()

@@ -154,7 +154,7 @@ func (s *refSession) refRun() (QoE, error) {
 		// the stateful control reactions below stay sequential.
 		reqs := make([]vivo.Request, s.cfg.Users)
 		perUser := make([]refFrameContent, s.cfg.Users)
-		visDone := s.reg.Timer("session.visibility").Time()
+		visDone := s.reg.Histogram("session.visibility", nil).TimeMillis()
 		if err := par.ForEach(context.Background(), s.cfg.Users, func(u int) error {
 			defer s.tr.Begin(step, u, obs.StageCull).End()
 			st := s.stores[s.quality[u]]
@@ -281,7 +281,7 @@ func (s *refSession) refRun() (QoE, error) {
 		// cache's singleflight dedup guarantees each distinct block is
 		// decoded once per frame no matter how many viewports overlap.
 		if s.cfg.DecodeClouds {
-			decodeDone := s.reg.Timer("session.decode").Time()
+			decodeDone := s.reg.Histogram("session.decode", nil).TimeMillis()
 			perUserPts := make([]int64, s.cfg.Users)
 			if err := par.ForEach(context.Background(), s.cfg.Users, func(u int) error {
 				defer s.tr.Begin(step, u, obs.StageDecode).End()

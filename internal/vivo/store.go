@@ -67,12 +67,12 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS, frames: make([]*FrameBlocks, len(v.Frames))}
 
 	// Wall-clock sampling happens inside the obs/metrics layers (Begin/End,
-	// Time, TimeMillis) — the build path itself never reads the clock, so
+	// TimeMillis) — the build path itself never reads the clock, so
 	// the determinism check holds: stored bytes are a pure function of the
 	// input video, grid, and encoder parameters.
 	reg := metrics.Default()
 	tr := obs.Default()
-	stopBuild := reg.Timer("vivo.build_store").Time()
+	stopBuild := reg.Histogram("vivo.build_store", nil).TimeMillis()
 	if err := par.ForEach(context.Background(), len(v.Frames), func(fi int) error {
 		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
 		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
