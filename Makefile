@@ -50,13 +50,16 @@ bench-selftest:
 # fuzz-smoke gives the native fuzz targets a short budget beyond their
 # committed seed corpora (testdata/fuzz, which plain `go test` replays):
 # the one-pass octree encoder against the recursive reference it
-# replaced, and the block decoder against arbitrary bytes (as given and
+# replaced, the block decoder against arbitrary bytes (as given and
 # with their checksums resealed — it must error or decode, never panic
-# or allocate by an unchecked count). Minimizing each new input is capped
-# at a second so it cannot eat the ten.
+# or allocate by an unchecked count), and the decode kernel against the
+# decoder it replaced on the same bytes (the same error, or the same
+# points). Minimizing each new input is capped at a second so it cannot
+# eat the ten.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

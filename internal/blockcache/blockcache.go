@@ -22,6 +22,7 @@ package blockcache
 
 import (
 	"container/list"
+	"errors"
 	"os"
 	"strconv"
 	"sync"
@@ -134,6 +135,10 @@ func (c *Cache) SessionStats(label string) (hits, misses int64) {
 	return c.reg.Counter(prefix + "hits").Value(), c.reg.Counter(prefix + "misses").Value()
 }
 
+// errComputePanicked is what the waiters of a flight get when its compute
+// panicked; the panic itself goes on to the caller that ran compute.
+var errComputePanicked = errors.New("blockcache: the compute this request waited on panicked")
+
 // do returns the cached value for key, joins an in-flight compute for it,
 // or runs compute and caches a successful result. compute returns the
 // value, its accounted size in bytes, and an error (errors are returned
@@ -165,13 +170,27 @@ func (c *Cache) do(key codec.CacheKey, sc *sessionCounters, compute func() (any,
 		}
 		return fl.val, nil
 	}
-	fl := &flight{done: make(chan struct{})}
+	// A flight counts as panicked until its compute has returned: whatever
+	// way this call leaves compute, the deferred clean-up takes the flight
+	// out of the map and wakes its waiters. par turns a worker's panic into
+	// an error and the process lives on, so a flight left behind would block
+	// every later request for the same bytes on done, forever.
+	fl := &flight{done: make(chan struct{}), err: errComputePanicked}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 	c.counter("misses").Inc()
 	if sc != nil {
 		sc.misses.Inc()
 	}
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if fl.err == nil {
+			c.addLocked(key, fl.val, fl.size)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
 
 	// A miss runs the real encode/decode work: attribute it to the cache
 	// stage on the process tracer (hits are ~ns and only counted).
@@ -182,13 +201,6 @@ func (c *Cache) do(key codec.CacheKey, sc *sessionCounters, compute func() (any,
 	} else {
 		fl.val, fl.size, fl.err = compute()
 	}
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.addLocked(key, fl.val, fl.size)
-	}
-	c.mu.Unlock()
-	close(fl.done)
 	return fl.val, fl.err
 }
 
@@ -239,10 +251,15 @@ type blockTier struct {
 
 // Block implements codec.BlockCache.
 func (t blockTier) Block(key codec.CacheKey, encode func() *codec.Block) *codec.Block {
-	v, _ := t.c.do(key, t.sc, func() (any, int64, error) {
+	v, err := t.c.do(key, t.sc, func() (any, int64, error) {
 		b := encode()
 		return b, int64(len(b.Data)) + entryOverhead, nil
 	})
+	if err != nil {
+		// The encode this call waited on panicked in its own caller, and
+		// there is no error to return here: encode for this one.
+		return encode()
+	}
 	return v.(*codec.Block)
 }
 

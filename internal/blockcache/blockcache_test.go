@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"volcast/internal/cell"
 	"volcast/internal/codec"
@@ -229,6 +230,98 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 	if tier.Len() != 0 {
 		t.Error("failed compute left a cache entry")
+	}
+}
+
+// panicThenJoin runs a compute on key that panics while a second request
+// for the same key is on its way in: first starts the panicking call
+// (whose compute must call enter, then panic) and second makes the other.
+// It returns once both have, and fails the test if either is still stuck
+// after the deadline — which, with the flight left in the map, the second
+// always is, whether it arrived before the panic or after it.
+func panicThenJoin(t *testing.T, first func(enter func()), second func()) {
+	t.Helper()
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked, joined := make(chan any, 1), make(chan struct{})
+	go func() {
+		defer func() { panicked <- recover() }()
+		first(func() {
+			close(started)
+			<-release
+		})
+	}()
+	<-started
+	go func() {
+		defer close(joined)
+		second()
+	}()
+	close(release)
+	deadline := time.After(10 * time.Second)
+	select {
+	case v := <-panicked:
+		if v == nil {
+			t.Error("the panic did not reach the caller that ran the compute")
+		}
+	case <-deadline:
+		t.Fatal("the panicking request never returned")
+	}
+	select {
+	case <-joined:
+	case <-deadline:
+		t.Fatal("a request for the key of a panicked compute is blocked on its flight")
+	}
+}
+
+// TestPanickingComputeFreesItsKey is the regression test for the poisoned
+// key: a compute that panics used to leave its flight in the map with
+// done never closed, so every later request for the same bytes hung.
+func TestPanickingComputeFreesItsKey(t *testing.T) {
+	tier := New("d", 1<<20, metrics.NewRegistry())
+	cc := CellCacheOn(tier)
+	key := codec.HashBytes([]byte("panicking-cell"))
+	computes := 0
+	compute := func() (*codec.DecodedCell, error) {
+		computes++
+		return &codec.DecodedCell{CellID: 7}, nil
+	}
+	var dc *codec.DecodedCell
+	var err error
+	panicThenJoin(t, func(enter func()) {
+		cc.Cell(key, func() (*codec.DecodedCell, error) {
+			enter()
+			panic("decode blew up")
+		})
+	}, func() { dc, err = cc.Cell(key, compute) })
+	// The second request either waited on the panicked flight, and is told
+	// so, or came after the clean-up and computed for itself.
+	if waited := err == errComputePanicked; !waited && (err != nil || dc == nil) || waited && computes != 0 {
+		t.Fatalf("second request: cell %v, error %v, %d computes", dc, err, computes)
+	}
+	// A third computes (or hits the second's value) as if nothing happened.
+	if dc, err = cc.Cell(key, compute); err != nil || dc == nil || computes != 1 {
+		t.Fatalf("third request: cell %v, error %v, %d computes", dc, err, computes)
+	}
+	if tier.Len() != 1 {
+		t.Errorf("tier holds %d entries, want the one good cell", tier.Len())
+	}
+}
+
+// TestEncodeTierWaiterEncodesForItself: the encode tier's interface has no
+// error to hand a waiter whose flight panicked, so the waiter encodes.
+func TestEncodeTierWaiterEncodesForItself(t *testing.T) {
+	tier := New("e", 1<<20, metrics.NewRegistry())
+	bc := BlockCacheOn(tier)
+	key := codec.HashBytes([]byte("panicking-block"))
+	good := &codec.Block{CellID: 3, Data: []byte{1, 2, 3}}
+	var got *codec.Block
+	panicThenJoin(t, func(enter func()) {
+		bc.Block(key, func() *codec.Block {
+			enter()
+			panic("encode blew up")
+		})
+	}, func() { got = bc.Block(key, func() *codec.Block { return good }) })
+	if got != good {
+		t.Fatalf("second request got %v, want its own encode", got)
 	}
 }
 

@@ -9,9 +9,11 @@
 // on its own — one encode serves every density rung. Colors are
 // decorrelated to (G, R-G, B-G) and zigzag-varint coded with zero-run
 // RLE. The encoder is one kernel over the sorted codes (encode.go,
-// octree.go; DESIGN.md §13, §15). The package also provides the
-// decode-rate model that caps the client at the paper's measured
-// 550K-points-at-30-FPS ceiling.
+// octree.go; DESIGN.md §13, §15) and the decoder one kernel back to
+// points — an iterative occupancy walk, one expansion pass per plane per
+// layer, one emit loop (decode.go, octree.go; DESIGN.md §16). The
+// package also provides the decode-rate model that caps the client at
+// the paper's measured 550K-points-at-30-FPS ceiling.
 package codec
 
 import (

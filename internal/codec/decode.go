@@ -111,11 +111,14 @@ func parseHeader(data []byte) (h blockHeader, err error) {
 	end := 0
 	for t := 0; t < h.layers; t++ {
 		v, vn := binary.Uvarint(p)
-		if vn <= 0 || v < 4 || v > uint64(len(data)) {
+		if vn <= 0 || v < 4 {
 			return h, ErrTruncated
 		}
 		p = p[vn:]
-		end += int(v)
+		// A prefix holds only its leading segments, and a later one may be
+		// longer than all the bytes at hand: its length only has to put its
+		// end, and every end after it, past len(data).
+		end += int(min(v, uint64(len(data))+1))
 		h.ends[t] = end
 	}
 	if len(p) < 4 {
@@ -172,18 +175,19 @@ func ParseBlock(data []byte, layerPoints []int) (*Block, error) {
 
 // decode is the uncached decode path: a whole block or any whole-segment
 // prefix of one. The header and each layer segment carry their own
-// checksum, so every prefix verifies on its own.
+// checksum, so every prefix verifies on its own. decode checks the
+// framing and borrows the scratch; the kernel (DESIGN.md §16) is
+// decodeScratch.points and the hot-path functions below it.
 func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
 	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	qb, L, N := uint(h.qb), h.layers, h.numPoints
 
 	// The supplied bytes must end exactly on a segment boundary; the
 	// boundary index is the number of layers this prefix carries.
 	k := 0
-	for t := 0; t < L && h.ends[t] <= len(data); t++ {
+	for t := 0; t < h.layers && h.ends[t] <= len(data); t++ {
 		if h.ends[t] == len(data) {
 			k = t + 1
 		}
@@ -193,7 +197,7 @@ func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
 	}
 
 	out := &DecodedCell{CellID: h.id}
-	if N == 0 {
+	if h.numPoints == 0 {
 		// Degenerate empty cell: every segment is just its checksum.
 		for t := 0; t < k; t++ {
 			pay, err := h.segment(data, t)
@@ -208,70 +212,45 @@ func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
 		return out, nil
 	}
 
-	// Ping-pong node codes and unclamped decorrelated color channels
-	// between two pooled buffers as each segment refines them. Every node
-	// costs at least one occupancy bit, so the bytes at hand bound the
-	// scratch however many points the header claims.
-	M := min(N, 8*len(data))
-	codeBuf := [2]*[]uint64{getU64(M), getU64(M)}
-	chanBuf := [2][3]*[]int64{
-		{getI64(M), getI64(M), getI64(M)},
-		{getI64(M), getI64(M), getI64(M)},
+	// Every node costs at least one occupancy bit, so the bytes at hand
+	// bound the scratch however many points the header claims.
+	s := getDecodeScratch(min(h.numPoints, 8*len(data)))
+	out.Points, err = s.points(&h, data, k)
+	putDecodeScratch(s)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		putU64(codeBuf[0])
-		putU64(codeBuf[1])
-		for s := 0; s < 2; s++ {
-			for ch := 0; ch < 3; ch++ {
-				putI64(chanBuf[s][ch])
-			}
-		}
-	}()
-	cur := 0
+	return out, nil
+}
+
+// points decodes the first k segments of a non-empty block: the occupancy
+// walk and the base colour planes, one expansion per enhancement segment
+// — node codes and the unclamped decorrelated colour planes ping-pong
+// between the scratch's two halves — and the emit loop into the one
+// slice it allocates. Every structural failure is ErrTruncated.
+func (s *decodeScratch) points(h *blockHeader, data []byte, k int) ([]pointcloud.Point, error) {
+	L, N := h.layers, h.numPoints
 
 	// Base segment.
 	pay, err := h.segment(data, 0)
 	if err != nil {
 		return nil, err
 	}
-	rest, codes, ok := octreeDecodeBounded(pay, M, qb-uint(L-1), (*codeBuf[0])[:0])
+	cur := 0
+	pay, codes, ok := octreeDecodeBounded(pay, len(s.codes[cur]), uint(h.qb-(L-1)), s.codes[cur])
 	if !ok {
 		return nil, ErrTruncated
 	}
-	*codeBuf[0] = codes
-	pay = rest
-	np := len(codes)
-	for ch := 0; ch < 3; ch++ {
-		vals := (*chanBuf[0][ch])[:M]
-		var prev int64
-		i := 0
-		for i < np {
-			u, un := binary.Uvarint(pay)
-			if un <= 0 {
-				return nil, ErrTruncated
-			}
-			pay = pay[un:]
-			if u == 0 {
-				run, rn := binary.Uvarint(pay)
-				if rn <= 0 || run == 0 || uint64(np-i) < run {
-					return nil, ErrTruncated
-				}
-				pay = pay[rn:]
-				for j := uint64(0); j < run; j++ {
-					vals[i] = prev
-					i++
-				}
-				continue
-			}
-			prev += unzigzag(u)
-			vals[i] = prev
-			i++
+	np, pos := len(codes), 0
+	for ch := range s.planes[cur] {
+		if pos, ok = readDeltaPlane(s.planes[cur][ch][:np], pay, pos); !ok {
+			return nil, ErrTruncated
 		}
 	}
 
-	// Enhancement segments 1..k-1 refine codes and colors in place.
+	// Enhancement segments 1..k-1 refine codes and colors.
 	for t := 1; t < k; t++ {
-		if len(pay) != 0 {
+		if pos != len(pay) {
 			return nil, ErrTruncated
 		}
 		if pay, err = h.segment(data, t); err != nil {
@@ -280,206 +259,262 @@ func (d *Decoder) decode(data []byte) (*DecodedCell, error) {
 		if len(pay) < np {
 			return nil, ErrTruncated
 		}
-		occ := pay[:np]
-		pay = pay[np:]
-		nc := 0
-		for _, o := range occ {
-			if o == 0 {
-				return nil, ErrTruncated
-			}
-			nc += bits.OnesCount8(o)
-		}
-		if nc > N {
+		occ, nxt := pay[:np], 1-cur
+		nc, ok := expandCodes(s.codes[nxt], codes, occ)
+		if !ok {
 			return nil, ErrTruncated
 		}
-		nxt := 1 - cur
-		ncodes := (*codeBuf[nxt])[:0]
-		for pi, o := range occ {
-			base := codes[pi] << 3
-			for digit := uint64(0); digit < 8; digit++ {
-				if o&(1<<digit) != 0 {
-					ncodes = append(ncodes, base|digit)
-				}
+		pos = np
+		for ch := range s.planes[nxt] {
+			if pos, ok = expandPlane(s.planes[nxt][ch][:nc], s.planes[cur][ch], occ, pay, pos); !ok {
+				return nil, ErrTruncated
 			}
 		}
-		*codeBuf[nxt] = ncodes
-		for ch := 0; ch < 3; ch++ {
-			oldv := (*chanBuf[cur][ch])[:np]
-			newv := (*chanBuf[nxt][ch])[:M]
-			rd := residReader{p: pay}
-			ci := 0
-			for pi, o := range occ {
-				pv := oldv[pi]
-				first := true
-				for digit := 0; digit < 8; digit++ {
-					if o&(1<<digit) == 0 {
-						continue
-					}
-					if first {
-						newv[ci] = pv
-						first = false
-						ci++
-						continue
-					}
-					resid, err := rd.next()
-					if err != nil {
-						return nil, err
-					}
-					newv[ci] = pv + resid
-					ci++
-				}
-			}
-			if err := rd.done(); err != nil {
-				return nil, err
-			}
-			pay = rd.p
-		}
-		codes = ncodes
-		np = nc
-		cur = nxt
+		codes, np, cur = s.codes[nxt][:nc], nc, nxt
 	}
 
-	depth := qb - uint(L-k)
+	depth := uint(h.qb - (L - k))
 	scale := h.edge / float64(uint64(1)<<depth)
-	origin := h.origin
-	U := np
-	g, rg, bg := (*chanBuf[cur][0])[:U], (*chanBuf[cur][1])[:U], (*chanBuf[cur][2])[:U]
+	g, rg, bg := s.planes[cur][0][:np], s.planes[cur][1][:np], s.planes[cur][2][:np]
 
 	// A tier prefix ends with its last refinement; the full prefix goes on
 	// with the duplicate flag.
 	dups := false
 	if k == L {
-		if len(pay) < 1 || pay[0] > 1 {
+		if pos >= len(pay) || pay[pos] > 1 {
 			return nil, ErrTruncated
 		}
-		dups = pay[0] == 1
-		pay = pay[1:]
+		dups = pay[pos] == 1
+		pos++
 	}
 	if !dups {
-		// One point per node, voxel-center positions.
-		if len(pay) != 0 || k == L && U != N {
+		// One point per node.
+		if pos != len(pay) || k == L && np != N {
 			return nil, ErrTruncated
 		}
-		out.Points = make([]pointcloud.Point, U)
-		for i, code := range codes {
-			x, y, z := demorton3(code, depth)
-			out.Points[i].Pos = origin.Add(geom.V(
-				(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
-			out.Points[i].G = uint8(clampI64(g[i], 0, 255))
-			out.Points[i].R = uint8(clampI64(g[i]+rg[i], 0, 255))
-			out.Points[i].B = uint8(clampI64(g[i]+bg[i], 0, 255))
-		}
-		return out, nil
+		pts := make([]pointcloud.Point, np)
+		emitPoints(pts, codes, nil, g, rg, bg, depth, h.origin, scale)
+		return pts, nil
 	}
 
-	// Expand duplicates so every input point comes back.
-	countsP := getU64(U)
-	defer putU64(countsP)
-	counts := (*countsP)[:0]
-	var total uint64
-	for i := 0; i < U; i++ {
-		c, cn := binary.Uvarint(pay)
-		if cn <= 0 || c >= uint64(N) {
-			return nil, ErrTruncated
-		}
-		pay = pay[cn:]
-		counts = append(counts, c+1)
-		total += c + 1
-	}
-	*countsP = counts
-	if total != uint64(N) {
+	// Expand duplicates so every input point comes back. The counts go in
+	// the code buffer the last expansion left free.
+	counts := s.codes[1-cur][:np]
+	if pos, ok = readDupCounts(counts, N, pay, pos); !ok {
 		return nil, ErrTruncated
 	}
-	out.Points = make([]pointcloud.Point, N)
-	starts := make([]int, U)
+	pts := make([]pointcloud.Point, N)
+	emitPoints(pts, codes, counts, g, rg, bg, depth, h.origin, scale)
+	// Duplicate colors: residuals vs. the node representative, planar.
+	dupG := s.dupPlane(N - np)
+	for ch, rep := range [3][]int64{g, rg, bg} {
+		if pos, ok = emitDupColors(pts, counts, rep, dupG, ch, pay, pos); !ok {
+			return nil, ErrTruncated
+		}
+	}
+	if pos != len(pay) {
+		return nil, ErrTruncated
+	}
+	return pts, nil
+}
+
+// uvarintAt reads the uvarint at p[pos:] and returns it with the offset
+// just past it, or a negative offset when p ends inside it or it
+// overflows 64 bits. Almost every symbol the coder writes is one byte;
+// the loops below read those themselves — the compiler will not inline a
+// function that holds both the test and this call — and come here for
+// the rest.
+func uvarintAt(p []byte, pos int) (uint64, int) {
+	if pos < len(p) {
+		if u, n := binary.Uvarint(p[pos:]); n > 0 {
+			return u, pos + n
+		}
+	}
+	return 0, -1
+}
+
+// residualAt reads the colour residual at p[pos:] — a zigzag symbol, or a
+// 0 symbol and the length of the run of zero residuals it introduces —
+// and returns its value, how many zero residuals follow it, and the
+// offset just past it, negative when the stream is malformed.
+func residualAt(p []byte, pos int) (resid int64, zeros uint64, next int) {
+	u, pos := uvarintAt(p, pos)
+	if pos < 0 || u != 0 {
+		return unzigzag(u), 0, pos
+	}
+	run, pos := uvarintAt(p, pos)
+	if pos < 0 || run == 0 {
+		return 0, 0, -1
+	}
+	return 0, run - 1, pos
+}
+
+// readDeltaPlane fills vals with one base colour plane read from p[pos:]
+// — delta-chained residuals — and returns the offset past it.
+//
+//vollint:hotpath
+func readDeltaPlane(vals []int64, p []byte, pos int) (int, bool) {
+	var prev int64
+	for i := 0; i < len(vals); i++ {
+		if pos < len(p) && p[pos]-1 < 0x7f {
+			prev += unzigzag(uint64(p[pos]))
+			pos++
+			vals[i] = prev
+			continue
+		}
+		resid, zeros, next := residualAt(p, pos)
+		if next < 0 || zeros >= uint64(len(vals)-i) {
+			return 0, false
+		}
+		pos = next
+		prev += resid
+		for end := i + int(zeros); i < end; i++ {
+			vals[i] = prev
+		}
+		vals[i] = prev
+	}
+	return pos, true
+}
+
+// expandCodes writes the child codes of one enhancement layer into out:
+// parent i splits into the children its occupancy byte occ[i] names. It
+// returns their number, or false for a zero byte (a node with no child)
+// or more children than out holds — which, out being bounded by eight
+// nodes per byte at hand, happens exactly when they outnumber the
+// header's point count.
+//
+//vollint:hotpath
+func expandCodes(out, codes []uint64, occ []byte) (int, bool) {
+	n := 0
+	for i, o := range occ {
+		if o == 0 || n+bits.OnesCount8(o) > len(out) {
+			return 0, false
+		}
+		base := codes[i] << 3
+		for ; o != 0; o &= o - 1 {
+			out[n] = base | uint64(bits.TrailingZeros8(o))
+			n++
+		}
+	}
+	return n, true
+}
+
+// expandPlane writes one colour plane of an enhancement layer into newv
+// (one value per child) from the parents' plane oldv: a node's first
+// child takes the parent's value, every further child adds a residual
+// read from p[pos:]. A single-child byte — nearly every byte on a
+// body-surface cell at depth 10 — is therefore a copy and reads nothing.
+// It fails on a malformed residual and on a zero run that outlasts the
+// plane.
+//
+//vollint:hotpath
+func expandPlane(newv, oldv []int64, occ []byte, p []byte, pos int) (int, bool) {
+	ci, zeros := 0, uint64(0)
+	for pi, o := range occ {
+		pv := oldv[pi]
+		newv[ci] = pv
+		ci++
+		if o&(o-1) == 0 {
+			continue
+		}
+		for n := bits.OnesCount8(o) - 1; n > 0; n-- {
+			var resid int64
+			if zeros > 0 {
+				zeros--
+			} else if pos < len(p) && p[pos]-1 < 0x7f {
+				resid = unzigzag(uint64(p[pos]))
+				pos++
+			} else if resid, zeros, pos = residualAt(p, pos); pos < 0 {
+				return 0, false
+			}
+			newv[ci] = pv + resid
+			ci++
+		}
+	}
+	return pos, zeros == 0
+}
+
+// readDupCounts reads the final layer's per-node point counts (stored as
+// count-1 uvarints) into counts; they must sum to the header's N.
+//
+//vollint:hotpath
+func readDupCounts(counts []uint64, N int, p []byte, pos int) (int, bool) {
+	var total uint64
+	for i := range counts {
+		var c uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			c = uint64(p[pos])
+			pos++
+		} else if c, pos = uvarintAt(p, pos); pos < 0 {
+			return 0, false
+		}
+		if c >= uint64(N) {
+			return 0, false
+		}
+		counts[i] = c + 1
+		total += c + 1
+	}
+	return pos, total == uint64(N)
+}
+
+// emitPoints writes the output: node i's voxel-center position, counts[i]
+// times over (once when counts is nil), and its representative colour on
+// the first of them. len(pts) is the sum of the counts.
+//
+//vollint:hotpath
+func emitPoints(pts []pointcloud.Point, codes, counts []uint64, g, rg, bg []int64, depth uint, origin geom.Vec3, scale float64) {
 	pi := 0
 	for i, code := range codes {
-		starts[i] = pi
 		x, y, z := demorton3(code, depth)
 		pos := origin.Add(geom.V(
 			(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
-		for r := uint64(0); r < counts[i]; r++ {
-			out.Points[pi].Pos = pos
-			pi++
+		pts[pi] = pointcloud.Point{
+			Pos: pos,
+			R:   uint8(clampI64(g[i]+rg[i], 0, 255)),
+			G:   uint8(clampI64(g[i], 0, 255)),
+			B:   uint8(clampI64(g[i]+bg[i], 0, 255)),
 		}
-		out.Points[starts[i]].G = uint8(clampI64(g[i], 0, 255))
-		out.Points[starts[i]].R = uint8(clampI64(g[i]+rg[i], 0, 255))
-		out.Points[starts[i]].B = uint8(clampI64(g[i]+bg[i], 0, 255))
+		pi++
+		if counts == nil {
+			continue
+		}
+		for end := pi + int(counts[i]) - 1; pi < end; pi++ {
+			pts[pi].Pos = pos
+		}
 	}
-	// Duplicate colors: residuals vs. the node representative, planar.
-	dgP := getI64(N - U)
-	defer putI64(dgP)
-	dg := *dgP
-	for ch, rep := range [3][]int64{g, rg, bg} {
-		rd := residReader{p: pay}
-		di := 0
-		for i := 0; i < U; i++ {
-			rv := rep[i]
-			for j := 1; j < int(counts[i]); j++ {
-				resid, err := rd.next()
-				if err != nil {
-					return nil, err
-				}
-				v := rv + resid
-				idx := starts[i] + j
-				switch ch {
-				case 0:
-					dg[di] = v
-					out.Points[idx].G = uint8(clampI64(v, 0, 255))
-				case 1:
-					out.Points[idx].R = uint8(clampI64(dg[di]+v, 0, 255))
-				default:
-					out.Points[idx].B = uint8(clampI64(dg[di]+v, 0, 255))
-				}
-				di++
+}
+
+// emitDupColors reads one plane of duplicate residuals from p[pos:] and
+// finishes channel ch of every duplicate point (the points after the
+// first of each node, which emitPoints coloured). Channel 0 is G, kept
+// unclamped in dupG for the two chroma planes that follow to add to.
+//
+//vollint:hotpath
+func emitDupColors(pts []pointcloud.Point, counts []uint64, rep, dupG []int64, ch int, p []byte, pos int) (int, bool) {
+	pi, di, zeros := 0, 0, uint64(0)
+	for i, c := range counts {
+		for j := 1; j < int(c); j++ {
+			var resid int64
+			if zeros > 0 {
+				zeros--
+			} else if resid, zeros, pos = residualAt(p, pos); pos < 0 {
+				return 0, false
 			}
+			v := rep[i] + resid
+			switch ch {
+			case 0:
+				dupG[di] = v
+				pts[pi+j].G = uint8(clampI64(v, 0, 255))
+			case 1:
+				pts[pi+j].R = uint8(clampI64(dupG[di]+v, 0, 255))
+			default:
+				pts[pi+j].B = uint8(clampI64(dupG[di]+v, 0, 255))
+			}
+			di++
 		}
-		if err := rd.done(); err != nil {
-			return nil, err
-		}
-		pay = rd.p
+		pi += int(c)
 	}
-	if len(pay) != 0 {
-		return nil, ErrTruncated
-	}
-	return out, nil
-}
-
-// residReader streams zigzag residual symbols with zero-run RLE (the 0
-// symbol introduces a run length).
-type residReader struct {
-	p   []byte
-	run uint64
-}
-
-func (r *residReader) next() (int64, error) {
-	if r.run > 0 {
-		r.run--
-		return 0, nil
-	}
-	u, n := binary.Uvarint(r.p)
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.p = r.p[n:]
-	if u == 0 {
-		c, n := binary.Uvarint(r.p)
-		if n <= 0 || c == 0 {
-			return 0, ErrTruncated
-		}
-		r.p = r.p[n:]
-		r.run = c - 1
-		return 0, nil
-	}
-	return unzigzag(u), nil
-}
-
-// done fails when a zero run claimed more symbols than were consumed.
-func (r *residReader) done() error {
-	if r.run != 0 {
-		return ErrTruncated
-	}
-	return nil
+	return pos, zeros == 0
 }
 
 // DecodeFrame decodes a set of blocks into a single cloud, spreading the

@@ -578,12 +578,20 @@ func spread3(v uint64) uint64 {
 
 // demorton3 inverts morton3.
 func demorton3(code uint64, bits uint) (x, y, z uint64) {
-	for i := uint(0); i < bits; i++ {
-		x |= ((code >> (3 * i)) & 1) << i
-		y |= ((code >> (3*i + 1)) & 1) << i
-		z |= ((code >> (3*i + 2)) & 1) << i
-	}
-	return x, y, z
+	m := uint64(1)<<bits - 1
+	return compact3(code) & m, compact3(code>>1) & m, compact3(code>>2) & m
+}
+
+// compact3 inverts spread3 — its five steps run backwards: bit 3i of v
+// (i < 21) moves to bit i, and the bits between are dropped.
+func compact3(v uint64) uint64 {
+	v &= 0x1249249249249249
+	v = (v | v>>2) & 0x10c30c30c30c30c3
+	v = (v | v>>4) & 0x100f00f00f00f00f
+	v = (v | v>>8) & 0x001f0000ff0000ff
+	v = (v | v>>16) & 0x001f00000000ffff
+	v = (v | v>>32) & 0x00000000001fffff
+	return v
 }
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }

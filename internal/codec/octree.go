@@ -47,44 +47,85 @@ func octreeEncode(buf []byte, codes []uint64, qb uint) []byte {
 	return buf
 }
 
-func octreeDecodeNode(buf []byte, shift int, prefix uint64, out *[]uint64, max int) ([]byte, bool) {
-	if shift < 0 {
-		if len(*out) >= max {
-			return nil, false
+// occAt returns the occupancy symbol at buf[pos], or zero — which no
+// visited node may carry — once the stream has run out. It is the walk's
+// only read of the stream: a format that codes the symbol differently
+// changes this function and nothing else in the decode kernel.
+func occAt(buf []byte, pos int) uint8 {
+	if pos < len(buf) {
+		return buf[pos]
+	}
+	return 0
+}
+
+// octreeWalk decodes the DFS occupancy stream of a tree `depth` levels
+// deep (1..21) into out, the leaves' Morton codes in ascending order, and
+// returns their number and the bytes consumed. It fails when the stream
+// ends early, a visited node has no child, or the tree holds more than
+// len(out) leaves.
+//
+// It is the recursion unrolled onto a stack of (code prefix, children
+// not yet visited), one entry per level above the last. A node's children
+// are taken lowest digit first and a child's byte is read the moment it
+// is entered, so bytes are consumed and leaves emitted in exactly the
+// recursion's pre-order. A last-level node is never pushed: its children
+// are leaves and read nothing, so all of them are emitted at once, and
+// the leaf bound checked once against their popcount rejects exactly the
+// trees that a check before each leaf does.
+//
+//vollint:hotpath
+func octreeWalk(buf []byte, depth int, out []uint64) (n, used int, ok bool) {
+	var stack [22]struct {
+		prefix uint64
+		rest   uint8
+	}
+	if depth < 1 || depth >= len(stack) {
+		return 0, 0, false
+	}
+	last := depth - 1
+	lv, prefix, pos := 0, uint64(0), 0
+	for {
+		// Enter the node at level lv whose code so far is prefix.
+		occ := occAt(buf, pos)
+		pos++
+		if occ == 0 {
+			return 0, 0, false
 		}
-		*out = append(*out, prefix)
-		return buf, true
-	}
-	if len(buf) == 0 {
-		return nil, false
-	}
-	occ := buf[0]
-	buf = buf[1:]
-	if occ == 0 {
-		return nil, false // a visited node must have children
-	}
-	for child := 0; child < 8; child++ {
-		if occ&(1<<uint(child)) == 0 {
-			continue
+		if lv < last {
+			stack[lv].prefix, stack[lv].rest = prefix, occ
+		} else {
+			if n+bits.OnesCount8(occ) > len(out) {
+				return 0, 0, false
+			}
+			for base := prefix << 3; occ != 0; occ &= occ - 1 {
+				out[n] = base | uint64(bits.TrailingZeros8(occ))
+				n++
+			}
+			// Back up to the nearest ancestor with a child left.
+			for lv--; lv >= 0 && stack[lv].rest == 0; lv-- {
+			}
+			if lv < 0 {
+				return n, pos, true
+			}
 		}
-		var ok bool
-		buf, ok = octreeDecodeNode(buf, shift-3, prefix|uint64(child)<<uint(shift), out, max)
-		if !ok {
-			return nil, false
-		}
+		f := &stack[lv]
+		prefix = f.prefix<<3 | uint64(bits.TrailingZeros8(f.rest))
+		f.rest &= f.rest - 1
+		lv++
 	}
-	return buf, true
 }
 
 // octreeDecodeBounded decodes at most maxLeaves leaves; the leaf count
 // may be smaller than the point count (duplicates collapse into one
-// leaf). The leaves accumulate into scratch (grown as needed), so callers
-// can recycle the backing array.
+// leaf). The leaves are written into scratch (replaced when it is too
+// small), so callers can recycle the backing array.
 func octreeDecodeBounded(buf []byte, maxLeaves int, qb uint, scratch []uint64) (rest []byte, codes []uint64, ok bool) {
-	codes = scratch[:0]
-	rest, ok = octreeDecodeNode(buf, 3*int(qb)-3, 0, &codes, maxLeaves)
+	if cap(scratch) < maxLeaves {
+		scratch = make([]uint64, maxLeaves)
+	}
+	n, used, ok := octreeWalk(buf, int(qb), scratch[:maxLeaves])
 	if !ok {
 		return nil, nil, false
 	}
-	return rest, codes, true
+	return buf[used:], scratch[:n], true
 }

@@ -59,6 +59,55 @@ func getI64(n int) *[]int64 {
 
 func putI64(p *[]int64) { i64Pool.Put(p) }
 
+// decodeScratch is the decode kernel's working set, pooled as one unit:
+// node codes and the three unclamped colour planes, twice over so each
+// enhancement layer expands one half into the other — 64 bytes per
+// bounded node — plus the G plane of the final layer's duplicates, grown
+// only by blocks that have any.
+type decodeScratch struct {
+	codes  [2][]uint64
+	planes [2][3][]int64
+	dupG   []int64
+}
+
+var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// getDecodeScratch returns a scratch whose code and plane slices all have
+// length m (contents undefined); the caller hands it back via
+// putDecodeScratch.
+//
+//vollint:hotpath
+func getDecodeScratch(m int) *decodeScratch {
+	s := decodeScratchPool.Get().(*decodeScratch)
+	if cap(s.codes[0]) < m {
+		u, v := make([]uint64, 2*m), make([]int64, 6*m)
+		for i := range s.codes {
+			s.codes[i], u = u[:m:m], u[m:]
+			for ch := range s.planes[i] {
+				s.planes[i][ch], v = v[:m:m], v[m:]
+			}
+		}
+	}
+	for i := range s.codes {
+		s.codes[i] = s.codes[i][:m]
+		for ch := range s.planes[i] {
+			s.planes[i][ch] = s.planes[i][ch][:m]
+		}
+	}
+	return s
+}
+
+func putDecodeScratch(s *decodeScratch) { decodeScratchPool.Put(s) }
+
+// dupPlane returns the duplicates' G plane at length n (contents
+// undefined).
+func (s *decodeScratch) dupPlane(n int) []int64 {
+	if cap(s.dupG) < n {
+		s.dupG = make([]int64, n)
+	}
+	return s.dupG[:n]
+}
+
 // bufPool holds byte buffers; bufHeaders recycles the emptied boxes they
 // travel in, so neither getBuf nor putBuf allocates.
 var (

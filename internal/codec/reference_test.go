@@ -11,6 +11,8 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -496,4 +498,474 @@ func TestLayeredEncodeAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { enc.EncodeCell(1, c, idxs, bounds) }); got > maxWarmLayeredAllocs {
 		t.Fatalf("warm layered EncodeCell: %.0f allocs, gate %d", got, maxWarmLayeredAllocs)
 	}
+}
+
+// The decoder as it stood before the decode kernel (DESIGN.md §16), kept
+// verbatim apart from the ref prefix: the recursive occupancy walk, the
+// bit-loop de-Morton, the residReader called once per child and the
+// eight pooled slices. The differential tests below pin the kernel to it
+// point for point. It shares parseHeader and segment with the kernel.
+
+// refDecode is the uncached decode path: a whole block or any whole-segment
+// prefix of one. The header and each layer segment carry their own
+// checksum, so every prefix verifies on its own.
+func refDecode(data []byte) (*DecodedCell, error) {
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	qb, L, N := uint(h.qb), h.layers, h.numPoints
+
+	// The supplied bytes must end exactly on a segment boundary; the
+	// boundary index is the number of layers this prefix carries.
+	k := 0
+	for t := 0; t < L && h.ends[t] <= len(data); t++ {
+		if h.ends[t] == len(data) {
+			k = t + 1
+		}
+	}
+	if k == 0 {
+		return nil, ErrTruncated
+	}
+
+	out := &DecodedCell{CellID: h.id}
+	if N == 0 {
+		// Degenerate empty cell: every segment is just its checksum.
+		for t := 0; t < k; t++ {
+			pay, err := h.segment(data, t)
+			if err != nil {
+				return nil, err
+			}
+			if len(pay) != 0 {
+				return nil, ErrTruncated
+			}
+		}
+		out.Points = []pointcloud.Point{}
+		return out, nil
+	}
+
+	// Ping-pong node codes and unclamped decorrelated color channels
+	// between two pooled buffers as each segment refines them. Every node
+	// costs at least one occupancy bit, so the bytes at hand bound the
+	// scratch however many points the header claims.
+	M := min(N, 8*len(data))
+	codeBuf := [2]*[]uint64{getU64(M), getU64(M)}
+	chanBuf := [2][3]*[]int64{
+		{getI64(M), getI64(M), getI64(M)},
+		{getI64(M), getI64(M), getI64(M)},
+	}
+	defer func() {
+		putU64(codeBuf[0])
+		putU64(codeBuf[1])
+		for s := 0; s < 2; s++ {
+			for ch := 0; ch < 3; ch++ {
+				putI64(chanBuf[s][ch])
+			}
+		}
+	}()
+	cur := 0
+
+	// Base segment.
+	pay, err := h.segment(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	rest, codes, ok := refOctreeDecodeBounded(pay, M, qb-uint(L-1), (*codeBuf[0])[:0])
+	if !ok {
+		return nil, ErrTruncated
+	}
+	*codeBuf[0] = codes
+	pay = rest
+	np := len(codes)
+	for ch := 0; ch < 3; ch++ {
+		vals := (*chanBuf[0][ch])[:M]
+		var prev int64
+		i := 0
+		for i < np {
+			u, un := binary.Uvarint(pay)
+			if un <= 0 {
+				return nil, ErrTruncated
+			}
+			pay = pay[un:]
+			if u == 0 {
+				run, rn := binary.Uvarint(pay)
+				if rn <= 0 || run == 0 || uint64(np-i) < run {
+					return nil, ErrTruncated
+				}
+				pay = pay[rn:]
+				for j := uint64(0); j < run; j++ {
+					vals[i] = prev
+					i++
+				}
+				continue
+			}
+			prev += unzigzag(u)
+			vals[i] = prev
+			i++
+		}
+	}
+
+	// Enhancement segments 1..k-1 refine codes and colors in place.
+	for t := 1; t < k; t++ {
+		if len(pay) != 0 {
+			return nil, ErrTruncated
+		}
+		if pay, err = h.segment(data, t); err != nil {
+			return nil, err
+		}
+		if len(pay) < np {
+			return nil, ErrTruncated
+		}
+		occ := pay[:np]
+		pay = pay[np:]
+		nc := 0
+		for _, o := range occ {
+			if o == 0 {
+				return nil, ErrTruncated
+			}
+			nc += bits.OnesCount8(o)
+		}
+		if nc > N {
+			return nil, ErrTruncated
+		}
+		nxt := 1 - cur
+		ncodes := (*codeBuf[nxt])[:0]
+		for pi, o := range occ {
+			base := codes[pi] << 3
+			for digit := uint64(0); digit < 8; digit++ {
+				if o&(1<<digit) != 0 {
+					ncodes = append(ncodes, base|digit)
+				}
+			}
+		}
+		*codeBuf[nxt] = ncodes
+		for ch := 0; ch < 3; ch++ {
+			oldv := (*chanBuf[cur][ch])[:np]
+			newv := (*chanBuf[nxt][ch])[:M]
+			rd := refResidReader{p: pay}
+			ci := 0
+			for pi, o := range occ {
+				pv := oldv[pi]
+				first := true
+				for digit := 0; digit < 8; digit++ {
+					if o&(1<<digit) == 0 {
+						continue
+					}
+					if first {
+						newv[ci] = pv
+						first = false
+						ci++
+						continue
+					}
+					resid, err := rd.next()
+					if err != nil {
+						return nil, err
+					}
+					newv[ci] = pv + resid
+					ci++
+				}
+			}
+			if err := rd.done(); err != nil {
+				return nil, err
+			}
+			pay = rd.p
+		}
+		codes = ncodes
+		np = nc
+		cur = nxt
+	}
+
+	depth := qb - uint(L-k)
+	scale := h.edge / float64(uint64(1)<<depth)
+	origin := h.origin
+	U := np
+	g, rg, bg := (*chanBuf[cur][0])[:U], (*chanBuf[cur][1])[:U], (*chanBuf[cur][2])[:U]
+
+	// A tier prefix ends with its last refinement; the full prefix goes on
+	// with the duplicate flag.
+	dups := false
+	if k == L {
+		if len(pay) < 1 || pay[0] > 1 {
+			return nil, ErrTruncated
+		}
+		dups = pay[0] == 1
+		pay = pay[1:]
+	}
+	if !dups {
+		// One point per node, voxel-center positions.
+		if len(pay) != 0 || k == L && U != N {
+			return nil, ErrTruncated
+		}
+		out.Points = make([]pointcloud.Point, U)
+		for i, code := range codes {
+			x, y, z := refDemorton3(code, depth)
+			out.Points[i].Pos = origin.Add(geom.V(
+				(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
+			out.Points[i].G = uint8(clampI64(g[i], 0, 255))
+			out.Points[i].R = uint8(clampI64(g[i]+rg[i], 0, 255))
+			out.Points[i].B = uint8(clampI64(g[i]+bg[i], 0, 255))
+		}
+		return out, nil
+	}
+
+	// Expand duplicates so every input point comes back.
+	countsP := getU64(U)
+	defer putU64(countsP)
+	counts := (*countsP)[:0]
+	var total uint64
+	for i := 0; i < U; i++ {
+		c, cn := binary.Uvarint(pay)
+		if cn <= 0 || c >= uint64(N) {
+			return nil, ErrTruncated
+		}
+		pay = pay[cn:]
+		counts = append(counts, c+1)
+		total += c + 1
+	}
+	*countsP = counts
+	if total != uint64(N) {
+		return nil, ErrTruncated
+	}
+	out.Points = make([]pointcloud.Point, N)
+	starts := make([]int, U)
+	pi := 0
+	for i, code := range codes {
+		starts[i] = pi
+		x, y, z := refDemorton3(code, depth)
+		pos := origin.Add(geom.V(
+			(float64(x)+0.5)*scale, (float64(y)+0.5)*scale, (float64(z)+0.5)*scale))
+		for r := uint64(0); r < counts[i]; r++ {
+			out.Points[pi].Pos = pos
+			pi++
+		}
+		out.Points[starts[i]].G = uint8(clampI64(g[i], 0, 255))
+		out.Points[starts[i]].R = uint8(clampI64(g[i]+rg[i], 0, 255))
+		out.Points[starts[i]].B = uint8(clampI64(g[i]+bg[i], 0, 255))
+	}
+	// Duplicate colors: residuals vs. the node representative, planar.
+	dgP := getI64(N - U)
+	defer putI64(dgP)
+	dg := *dgP
+	for ch, rep := range [3][]int64{g, rg, bg} {
+		rd := refResidReader{p: pay}
+		di := 0
+		for i := 0; i < U; i++ {
+			rv := rep[i]
+			for j := 1; j < int(counts[i]); j++ {
+				resid, err := rd.next()
+				if err != nil {
+					return nil, err
+				}
+				v := rv + resid
+				idx := starts[i] + j
+				switch ch {
+				case 0:
+					dg[di] = v
+					out.Points[idx].G = uint8(clampI64(v, 0, 255))
+				case 1:
+					out.Points[idx].R = uint8(clampI64(dg[di]+v, 0, 255))
+				default:
+					out.Points[idx].B = uint8(clampI64(dg[di]+v, 0, 255))
+				}
+				di++
+			}
+		}
+		if err := rd.done(); err != nil {
+			return nil, err
+		}
+		pay = rd.p
+	}
+	if len(pay) != 0 {
+		return nil, ErrTruncated
+	}
+	return out, nil
+}
+
+// refResidReader streams zigzag residual symbols with zero-run RLE (the 0
+// symbol introduces a run length).
+type refResidReader struct {
+	p   []byte
+	run uint64
+}
+
+func (r *refResidReader) next() (int64, error) {
+	if r.run > 0 {
+		r.run--
+		return 0, nil
+	}
+	u, n := binary.Uvarint(r.p)
+	if n <= 0 {
+		return 0, ErrTruncated
+	}
+	r.p = r.p[n:]
+	if u == 0 {
+		c, n := binary.Uvarint(r.p)
+		if n <= 0 || c == 0 {
+			return 0, ErrTruncated
+		}
+		r.p = r.p[n:]
+		r.run = c - 1
+		return 0, nil
+	}
+	return unzigzag(u), nil
+}
+
+// done fails when a zero run claimed more symbols than were consumed.
+func (r *refResidReader) done() error {
+	if r.run != 0 {
+		return ErrTruncated
+	}
+	return nil
+}
+
+func refOctreeDecodeNode(buf []byte, shift int, prefix uint64, out *[]uint64, max int) ([]byte, bool) {
+	if shift < 0 {
+		if len(*out) >= max {
+			return nil, false
+		}
+		*out = append(*out, prefix)
+		return buf, true
+	}
+	if len(buf) == 0 {
+		return nil, false
+	}
+	occ := buf[0]
+	buf = buf[1:]
+	if occ == 0 {
+		return nil, false // a visited node must have children
+	}
+	for child := 0; child < 8; child++ {
+		if occ&(1<<uint(child)) == 0 {
+			continue
+		}
+		var ok bool
+		buf, ok = refOctreeDecodeNode(buf, shift-3, prefix|uint64(child)<<uint(shift), out, max)
+		if !ok {
+			return nil, false
+		}
+	}
+	return buf, true
+}
+
+// refOctreeDecodeBounded decodes at most maxLeaves leaves; the leaf count
+// may be smaller than the point count (duplicates collapse into one
+// leaf). The leaves accumulate into scratch (grown as needed), so callers
+// can recycle the backing array.
+func refOctreeDecodeBounded(buf []byte, maxLeaves int, qb uint, scratch []uint64) (rest []byte, codes []uint64, ok bool) {
+	codes = scratch[:0]
+	rest, ok = refOctreeDecodeNode(buf, 3*int(qb)-3, 0, &codes, maxLeaves)
+	if !ok {
+		return nil, nil, false
+	}
+	return rest, codes, true
+}
+
+// refDemorton3 inverts morton3.
+func refDemorton3(code uint64, bits uint) (x, y, z uint64) {
+	for i := uint(0); i < bits; i++ {
+		x |= ((code >> (3 * i)) & 1) << i
+		y |= ((code >> (3*i + 1)) & 1) << i
+		z |= ((code >> (3*i + 2)) & 1) << i
+	}
+	return x, y, z
+}
+
+// sameDecode fails the test unless the kernel and the reference decoder
+// agree on data: the same error, or the same cell point for point.
+func sameDecode(t *testing.T, what string, data []byte) *DecodedCell {
+	t.Helper()
+	var dec Decoder
+	got, gerr := dec.decode(data)
+	want, werr := refDecode(data)
+	if gerr != werr {
+		t.Fatalf("%s: decode error %v, reference %v", what, gerr, werr)
+	}
+	if gerr != nil {
+		return nil
+	}
+	if got.CellID != want.CellID || len(got.Points) != len(want.Points) || (got.Points == nil) != (want.Points == nil) {
+		t.Fatalf("%s: cell %d with %d points, reference cell %d with %d", what,
+			got.CellID, len(got.Points), want.CellID, len(want.Points))
+	}
+	for i := range got.Points {
+		if pointBits(got.Points[i]) != pointBits(want.Points[i]) {
+			t.Fatalf("%s: point %d is %+v, reference %+v", what, i, got.Points[i], want.Points[i])
+		}
+	}
+	return got
+}
+
+// pointBits is a point as the bits it is made of: == on it is == on the
+// point, except that it also holds for the NaN coordinates a hostile
+// header's origin decodes to (and tells -0 from 0).
+func pointBits(p pointcloud.Point) [4]uint64 {
+	return [4]uint64{math.Float64bits(p.Pos.X), math.Float64bits(p.Pos.Y), math.Float64bits(p.Pos.Z),
+		uint64(p.R)<<16 | uint64(p.G)<<8 | uint64(p.B)}
+}
+
+// TestDecodeMatchesReference pins the decode kernel to the decoder it
+// replaced: every layer prefix of every (QuantBits, Layers) encode of the
+// seeded cell shapes decodes to the same points, compared bit for bit.
+func TestDecodeMatchesReference(t *testing.T) {
+	for _, rc := range refCells(t) {
+		for qb := uint8(1); qb <= 16; qb++ {
+			for l := uint8(1); l <= qb; l++ {
+				p := Params{QuantBits: qb, Layers: l}
+				// The body-surface cell is there for its size, not its
+				// parameters: it runs at the streamed depth only.
+				if len(rc.idxs) > 10_000 && (qb != 10 || testing.Short() && l != 1 && l != 4) {
+					continue
+				}
+				blk := NewEncoder(p).encodeCell(3, rc.c, rc.idxs, rc.bounds)
+				for tier := 1; tier <= int(l); tier++ {
+					what := fmt.Sprintf("%s %+v prefix %d", rc.name, p, tier)
+					dc := sameDecode(t, what, blk.Prefix(tier))
+					if dc == nil {
+						t.Fatalf("%s: a layer prefix does not decode", what)
+					}
+					if len(dc.Points) != blk.PointsAtTier(tier) {
+						t.Fatalf("%s: %d points, PointsAtTier says %d", what, len(dc.Points), blk.PointsAtTier(tier))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDemortonMatchesReference checks the shift-and-mask de-interleave
+// against the bit loop at every width, on codes with stray high bits.
+func TestDemortonMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for bits := uint(0); bits <= 21; bits++ {
+		for i := 0; i < 2000; i++ {
+			code := rng.Uint64()
+			x, y, z := demorton3(code, bits)
+			rx, ry, rz := refDemorton3(code, bits)
+			if x != rx || y != ry || z != rz {
+				t.Fatalf("demorton3(%#x, %d) = %#x %#x %#x, reference %#x %#x %#x", code, bits, x, y, z, rx, ry, rz)
+			}
+		}
+	}
+}
+
+// FuzzDecodeMatchesReference feeds the kernel and the reference decoder
+// the same arbitrary bytes, as given and with their checksums resealed:
+// they must fail alike or return the same points.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	f.Add(emptyBlockClaiming(1 << 40))
+	for _, rc := range refCells(f) {
+		if len(rc.idxs) > 2000 {
+			continue
+		}
+		for _, p := range []Params{{QuantBits: 10, Layers: 1}, {QuantBits: 6, Layers: 3}} {
+			blk := NewEncoder(p).encodeCell(5, rc.c, rc.idxs, rc.bounds)
+			for tier := 1; tier <= blk.Layers(); tier++ {
+				f.Add(blk.Prefix(tier))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecode(t, "as given", data)
+		sameDecode(t, "resealed", reseal(append([]byte(nil), data...)))
+	})
 }

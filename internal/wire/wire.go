@@ -260,7 +260,9 @@ type CellData struct {
 	Multicast bool
 	// Payload is the codec block bytes: a self-contained layer prefix
 	// when BaseLayers is 0, otherwise the enhancement delta that upgrades
-	// a retained BaseLayers-prefix to Layers.
+	// a retained BaseLayers-prefix to Layers. On a message ReadMessage
+	// returned it aliases that message's own buffer (capped, so an append
+	// copies): the buffer belongs to the message and is read into once.
 	Payload []byte
 	// Layers is the number of codec layers the delivered prefix spans
 	// once assembled (0 = flat block / pre-layering sender). The two
@@ -302,7 +304,7 @@ func (m *CellData) parseBody(b []byte) error {
 	if len(b) < 14+n {
 		return ErrShort
 	}
-	m.Payload = append([]byte(nil), b[14:14+n]...)
+	m.Payload = b[14 : 14+n : 14+n]
 	m.Layers, m.BaseLayers = 0, 0
 	if rest := b[14+n:]; len(rest) >= 2 {
 		m.Layers, m.BaseLayers = rest[0], rest[1]

@@ -132,6 +132,37 @@ func TestCellDataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCellDataPayloadReadOnce pins what a received payload costs: the
+// length prefix, the message buffer and the message, with Payload a
+// capped view of the buffer — an append to it must not reach the layer
+// fields behind it.
+func TestCellDataPayloadReadOnce(t *testing.T) {
+	c := &CellData{Frame: 2, CellID: 9, Payload: bytes.Repeat([]byte{5}, 4096), Layers: 3, BaseLayers: 1}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	var r bytes.Reader
+	var got *CellData
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(buf.Bytes())
+		m, err := ReadMessage(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = m.(*CellData)
+	})
+	if allocs > 3 {
+		t.Errorf("ReadMessage(CellData): %.0f allocations, want 3 (the payload was copied out of the buffer again)", allocs)
+	}
+	if cap(got.Payload) != len(got.Payload) {
+		t.Fatalf("payload has %d spare bytes of the message buffer", cap(got.Payload)-len(got.Payload))
+	}
+	if !bytes.Equal(got.Payload, c.Payload) || got.Layers != 3 || got.BaseLayers != 1 {
+		t.Errorf("got %d payload bytes, layers %d/%d", len(got.Payload), got.Layers, got.BaseLayers)
+	}
+}
+
 func TestCellDataLayerFieldsRoundTrip(t *testing.T) {
 	c := &CellData{Frame: 2, CellID: 9, Stride: 4, Payload: []byte{7, 7}, Layers: 3, BaseLayers: 1}
 	got := roundTrip(t, c).(*CellData)
