@@ -52,14 +52,18 @@ bench-selftest:
 # the one-pass octree encoder against the recursive reference it
 # replaced, the block decoder against arbitrary bytes (as given and
 # with their checksums resealed — it must error or decode, never panic
-# or allocate by an unchecked count), and the decode kernel against the
+# or allocate by an unchecked count), the decode kernel against the
 # decoder it replaced on the same bytes (the same error, or the same
-# points). Minimizing each new input is capped at a second so it cannot
-# eat the ten.
+# points), and the wire reader against arbitrary bytes (never panics,
+# allocates within the length prefix it checked, re-encodes and re-parses
+# to the same message, hands out payloads that alias no one else's bytes).
+# Minimizing each new input is capped at a second so it cannot eat the
+# ten.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
+	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

@@ -117,7 +117,7 @@ type sessionCounters struct {
 // SessionCounters returns the per-session split counters for label,
 // registered as blockcache.<tier>.session.<label>.{hits,misses}.
 func (c *Cache) SessionCounters(label string) *sessionCounters {
-	prefix := "blockcache." + c.name + ".session." + label + "."
+	prefix := c.sessionPrefix(label)
 	return &sessionCounters{
 		hits:   c.reg.Counter(prefix + "hits"),
 		misses: c.reg.Counter(prefix + "misses"),
@@ -131,8 +131,22 @@ func (c *Cache) SessionStats(label string) (hits, misses int64) {
 	if c == nil {
 		return 0, 0
 	}
-	prefix := "blockcache." + c.name + ".session." + label + "."
+	prefix := c.sessionPrefix(label)
 	return c.reg.Counter(prefix + "hits").Value(), c.reg.Counter(prefix + "misses").Value()
+}
+
+// ForgetSession drops label's split counters from this tier's registry:
+// a session is finite-lived (the hub reaps idle scenes by the thousand)
+// and its pair must not outlive it. The tier-global counters keep what
+// the session added to them. A nil cache has nothing to forget.
+func (c *Cache) ForgetSession(label string) {
+	if c != nil {
+		c.reg.Forget(c.sessionPrefix(label))
+	}
+}
+
+func (c *Cache) sessionPrefix(label string) string {
+	return "blockcache." + c.name + ".session." + label + "."
 }
 
 // errComputePanicked is what the waiters of a flight get when its compute

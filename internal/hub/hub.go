@@ -409,6 +409,7 @@ func (h *Hub) reaper() {
 					}
 				}
 				h.cfg.Metrics.Forget("hub.session." + s.label + ".")
+				h.tier.ForgetSession(s.label)
 				reap = append(reap, s)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"volcast/internal/blockcache"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
 	"volcast/internal/testutil/leakcheck"
@@ -202,8 +203,23 @@ func TestReapForgetsSceneState(t *testing.T) {
 	snap := leakcheck.Take()
 	reg := metrics.NewRegistry()
 	events := obs.NewEventLog(256)
+	// The encode tier on a registry of its own, warmed with no session (a
+	// build that misses, then one that hits): it holds the tier-global
+	// counters and nothing else, which is where the churn must leave it.
+	tierReg := metrics.NewRegistry()
+	tier := blockcache.New("encode", 64<<20, tierReg)
+	for i := 0; i < 2; i++ {
+		if _, err := testFactory(nil)(0, blockcache.BlockCacheOn(tier)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tierInstruments := func() int {
+		s := tierReg.Snapshot()
+		return len(s.Counters) + len(s.Histograms) + len(s.Windows) + len(s.WindowCounters)
+	}
+	preChurn := tierInstruments()
 	h, addr := startHub(t, Config{
-		NewStore: testFactory(nil), HeartbeatEvery: -1,
+		NewStore: testFactory(nil), HeartbeatEvery: -1, EncodeTier: tier,
 		ReapAfter: 250 * time.Millisecond, Metrics: reg, Events: events,
 	})
 	// The text dump names every instrument of every kind.
@@ -229,6 +245,9 @@ func TestReapForgetsSceneState(t *testing.T) {
 	if !holdsSessionKeys() {
 		t.Fatal("live scenes registered no hub.session.* instrument: the test checks nothing")
 	}
+	if tierInstruments() <= preChurn {
+		t.Fatal("live scenes registered no blockcache.encode.session.* counter: the test checks nothing")
+	}
 	waitFor(t, "every scene reaped", 10*time.Second, func() bool {
 		return reg.Snapshot().Counters["hub.sessions.reaped"] == scenes
 	})
@@ -240,6 +259,9 @@ func TestReapForgetsSceneState(t *testing.T) {
 	}
 	if holdsSessionKeys() {
 		t.Errorf("after the reaps the registry still holds hub.session.* instruments:\n%s", reg)
+	}
+	if got := tierInstruments(); got != preChurn {
+		t.Errorf("after the reaps the tier registry holds %d instruments, %d before the churn:\n%s", got, preChurn, tierReg)
 	}
 
 	// A reaped scene starts over: a join, not a reconnect, and a fresh set

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"volcast/internal/blockcache"
@@ -31,6 +32,7 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
+	"volcast/internal/par"
 	"volcast/internal/trace"
 	"volcast/internal/wire"
 )
@@ -81,9 +83,11 @@ type ClientConfig struct {
 	// faultnet wrappers in chaos tests (nil = plain TCP dial).
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// OnFrameLatency, when set, receives each completed frame's burst
-	// latency: first CellData of the frame → its FrameComplete marker, as
-	// observed by the client. The load generator aggregates these into
-	// p50/p95/p99. Called from the receive loop; keep it cheap.
+	// latency: first CellData of the frame read → its last cell decoded
+	// (the FrameComplete marker, once every decode the frame handed off
+	// has joined), as observed by the client. The load generator
+	// aggregates these into p50/p95/p99. Called from the receive loop;
+	// keep it cheap.
 	OnFrameLatency func(time.Duration)
 }
 
@@ -343,8 +347,9 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	defer func() { close(poseStop); <-poseDone }()
 
 	rx := newReceiver(stats, int(cfg.ID), cfg.Tracer, cfg.Decode, cfg.Layers)
-	// frameStart anchors the burst latency (first cell → FrameComplete)
-	// reported through OnFrameLatency.
+	defer rx.join() // no decode outlives the connection, however it ends
+	// frameStart anchors the burst latency (first cell read → last cell
+	// decoded) reported through OnFrameLatency.
 	inFrame := false
 	var frameStart time.Time
 	for {
@@ -384,12 +389,14 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 			inFrame = true
 			rx.cell(m)
 		case *wire.FrameComplete:
+			// complete joins the frame's decodes; sampled before it, the
+			// latency would leave decode out.
+			rx.complete(m.Frame)
 			if cfg.OnFrameLatency != nil && inFrame && !frameStart.IsZero() {
 				cfg.OnFrameLatency(time.Since(frameStart))
 			}
 			frameStart = time.Time{}
 			inFrame = false
-			rx.complete(m.Frame)
 		case *wire.Ping:
 			enqueue(&wire.Pong{Seq: m.Seq, T: m.T})
 		case *wire.Bye:
@@ -454,22 +461,36 @@ type heldCell struct {
 // the shared content-addressed cache (temporally static cells repeat
 // byte-identical blocks across frames and decode only once) and closes
 // each frame out with its Decode and Present spans.
+//
+// It is a pipeline (DESIGN.md §17): cell runs on the read loop and hands
+// each payload to one of at most par.Workers() concurrent decodes, so
+// the socket keeps draining while cells decode; complete is the join.
+// Everything but the fields under mu belongs to the read loop.
 type receiver struct {
 	stats  *ClientStats
 	id     int
 	tracer *obs.Tracer
 	decode bool
 	dec    codec.Decoder
+	// slots bounds the decodes in flight; the hand-off blocks on it, so a
+	// viewer that cannot keep up stops draining the socket. wg counts them.
+	slots chan struct{}
+	wg    sync.WaitGroup
+	// What the decodes produce, folded into stats at the join. decEnd is
+	// when the latest of them finished.
+	mu     sync.Mutex
+	points int64
+	errs   int
+	decEnd time.Time
 	// held retains each cell's layered prefix (nil unless the client
 	// advertised HelloFlagLayers). Connection-scoped, matching the
 	// server's per-subscriber delivery memory: a reconnect starts both
 	// sides from scratch.
 	held map[uint32]*heldCell
-	// Per-frame decode time accumulates across the frame's cells and lands
-	// as one span at FrameComplete; the gap between consecutive
+	// A frame's decode is one span, first hand-off → last cell decoded,
+	// recorded at FrameComplete; the gap between consecutive
 	// FrameCompletes is the client's presentation interval.
 	decStart, lastComplete time.Time
-	decDur                 time.Duration
 }
 
 func newReceiver(stats *ClientStats, id int, tracer *obs.Tracer, decode, layers bool) *receiver {
@@ -478,7 +499,8 @@ func newReceiver(stats *ClientStats, id int, tracer *obs.Tracer, decode, layers 
 	}
 	r := &receiver{
 		stats: stats, id: id, tracer: tracer, decode: decode,
-		dec: codec.Decoder{Cache: blockcache.Cells()},
+		dec:   codec.Decoder{Cache: blockcache.Cells()},
+		slots: make(chan struct{}, par.Workers()),
 	}
 	if layers {
 		r.held = map[uint32]*heldCell{}
@@ -516,26 +538,46 @@ func (r *receiver) cell(m *wire.CellData) {
 	if !r.decode {
 		return
 	}
-	t0 := time.Now()
-	dc, err := r.dec.Decode(payload)
+	// payload is the message's own buffer or the reassembly above: nothing
+	// writes it again, so the decode may read it from another goroutine.
 	if r.decStart.IsZero() {
-		r.decStart = t0
+		r.decStart = time.Now()
 	}
-	r.decDur += time.Since(t0)
-	if err != nil {
-		st.DecodeErrors++
-	} else {
-		st.Points += int64(len(dc.Points))
-	}
+	r.slots <- struct{}{}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		dc, err := r.dec.Decode(payload)
+		r.mu.Lock()
+		if err != nil {
+			r.errs++
+		} else {
+			r.points += int64(len(dc.Points))
+		}
+		r.decEnd = time.Now()
+		r.mu.Unlock()
+		<-r.slots
+	}()
 }
 
-// complete closes out a frame at its FrameComplete marker.
+// join waits for every decode handed off so far and folds what they
+// produced into stats; after it nothing of the receiver is running.
+func (r *receiver) join() {
+	r.wg.Wait()
+	r.stats.Points += r.points
+	r.stats.DecodeErrors += r.errs
+	r.points, r.errs = 0, 0
+}
+
+// complete closes out a frame at its FrameComplete marker: the join,
+// then the frame's spans.
 func (r *receiver) complete(frame uint32) {
+	r.join()
 	r.stats.Frames++
-	if r.decDur > 0 {
-		r.tracer.Record(int(frame), r.id, obs.StageDecode, r.decStart, r.decDur)
+	if !r.decStart.IsZero() {
+		r.tracer.Record(int(frame), r.id, obs.StageDecode, r.decStart, r.decEnd.Sub(r.decStart))
 	}
-	r.decStart, r.decDur = time.Time{}, 0
+	r.decStart = time.Time{}
 	now := time.Now()
 	if !r.lastComplete.IsZero() {
 		r.tracer.Record(int(frame), r.id, obs.StagePresent, r.lastComplete, now.Sub(r.lastComplete))

@@ -217,6 +217,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		frame++
 	}
 out:
+	rx.join() // a timed-out or cut frame's decodes end before stats is returned
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		stats.AvgFPS = float64(stats.Frames) / elapsed
