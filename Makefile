@@ -56,7 +56,10 @@ bench-selftest:
 # decoder it replaced on the same bytes (the same error, or the same
 # points), and the wire reader against arbitrary bytes (never panics,
 # allocates within the length prefix it checked, re-encodes and re-parses
-# to the same message, hands out payloads that alias no one else's bytes).
+# to the same message, hands out payloads that alias no one else's bytes,
+# allocates no more than readChunk for a body that has not arrived), and
+# the content generator's branch-free sin/cos against math.Sin/math.Cos
+# (the same bits for any argument folded into the kernels' domain).
 # Minimizing each new input is capped at a second so it cannot eat the
 # ten.
 fuzz-smoke:
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzTrigMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

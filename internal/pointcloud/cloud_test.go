@@ -136,15 +136,17 @@ func TestSynthFrameBudgetAndExtent(t *testing.T) {
 }
 
 func TestSynthDeterminism(t *testing.T) {
-	cfg := SynthConfig{Frames: 2, FPS: 30, PointsPerFrame: 5000, Seed: 7, Sway: 1}
+	cfg := SynthConfig{Frames: 4, FPS: 30, PointsPerFrame: 5000, Seed: 7, Sway: 1}
 	a := SynthVideo(cfg)
 	b := SynthVideo(cfg)
-	if a.Frames[1].Len() != b.Frames[1].Len() {
-		t.Fatal("non-deterministic point count")
-	}
-	for i := range a.Frames[1].Points {
-		if a.Frames[1].Points[i] != b.Frames[1].Points[i] {
-			t.Fatalf("non-deterministic point %d", i)
+	for f := range a.Frames {
+		if a.Frames[f].Len() != b.Frames[f].Len() {
+			t.Fatalf("frame %d: non-deterministic point count", f)
+		}
+		for i := range a.Frames[f].Points {
+			if a.Frames[f].Points[i] != b.Frames[f].Points[i] {
+				t.Fatalf("frame %d: non-deterministic point %d", f, i)
+			}
 		}
 	}
 }

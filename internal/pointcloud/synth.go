@@ -1,11 +1,13 @@
 package pointcloud
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"volcast/internal/geom"
+	"volcast/internal/par"
 )
 
 // Quality selects one rung of the paper's three-version quality ladder.
@@ -119,10 +121,15 @@ func humanoidSegments(t, sway float64) []segment {
 
 // SynthFrame generates a single humanoid frame for animation phase t.
 func SynthFrame(cfg SynthConfig, frameIdx int) *Cloud {
+	return &Cloud{Points: appendHumanoid(make([]Point, 0, cfg.PointsPerFrame), cfg, frameIdx)}
+}
+
+// appendHumanoid samples frame frameIdx of one humanoid onto pts — the
+// one sampler SynthFrame and SynthScene share.
+func appendHumanoid(pts []Point, cfg SynthConfig, frameIdx int) []Point {
 	r := rand.New(rand.NewSource(cfg.Seed + int64(frameIdx)*7919))
 	t := 2 * math.Pi * float64(frameIdx) / 90.0 // 3-second animation loop
 	segs := humanoidSegments(t, cfg.Sway)
-	cloud := &Cloud{Points: make([]Point, 0, cfg.PointsPerFrame)}
 	for _, sg := range segs {
 		n := int(float64(cfg.PointsPerFrame) * sg.share)
 		axis := sg.b.Sub(sg.a)
@@ -143,15 +150,16 @@ func SynthFrame(cfg SynthConfig, frameIdx int) *Cloud {
 			theta := r.Float64() * 2 * math.Pi
 			// Surface shell with small depth noise, like real scans.
 			rad := sg.radius * (0.92 + 0.08*r.Float64())
+			sin, cos := sincosPos(theta)
 			p := sg.a.Add(axis.Scale(h)).
-				Add(u.Scale(rad * math.Cos(theta))).
-				Add(v.Scale(rad * math.Sin(theta)))
+				Add(u.Scale(rad * cos)).
+				Add(v.Scale(rad * sin))
 			// Smooth shading (cloth folds + simple top-down light), a
 			// function of surface position like a real captured texture.
 			// Spatially smooth colors are what make Draco-class color
 			// delta coding effective, so the codec sees realistic input.
-			shade := uint8(12 + 11*math.Sin(8*h+3*theta) + 4*math.Sin(40*h))
-			cloud.Points = append(cloud.Points, Point{
+			shade := uint8(12 + 11*sinPos(8*h+3*theta) + 4*sinPos(40*h))
+			pts = append(pts, Point{
 				Pos: p,
 				R:   clampU8(int(sg.color[0]) + int(shade)),
 				G:   clampU8(int(sg.color[1]) + int(shade)),
@@ -159,7 +167,7 @@ func SynthFrame(cfg SynthConfig, frameIdx int) *Cloud {
 			})
 		}
 	}
-	return cloud
+	return pts
 }
 
 func clampU8(x int) uint8 {
@@ -178,10 +186,19 @@ func SynthVideo(cfg SynthConfig) *Video {
 		cfg.FPS = 30
 	}
 	v := &Video{Name: "soldier-synth", FPS: cfg.FPS, Frames: make([]*Cloud, cfg.Frames)}
-	for i := 0; i < cfg.Frames; i++ {
-		v.Frames[i] = SynthFrame(cfg, i)
-	}
+	fillFrames(v.Frames, func(i int) *Cloud { return SynthFrame(cfg, i) })
 	return v
+}
+
+// fillFrames sets frames[i] = frame(i) for every i on the par pool. Every
+// frame seeds its own generator, so the video is the same at any width.
+func fillFrames(frames []*Cloud, frame func(i int) *Cloud) {
+	if err := par.ForEach(context.Background(), len(frames), func(i int) error {
+		frames[i] = frame(i)
+		return nil
+	}); err != nil {
+		panic(err) // a frame panicked; re-raise it as the serial loop did
+	}
 }
 
 // SceneConfig configures a multi-performer scene: several humanoids on
@@ -221,20 +238,20 @@ func SynthScene(cfg SceneConfig) *Video {
 	}
 	per := base.PointsPerFrame / n
 	v := &Video{Name: "stage-synth", FPS: base.FPS, Frames: make([]*Cloud, base.Frames)}
-	for f := 0; f < base.Frames; f++ {
-		frame := &Cloud{Points: make([]Point, 0, base.PointsPerFrame)}
+	fillFrames(v.Frames, func(f int) *Cloud {
+		pts := make([]Point, 0, base.PointsPerFrame)
 		for pi, off := range cfg.Offsets {
 			pcfg := base
 			pcfg.PointsPerFrame = per
 			pcfg.Seed = base.Seed + int64(pi)*33161
 			// Stagger animation phases so performers move independently.
-			sub := SynthFrame(pcfg, f+pi*17)
-			for _, p := range sub.Points {
-				p.Pos = p.Pos.Add(off)
-				frame.Points = append(frame.Points, p)
+			start := len(pts)
+			pts = appendHumanoid(pts, pcfg, f+pi*17)
+			for i := range pts[start:] {
+				pts[start+i].Pos = pts[start+i].Pos.Add(off)
 			}
 		}
-		v.Frames[f] = frame
-	}
+		return &Cloud{Points: pts}
+	})
 	return v
 }

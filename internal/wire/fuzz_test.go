@@ -12,7 +12,8 @@ import (
 // error or a message — never panic — and hold four rules:
 //
 //   - what it allocates is bounded by the length prefix it checked
-//     (at most MaxMessageSize), never by a count inside the body;
+//     (at most MaxMessageSize) and by the body bytes that arrived (at
+//     most readChunk before any do), never by a count inside the body;
 //   - it consumes the prefix and the body it names, nothing more;
 //   - a message that parses re-encodes through AppendMessage and parses
 //     again to an equal value. Equal is "encodes to the same bytes":
@@ -41,21 +42,31 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		input := bytes.Clone(data)
-		claimed := uint64(0)
+		claimed, sent := uint64(0), uint64(0)
 		if len(data) >= 4 {
-			claimed = uint64(binary.LittleEndian.Uint32(data))
+			claimed, sent = uint64(binary.LittleEndian.Uint32(data)), uint64(len(data)-4)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r := bytes.NewReader(data)
 		m, err := ReadMessage(r)
 		runtime.ReadMemStats(&after)
-		// The message buffer is the prefix's size; the one parsed
-		// collection, SegmentRequest.Cells, is 16 bytes for every 5 of the
-		// body. The slack covers the message struct, a name, and whatever
-		// the fuzz worker's own goroutines allocated meanwhile.
+		// A body that never arrives whole costs the up-front buffer (at
+		// most readChunk) and, past that, at most four times what did
+		// arrive: the buffer doubles only as bytes come in. A whole body
+		// costs the prefix's size (twice it past readChunk, counting the
+		// doublings) and the one parsed collection, SegmentRequest.Cells,
+		// 16 bytes for every 5 of the body. The slack covers the message
+		// struct, a name, and whatever the fuzz worker's own goroutines
+		// allocated meanwhile.
 		budget := uint64(1 << 16)
-		if claimed <= MaxMessageSize {
+		switch {
+		case claimed > MaxMessageSize:
+		case sent < claimed:
+			budget += min(claimed, readChunk) + 4*sent
+		case claimed > readChunk:
+			budget += 6 * claimed
+		default:
 			budget += 5 * claimed
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > budget {

@@ -71,6 +71,10 @@ func (t MsgType) String() string {
 // is well under this); it protects readers from hostile length prefixes.
 const MaxMessageSize = 16 << 20
 
+// readChunk is the most ReadMessage allocates for a body before any of
+// it has arrived.
+const readChunk = 1 << 20
+
 // Errors returned by the codec.
 var (
 	ErrTooLarge  = errors.New("wire: message exceeds MaxMessageSize")
@@ -577,9 +581,21 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if n > MaxMessageSize {
 		return nil, ErrTooLarge
 	}
-	buf := make([]byte, n)
+	// The prefix is the peer's word, not bytes: allocate at most readChunk
+	// before the body arrives and double only as it does, so a peer that
+	// claims MaxMessageSize and stalls costs readChunk, not 16 MB. A
+	// message up to readChunk is one allocation and one read.
+	buf := make([]byte, min(n, readChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
+	}
+	for uint32(len(buf)) < n {
+		grown := make([]byte, min(n, 2*uint32(len(buf))))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			return nil, err
+		}
+		buf = grown
 	}
 	m, err := newMessage(MsgType(buf[0]))
 	if err != nil {

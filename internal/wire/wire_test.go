@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -311,6 +312,40 @@ func TestReadMessageErrors(t *testing.T) {
 	lie2.Write(body2)
 	if _, err := ReadMessage(&lie2); !errors.Is(err, ErrShort) {
 		t.Errorf("lying celldata: %v", err)
+	}
+}
+
+// TestReadMessageHostilePrefixBounded pins what a length prefix buys
+// before its body arrives: four bytes claiming MaxMessageSize and then
+// nothing (an unauthenticated socket's first read in the hub's handshake)
+// cost readChunk, not 16 MB; a body that arrives in part costs at most
+// readChunk plus four times what arrived; and a body past readChunk that
+// does arrive reads whole, its payload still capped at its own length.
+func TestReadMessageHostilePrefixBounded(t *testing.T) {
+	allocated := func(data []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadMessage(bytes.NewReader(data)); err == nil {
+			t.Fatalf("a body of %d bytes under a prefix of %d parsed", len(data)-4, MaxMessageSize)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slack = 1 << 16
+	if got := allocated([]byte{0, 0, 0, 1}); got > readChunk+slack {
+		t.Errorf("a prefix of MaxMessageSize with no body allocated %d bytes, want ≤ %d", got, readChunk+slack)
+	}
+	part := binary.LittleEndian.AppendUint32(nil, MaxMessageSize)
+	part = append(part, byte(TypeCellData))
+	part = append(part, make([]byte, 3*readChunk)...)
+	if got, arrived := allocated(part), uint64(len(part)-4); got > readChunk+4*arrived+slack {
+		t.Errorf("%d of %d body bytes allocated %d bytes, want ≤ %d", arrived, MaxMessageSize, got, readChunk+4*arrived+slack)
+	}
+
+	c := &CellData{Frame: 1, CellID: 2, Payload: bytes.Repeat([]byte{0xa5}, 5*readChunk+3), Layers: 2}
+	got := roundTrip(t, c).(*CellData)
+	if !bytes.Equal(got.Payload, c.Payload) || got.Layers != 2 || cap(got.Payload) != len(got.Payload) {
+		t.Errorf("a %d-byte payload read back as %d bytes (cap %d), layers %d", len(c.Payload), len(got.Payload), cap(got.Payload), got.Layers)
 	}
 }
 
