@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-bench bench-selftest fuzz-smoke trace-smoke chaos-smoke loadtest-smoke slo-smoke layer-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench-selftest sim-parity fuzz-smoke trace-smoke chaos-smoke loadtest-smoke slo-smoke layer-smoke verify
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,23 @@ lint-bench:
 # drives breaks its build.
 bench-selftest:
 	cd bench && $(GO) test ./...
+
+# sim-parity requires volsim to print the same thing at one worker and at
+# eight, the elapsed-time line aside: a session with multicast, custom
+# beams and prediction, a session that decodes every delivered cell, and
+# the ablation table. TestWorkerCountParity covers table1, fig2b and fig3d
+# inside go test. PARITY_DIR holds the binary and the outputs.
+PARITY_DIR ?= /tmp/volsim-parity
+sim-parity:
+	@mkdir -p $(PARITY_DIR) && $(GO) build -o $(PARITY_DIR)/volsim ./cmd/volsim
+	@for c in "session -multicast -custom -predictive" "session -multicast -decode" ablate; do \
+		for w in 1 8; do \
+			$(PARITY_DIR)/volsim -workers $$w $$c > $(PARITY_DIR)/raw.txt || exit 1; \
+			grep -v '^([0-9.]*s)$$' $(PARITY_DIR)/raw.txt > $(PARITY_DIR)/w$$w.txt; \
+		done; \
+		diff $(PARITY_DIR)/w1.txt $(PARITY_DIR)/w8.txt || { echo "sim-parity: volsim $$c differs at -workers 1 and 8"; exit 1; }; \
+		echo "sim-parity: volsim $$c identical at -workers 1 and 8"; \
+	done
 
 # fuzz-smoke gives the native fuzz targets a short budget beyond their
 # committed seed corpora (testdata/fuzz, which plain `go test` replays):

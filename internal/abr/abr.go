@@ -64,7 +64,7 @@ type PHYHint struct {
 	// RateCeilingMbps is the goodput ceiling implied by the current (or
 	// predicted) MCS; 0 means unknown.
 	RateCeilingMbps float64
-	// BlockagePredicted is set when the viewport-prediction layer expects
+	// BlockageExpected is set when the viewport-prediction layer expects
 	// a body to cut the link within the adaptation horizon.
 	BlockageExpected bool
 	// BlockageLossFrac is the expected goodput fraction surviving a
@@ -183,24 +183,14 @@ const (
 	ActionRegroup
 )
 
+var actionNames = [...]string{"none", "prefetch", "quality-down", "quality-up", "beam-switch", "regroup"}
+
 // String implements fmt.Stringer.
 func (a Action) String() string {
-	switch a {
-	case ActionNone:
-		return "none"
-	case ActionPrefetch:
-		return "prefetch"
-	case ActionQualityDown:
-		return "quality-down"
-	case ActionQualityUp:
-		return "quality-up"
-	case ActionBeamSwitch:
-		return "beam-switch"
-	case ActionRegroup:
-		return "regroup"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
+	if a >= 0 && int(a) < len(actionNames) {
+		return actionNames[a]
 	}
+	return fmt.Sprintf("Action(%d)", int(a))
 }
 
 // State is the controller's input for one user (or one multicast group).
@@ -260,26 +250,9 @@ type Controller struct {
 	cfg Config
 }
 
-// NewController returns a controller; zero config fields take defaults.
-func NewController(cfg Config) *Controller {
-	d := DefaultConfig()
-	if cfg.PanicBufferFrac <= 0 {
-		cfg.PanicBufferFrac = d.PanicBufferFrac
-	}
-	if cfg.SafeBufferFrac <= 0 {
-		cfg.SafeBufferFrac = d.SafeBufferFrac
-	}
-	if cfg.UpHeadroom <= 0 {
-		cfg.UpHeadroom = d.UpHeadroom
-	}
-	if cfg.DownTrigger <= 0 {
-		cfg.DownTrigger = d.DownTrigger
-	}
-	if cfg.RegroupBelow <= 0 {
-		cfg.RegroupBelow = d.RegroupBelow
-	}
-	return &Controller{cfg: cfg}
-}
+// NewController returns a controller with the given thresholds
+// (DefaultConfig is the tuning every experiment runs).
+func NewController(cfg Config) *Controller { return &Controller{cfg: cfg} }
 
 // Decide returns the action for the given state, in priority order:
 // survive blockage (beam switch or prefetch) → avoid stalls (quality

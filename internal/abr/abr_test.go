@@ -110,7 +110,7 @@ func TestBuffer(t *testing.T) {
 }
 
 func TestControllerPriorities(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController(DefaultConfig())
 	base := State{
 		PredictedMbps:    300,
 		DemandMbps:       280,
@@ -143,7 +143,7 @@ func TestControllerPriorities(t *testing.T) {
 }
 
 func TestControllerQuality(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController(DefaultConfig())
 	// Predicted below demand: downgrade.
 	s := State{PredictedMbps: 200, DemandMbps: 280, BufferLevel: 1.5, BufferCapacity: 2}
 	if got := c.Decide(s); got != ActionQualityDown {
@@ -176,7 +176,7 @@ func TestControllerQuality(t *testing.T) {
 }
 
 func TestControllerUpgradeDeltaCosting(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController(DefaultConfig())
 	// Prediction covers current demand plus the enhancement delta, but
 	// not a full re-send of the next rung: flat content must hold, layered
 	// content (delta known) must upgrade.
@@ -209,7 +209,7 @@ func TestControllerUpgradeDeltaCosting(t *testing.T) {
 }
 
 func TestControllerRegroup(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController(DefaultConfig())
 	s := State{
 		PredictedMbps: 400, DemandMbps: 280, NextUpDemandMbps: 360,
 		BufferLevel: 1.8, BufferCapacity: 2,

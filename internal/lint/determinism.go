@@ -26,6 +26,9 @@ var simPathPackages = map[string]bool{
 	// nondeterministic rung choice would desync hub buffers from pull
 	// tokens and break the layer parity renders.
 	"volcast/internal/tier": true,
+	// abr holds the density decision: Controller.Adapt must be a pure
+	// function of its inputs, whichever loop (simulated or served) calls it.
+	"volcast/internal/abr": true,
 }
 
 // wallClockFuncs are the time functions that read or depend on the wall

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"volcast/internal/abr"
 	"volcast/internal/blockcache"
 	"volcast/internal/codec"
 	"volcast/internal/core"
@@ -12,7 +13,6 @@ import (
 	"volcast/internal/obs"
 	"volcast/internal/par"
 	"volcast/internal/phy"
-	"volcast/internal/tier"
 	"volcast/internal/vivo"
 )
 
@@ -85,20 +85,6 @@ type frame struct {
 	plan         *core.FramePlan
 }
 
-// degrade moves every stride of a culled request level steps down the
-// ladder, as the hub's pushFrame does to a subscriber's.
-func degrade(lad tier.Ladder, req vivo.Request, level int) vivo.Request {
-	if level == 0 {
-		return req
-	}
-	out := vivo.Request{Cells: make([]vivo.CellRequest, len(req.Cells))}
-	for i, c := range req.Cells {
-		c.Stride, _ = lad.Degrade(c.Stride, level)
-		out.Cells[i] = c
-	}
-	return out
-}
-
 // step advances one frame. The visibility pipeline only reads shared
 // state, and the decode cache's singleflight decodes each distinct block
 // once however many viewports overlap, so culling and decoding fan out on
@@ -121,7 +107,7 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 		} else {
 			fr.culled[u] = p.vis.Request(occ, in.views[u])
 		}
-		fr.reqs[u] = degrade(lad, fr.culled[u], in.levels[u])
+		fr.reqs[u] = abr.AtLevel(lad, fr.culled[u], in.levels[u])
 		return nil
 	}); err != nil {
 		return fr, err

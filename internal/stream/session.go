@@ -12,7 +12,6 @@ import (
 	"volcast/internal/phy"
 	"volcast/internal/pointcloud"
 	"volcast/internal/predict"
-	"volcast/internal/tier"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
 )
@@ -28,7 +27,7 @@ type SessionConfig struct {
 	// CustomBeams enables multi-lobe multicast beams.
 	CustomBeams bool
 	// Predictive enables joint viewport prediction, blockage forecasting
-	// and the cross-layer controller (prefetch / beam switch / regroup).
+	// and the cross-layer controller's reaction (prefetch / beam switch).
 	Predictive bool
 	// StartQuality names the entry of NewSession's stores map the session
 	// streams from; every user starts at that store's full density.
@@ -79,7 +78,8 @@ type QoE struct {
 	QualitySwitches int
 	// BeamSwitches counts proactive reflection-path switches.
 	BeamSwitches int
-	// Regroups counts multicast regrouping events.
+	// Regroups is always 0 until grouping becomes part of the density
+	// decision (DESIGN.md §19); the planner re-forms groups every frame.
 	Regroups int
 	// MulticastShare is the multicast fraction of delivered bytes.
 	MulticastShare float64
@@ -302,7 +302,13 @@ func (s *Session) Run() (QoE, error) {
 
 		// Rate adaptation once per second.
 		if s.cfg.AdaptQuality && step%30 == 29 {
-			s.adaptQuality(fr, played, &q)
+			users := make([]abr.User, s.cfg.Users)
+			for u := range users {
+				users[u] = abr.User{Culled: fr.culled[u], Level: s.level[u], PredictedMbps: s.bwPred[u].Predict(), PlannedBytes: plan.Users[u].RequestBytes}
+			}
+			var switches int
+			s.level, switches, _ = s.ctrl.Adapt(s.path.store, fr.fi, played, users)
+			q.QualitySwitches += switches
 			played = 0
 		}
 		presentSpan.End()
@@ -321,43 +327,4 @@ func (s *Session) Run() (QoE, error) {
 	}
 	q.MulticastShare = split.share()
 	return q, nil
-}
-
-// adaptQuality is the once-per-second controller pass. A user's current
-// rate is what the frame just planned; the next level up is priced from
-// the store — the same culled request one level denser, and the
-// enhancement layers that separate the two.
-func (s *Session) adaptQuality(fr frame, played float64, q *QoE) {
-	store := s.path.store
-	lad, size := store.Ladder(), store.SizeOracle(fr.fi)
-	for u := range s.level {
-		st8 := abr.State{
-			PredictedMbps:   s.bwPred[u].Predict(),
-			DemandMbps:      codec.BitrateMbps(float64(fr.plan.Users[u].RequestBytes), 30),
-			BufferLevel:     played,
-			BufferCapacity:  1,
-			GroupEfficiency: 1,
-		}
-		if s.level[u] > 0 {
-			up := degrade(lad, fr.culled[u], s.level[u]-1)
-			delta := 0
-			for i, c := range up.Cells {
-				delta += store.UpgradeBytes(fr.fi, c.ID, fr.reqs[u].Cells[i].Stride, c.Stride)
-			}
-			st8.NextUpDemandMbps = codec.BitrateMbps(float64(up.Bytes(size)), 30)
-			st8.UpgradeDeltaMbps = codec.BitrateMbps(float64(delta), 30)
-		}
-		switch s.ctrl.Decide(st8) {
-		case abr.ActionQualityDown:
-			if s.level[u] < tier.MaxDegrade {
-				s.level[u]++
-				q.QualitySwitches++
-			}
-		case abr.ActionQualityUp: // only offered below full density
-			s.level[u]--
-			q.QualitySwitches++
-		case abr.ActionRegroup:
-			q.Regroups++
-		}
-	}
 }
