@@ -38,7 +38,7 @@ func plannedBytes(store *vivo.Store, req vivo.Request, level int) int {
 func TestAdaptNeverRaisesFullDensity(t *testing.T) {
 	store, req := decideWorld(t)
 	c := NewController(DefaultConfig())
-	levels, switches, _ := c.Adapt(store, 0, 1, []User{{Culled: req, PredictedMbps: 1e9, PlannedBytes: plannedBytes(store, req, 0)}})
+	levels, switches, _ := c.Adapt(store, 0, 30, []User{{Culled: req, PredictedMbps: 1e9, PlannedBytes: plannedBytes(store, req, 0), Played: 1}})
 	if levels[0] != 0 || switches != 0 {
 		t.Errorf("level 0 with unbounded headroom moved to %d (%d switches)", levels[0], switches)
 	}
@@ -51,7 +51,7 @@ func TestAdaptSaturatesAtMaxDegrade(t *testing.T) {
 		{Culled: req, Level: tier.MaxDegrade - 1, PlannedBytes: plannedBytes(store, req, tier.MaxDegrade-1)},
 		{Culled: req, Level: tier.MaxDegrade, PlannedBytes: plannedBytes(store, req, tier.MaxDegrade)},
 	}
-	levels, switches, reqs := c.Adapt(store, 0, 0, users)
+	levels, switches, reqs := c.Adapt(store, 0, 30, users)
 	if levels[0] != tier.MaxDegrade || levels[1] != tier.MaxDegrade || switches != 1 {
 		t.Errorf("starved users at %d and %d moved to %v with %d switches, want both at %d and 1 switch",
 			tier.MaxDegrade-1, tier.MaxDegrade, levels, switches, tier.MaxDegrade)
@@ -70,7 +70,7 @@ func TestAdaptEmptyRequestNeverMoves(t *testing.T) {
 	for level := 0; level <= tier.MaxDegrade; level++ {
 		for _, rate := range []float64{0, 1e9} {
 			for _, played := range []float64{0, 1} {
-				levels, switches, reqs := c.Adapt(store, 0, played, []User{{Level: level, PredictedMbps: rate}})
+				levels, switches, reqs := c.Adapt(store, 0, 30, []User{{Level: level, PredictedMbps: rate, Played: played}})
 				if levels[0] != level || switches != 0 || len(reqs[0].Cells) != 0 {
 					t.Errorf("empty request at level %d (rate %v, played %v) moved to %d, %d switches, %d wants",
 						level, rate, played, levels[0], switches, len(reqs[0].Cells))
@@ -107,7 +107,7 @@ func TestAdaptPricesUpgradeByDelta(t *testing.T) {
 	if got := c.Decide(st); got != ActionNone {
 		t.Fatalf("full-rung pricing = %v, want none", got)
 	}
-	levels, switches, _ := c.Adapt(store, 0, 1, []User{{Culled: req, Level: 1, PredictedMbps: rate, PlannedBytes: demand}})
+	levels, switches, _ := c.Adapt(store, 0, 30, []User{{Culled: req, Level: 1, PredictedMbps: rate, PlannedBytes: demand, Played: 1}})
 	if levels[0] != 0 || switches != 1 {
 		t.Errorf("delta-priced upgrade moved level 1 to %d (%d switches), want 0", levels[0], switches)
 	}

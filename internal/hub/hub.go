@@ -14,10 +14,10 @@
 //
 // Connection-level semantics are inherited from internal/transport's
 // hardening: exactly one owning writer per connection, Ping/Pong
-// heartbeats with idle timeouts, slow-client degrade-then-drop, and
-// graceful drain inside a bounded budget. Conn-level fault counters keep
-// their transport.* names; session lifecycle and per-session counters
-// live under hub.*.
+// heartbeats with idle timeouts, a slow-client drop, and graceful drain
+// inside a bounded budget; density is abr's decision (DESIGN.md §19).
+// Conn-level fault counters keep their transport.* names; session
+// lifecycle and per-session counters live under hub.*.
 package hub
 
 import (
@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"volcast/internal/abr"
 	"volcast/internal/blockcache"
 	"volcast/internal/codec"
 	"volcast/internal/metrics"
@@ -279,11 +280,7 @@ func (h *Hub) Serve(ln net.Listener) error {
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Temporary() {
-				if retryDelay == 0 {
-					retryDelay = 5 * time.Millisecond
-				} else if retryDelay *= 2; retryDelay > time.Second {
-					retryDelay = time.Second
-				}
+				retryDelay = min(max(2*retryDelay, 5*time.Millisecond), time.Second)
 				h.cAcceptRetries.Inc()
 				h.cfg.Logf("hub: accept: %v (retrying in %v)", err, retryDelay)
 				select {
@@ -344,7 +341,9 @@ func (h *Hub) Shutdown() {
 		conn.Close()
 	}
 	for _, s := range sessions {
-		s.drainAll()
+		for _, c := range s.snapshotSubs() {
+			c.beginDrain()
+		}
 	}
 	// Force-close whatever is still connected when the drain budget
 	// expires (covers both slow drains and clients that connected between
@@ -362,7 +361,9 @@ func (h *Hub) Shutdown() {
 		}
 		h.mu.Unlock()
 		for _, s := range live {
-			s.closeAll()
+			for _, c := range s.snapshotSubs() {
+				c.close()
+			}
 		}
 		for _, conn := range conns {
 			conn.Close()
@@ -381,14 +382,7 @@ func (h *Hub) reaper() {
 	if h.cfg.ReapAfter < 0 {
 		return
 	}
-	tick := h.cfg.ReapAfter / 4
-	if tick < 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(min(max(h.cfg.ReapAfter/4, 50*time.Millisecond), time.Second))
 	defer ticker.Stop()
 	for {
 		select {
@@ -661,11 +655,11 @@ func (h *Hub) handle(conn net.Conn) {
 		}
 		c = &subscriber{
 			conn:   conn,
-			sess:   s,
 			id:     hello.ClientID,
 			name:   hello.Name,
 			pull:   hello.Flags&wire.HelloFlagPull != 0,
 			layers: hello.Flags&wire.HelloFlagLayers != 0,
+			rate:   abr.NewEWMA(0.3), // the simulator's smoothing
 			out:    make(chan outBuf, h.cfg.QueueDepth),
 			done:   make(chan struct{}),
 			drain:  make(chan struct{}),

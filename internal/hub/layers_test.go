@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"volcast/internal/abr"
 	"volcast/internal/cell"
 	"volcast/internal/codec"
 	"volcast/internal/geom"
@@ -44,18 +45,31 @@ func bareSession(t testing.TB, cfg Config) (*Hub, *session) {
 	return h, s
 }
 
-// bareSub returns a frame-loop-only subscriber with its degrade level
-// pinned (the dwell stops adapt from decaying it on an empty queue).
+// bareSub returns a frame-loop-only subscriber at a degrade level. Only a
+// pass frame (a positive multiple of the session's fps) moves it.
 func bareSub(degrade int, layers bool) *subscriber {
 	return &subscriber{
-		out:        make(chan outBuf, 4096),
-		done:       make(chan struct{}),
-		drain:      make(chan struct{}),
-		seen:       false,
-		layers:     layers,
-		degrade:    degrade,
-		adaptDwell: 1 << 30,
+		out:     make(chan outBuf, 4096),
+		done:    make(chan struct{}),
+		drain:   make(chan struct{}),
+		seen:    false,
+		layers:  layers,
+		degrade: degrade,
+		rate:    abr.NewEWMA(0.3),
 	}
+}
+
+// threeRungFactory builds a seven-frame store over the rungs {1, 2, 4}.
+func threeRungFactory(uint32, codec.BlockCache) (*vivo.Store, error) {
+	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
+		Frames: 7, FPS: 30, PointsPerFrame: 6000, Seed: 7, Sway: 1,
+	})
+	b, _ := video.Bounds()
+	g, err := cell.NewGrid(b, cell.Size50)
+	if err != nil {
+		return nil, err
+	}
+	return vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 }
 
 // drainMsgs empties a subscriber's queue, parsing and releasing every
@@ -348,62 +362,98 @@ func upgradeShipsOnlyDeltaLayers(t *testing.T, factory func(uint32, codec.BlockC
 	return deltas, deltaBytes
 }
 
-// TestAdaptDwellStopsFlapping pins the hysteresis fix: a queue depth
-// oscillating across the degrade watermarks every frame used to flip the
-// adaptation level every call. With the minimum dwell the level may
-// change at most once per adaptMinDwellFrames+1 calls.
-func TestAdaptDwellStopsFlapping(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := &Hub{cfg: Config{Metrics: reg, Logf: func(string, ...any) {}}}
-	s := &session{hub: h}
-	s.cDropsEnqueue = reg.Counter("test.drops")
-	c := &subscriber{
-		out:   make(chan outBuf, 4096),
-		done:  make(chan struct{}),
-		drain: make(chan struct{}),
+// TestAdaptStepsOnlyOnPassFrames pins the cadence that replaced the
+// watermark rule's dwell: with pushFrame driven by hand, a subscriber
+// whose writer delivers nothing falls one rung per pass to the coarsest,
+// then, once its writer delivers every frame fast, climbs back one rung
+// per pass. A level moves only on pass frames, by one step, and every move
+// is announced by an Adapt carrying its direction as the abr.Action.
+func TestAdaptStepsOnlyOnPassFrames(t *testing.T) {
+	_, s := bareSession(t, Config{NewStore: testFactory(nil), Vanilla: true})
+	c := bareSub(0, false)
+	if !s.addSub(c) {
+		t.Fatal("addSub")
 	}
+	var path []int
+	for frame := 0; frame <= 8*s.fps; frame++ {
+		recovering := frame > 4*s.fps
+		old := c.degrade
+		s.pushFrame(frame)
+		var adapts []*wire.Adapt
+		for _, m := range drainMsgs(t, c) {
+			if fc, ok := m.(*wire.FrameComplete); ok && recovering {
+				// The writer: every frame on the socket at once.
+				c.fcsWritten.Add(1)
+				c.wrote.Add(int64(fc.Bytes))
+				c.busyNs.Add(1)
+			}
+			if a, ok := m.(*wire.Adapt); ok {
+				adapts = append(adapts, a)
+			}
+		}
+		if c.degrade == old {
+			if len(adapts) != 0 {
+				t.Fatalf("frame %d: level held at %d but %d Adapt sent", frame, old, len(adapts))
+			}
+			continue
+		}
+		if frame%s.fps != 0 || (c.degrade-old)*(c.degrade-old) != 1 {
+			t.Fatalf("frame %d: level moved %d -> %d, want one step on a multiple of %d", frame, old, c.degrade, s.fps)
+		}
+		reason := uint8(abr.ActionQualityDown)
+		if c.degrade < old {
+			reason = uint8(abr.ActionQualityUp)
+		}
+		if len(adapts) != 1 || int(adapts[0].Quality) != c.degrade || adapts[0].Reason != reason {
+			t.Fatalf("frame %d: level %d -> %d announced by %+v, want one Adapt{%d, %d}", frame, old, c.degrade, adapts, c.degrade, reason)
+		}
+		path = append(path, c.degrade)
+	}
+	if want := []int{1, 2, 3, 2, 1, 0}; !reflect.DeepEqual(path, want) {
+		t.Errorf("levels moved through %v, want %v", path, want)
+	}
+}
 
-	const burst = 10
-	fill := func(depth int) {
-		drainMsgs(t, c)
-		for i := 0; i < depth; i++ {
-			b, err := wire.NewBuffer(&wire.Ping{Seq: uint32(i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
-				t.Fatal("fill enqueue failed")
+// TestFreeLinkHoldsFullDensity: a subscriber whose writer never waits
+// stays at full density when its culled demand jumps: a viewer turned
+// away from the figure for three passes turns to face it. The rate a free link reads is capped against the whole
+// frame, so a light pass frame cannot leave the estimate under a heavy
+// one's demand.
+func TestFreeLinkHoldsFullDensity(t *testing.T) {
+	_, s := bareSession(t, Config{NewStore: threeRungFactory})
+	occ := s.store.Frame(0).Occupied
+	var cen geom.Vec3
+	occ.ForEach(func(id cell.ID) { cen = cen.Add(s.store.Grid().Center(id)) })
+	cen = cen.Scale(1 / float64(occ.Count()))
+	pos, a := cen.Add(geom.V(0, 0, 1.2)), 50*math.Pi/180
+	facing := geom.Pose{Pos: pos, Rot: geom.LookRotation(geom.V(0, 0, -1), geom.V(0, 1, 0))}
+	aside := geom.Pose{Pos: pos, Rot: geom.LookRotation(geom.V(math.Sin(a), 0, -math.Cos(a)), geom.V(0, 1, 0))}
+	size := s.store.SizeOracle(0)
+	if f, n := s.vis.Request(occ, facing).Bytes(size), s.vis.Request(occ, aside).Bytes(size); f < 4*n || n == 0 {
+		t.Fatalf("facing request %d B, aside %d B: want the facing one over four times the other", f, n)
+	}
+	c := bareSub(0, false)
+	c.seen = true
+	if !s.addSub(c) {
+		t.Fatal("addSub")
+	}
+	for frame := 0; frame <= 8*s.fps; frame++ {
+		c.pose = aside
+		if frame >= 4*s.fps {
+			c.pose = facing
+		}
+		s.pushFrame(frame)
+		for _, m := range drainMsgs(t, c) {
+			switch m := m.(type) {
+			case *wire.FrameComplete:
+				c.fcsWritten.Add(1)
+				c.wrote.Add(int64(m.Bytes))
+				c.busyNs.Add(1)
+			case *wire.Adapt:
+				t.Fatalf("frame %d: free link moved to level %d", frame, m.Quality)
 			}
 		}
 	}
-
-	const calls = 4 * (adaptMinDwellFrames + 1)
-	changes, lastChange := 0, -1
-	level := 0
-	for i := 0; i < calls; i++ {
-		if i%2 == 0 {
-			fill(4*burst + 1) // above the degrade watermark
-		} else {
-			fill(burst/2 - 1) // below the restore watermark
-		}
-		got := s.adapt(c, burst)
-		if got != level {
-			if lastChange >= 0 && i-lastChange <= adaptMinDwellFrames {
-				t.Fatalf("level changed at call %d, only %d calls after the previous change (dwell %d)",
-					i, i-lastChange, adaptMinDwellFrames)
-			}
-			changes++
-			lastChange = i
-			level = got
-		}
-	}
-	if changes == 0 {
-		t.Error("adaptation never moved — dwell froze the level entirely")
-	}
-	if max := calls/(adaptMinDwellFrames+1) + 1; changes > max {
-		t.Errorf("level changed %d times in %d oscillating calls, want <= %d", changes, calls, max)
-	}
-	drainMsgs(t, c)
 }
 
 // TestPullMatchesPush pins the one delivery path from both ends: a pull

@@ -7,14 +7,20 @@ package hub
 // pipeline is all here — a par worker pool filling a slot table behind a
 // ready channel, per-subscriber cursors advancing over it, FrameComplete
 // buffers shared by verdict. TestPushFrameMatchesReference pins the flat
-// path's per-subscriber bytes and delivery memory to it.
+// path's per-subscriber bytes and delivery memory to it. The level the
+// reference reads is the one the test pins; the decision that moves it is
+// TestAdaptPassMatchesSim's.
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"volcast/internal/abr"
 	"volcast/internal/cell"
 	"volcast/internal/codec"
 	"volcast/internal/geom"
@@ -92,7 +98,7 @@ func (s *session) refPushFrame(frame int) {
 		if isPull[i] {
 			continue
 		}
-		degrade := s.adapt(c, len(reqs[i].Cells))
+		degrade := c.degrade
 		plan := make([]int, 0, len(reqs[i].Cells))
 		for _, cr := range reqs[i].Cells {
 			blk := s.store.LayeredBlock(fi, cr.ID)
@@ -285,10 +291,9 @@ func drainRaw(c *subscriber) [][]byte {
 // TestPushFrameMatchesReference is the flattening's differential test:
 // twin subscriber sets on one session — degrade 0–3 moving on a schedule
 // so cells upgrade and downgrade, layer-aware and legacy, posed and
-// never-seen, one level left to adapt's own decay (so Adapt messages
-// interleave), one pull subscriber — are pushed five loops' worth of the
+// never-seen, one pull subscriber — are pushed five loops' worth of the
 // store through pushFrame and through the parent's pipeline at worker
-// widths 1 and 8. Every subscriber's queued bytes, in order and FrameComplete
+// widths 1 and 8; no pass frame falls inside the run. Every subscriber's queued bytes, in order and FrameComplete
 // last, and its delivery memory must match its twin's.
 func TestPushFrameMatchesReference(t *testing.T) {
 	old := par.Workers()
@@ -316,7 +321,6 @@ func TestPushFrameMatchesReference(t *testing.T) {
 		degrade int
 		layers  bool
 		pose    *geom.Pose // nil = never seen: a vanilla request
-		adapts  bool       // dwell 0: adapt decays the level itself
 		pull    bool
 	}
 	specs := []spec{
@@ -327,7 +331,7 @@ func TestPushFrameMatchesReference(t *testing.T) {
 		{degrade: 0, layers: false, pose: &side},
 		{degrade: 1, layers: false},
 		{degrade: 3, layers: false, pose: &front},
-		{degrade: 3, layers: true, pose: &side, adapts: true},
+		{degrade: 3, layers: true, pose: &side},
 		{pull: true},
 	}
 	build := func() []*subscriber {
@@ -337,9 +341,6 @@ func TestPushFrameMatchesReference(t *testing.T) {
 			c.sub, c.pull = uint32(i+1), sp.pull
 			if sp.pose != nil {
 				c.pose, c.seen = *sp.pose, true
-			}
-			if sp.adapts {
-				c.adaptDwell = 0
 			}
 			subs[i] = c
 		}
@@ -357,7 +358,7 @@ func TestPushFrameMatchesReference(t *testing.T) {
 	for _, width := range []int{1, 8} {
 		par.SetWorkers(width)
 		got, want := build(), build()
-		var deltas, adapts, multicast int
+		var deltas, multicast int
 		// Two loops of the store in playback order, then every store
 		// frame three times in a row: each frame's content differs, so
 		// only a back-to-back revisit re-requests a held block — at a
@@ -370,10 +371,13 @@ func TestPushFrameMatchesReference(t *testing.T) {
 		for fi := 0; fi < nf; fi++ {
 			frames = append(frames, 2*nf+fi, 3*nf+fi, 4*nf+fi)
 		}
+		if frames[len(frames)-1] >= s.fps {
+			t.Fatalf("frame %d is a pass frame at %d fps", frames[len(frames)-1], s.fps)
+		}
 		for step, frame := range frames {
 			// Move the pinned levels every step.
 			for i, sp := range specs {
-				if sp.adapts || sp.pull {
+				if sp.pull {
 					continue
 				}
 				level := (sp.degrade + step) % (tier.MaxDegrade + 1)
@@ -405,10 +409,7 @@ func TestPushFrameMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					switch m := m.(type) {
-					case *wire.Adapt:
-						adapts++
-					case *wire.CellData:
+					if m, ok := m.(*wire.CellData); ok {
 						if m.BaseLayers > 0 {
 							deltas++
 						}
@@ -427,9 +428,146 @@ func TestPushFrameMatchesReference(t *testing.T) {
 			}
 		}
 		// The scenario must have exercised what it claims to.
-		if deltas == 0 || adapts == 0 || multicast == 0 {
-			t.Errorf("width %d: %d delta cells, %d Adapt messages, %d multicast cells — each must occur",
-				width, deltas, adapts, multicast)
+		if deltas == 0 || multicast == 0 {
+			t.Errorf("width %d: %d delta cells, %d multicast cells — each must occur",
+				width, deltas, multicast)
 		}
+	}
+}
+
+// TestAdaptPassMatchesSim holds the hub's pass to the simulator's call,
+// one pass frame of pushFrame at a time, over seeded inputs: one to four
+// push subscribers whose requests are culled from a real store at random
+// poses (now and then never-seen: a vanilla request), every level from 0
+// to tier.MaxDegrade, and writer counters whose rate lands from a third of
+// the level's demand to three times it, the ceiling included — on a fresh
+// estimate or on top of an earlier one — and whose played share spans the panic and safe buffer
+// fractions, clamp included. Each subscriber must end at the level
+// abr.Controller.Adapt gives sim-shaped users at the session's fps, be
+// sent the (cell, stride) wants Adapt returns for it, in order, and hear
+// of a move by one Adapt. A subscriber owed no frame since the last pass
+// is left out of the call and keeps its level.
+func TestAdaptPassMatchesSim(t *testing.T) {
+	_, s := bareSession(t, Config{NewStore: threeRungFactory, Logf: func(string, ...any) {}})
+	store, lad := s.store, s.store.Ladder()
+	occ0 := store.Frame(0).Occupied
+	var cen geom.Vec3
+	occ0.ForEach(func(id cell.ID) { cen = cen.Add(store.Grid().Center(id)) })
+	cen = cen.Scale(1 / float64(occ0.Count()))
+	rng := rand.New(rand.NewSource(27))
+	ctrl := abr.NewController(abr.DefaultConfig())
+	var downs, ups, holds, skipped, capped int
+	for trial := 0; trial < 1000; trial++ {
+		s.fps = []int{24, 30, 60, 240}[rng.Intn(4)]
+		frame := s.fps * (1 + rng.Intn(7))
+		fi := frame % store.NumFrames()
+		occ, size := store.Frame(fi).Occupied, store.SizeOracle(fi)
+		subs := make([]*subscriber, 1+rng.Intn(4))
+		var users []abr.User
+		var in []int // users[k] is subs[in[k]]
+		for u := range subs {
+			c := bareSub(rng.Intn(tier.MaxDegrade+1), rng.Intn(2) == 0)
+			c.sub = uint32(u + 1)
+			culled := vivo.VanillaRequest(occ)
+			if rng.Intn(8) != 0 {
+				a, r := 2*math.Pi*rng.Float64(), 1.2+3*rng.Float64()
+				pos := cen.Add(geom.V(r*math.Cos(a), 0.4*rng.NormFloat64(), r*math.Sin(a)))
+				c.pose = geom.Pose{Pos: pos, Rot: geom.LookRotation(cen.Sub(pos), geom.V(0, 1, 0))}
+				c.seen = true
+				culled = s.vis.Request(occ, c.pose)
+			}
+			subs[u] = c
+			if rng.Intn(10) == 0 {
+				continue // owed nothing since the last pass
+			}
+			planned := abr.AtLevel(lad, culled, c.degrade).Bytes(size)
+			demand := codec.BitrateMbps(float64(planned), s.fps)
+			est := abr.NewEWMA(0.3)
+			if rng.Intn(2) == 0 {
+				prior := abr.Sample{Mbps: demand * math.Exp2(3.2*rng.Float64()-1.6)}
+				c.rate.Observe(prior)
+				est.Observe(prior)
+			}
+			busy := 1e6 + rng.Int63n(1e9)
+			bytes := int64(demand * math.Exp2(3.2*rng.Float64()-1.6) * float64(busy) / 8e3)
+			c.wrote.Store(bytes)
+			c.busyNs.Store(busy)
+			whole := codec.BitrateMbps(float64(vivo.VanillaRequest(occ).Bytes(size)), s.fps)
+			sample := float64(bytes*8) / (float64(busy) / 1e9) / 1e6
+			if sample > rateCeiling*whole {
+				capped++
+			}
+			est.Observe(abr.Sample{Mbps: min(sample, rateCeiling*whole)})
+			c.owed = 1 + rng.Intn(s.fps)
+			fcs := rng.Intn(c.owed + 3)
+			c.fcsWritten.Store(int64(fcs))
+			users = append(users, abr.User{
+				Culled: culled, Level: c.degrade, PredictedMbps: est.Predict(),
+				PlannedBytes: planned, Played: min(1, float64(fcs)/float64(c.owed)),
+			})
+			in = append(in, u)
+		}
+		levels, _, reqs := ctrl.Adapt(store, fi, s.fps, users)
+		olds := make([]int, len(subs))
+		wantLv := make([]int, len(subs))
+		wantReq := make([]vivo.Request, len(subs))
+		for u, c := range subs {
+			olds[u], wantLv[u] = c.degrade, c.degrade
+			if c.seen {
+				wantReq[u] = s.vis.Request(occ, c.pose)
+			} else {
+				wantReq[u] = vivo.VanillaRequest(occ)
+			}
+			wantReq[u] = abr.AtLevel(lad, wantReq[u], c.degrade)
+		}
+		for k, u := range in {
+			wantLv[u], wantReq[u] = levels[k], reqs[k]
+		}
+
+		s.mu.Lock()
+		s.subs = map[*subscriber]struct{}{}
+		for _, c := range subs {
+			s.subs[c] = struct{}{}
+		}
+		s.mu.Unlock()
+		s.pushFrame(frame)
+
+		for u, c := range subs {
+			msgs := drainMsgs(t, c)
+			if c.degrade != wantLv[u] {
+				t.Fatalf("trial %d sub %d: level %d -> %d, sim's Adapt says %d", trial, u, olds[u], c.degrade, wantLv[u])
+			}
+			if moved := wantLv[u] != olds[u]; moved {
+				a, ok := msgs[0].(*wire.Adapt)
+				if !ok || int(a.Quality) != wantLv[u] {
+					t.Fatalf("trial %d sub %d: moved to %d, first message %#v", trial, u, wantLv[u], msgs[0])
+				}
+				msgs = msgs[1:]
+			}
+			cds := cellDatas(msgs)
+			if len(cds) != len(wantReq[u].Cells) {
+				t.Fatalf("trial %d sub %d: %d cells sent, sim's wants are %d", trial, u, len(cds), len(wantReq[u].Cells))
+			}
+			for i, cr := range wantReq[u].Cells {
+				if cell.ID(cds[i].CellID) != cr.ID || int(cds[i].Stride) != lad.StrideAt(lad.RungFor(cr.Stride)) {
+					t.Fatalf("trial %d sub %d cell %d: sent (%d, %d), sim wants (%d, %d)",
+						trial, u, i, cds[i].CellID, cds[i].Stride, cr.ID, cr.Stride)
+				}
+			}
+			switch {
+			case !slices.Contains(in, u):
+				skipped++
+			case wantLv[u] > olds[u]:
+				downs++
+			case wantLv[u] < olds[u]:
+				ups++
+			default:
+				holds++
+			}
+		}
+	}
+	if downs < 100 || ups < 100 || holds < 100 || skipped < 50 || capped < 50 {
+		t.Errorf("draws too one-sided: %d down, %d up, %d held, %d left out, %d samples capped",
+			downs, ups, holds, skipped, capped)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"volcast/internal/abr"
 	"volcast/internal/cell"
 	"volcast/internal/codec"
 	"volcast/internal/geom"
@@ -79,12 +81,10 @@ type outBuf struct {
 // subscriber is one connected player within a session.
 type subscriber struct {
 	conn net.Conn
-	sess *session
 	id   uint32
 	name string
-	// sub is the hub-assigned subscriber id; the tracer's user axis for
-	// this connection's spans (wire.Welcome.SessionID keeps carrying it
-	// for compatibility with PR 1's single-session protocol).
+	// sub is the hub-assigned subscriber id, the tracer's user axis for
+	// this connection's spans, carried in wire.Welcome.SessionID.
 	sub uint32
 
 	mu   sync.Mutex
@@ -97,16 +97,16 @@ type subscriber struct {
 	// each cell's layered prefix, so quality upgrades of unchanged
 	// content ship only the enhancement delta.
 	layers bool
-	// degrade is the server-side adaptation level: each level doubles
-	// the delivered stride (halves density, saturating at the coarsest
-	// prepared rung). It rises when the client's outbound queue backs up
-	// (slow network/client) and decays when the queue drains — the
-	// transport-level arm of the paper's cross-layer rate adaptation.
+	// degrade is the level along the store's ladder that adaptPass moves,
+	// on rate (the writer's smoothed throughput) and owed (frames pushed
+	// since the last pass); the three belong to the frame loop, like sent.
 	degrade int
-	// adaptDwell is the number of frames the degrade level is pinned
-	// after a change — the hysteresis dwell that stops the level from
-	// flapping when the queue depth hovers around a watermark.
-	adaptDwell int
+	rate    *abr.EWMA
+	owed    int
+	// The writer's measurements since the last pass, which resets them:
+	// bytes and ns inside writes, FrameCompletes written, and the start
+	// (unix ns) of the write in flight.
+	wrote, busyNs, fcsWritten, writeStart atomic.Int64
 	// fcDrops counts consecutive frames whose FrameComplete marker could
 	// not even be enqueued; crossing SlowClientFrames drops the client.
 	fcDrops int
@@ -220,20 +220,6 @@ func (s *session) snapshotSubs() []*subscriber {
 		out = append(out, c)
 	}
 	return out
-}
-
-// drainAll asks every subscriber's writer to flush and close.
-func (s *session) drainAll() {
-	for _, c := range s.snapshotSubs() {
-		c.beginDrain()
-	}
-}
-
-// closeAll force-closes every subscriber.
-func (s *session) closeAll() {
-	for _, c := range s.snapshotSubs() {
-		c.close()
-	}
 }
 
 // frameLoop ticks at the session's content rate and pushes each frame's
@@ -402,12 +388,12 @@ func (s *session) deliver(c *subscriber, wants []want, t *frameTable, sent map[c
 }
 
 // pushFrame is one tick of the served path: cull every push subscriber's
-// viewport into a request, then for each subscriber adapt its degrade
-// level to its queue and deliver the request through a table shared for
-// the frame. Delivery is sequential — framing a cell is a header plus
-// one copy of a block prefix — and the overlap that matters survives it:
-// each subscriber's writer is its own goroutine, so the first cell is on
-// a socket while later ones are still being framed.
+// viewport into a request, once a second of content move the levels
+// (adaptPass), then deliver each request at its subscriber's level through
+// a table shared for the frame. Delivery is sequential — framing a cell is
+// a header plus one copy of a block prefix — and the overlap that matters
+// survives it: each subscriber's writer is its own goroutine, so the first
+// cell is on a socket while later ones are still being framed.
 func (s *session) pushFrame(frame int) {
 	subs := s.snapshotSubs()
 	if len(subs) == 0 {
@@ -454,17 +440,18 @@ func (s *session) pushFrame(frame int) {
 		s.wBudgetViol.Add(1)
 	}
 
+	if frame > 0 && frame%s.fps == 0 {
+		s.adaptPass(t.fi, push, reqs)
+	}
+
 	serStart := time.Now()
 	lad := s.store.Ladder()
 	var wants []want
 	for i, c := range push {
-		// Degradation reads the live queue depth, before this frame's
-		// burst lands on it.
-		degrade := s.adapt(c, len(reqs[i].Cells))
+		c.owed++
 		wants = wants[:0]
-		for _, cr := range reqs[i].Cells {
-			eff, _ := lad.Degrade(cr.Stride, degrade)
-			w := want{id: cr.ID, stride: eff}
+		for _, cr := range abr.AtLevel(lad, reqs[i], c.degrade).Cells {
+			w := want{id: cr.ID, stride: cr.Stride}
 			if c.layers {
 				w.held = c.sent[cr.ID]
 			}
@@ -556,16 +543,22 @@ func (w *batchWriter) flush() error {
 	} else {
 		w.c.conn.SetWriteDeadline(w.until)
 	}
-	_, err := nb.WriteTo(w.c.conn)
+	w.c.writeStart.Store(t0.UnixNano())
+	n, err := nb.WriteTo(w.c.conn)
+	start := w.c.writeStart.Swap(0)
+	t1 := time.Now()
+	w.c.busyNs.Add(t1.UnixNano() - start)
+	w.c.wrote.Add(n)
 	if w.sendStart.IsZero() {
 		w.sendStart = t0
 	}
-	w.sendDur += time.Since(t0)
+	w.sendDur += t1.Sub(t0)
 	for i := range w.batch {
 		w.scratch[i] = nil
 	}
 	for _, b := range w.batch {
 		if err == nil && b.fc >= 0 {
+			w.c.fcsWritten.Add(1)
 			cfg.Trace.Record(int(b.fc), int(w.c.sub), obs.StageSend, w.sendStart, w.sendDur)
 			if w.sendBudget > 0 && w.sendDur > w.sendBudget {
 				w.s.cViolSend.Inc()
@@ -672,9 +665,10 @@ func (w *batchWriter) drain() {
 }
 
 // noteSlowClient tracks consecutive frames whose FrameComplete could not
-// even be enqueued. By then the adaptation ladder has already bottomed
-// out, so a peer that still is not draining gets dropped — keeping the
-// connection alive would only grow an unbounded backlog of stale frames.
+// even be enqueued, and drops a peer that stays that way for
+// SlowClientFrames: keeping it would only grow a backlog of stale frames.
+// The drop does not wait for the ladder, which moves once a second and
+// may not have moved at all — 120 frames at 240 fps is half a pass.
 func (s *session) noteSlowClient(c *subscriber, fcEnqueued bool) {
 	cfg := &s.hub.cfg
 	if cfg.SlowClientFrames < 0 {
@@ -731,48 +725,60 @@ func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
 	s.deliver(c, wants, t, nil)
 }
 
-// adaptMinDwellFrames pins the degradation level for this many frames
-// after every change. A queue hovering right at a watermark used to flip
-// the level every frame — each flip re-keying the fan-out plan and
-// spamming Adapt messages — so changes now pay a minimum dwell before
-// the next one is considered.
-const adaptMinDwellFrames = 8
+// rateCeiling caps a pass's rate sample at this multiple of the whole
+// frame's full-density rate — the most any subscriber is owed, so a light
+// pass frame cannot cap it under a heavy one. Until the link binds, writes
+// fill megabytes of kernel buffer at copy speed; one such sample would
+// hold the EWMA over any demand for twenty passes. Above UpHeadroom a free
+// link climbs to level 0; one carrying half of it is caught in two passes.
+const rateCeiling = 1.4
 
-// adapt inspects the subscriber's outbound queue and moves its
-// degradation level. The watermarks are measured in frames of backlog
-// (burst = the cell count of the frame about to be pushed): more than
-// four frames queued means the network or client cannot keep up, so
-// density drops; under half a frame queued restores it. Changes are
-// announced with an Adapt message and pinned for adaptMinDwellFrames
-// frames of hysteresis.
-func (s *session) adapt(c *subscriber, burst int) int {
-	if burst < 1 {
-		burst = 1
-	}
-	depth := len(c.out)
-	c.mu.Lock()
-	old := c.degrade
-	if c.adaptDwell > 0 {
-		c.adaptDwell--
-	} else {
-		switch {
-		case depth > 4*burst && c.degrade < tier.MaxDegrade:
-			c.degrade++
-		case depth < burst/2 && c.degrade > 0:
-			c.degrade--
+// adaptPass is the density decision once a second of content: the
+// simulator's abr.Controller.Adapt, at the session's fps, on this frame's
+// culled requests and each writer's measurements since the last pass. The
+// rate is bytes over time inside writes (a write in flight is busy up to
+// now): it reads the link when the link binds, above demand when it does
+// not. Played is the share of owed frames whose FrameComplete reached the
+// socket. A subscriber owed nothing since the last pass keeps its level.
+func (s *session) adaptPass(fi int, push []*subscriber, reqs []vivo.Request) {
+	lad, size := s.store.Ladder(), s.store.SizeOracle(fi)
+	ceiling := rateCeiling * codec.BitrateMbps(float64(vivo.VanillaRequest(s.store.Frame(fi).Occupied).Bytes(size)), s.fps)
+	var users []abr.User
+	var decided []*subscriber
+	for i, c := range push {
+		if c.owed == 0 {
+			continue
 		}
-		if c.degrade != old {
-			c.adaptDwell = adaptMinDwellFrames
+		now := time.Now().UnixNano()
+		if st := c.writeStart.Load(); st != 0 && c.writeStart.CompareAndSwap(st, now) {
+			c.busyNs.Add(now - st) // the writer adds the rest from now on
 		}
+		if busy, n := c.busyNs.Swap(0), c.wrote.Swap(0); busy > 0 {
+			c.rate.Observe(abr.Sample{Mbps: min(float64(n)*8e3/float64(busy), ceiling)})
+		}
+		users = append(users, abr.User{
+			Culled: reqs[i], Level: c.degrade, PredictedMbps: c.rate.Predict(),
+			PlannedBytes: abr.AtLevel(lad, reqs[i], c.degrade).Bytes(size),
+			Played:       min(1, float64(c.fcsWritten.Swap(0))/float64(c.owed)),
+		})
+		decided = append(decided, c)
+		c.owed = 0
 	}
-	level := c.degrade
-	c.mu.Unlock()
-	if level != old {
-		s.enqueueMsg(c, &wire.Adapt{Quality: uint8(level), Reason: 2}, -1, time.Time{}) // quality-down family
-		s.hub.cfg.Logf("hub: client %d adaptation level %d -> %d (queue depth %d, burst %d)",
-			c.id, old, level, depth, burst)
+	levels, _, _ := abr.NewController(abr.DefaultConfig()).Adapt(s.store, fi, s.fps, users)
+	for u, c := range decided {
+		old, level := c.degrade, levels[u]
+		if level == old {
+			continue
+		}
+		c.degrade = level
+		reason := abr.ActionQualityDown
+		if level < old {
+			reason = abr.ActionQualityUp
+		}
+		s.enqueueMsg(c, &wire.Adapt{Quality: uint8(level), Reason: uint8(reason)}, -1, time.Time{})
+		s.hub.cfg.Logf("hub: client %d adaptation level %d -> %d (rate %.1f Mbps, demand %.1f, %.2f played)", c.id, old, level,
+			users[u].PredictedMbps, codec.BitrateMbps(float64(users[u].PlannedBytes), s.fps), users[u].Played)
 	}
-	return level
 }
 
 // enqueue delivers a pre-serialized buffer to the subscriber's writer

@@ -973,9 +973,9 @@ func TestAdaptDecisionMatchesReference(t *testing.T) {
 
 		users := make([]abr.User, n)
 		for u := range users {
-			users[u] = abr.User{Culled: fr.culled[u], Level: levels[u], PredictedMbps: rates[u], PlannedBytes: fr.plan.Users[u].RequestBytes}
+			users[u] = abr.User{Culled: fr.culled[u], Level: levels[u], PredictedMbps: rates[u], PlannedBytes: fr.plan.Users[u].RequestBytes, Played: played}
 		}
-		got, switches, reqs := abr.NewController(abr.DefaultConfig()).Adapt(store, fi, played, users)
+		got, switches, reqs := abr.NewController(abr.DefaultConfig()).Adapt(store, fi, 30, users)
 		if !slices.Equal(got, ref.level) || switches != want.QualitySwitches || want.Regroups != 0 {
 			t.Fatalf("trial %d (played %.3f, levels %v, rates %v): levels %v, %d switches; want %v, %+v",
 				trial, played, levels, rates, got, switches, ref.level, want)

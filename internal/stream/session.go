@@ -97,7 +97,7 @@ type Session struct {
 	buffers []*abr.Buffer
 	bwPred  []*abr.CrossLayer
 	// level is each user's degrade level along the store's ladder, the
-	// unit the hub's adapt moves its subscribers in.
+	// unit the hub moves its subscribers in by the same Adapt.
 	level  []int
 	fading []*phy.Fading
 }
@@ -304,10 +304,10 @@ func (s *Session) Run() (QoE, error) {
 		if s.cfg.AdaptQuality && step%30 == 29 {
 			users := make([]abr.User, s.cfg.Users)
 			for u := range users {
-				users[u] = abr.User{Culled: fr.culled[u], Level: s.level[u], PredictedMbps: s.bwPred[u].Predict(), PlannedBytes: plan.Users[u].RequestBytes}
+				users[u] = abr.User{Culled: fr.culled[u], Level: s.level[u], PredictedMbps: s.bwPred[u].Predict(), PlannedBytes: plan.Users[u].RequestBytes, Played: played}
 			}
 			var switches int
-			s.level, switches, _ = s.ctrl.Adapt(s.path.store, fr.fi, played, users)
+			s.level, switches, _ = s.ctrl.Adapt(s.path.store, fr.fi, 30, users)
 			q.QualitySwitches += switches
 			played = 0
 		}

@@ -199,10 +199,16 @@ func TestServerShutdownUnblocksClients(t *testing.T) {
 
 func TestServerAdaptsToSlowClient(t *testing.T) {
 	// Large content at 30 FPS into a client that drains slowly: the
-	// outbound queue must back up and the server must announce a
-	// degradation level via Adapt.
+	// server must announce a degradation level via Adapt. The raw socket
+	// never answers pings and the writer blocks on it, and the Adapt of
+	// the first passes queues behind seconds of backlog, so the idle and
+	// write budgets are kept out of the way.
 	store := testStore(t, 2, 120_000)
-	_, _, addr := startHub(t, store, hub.Config{Vanilla: true})
+	_, _, addr := startHub(t, store, hub.Config{
+		Vanilla:      true,
+		IdleTimeout:  60 * time.Second,
+		WriteTimeout: 60 * time.Second,
+	})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -220,9 +226,11 @@ func TestServerAdaptsToSlowClient(t *testing.T) {
 	adapted := false
 	deadline := time.Now().Add(8 * time.Second)
 	for time.Now().Before(deadline) && !adapted {
-		// Drain a few messages, then pause so the queue builds.
+		// Drain a few messages, then pause so the queue builds: ≈ 35 Mbps
+		// against ≈ 140 Mbps of content. The first pass's Adapt queues
+		// behind the second of frames pushed before it.
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 10; i++ {
 			msg, err := wire.ReadMessage(conn)
 			if err != nil {
 				t.Fatalf("read: %v", err)
