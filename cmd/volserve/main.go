@@ -139,9 +139,12 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("volserve: scene %d: %d frames, %.0f KB/frame, %.0f Mbps at 30 FPS",
-			scene, store.NumFrames(), store.AvgFrameBytes()/1e3,
-			codec.BitrateMbps(store.AvgFrameBytes(), 30))
+		// The build returned at frame 0 and finishes behind the session:
+		// log what frame 0 and the ladder already say, not an average that
+		// would wait for the last frame.
+		log.Printf("volserve: scene %d: %d frames, strides %v, frame 0 %.0f KB (%.0f Mbps at 30 FPS); the rest builds in playout order",
+			scene, store.NumFrames(), store.Strides(), float64(store.FrameBytes(0))/1e3,
+			codec.BitrateMbps(float64(store.FrameBytes(0)), 30))
 		return store, nil
 	}
 

@@ -78,14 +78,43 @@ func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
 	}
 }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w, bit-identical to
+// math.Min on every component.
 func (v Vec3) Min(w Vec3) Vec3 {
-	return Vec3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	return Vec3{minF(v.X, w.X), minF(v.Y, w.Y), minF(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w, bit-identical to
+// math.Max on every component.
 func (v Vec3) Max(w Vec3) Vec3 {
-	return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	return Vec3{maxF(v.X, w.X), maxF(v.Y, w.Y), maxF(v.Z, w.Z)}
+}
+
+// minF is math.Min with the ordered case inlined: on amd64 math.Min is an
+// assembly call the compiler never inlines, and a bounds pass over a
+// frame makes six of them a point. Equal operands (the ±0 rule) and NaN
+// operands go to math.Min itself. The builtin min is no substitute: with
+// a NaN operand it returns a different NaN, and min(−Inf, NaN) is NaN
+// where math.Min gives −Inf.
+func minF(x, y float64) float64 {
+	if x < y {
+		return x
+	}
+	if y < x {
+		return y
+	}
+	return math.Min(x, y)
+}
+
+// maxF is math.Max with the ordered case inlined (see minF).
+func maxF(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // Abs returns the component-wise absolute value of v.

@@ -95,6 +95,55 @@ func TestVecMinMaxAbs(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchMath holds Vec3.Min/Max to math.Min/math.Max bit for bit,
+// on every component: the special values in every pairing (both zeros,
+// NaNs of two payloads and signs, both infinities, subnormals, the
+// extremes) and a million seeded pairs, a tenth of them ties.
+func TestMinMaxMatchMath(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000123),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	check := func(x, y float64) {
+		t.Helper()
+		// Each pair goes through every lane, so no component is left out.
+		for lane := 0; lane < 3; lane++ {
+			a, b := onLane(lane, x), onLane(lane, y)
+			if got, want := laneOf(a.Min(b), lane), math.Min(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Min lane %d (%v, %v) = %#x, math.Min %#x", lane, x, y, math.Float64bits(got), math.Float64bits(want))
+			}
+			if got, want := laneOf(a.Max(b), lane), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Max lane %d (%v, %v) = %#x, math.Max %#x", lane, x, y, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+	for _, x := range specials {
+		for _, y := range specials {
+			check(x, y)
+		}
+	}
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < 1_000_000; i++ {
+		x := math.Float64frombits(r.Uint64())
+		y := math.Float64frombits(r.Uint64())
+		if i%10 == 0 {
+			y = x
+		}
+		check(x, y)
+	}
+}
+
+// onLane returns the vector with x in component i (0 = X, 1 = Y, 2 = Z)
+// and zeros elsewhere; laneOf reads component i back.
+func onLane(i int, x float64) Vec3 {
+	return [3]Vec3{{X: x}, {Y: x}, {Z: x}}[i]
+}
+
+func laneOf(v Vec3, i int) float64 {
+	return [3]float64{v.X, v.Y, v.Z}[i]
+}
+
 func TestVecIsFinite(t *testing.T) {
 	if !V(1, 2, 3).IsFinite() {
 		t.Error("finite vector reported non-finite")

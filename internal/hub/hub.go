@@ -391,19 +391,23 @@ func (h *Hub) reaper() {
 		case <-ticker.C:
 		}
 		h.mu.Lock()
+		var idle []*session
+		for _, s := range h.sessions {
+			if s.emptyFor(h.cfg.ReapAfter) {
+				idle = append(idle, s)
+			}
+		}
+		h.mu.Unlock()
+		// A store still building keeps adding to the scene's encode-tier
+		// counters: let it finish before they are forgotten.
+		for _, s := range idle {
+			s.store.Wait()
+		}
+		h.mu.Lock()
 		var reap []*session
-		for id, s := range h.sessions {
-			if s.emptyFor(h.cfg.ReapAfter) && s.markClosed() {
-				// What is keyed by the scene goes under the same lock hold
-				// as the scene: a rejoin cannot yet have rebuilt the label.
-				delete(h.sessions, id)
-				for key := range h.seenClients {
-					if uint32(key>>32) == id {
-						delete(h.seenClients, key)
-					}
-				}
-				h.cfg.Metrics.Forget("hub.session." + s.label + ".")
-				h.tier.ForgetSession(s.label)
+		for _, s := range idle {
+			if h.sessions[s.scene] == s && s.emptyFor(h.cfg.ReapAfter) && s.markClosed() {
+				h.retireLocked(s)
 				reap = append(reap, s)
 			}
 		}
@@ -419,6 +423,20 @@ func (h *Hub) reaper() {
 				s.scene, h.cfg.ReapAfter, h.NumSessions())
 		}
 	}
+}
+
+// retireLocked takes s out of the scene table, and with it what is keyed
+// by the scene, in one h.mu hold: a rejoin cannot yet have rebuilt the
+// label. The caller holds h.mu and has claimed s (s.closed).
+func (h *Hub) retireLocked(s *session) {
+	delete(h.sessions, s.scene)
+	for key := range h.seenClients {
+		if uint32(key>>32) == s.scene {
+			delete(h.seenClients, key)
+		}
+	}
+	h.cfg.Metrics.Forget("hub.session." + s.label + ".")
+	h.tier.ForgetSession(s.label)
 }
 
 // sloLoop periodically feeds every session's windowed readout — the row
@@ -538,6 +556,8 @@ func (h *Hub) joinSession(scene uint32) (*session, error) {
 			h.cCreated.Inc()
 			h.cfg.Logf("hub: scene %d created (%d frames, %d sessions live)",
 				scene, s.store.NumFrames(), h.NumSessions())
+		} else if s != nil {
+			s.store.Wait() // built for a hub already shutting down
 		}
 		close(fl.done)
 		if err != nil {
@@ -549,7 +569,9 @@ func (h *Hub) joinSession(scene uint32) (*session, error) {
 
 // buildSession constructs a session: the store via the config factory
 // (injected with the scene's labeled view of the shared encode tier) and
-// the per-session visibility pipeline, counters, and lifecycle.
+// the per-session visibility pipeline, counters, and lifecycle. A
+// vivo.BuildStore store returns at its first frame, so hub.store_build
+// times the factory up to frame 0; the rest builds behind the session.
 func (h *Hub) buildSession(scene uint32) (*session, error) {
 	label := strconv.FormatUint(uint64(scene), 10)
 	built := h.cfg.Metrics.Histogram("hub.store_build", nil).TimeMillis()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,8 +469,19 @@ func TestCrossSessionCacheSharing(t *testing.T) {
 	// content and must hit the shared encode tier.
 	c0 := rawJoin(t, addr, 1, 0)
 	waitFor(t, "scene 0", 5*time.Second, func() bool { return h.NumSessions() == 1 })
+	// A store serves from frame 0 and builds the rest behind it: let scene
+	// 0's finish, so scene 1 meets every block already encoded, and scene
+	// 1's, so the counters below cover the whole video.
+	waitBuilt := func(scene uint32) {
+		h.mu.Lock()
+		s := h.sessions[scene]
+		h.mu.Unlock()
+		s.store.Wait()
+	}
+	waitBuilt(0)
 	c1 := rawJoin(t, addr, 2, 1)
 	waitFor(t, "scene 1", 5*time.Second, func() bool { return h.NumSessions() == 2 })
+	waitBuilt(1)
 
 	counters := reg.Snapshot().Counters
 	if miss0 := counters["blockcache.encode.session.0.misses"]; miss0 == 0 {
@@ -485,5 +497,231 @@ func TestCrossSessionCacheSharing(t *testing.T) {
 	c0.Close()
 	c1.Close()
 	h.Shutdown()
+	snap.Check(t)
+}
+
+// heldBuild is testFactory's content with every cell outside frame 0 held
+// at the encoder until release: BuildStore returns at frame 0 and the rest
+// of the build waits. With boom set those cells panic instead. It keeps
+// the last store it built.
+type heldBuild struct {
+	pass    map[codec.CacheKey]bool
+	boom    bool
+	gate    chan struct{}
+	release func()
+	mu      sync.Mutex
+	store   *vivo.Store
+}
+
+func newHeldBuild(t *testing.T) *heldBuild {
+	t.Helper()
+	video := pointcloud.SynthVideo(pointcloud.SynthConfig{Frames: 4, FPS: 30, PointsPerFrame: 1500, Seed: 7, Sway: 1})
+	b, _ := video.Bounds()
+	g, err := cell.NewGrid(b, cell.Size50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &keyRecorder{keys: map[codec.CacheKey]bool{}}
+	first := &pointcloud.Video{FPS: video.FPS, Frames: video.Frames[:1]}
+	st, err := vivo.BuildStore(first, g, codec.NewEncoder(codec.DefaultParams()).Cached(rec), []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Wait()
+	hb := &heldBuild{pass: rec.keys, gate: make(chan struct{})}
+	hb.release = sync.OnceFunc(func() { close(hb.gate) })
+	return hb
+}
+
+func (hb *heldBuild) factory(scene uint32, blocks codec.BlockCache) (*vivo.Store, error) {
+	st, err := testFactory(nil)(scene, heldCache{hb, blocks})
+	hb.mu.Lock()
+	hb.store = st
+	hb.mu.Unlock()
+	return st, err
+}
+
+func (hb *heldBuild) built() *vivo.Store {
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	return hb.store
+}
+
+// heldCache gates a scene's view of the encode tier for heldBuild.
+type heldCache struct {
+	hb    *heldBuild
+	inner codec.BlockCache
+}
+
+func (c heldCache) Block(key codec.CacheKey, encode func() *codec.Block) *codec.Block {
+	if !c.hb.pass[key] {
+		if c.hb.boom {
+			panic("encoder blew up")
+		}
+		<-c.hb.gate
+	}
+	return c.inner.Block(key, encode)
+}
+
+type keyRecorder struct {
+	mu   sync.Mutex
+	keys map[codec.CacheKey]bool
+}
+
+func (r *keyRecorder) Block(key codec.CacheKey, encode func() *codec.Block) *codec.Block {
+	r.mu.Lock()
+	r.keys[key] = true
+	r.mu.Unlock()
+	return encode()
+}
+
+// TestShutdownJoinsBuild: the hub never leaves a store build running. A
+// scene joins at frame 0 while the rest of its build is held; Shutdown
+// returns only once the build has stored every frame, and the reaper
+// claims an emptied scene only once its build is over, so the scene's
+// encode-tier counters are forgotten after the last encode, not before.
+func TestShutdownJoinsBuild(t *testing.T) {
+	snap := leakcheck.Take()
+	t.Run("shutdown", func(t *testing.T) {
+		hb := newHeldBuild(t)
+		h, addr := startHub(t, Config{NewStore: hb.factory, HeartbeatEvery: -1, ReapAfter: -1, DrainTimeout: 200 * time.Millisecond})
+		defer hb.release() // before startHub's Shutdown, which waits for the build
+		conn := rawJoin(t, addr, 1, 0)
+		defer conn.Close()
+		stopped := make(chan struct{})
+		go func() {
+			h.Shutdown()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+			t.Fatal("Shutdown returned while the store build was held")
+		case <-time.After(300 * time.Millisecond):
+		}
+		hb.release()
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown did not return after the build was released")
+		}
+		// Every frame was stored before Shutdown returned: none of these
+		// reads waits.
+		waits := metrics.Default().Counter("vivo.frame_waits")
+		before := waits.Value()
+		st := hb.built()
+		for fi := 0; fi < st.NumFrames(); fi++ {
+			st.Frame(fi)
+		}
+		if d := waits.Value() - before; d != 0 {
+			t.Errorf("%d frames still building after Shutdown returned", d)
+		}
+	})
+	t.Run("reap", func(t *testing.T) {
+		hb := newHeldBuild(t)
+		reg, tierReg := metrics.NewRegistry(), metrics.NewRegistry()
+		h, addr := startHub(t, Config{
+			NewStore: hb.factory, HeartbeatEvery: -1, Metrics: reg,
+			EncodeTier: blockcache.New("encode", 32<<20, tierReg), ReapAfter: 100 * time.Millisecond,
+		})
+		defer hb.release()
+		rawJoin(t, addr, 1, 0).Close()
+		if !strings.Contains(tierReg.String(), ".session.0.") {
+			t.Fatal("the scene registered no encode-tier session counter: the test checks nothing")
+		}
+		time.Sleep(500 * time.Millisecond) // five grace periods
+		if h.NumSessions() != 1 || !strings.Contains(tierReg.String(), ".session.0.") {
+			t.Fatal("the scene was claimed, its counters forgotten, with its build still held")
+		}
+		hb.release()
+		waitFor(t, "the reap once the build ends", 10*time.Second, func() bool {
+			return reg.Snapshot().Counters["hub.sessions.reaped"] == 1
+		})
+		h.Shutdown()
+		if dump := tierReg.String(); strings.Contains(dump, ".session.0.") {
+			t.Errorf("the reaped scene's encode-tier counters are still registered:\n%s", dump)
+		}
+	})
+	snap.Check(t)
+}
+
+// TestFramePanicFailsOnlyItsScene: an encode that panicked after frame 0
+// is re-raised by every read of that frame, and the hub turns it into the
+// failure of that one scene, as a build error fails one join: whichever
+// reader meets it — the frame loop or a pull request — drops the scene's
+// subscribers and takes the scene out of the table with its counters,
+// while another scene streams on and the next join builds it afresh.
+func TestFramePanicFailsOnlyItsScene(t *testing.T) {
+	snap := leakcheck.Take()
+	// dropped reads conn until the hub closes it.
+	dropped := func(t *testing.T, conn net.Conn) {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		for {
+			if _, _, err := readRawMessage(conn); err != nil {
+				if isTimeout(err) {
+					t.Fatal("the failed scene's subscriber was not dropped")
+				}
+				return
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fps  int  // 1: the frame loop is far from frame 1 when the pull asks
+		pull bool // read the bad frame through servePull
+	}{{"frame loop", 0, false}, {"pull", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			hb := newHeldBuild(t)
+			hb.boom = true
+			var builds atomic.Int64
+			good := testFactory(nil)
+			reg := metrics.NewRegistry()
+			h, addr := startHub(t, Config{
+				NewStore: func(scene uint32, blocks codec.BlockCache) (*vivo.Store, error) {
+					if scene == 1 {
+						return good(scene, blocks)
+					}
+					builds.Add(1)
+					return hb.factory(scene, blocks)
+				},
+				FPS: tc.fps, HeartbeatEvery: -1, ReapAfter: -1, Metrics: reg,
+			})
+			other := rawJoin(t, addr, 2, 1)
+			defer other.Close()
+			bad := rawJoin(t, addr, 1, 0)
+			defer bad.Close()
+			if tc.pull {
+				if err := wire.WriteMessage(bad, &wire.SegmentRequest{Frame: 1, Cells: []wire.CellRef{{CellID: 0, Stride: 1}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dropped(t, bad)
+			waitFor(t, "the failed scene out of the table", 5*time.Second, func() bool { return h.NumSessions() == 1 })
+			if n := reg.Snapshot().Counters["hub.sessions.failed"]; n != 1 {
+				t.Errorf("hub.sessions.failed = %d, want 1", n)
+			}
+			if dump := reg.String(); strings.Contains(dump, "hub.session.0.") {
+				t.Errorf("the failed scene's counters are still registered:\n%s", dump)
+			}
+
+			// The other scene still streams.
+			other.SetReadDeadline(time.Now().Add(10 * time.Second))
+			for fcs := 0; fcs < 3; {
+				_, typ, err := readRawMessage(other)
+				if err != nil {
+					t.Fatalf("scene 1 stopped streaming beside the failed scene: %v", err)
+				}
+				if typ == wire.TypeFrameComplete {
+					fcs++
+				}
+			}
+			// The next join of the failed scene builds it afresh.
+			rawJoin(t, addr, 3, 0).Close()
+			if n := builds.Load(); n != 2 {
+				t.Errorf("scene 0 built %d times, want 2 (a rejoin rebuilds a failed scene)", n)
+			}
+			h.Shutdown()
+		})
+	}
 	snap.Check(t)
 }

@@ -14,6 +14,7 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
+	"volcast/internal/par"
 	"volcast/internal/tier"
 	"volcast/internal/vivo"
 	"volcast/internal/wire"
@@ -34,7 +35,7 @@ type session struct {
 	mu   sync.Mutex
 	subs map[*subscriber]struct{}
 	// closed stops new registrations once the reaper or shutdown claimed
-	// the session; set only via markClosed.
+	// the session; set only via markClosed, or by fail.
 	closed bool
 	// emptySince is when the last subscriber left (zero while populated
 	// or never joined... sessions are only built on a join, so it starts
@@ -223,13 +224,17 @@ func (s *session) snapshotSubs() []*subscriber {
 }
 
 // frameLoop ticks at the session's content rate and pushes each frame's
-// cells to every subscriber, with multicast marking for shared cells.
+// cells to every subscriber, with multicast marking for shared cells. It
+// exits only once the store's build has finished, so Shutdown and the
+// reaper never leave an encode running behind a session.
 func (s *session) frameLoop() {
 	defer s.hub.wg.Done()
 	defer close(s.done)
+	defer s.store.Wait()
 	interval := time.Second / time.Duration(s.fps)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
+	defer s.recoverFrame()
 	frame := 0
 	for {
 		select {
@@ -239,6 +244,47 @@ func (s *session) frameLoop() {
 		}
 		s.pushFrame(frame)
 		frame++
+	}
+}
+
+// recoverFrame, deferred by every reader of the store, turns a frame's
+// re-raised encode panic (vivo's *par.PanicError) into fail; any other
+// panic goes on.
+func (s *session) recoverFrame() {
+	if r := recover(); r != nil {
+		pe, ok := r.(*par.PanicError)
+		if !ok {
+			panic(r)
+		}
+		s.fail(pe)
+	}
+}
+
+// fail takes the session out of service when its store cannot produce a
+// frame: the encode of a frame after the first panicked, and every read of
+// it re-raises the panic. As a build error fails one join, this drops only
+// the scene: its subscribers are closed and it leaves the scene table, so
+// the next join builds it afresh. Safe to call from several readers.
+func (s *session) fail(pe *par.PanicError) {
+	h := s.hub
+	s.store.Wait() // the other frames still add to the scene's counters
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	h.mu.Lock()
+	owned := h.sessions[s.scene] == s
+	if owned {
+		h.retireLocked(s)
+	}
+	h.mu.Unlock()
+	if owned {
+		h.cfg.SLO.Forget(s.label)
+		h.cfg.Metrics.Counter("hub.sessions.failed").Inc()
+		h.cfg.Logf("hub: scene %d store: %v — session closed", s.scene, pe)
+	}
+	s.cancel()
+	for _, c := range s.snapshotSubs() {
+		c.close()
 	}
 }
 
@@ -704,6 +750,7 @@ func (s *session) noteSlowClient(c *subscriber, fcEnqueued bool) {
 // its own. Unknown cells are skipped — the FrameComplete's Cells count
 // tells the client what it got.
 func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
+	defer s.recoverFrame()
 	fi := int(req.Frame) % s.store.NumFrames()
 	wants := make([]want, len(req.Cells))
 	for i, ref := range req.Cells {

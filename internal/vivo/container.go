@@ -71,7 +71,7 @@ func WriteStore(w io.Writer, s *Store) error {
 		_, err := bw.Write(b[:])
 		return err
 	}
-	if err := put(uint64(s.fps), uint64(len(s.frames))); err != nil {
+	if err := put(uint64(s.fps), uint64(s.NumFrames())); err != nil {
 		return err
 	}
 	if err := putF(s.grid.Size()); err != nil {
@@ -95,7 +95,8 @@ func WriteStore(w io.Writer, s *Store) error {
 			return err
 		}
 	}
-	for _, fb := range s.frames {
+	for fi := 0; fi < s.NumFrames(); fi++ {
+		fb := s.Frame(fi)
 		ids := fb.Occupied.IDs()
 		if err := put(uint64(len(ids))); err != nil {
 			return err
@@ -212,7 +213,8 @@ func ReadStore(r io.Reader) (*Store, error) {
 		}
 		strides[i] = int(v)
 	}
-	st := &Store{grid: grid, strides: strides, ladder: tier.New(strides), fps: int(fps)}
+	lad := tier.New(strides)
+	var frames []*FrameBlocks
 	maxCells := grid.NumCells()
 	for f := uint64(0); f < nFrames; f++ {
 		nOcc, err := get()
@@ -267,8 +269,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 			}
 			full[blk.CellID] = blk
 		}
-		fb := &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, st.ladder)}
-		st.frames = append(st.frames, fb)
+		frames = append(frames, &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, lad)})
 	}
-	return st, nil
+	return builtStore(grid, strides, int(fps), frames), nil
 }

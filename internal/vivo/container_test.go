@@ -175,7 +175,8 @@ func BenchmarkReadStore(b *testing.B) {
 
 // BenchmarkBuildStoreCold is the "generate → encode → cache" stage of a
 // never-seen scene: ten 50 K-point frames partitioned, hashed, encoded
-// once as two-layer blocks and inserted into an empty encode tier.
+// once as two-layer blocks and inserted into an empty encode tier, timed
+// to the last frame (Wait), not to BuildStore's return at frame 0.
 func BenchmarkBuildStoreCold(b *testing.B) {
 	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
 		Frames: 10, FPS: 30, PointsPerFrame: 50_000, Seed: 3, Sway: 1,
@@ -190,8 +191,10 @@ func BenchmarkBuildStoreCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache := blockcache.New("bench", 256<<20, metrics.NewRegistry())
 		enc := codec.NewEncoder(codec.DefaultParams()).Cached(blockcache.BlockCacheOn(cache))
-		if _, err := BuildStore(video, g, enc, []int{1, 2}); err != nil {
+		st, err := BuildStore(video, g, enc, []int{1, 2})
+		if err != nil {
 			b.Fatal(err)
 		}
+		st.Wait()
 	}
 }

@@ -3,7 +3,10 @@ package vivo
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync/atomic"
 
 	"volcast/internal/blockcache"
 	"volcast/internal/cell"
@@ -36,12 +39,32 @@ type Store struct {
 	grid    *cell.Grid
 	strides []int
 	ladder  tier.Ladder
-	frames  []*FrameBlocks
 	fps     int
+	// frames holds each frame once it is built. Only Frame and the build
+	// touch it.
+	frames []atomic.Pointer[FrameBlocks]
+	// build is the playout-order encode still filling frames; nil for a
+	// store assembled from finished frames (NewStore, ReadStore).
+	build *build
 }
 
-// BuildStore partitions and encodes the whole video, spreading frames
-// across the par pool (the encoder is stateless). The strides slice must
+// build tracks a BuildStore encode behind the store it returned.
+// ready[fi] closes once frame fi is stored or its encode panicked
+// (failed[fi], written before the close); done closes once every frame
+// is one or the other.
+type build struct {
+	ready  []chan struct{}
+	failed []error
+	done   chan struct{}
+	// waits counts Frame calls that found their frame not yet built
+	// (vivo.frame_waits), resolved once so Frame never looks it up.
+	waits *metrics.Counter
+}
+
+// BuildStore partitions and encodes the video in playout order on the
+// par pool and returns as soon as frame 0 is stored; frames 1…n−1 become
+// ready one by one behind Frame, which waits only for a frame not built
+// yet, and Wait blocks until the last one is. The strides slice must
 // include 1 (full density); it is sorted and deduplicated. Frame slots
 // are filled by index, so the store is identical for any pool width.
 //
@@ -55,6 +78,12 @@ type Store struct {
 // process-wide content-addressed encode tier (internal/blockcache), so
 // temporally static cells are encoded once and reused across frames.
 // Caching never changes the stored bytes — only whether the coder reruns.
+//
+// The build encodes from its own copy of v.Frames and drops each source
+// frame once it is encoded, so the raw video is not held beside the
+// store. A panic encoding frame 0 is BuildStore's error; a panic in a
+// later frame is re-raised, as its *par.PanicError, by whoever reads that
+// frame.
 func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides []int) (*Store, error) {
 	ss := dedupSorted(strides)
 	if len(ss) == 0 || ss[0] != 1 {
@@ -64,7 +93,11 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 		enc = enc.Cached(blockcache.Blocks())
 	}
 	enc = enc.Layered(uint8(len(ss)))
-	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS, frames: make([]*FrameBlocks, len(v.Frames))}
+	n := len(v.Frames)
+	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS, frames: make([]atomic.Pointer[FrameBlocks], n)}
+	if n == 0 {
+		return st, nil
+	}
 
 	// Wall-clock sampling happens inside the obs/metrics layers (Begin/End,
 	// TimeMillis) — the build path itself never reads the clock, so
@@ -72,19 +105,42 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	// input video, grid, and encoder parameters.
 	reg := metrics.Default()
 	tr := obs.Default()
+	b := &build{ready: make([]chan struct{}, n), failed: make([]error, n), done: make(chan struct{}), waits: reg.Counter("vivo.frame_waits")}
+	for fi := range b.ready {
+		b.ready[fi] = make(chan struct{})
+	}
+	st.build = b
+	src := append([]*pointcloud.Cloud(nil), v.Frames...)
+	encoded := reg.Counter("vivo.frames_encoded")
 	stopBuild := reg.Histogram("vivo.build_store", nil).TimeMillis()
-	if err := par.ForEach(context.Background(), len(v.Frames), func(fi int) error {
-		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
-		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
-		st.frames[fi] = encodeFrame(v.Frames[fi], g, enc, st.ladder)
-		stopFrame()
-		sp.End()
-		return nil
-	}); err != nil {
+	go func() {
+		defer close(b.done)
+		// Every item returns nil, so par schedules every frame and returns
+		// nil: a frame is never cancelled, and a reader of any index is
+		// always woken.
+		_ = par.ForEach(context.Background(), n, func(fi int) error {
+			defer close(b.ready[fi])
+			defer func() {
+				if r := recover(); r != nil {
+					b.failed[fi] = &par.PanicError{Index: fi, Value: r, Stack: debug.Stack()}
+				}
+			}()
+			sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
+			stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
+			st.frames[fi].Store(encodeFrame(src[fi], g, enc, st.ladder))
+			src[fi] = nil
+			stopFrame()
+			sp.End()
+			encoded.Inc()
+			return nil
+		})
+		stopBuild()
+	}()
+	<-b.ready[0]
+	if err := b.failed[0]; err != nil {
+		<-b.done
 		return nil, err
 	}
-	stopBuild()
-	reg.Counter("vivo.frames_encoded").Add(int64(len(v.Frames)))
 	return st, nil
 }
 
@@ -97,11 +153,23 @@ func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Sto
 	if len(ss) == 0 || ss[0] != 1 {
 		return nil, fmt.Errorf("vivo: strides must include 1, got %v", strides)
 	}
-	return &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: fps, frames: frames}, nil
+	return builtStore(g, ss, fps, frames), nil
+}
+
+// builtStore wraps finished frames (strides already validated).
+func builtStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) *Store {
+	st := &Store{grid: g, strides: strides, ladder: tier.New(strides), fps: fps, frames: make([]atomic.Pointer[FrameBlocks], len(frames))}
+	for fi, fb := range frames {
+		st.frames[fi].Store(fb)
+	}
+	return st
 }
 
 // encodeFrame partitions and encodes one frame: each cell once, with
 // every coarser stride's entry a layer-prefix view of the full block.
+// It yields after every cell: a build runs beside the frames it already
+// serves, and without the yield the pool's encoders hold every P for a
+// whole preemption slice while the frame loop, writers and readers wait.
 func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad tier.Ladder) *FrameBlocks {
 	parts := g.Partition(frame)
 	occ := cell.NewSet(g.NumCells())
@@ -109,6 +177,7 @@ func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad 
 	for id, idxs := range parts {
 		occ.Add(id)
 		full[id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
+		runtime.Gosched()
 	}
 	return &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, lad)}
 }
@@ -157,15 +226,48 @@ func (s *Store) NumFrames() int { return len(s.frames) }
 func (s *Store) Strides() []int { return append([]int(nil), s.strides...) }
 
 // Frame returns frame fi's blocks (fi wraps around for looped playback).
+// A built frame costs one atomic load; a frame the build has not stored
+// yet is waited for (counted in vivo.frame_waits).
+//
+//vollint:hotpath
 func (s *Store) Frame(fi int) *FrameBlocks {
-	if len(s.frames) == 0 {
+	n := len(s.frames)
+	if n == 0 {
 		return nil
 	}
-	fi %= len(s.frames)
+	fi %= n
 	if fi < 0 {
-		fi += len(s.frames)
+		fi += n
 	}
-	return s.frames[fi]
+	if fb := s.frames[fi].Load(); fb != nil {
+		return fb
+	}
+	return s.awaitFrame(fi)
+}
+
+// awaitFrame is Frame's slow path: it blocks until the build has stored
+// frame fi, re-raising the frame's panic if its encode panicked. A store
+// without a build has nothing to wait for.
+func (s *Store) awaitFrame(fi int) *FrameBlocks {
+	b := s.build
+	if b == nil {
+		return nil
+	}
+	b.waits.Inc()
+	<-b.ready[fi]
+	if err := b.failed[fi]; err != nil {
+		panic(err)
+	}
+	return s.frames[fi].Load()
+}
+
+// Wait blocks until the build has finished every frame; it returns at
+// once for a store from NewStore or ReadStore. A server waits for it
+// before dropping a store, so no encode outlives its session.
+func (s *Store) Wait() {
+	if s.build != nil {
+		<-s.build.done
+	}
 }
 
 // Ladder returns the stride↔tier ladder of the prepared rungs.
@@ -247,14 +349,16 @@ func (s *Store) FrameBytes(fi int) int {
 	return total
 }
 
-// AvgFrameBytes returns the mean full-density frame size.
+// AvgFrameBytes returns the mean full-density frame size. It reads every
+// frame, so on a store still building it waits for the whole build.
 func (s *Store) AvgFrameBytes() float64 {
-	if len(s.frames) == 0 {
+	n := s.NumFrames()
+	if n == 0 {
 		return 0
 	}
 	total := 0
-	for i := range s.frames {
+	for i := 0; i < n; i++ {
 		total += s.FrameBytes(i)
 	}
-	return float64(total) / float64(len(s.frames))
+	return float64(total) / float64(n)
 }
