@@ -76,15 +76,17 @@ sim-parity:
 # to the same message, hands out payloads that alias no one else's bytes,
 # allocates no more than readChunk for a body that has not arrived), and
 # the content generator's branch-free sin/cos against math.Sin/math.Cos
-# (the same bits for any argument folded into the kernels' domain).
-# Minimizing each new input is capped at a second so it cannot eat the
-# ten.
+# (the same bits for any argument folded into the kernels' domain), and
+# the link equation's base-10 power against math.Pow(10, y) (the same
+# bits for any y). Minimizing each new input is capped at a second so it
+# cannot eat the ten.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzTrigMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
+	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

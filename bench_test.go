@@ -209,26 +209,35 @@ func BenchmarkSessionUnicast(b *testing.B) {
 }
 
 // BenchmarkSessionMulticastCustom measures the full proposed system:
-// multicast grouping + custom beams + prediction.
+// multicast grouping + custom beams + prediction, on static links and
+// with small-scale fading (the sim_multicast workload's settings; fading
+// changes which groups form, so the planner's work differs).
 func BenchmarkSessionMulticastCustom(b *testing.B) {
 	stores, study := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := stream.NewAD()
-		if err != nil {
-			b.Fatal(err)
+	for _, fading := range []bool{false, true} {
+		name := "static"
+		if fading {
+			name = "fading"
 		}
-		s, err := stream.NewSession(stream.SessionConfig{
-			Users: 4, Seconds: 1, Mode: stream.ModeMulticast,
-			CustomBeams: true, Predictive: true,
-			StartQuality: pointcloud.QualityLow,
-		}, stores, study, net)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				net, err := stream.NewAD()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := stream.NewSession(stream.SessionConfig{
+					Users: 4, Seconds: 1, Mode: stream.ModeMulticast,
+					CustomBeams: true, Predictive: true, Fading: fading, Seed: 1,
+					StartQuality: pointcloud.QualityLow,
+				}, stores, study, net)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"volcast/internal/beam"
@@ -8,6 +9,7 @@ import (
 	"volcast/internal/metrics"
 	"volcast/internal/multicast"
 	"volcast/internal/obs"
+	"volcast/internal/par"
 	"volcast/internal/phy"
 	"volcast/internal/vivo"
 )
@@ -102,7 +104,10 @@ func (p *FramePlan) OverlapBytes(members []int) int {
 // Plan works in scratch the Planner owns and reuses from frame to frame
 // (one link response per user, the group-rate memo, the overlap table), so
 // a Planner must not be driven from multiple goroutines; parallel
-// evaluations each build their own Planner (and Network). Blockage never
+// evaluations each build their own Planner (and Network). Within a plan,
+// each user's link build and unicast sweep fan out on the par pool — item
+// u touches only user u's link, sweep scratch and rate — and the greedy
+// grouping that follows is sequential. Blockage never
 // goes through the network's shared channel state while planning: who
 // blocks whom is a per-path mask over each user's link response. On
 // return the channel's body set is in.Bodies, which is what direct Radio
@@ -116,12 +121,12 @@ type Planner struct {
 	// tracing (every tracer method is nil-safe).
 	Trace *obs.Tracer
 
-	links    []phy.Link         // per user, rebuilt each frame
-	rates    map[uint64]float64 // by groupKey, cleared each frame
-	blockers []phy.Body
-	members  []beam.Member
-	offsets  []float64
-	overlap  overlapTable
+	links   []phy.Link         // per user, rebuilt each frame
+	solo    []sweepScratch     // per user, for their unicast sweep
+	group   sweepScratch       // for the group sweeps
+	rates   map[uint64]float64 // by groupKey, cleared each frame
+	offsets []float64
+	overlap overlapTable
 }
 
 // NewPlanner returns a planner for the network.
@@ -179,12 +184,19 @@ func (t *overlapTable) bytes(store *vivo.Store, frame int, reqs []vivo.Request, 
 	return total
 }
 
+// sweepScratch is what membersOf works in.
+type sweepScratch struct {
+	blockers []phy.Body
+	members  []beam.Member
+}
+
 // membersOf sweeps each group member's link for a transmission whose
 // receivers are the group: every body blocks except those standing where
 // a receiver does (within 0.3 m in plan) — a user does not block their
-// own link.
-func (pl *Planner) membersOf(in FrameInput, group []int) []beam.Member {
-	pl.blockers = pl.blockers[:0]
+// own link. It touches only sc and the members' links, so calls on
+// disjoint groups with scratch of their own may run concurrently.
+func (pl *Planner) membersOf(sc *sweepScratch, in FrameInput, group []int) []beam.Member {
+	sc.blockers = sc.blockers[:0]
 body:
 	for _, b := range in.Bodies {
 		for _, m := range group {
@@ -193,14 +205,14 @@ body:
 				continue body
 			}
 		}
-		pl.blockers = append(pl.blockers, b)
+		sc.blockers = append(sc.blockers, b)
 	}
-	pl.members = pl.members[:0]
+	sc.members = sc.members[:0]
 	for _, m := range group {
 		l := &pl.links[m]
-		pl.members = append(pl.members, beam.MemberOn(l, l.BlockedBy(pl.blockers)))
+		sc.members = append(sc.members, beam.MemberOn(l, l.BlockedBy(sc.blockers)))
 	}
-	return pl.members
+	return sc.members
 }
 
 // groupKey encodes an ordered member list of n users as one integer; ok
@@ -236,7 +248,7 @@ func (pl *Planner) groupRate(in FrameInput, group []int) float64 {
 			pl.offsets = append(pl.offsets, in.RSSOffsetsDB[m])
 		}
 	}
-	rate := pl.Net.groupRate(pl.membersOf(in, group), pl.offsets, in.CustomBeams)
+	rate := pl.Net.groupRate(pl.membersOf(&pl.group, in, group), pl.offsets, in.CustomBeams)
 	if memo {
 		pl.rates[key] = rate
 	}
@@ -251,31 +263,35 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 	defer pl.Trace.Begin(in.Seq, obs.PipelineUser, obs.StagePlan).End()
 	n := len(in.Requests)
 	ad := pl.Net.Kind == NetAD
-	if ad {
-		if cap(pl.links) < n {
-			pl.links = make([]phy.Link, n)
-		}
-		pl.links = pl.links[:n]
-		for u := range pl.links {
-			pl.links[u].Reset(pl.Net.Radio, pl.Net.Codebook, in.Positions[u])
-		}
-	}
 	clear(pl.rates)
 	pl.Net.SetBodies(in.Bodies)
 
 	users := make([]multicast.User, n)
 	size := in.Store.SizeOracle(in.Frame)
-	for u := 0; u < n; u++ {
-		off := 0.0
+	offset := func(u int) float64 {
 		if len(in.RSSOffsetsDB) == n {
-			off = in.RSSOffsetsDB[u]
+			return in.RSSOffsetsDB[u]
 		}
+		return 0
+	}
+	for u := range users {
 		users[u] = multicast.User{ID: u, RequestBytes: in.Requests[u].Bytes(size)}
-		if ad {
+		if !ad {
+			users[u].UnicastRateMbps = pl.Net.UnicastRateOffset(in.Positions[u], offset(u))
+		}
+	}
+	if ad {
+		if cap(pl.links) < n {
+			pl.links, pl.solo = make([]phy.Link, n), make([]sweepScratch, n)
+		}
+		pl.links, pl.solo = pl.links[:n], pl.solo[:n]
+		if err := par.ForEach(context.Background(), n, func(u int) error {
+			pl.links[u].Reset(pl.Net.Radio, pl.Net.Codebook, in.Positions[u])
 			self := [1]int{u}
-			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.membersOf(in, self[:])[0].RSSDBm + off)
-		} else {
-			users[u].UnicastRateMbps = pl.Net.UnicastRateOffset(in.Positions[u], off)
+			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.membersOf(&pl.solo[u], in, self[:])[0].RSSDBm + offset(u))
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"volcast/internal/geom"
+	"volcast/internal/par"
 	"volcast/internal/phy"
 	"volcast/internal/trace"
 	"volcast/internal/vivo"
@@ -84,6 +85,45 @@ func TestPlanMatchesReferenceBitExact(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Error("no frame formed a multicast group")
+	}
+}
+
+// TestPlanWidthParity drives TestPlanMatchesReferenceBitExact's frames
+// through a Planner at pool widths 1, 2 and 8 — its link builds and
+// unicast sweeps fan out on the pool — and requires the same plans.
+func TestPlanWidthParity(t *testing.T) {
+	defer par.SetWorkers(0)
+	frames := 60
+	if testing.Short() {
+		frames = 12
+	}
+	st := testStore(t, 3, 20_000)
+	study := trace.GenerateStudy(30*frames+1, 1)
+	var want []FramePlan
+	for _, w := range []int{1, 2, 8} {
+		par.SetWorkers(w)
+		net, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fading := make([]*phy.Fading, 7)
+		for u := range fading {
+			fading[u] = phy.NewFading(int64(100 + u))
+		}
+		pl := NewPlanner(net)
+		for f := 0; f < frames; f++ {
+			n, custom := 2+f%6, f/6%2 == 0
+			plan, err := pl.Plan(ModeMulticast, studyFrame(st, study, fading, n, 30*f, custom))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := FramePlan{Groups: plan.Groups, Users: plan.Users, PlanTime: plan.PlanTime, Airtime: plan.Airtime}
+			if w == 1 {
+				want = append(want, got)
+			} else if !reflect.DeepEqual(got, want[f]) {
+				t.Fatalf("width %d frame %d (%d users, custom %v): plan %+v, width 1 %+v", w, f, n, custom, got, want[f])
+			}
+		}
 	}
 }
 

@@ -49,7 +49,8 @@ func NewRadio(a *Array, ch *Channel) *Radio {
 //
 // Building a Link costs one ray trace and one steering vector per path;
 // evaluating it costs one dot product per path (RSS) or additions only
-// (Sweep, SectorRSS) and allocates nothing. Every value is bit-identical
+// (Sweep, SectorRSS: one pass over the codebook per blocked mask, a
+// lookup after that) and allocates nothing. Every value is bit-identical
 // to tracing and steering afresh per call: the float expressions and
 // their order are the same, only hoisted. A Link holds evaluation
 // scratch, so it is not safe for concurrent use.
@@ -73,6 +74,16 @@ type Link struct {
 	gains    []float64
 	power    [2][]float64
 	filled   [2]uint64
+
+	// Swept rows: every sector's RSS (dBm) under each of the first
+	// len(rowMasks) masks evaluated since Reset, row i (under rowMasks[i])
+	// at rows[i*sectors:]. A planner asks one link about a handful of
+	// masks per frame — one per set of other bodies in its path — and
+	// about each of them many times. A mask past the memo's capacity is
+	// evaluated afresh, which gives the same floats.
+	rows     []float64
+	rowMasks [8]uint64
+	nrows    int
 }
 
 // pathTerm holds one path's weight-independent link-equation terms.
@@ -119,11 +130,14 @@ func (l *Link) Reset(r *Radio, cb *Codebook, rx geom.Vec3) {
 	np, n := len(l.paths), len(cb.Sectors)*len(l.paths)
 	none := ^uint64(0) << np // no column computed; there are none past np
 	l.filled = [2]uint64{none, none}
-	if cap(l.gains) < 3*n {
-		l.gains = make([]float64, n, 3*n) // one slab: gains, then the two power tables
+	l.nrows = 0
+	size := 3*n + len(l.rowMasks)*len(cb.Sectors)
+	if cap(l.gains) < size {
+		l.gains = make([]float64, n, size) // one slab: gains, the two power tables, the swept rows
 	}
 	l.gains = l.gains[:n]
-	l.power = [2][]float64{l.gains[n : 2*n : 2*n], l.gains[2*n : 3*n]}
+	l.power = [2][]float64{l.gains[n : 2*n : 2*n], l.gains[2*n : 3*n : 3*n]}
+	l.rows = l.gains[3*n : size]
 	for s, sec := range cb.Sectors {
 		l.weigh(sec.W)
 		for p := 0; p < np; p++ {
@@ -189,7 +203,7 @@ func (l *Link) RSS(w AWV, blocked uint64) float64 {
 	l.weigh(w)
 	var linear float64
 	for p := range l.paths {
-		linear += math.Pow(10, l.dbm(p, l.gain(p), blocked>>p&1 != 0)/10)
+		linear += pow10(l.dbm(p, l.gain(p), blocked>>p&1 != 0) / 10)
 	}
 	return toDBm(linear)
 }
@@ -198,6 +212,35 @@ func (l *Link) RSS(w AWV, blocked uint64) float64 {
 //
 //vollint:hotpath
 func (l *Link) SectorRSS(s int, blocked uint64) float64 {
+	if row := l.row(blocked); row != nil {
+		return row[s]
+	}
+	return l.sectorRSS(s, blocked)
+}
+
+// row returns every sector's RSS under blocked from the memo, sweeping
+// the row on the mask's first use; nil when the memo is full without it.
+func (l *Link) row(blocked uint64) []float64 {
+	ns := len(l.codebook.Sectors)
+	for i, m := range l.rowMasks[:l.nrows] {
+		if m == blocked {
+			return l.rows[i*ns : (i+1)*ns]
+		}
+	}
+	if l.nrows == len(l.rowMasks) {
+		return nil
+	}
+	l.rowMasks[l.nrows] = blocked
+	row := l.rows[l.nrows*ns : (l.nrows+1)*ns]
+	l.nrows++
+	for s := range row {
+		row[s] = l.sectorRSS(s, blocked)
+	}
+	return row
+}
+
+// sectorRSS evaluates SectorRSS from the power tables.
+func (l *Link) sectorRSS(s int, blocked uint64) float64 {
 	if (blocked&^l.filled[1])|(^blocked&^l.filled[0]) != 0 {
 		l.fill(blocked)
 	}
@@ -219,7 +262,7 @@ func (l *Link) fill(blocked uint64) {
 		}
 		l.filled[b] |= 1 << p
 		for i := p; i < len(l.gains); i += np {
-			l.power[b][i] = math.Pow(10, l.dbm(p, l.gains[i], b == 1)/10)
+			l.power[b][i] = pow10(l.dbm(p, l.gains[i], b == 1) / 10)
 		}
 	}
 }

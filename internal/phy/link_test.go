@@ -151,6 +151,53 @@ func TestLinkResetReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestSweepMemoMatchesFresh drives one Link through more distinct blocked
+// masks than its memo holds, in random order with repeats, some first
+// asked through SectorRSS and some through Sweep, then Resets it to the
+// next draw's receiver and goes on: every Sweep and every SectorRSS must
+// equal a freshly built Link's with ==, and a full memo must still
+// allocate nothing.
+func TestSweepMemoMatchesFresh(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	var l Link
+	full := 0
+	for i := 0; i < 16; i++ {
+		r, cb, rx := diffWorld(t, rnd, i)
+		l.Reset(r, cb, rx)
+		np := len(l.paths)
+		masks := []uint64{0, l.BlockedBy(r.Channel.Bodies), ^uint64(0) >> (64 - np), 1 << 40}
+		for len(masks) < 2*len(l.rowMasks) {
+			masks = append(masks, rnd.Uint64()&(1<<np-1))
+		}
+		for k := 0; k < 6*len(masks); k++ {
+			mask := masks[rnd.Intn(len(masks))]
+			fresh := r.Link(cb, rx)
+			if rnd.Intn(2) == 0 {
+				gs, grss := l.Sweep(mask)
+				ws, wrss := fresh.Sweep(mask)
+				if gs.Index != ws.Index || grss != wrss {
+					t.Fatalf("draw %d mask %#x: memo sweeps %d %v, fresh %d %v", i, mask, gs.Index, grss, ws.Index, wrss)
+				}
+			}
+			for s := range cb.Sectors {
+				if got, want := l.SectorRSS(s, mask), fresh.SectorRSS(s, mask); got != want {
+					t.Fatalf("draw %d mask %#x sector %d: memo %v, fresh %v", i, mask, s, got, want)
+				}
+			}
+		}
+		if l.nrows == len(l.rowMasks) {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no draw filled the memo")
+	}
+	past := uint64(1) << 50 // not among the rows of the last draw
+	if n := testing.AllocsPerRun(20, func() { l.Sweep(past); l.SectorRSS(3, past) }); n != 0 {
+		t.Errorf("a full memo allocates %v per Sweep and SectorRSS, want 0", n)
+	}
+}
+
 // BenchmarkSweepBestSector times the full sector sweep toward a receiver
 // with two blockers in the room, and its two halves: building the link
 // response and sweeping it.

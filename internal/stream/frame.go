@@ -88,8 +88,9 @@ type frame struct {
 // step advances one frame. The visibility pipeline only reads shared
 // state, and the decode cache's singleflight decodes each distinct block
 // once however many viewports overlap, so culling and decoding fan out on
-// the par pool by user index; the planner works in scratch of its own and
-// stays sequential.
+// the par pool by user index. The planner works in scratch of its own:
+// it fans each user's link build and unicast sweep out on the same pool,
+// then groups them sequentially.
 func (p *framePath) step(in frameSpec) (frame, error) {
 	n := len(in.poses)
 	fr := frame{
