@@ -139,3 +139,79 @@ func Stash(b *wire.Buffer) {
 	m := map[int]*wire.Buffer{}
 	m[0] = b
 }
+
+// The shapes below pin where a statement-order walk can disagree with
+// another: code after a return, a loop's post statement, a select's
+// comm clause, a deferred release, and function literals called inline
+// or stored.
+
+// AfterReturn double-releases only in unreachable code.
+func AfterReturn() {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	b.Release()
+	return
+	b.Release()
+}
+
+// PostRelease releases again from the loop's post statement.
+func PostRelease(n int) {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	b.Release()
+	for i := 0; i < n; b.Release() {
+		i++
+	}
+}
+
+// CommDouble sends the reference in a comm clause, then releases it too.
+func CommDouble(q chan *wire.Buffer) {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	select {
+	case q <- b:
+		b.Release() //want:bufown
+	}
+}
+
+// DeferRelease releases on the way out and reads the buffer before
+// then.
+func DeferRelease() {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	defer b.Release()
+	n := b.Len() //want:bufown
+	_ = n
+}
+
+// InlineDouble releases inside a literal that runs right here, then
+// releases again.
+func InlineDouble() {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	func() {
+		b.Release()
+	}()
+	b.Release()
+}
+
+// StoredRelease hands the release to a literal called later: tracking
+// ends at the capture.
+func StoredRelease() {
+	b, err := wire.NewBuffer(&wire.Ping{})
+	if err != nil {
+		return
+	}
+	f := func() { b.Release() }
+	f()
+}

@@ -76,3 +76,66 @@ func (h *hub) GoodBranchUnlock(v int, ready bool) {
 	h.mu.Unlock()
 	h.out <- v
 }
+
+// The shapes below pin where a statement-order walk can disagree with
+// another: code after a return, a loop's post statement, a select's
+// comm clause, a deferred unlock, and function literals called inline
+// or stored.
+
+// AfterReturn sends in unreachable code after a return.
+func (h *hub) AfterReturn(v int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return
+	h.out <- v //want:lockedsend
+}
+
+// PostSend sends from the loop's post statement while locked.
+func (h *hub) PostSend(n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := 0; i < n; h.out <- i {
+		i++
+	}
+}
+
+// first keeps the byte count of a write.
+func first(n int, _ error) int { return n }
+
+// CommWrite writes to the socket while evaluating a select comm clause
+// under the lock; the default case keeps the send itself non-blocking.
+func (h *hub) CommWrite(c net.Conn, b []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	select {
+	case h.out <- first(c.Write(b)):
+	default:
+	}
+}
+
+// DeferLitUnlock releases through a deferred literal: the lock is still
+// held at the send.
+func (h *hub) DeferLitUnlock(v int) {
+	h.mu.Lock()
+	defer func() { h.mu.Unlock() }()
+	h.out <- v //want:lockedsend
+}
+
+// InlineSend sends inside a literal that runs right here, under the lock.
+func (h *hub) InlineSend(v int) {
+	h.mu.Lock()
+	func() {
+		h.out <- v
+	}()
+	h.mu.Unlock()
+}
+
+// StoredLockedSend returns a literal that locks and sends when called.
+func (h *hub) StoredLockedSend(v int) func() {
+	f := func() {
+		h.mu.Lock()
+		h.out <- v //want:lockedsend
+		h.mu.Unlock()
+	}
+	return f
+}

@@ -141,3 +141,83 @@ func LocalMutex(fc *frameCache) {
 	fc.mu.Unlock()
 	mu.Unlock()
 }
+
+// The shapes below pin where a statement-order walk can disagree with
+// another: code after a return, a loop's post statement, a select's
+// comm clause, a deferred unlock, and function literals called inline
+// or stored. Each uses a class of its own so no two share an edge.
+
+type afterReturn struct{ mu sync.Mutex }
+type postLock struct{ mu sync.Mutex }
+type commLock struct {
+	mu sync.Mutex
+	ch chan int
+}
+type deferLit struct{ mu sync.Mutex }
+type inlineLit struct{ mu sync.Mutex }
+
+// AfterReturn re-locks only in unreachable code: no edge.
+func AfterReturn(x *afterReturn) {
+	x.mu.Lock()
+	x.mu.Unlock()
+	return
+	x.mu.Lock()
+	x.mu.Lock()
+}
+
+// PostRelock re-acquires the held lock in the loop's post statement.
+func PostRelock(x *postLock, n int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for i := 0; i < n; x.mu.Lock() { //want:lockorder
+		i++
+	}
+}
+
+// get takes the lock itself.
+func (x *commLock) get() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return 1
+}
+
+// CommRelock re-enters its lock through a callee in a select comm
+// clause.
+func CommRelock(x *commLock) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	select {
+	case x.ch <- x.get(): //want:lockorder
+	default:
+	}
+}
+
+// DeferLitRelock unlocks only in a deferred literal, so the second Lock
+// still finds the lock held.
+func DeferLitRelock(x *deferLit) {
+	x.mu.Lock()
+	defer func() { x.mu.Unlock() }()
+	x.mu.Lock() //want:lockorder
+}
+
+// InlineRelock re-locks inside a literal that runs right here.
+func InlineRelock(x *inlineLit) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	func() {
+		x.mu.Lock() //want:lockorder
+		x.mu.Unlock()
+	}()
+}
+
+// StoredOrder returns a literal that, when called, takes a session while
+// holding a subscriber — against the declared hierarchy.
+func StoredOrder(s *session, c *subscriber) func() {
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		s.mu.Lock()
+		s.subs = nil
+		s.mu.Unlock()
+	}
+}
