@@ -1,25 +1,22 @@
 // Command vollint type-checks the module and runs volcast's
-// project-specific static-analysis suite (internal/lint): the six
-// per-package checks (determinism, lockedsend, goroutinehygiene,
-// tickleak, nilsafeobs, wireerr) plus the four interprocedural ones
-// built on the module call graph (lockorder, bufown, wireevolve,
-// hotpathalloc). Findings carry file:line, the check name and a fix
-// hint; a //vollint:ignore <check> <reason> comment suppresses one with
-// an audit trail.
+// project-specific static-analysis suite (internal/lint): ten checks
+// (determinism, lockedsend, goroutinehygiene, tickleak, nilsafeobs,
+// wireerr, lockorder, bufown, wireevolve, hotpathalloc), each one pass
+// over every loaded package with the module call graph at hand.
+// Findings carry file:line, the check name and a fix hint; a
+// //vollint:ignore <check> <reason> comment suppresses one with an audit
+// trail, and is the only way to tolerate a finding.
 //
 // Usage:
 //
-//	vollint [-json] [-checks a,b] [-show-ignored] [-list]
-//	        [-baseline file] [-schema file] [-update] [packages...]
+//	vollint [-json] [-list] [-show-ignored] [-update] [packages...]
 //
 // Patterns default to ./... and follow go-tool conventions (directories,
-// module import paths, trailing /... for recursion). -baseline tolerates
-// the findings recorded in the given file (the ratchet: new findings
-// still fail, and so do stale entries for findings that were fixed);
-// -update rewrites the baseline and the committed wire_schema.json to
-// match the current tree. Exit status is 0 when clean or fully
-// baselined, 1 on new findings or a stale baseline, 2 on usage, parse,
-// or type errors.
+// module import paths, trailing /... for recursion). wireevolve diffs
+// the wire package against wire_schema.json at the module root; -update
+// rewrites that file to match the current tree after a deliberate
+// protocol change. Exit status is 0 when clean, 1 on findings, 2 on
+// usage, parse, or type errors.
 package main
 
 import (
@@ -42,12 +39,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vollint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
-	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	showIgnored := fs.Bool("show-ignored", false, "also print suppressed findings with their reasons")
 	list := fs.Bool("list", false, "list the available checks and exit")
-	baselinePath := fs.String("baseline", "", "tolerate the findings recorded in this file (new findings and stale entries still fail)")
-	update := fs.Bool("update", false, "rewrite the baseline and wire_schema.json to match the current tree")
-	schemaFlag := fs.String("schema", "", "wire schema file for the wireevolve check (default: wire_schema.json at the module root)")
+	update := fs.Bool("update", false, "rewrite wire_schema.json to match the current tree")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -57,25 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers := lint.Analyzers()
-	fullSuite := true
-	if *checks != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*checks, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "vollint: unknown check %q (try -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-		fullSuite = len(analyzers) == len(lint.Analyzers())
 	}
 
 	patterns := fs.Args()
@@ -103,68 +78,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	schemaPath := *schemaFlag
-	if schemaPath == "" {
-		schemaPath = filepath.Join(loader.ModDir, "wire_schema.json")
-	}
+	schemaPath := filepath.Join(loader.ModDir, "wire_schema.json")
 	if *update {
 		if err := lint.WriteWireSchema(pkgs, schemaPath); err != nil {
 			fmt.Fprintf(stderr, "vollint: write wire schema: %v\n", err)
 			return 2
 		}
-	}
-
-	res := lint.Run(pkgs, analyzers, lint.Options{
-		ReportUnusedIgnores: fullSuite,
-		SchemaPath:          schemaPath,
-	})
-
-	if *update {
-		path := *baselinePath
-		if path == "" {
-			path = filepath.Join(loader.ModDir, "lint_baseline.json")
-		}
-		if err := lint.WriteBaseline(path, res.Findings, loader.ModDir); err != nil {
-			fmt.Fprintf(stderr, "vollint: write baseline: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "vollint: wrote %s (%d tolerated finding(s)) and %s\n",
-			path, len(res.Findings), schemaPath)
+		fmt.Fprintf(stdout, "vollint: wrote %s\n", schemaPath)
 		return 0
 	}
 
-	findings := res.Findings
-	var baselined []lint.Finding
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "vollint: baseline: %v\n", err)
-			return 2
-		}
-		findings, baselined, stale = base.Apply(res.Findings, loader.ModDir)
-	}
+	res := lint.Run(pkgs, lint.Options{SchemaPath: schemaPath})
 
 	if *jsonOut {
 		out := struct {
-			Checks     []string             `json:"checks"`
-			Packages   int                  `json:"packages"`
-			Findings   []lint.Finding       `json:"findings"`
-			Baselined  []lint.Finding       `json:"baselined"`
-			Stale      []lint.BaselineEntry `json:"stale_baseline"`
-			Suppressed []lint.Finding       `json:"suppressed"`
-		}{Packages: len(pkgs), Findings: findings, Baselined: baselined, Stale: stale, Suppressed: res.Suppressed}
-		for _, a := range analyzers {
-			out.Checks = append(out.Checks, a.Name)
-		}
+			Checks     []string       `json:"checks"`
+			Packages   int            `json:"packages"`
+			Findings   []lint.Finding `json:"findings"`
+			Suppressed []lint.Finding `json:"suppressed"`
+		}{Checks: lint.AnalyzerNames(), Packages: len(pkgs), Findings: res.Findings, Suppressed: res.Suppressed}
 		if out.Findings == nil {
 			out.Findings = []lint.Finding{}
-		}
-		if out.Baselined == nil {
-			out.Baselined = []lint.Finding{}
-		}
-		if out.Stale == nil {
-			out.Stale = []lint.BaselineEntry{}
 		}
 		if out.Suppressed == nil {
 			out.Suppressed = []lint.Finding{}
@@ -177,12 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		cwd, _ := os.Getwd()
-		for _, f := range findings {
+		for _, f := range res.Findings {
 			fmt.Fprintln(stdout, relativize(cwd, f).String())
-		}
-		for _, e := range stale {
-			fmt.Fprintf(stdout, "vollint: stale baseline entry: %s in %s (%dx): %s — the finding is gone, run `vollint -update` to shrink the baseline\n",
-				e.Check, e.File, e.Count, e.Msg)
 		}
 		if *showIgnored {
 			for _, f := range res.Suppressed {
@@ -190,18 +120,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%s:%d:%d: %s: suppressed: %s (reason: %s)\n",
 					rf.File, rf.Line, rf.Col, rf.Check, rf.Msg, rf.SuppressReason)
 			}
-			for _, f := range baselined {
-				rf := relativize(cwd, f)
-				fmt.Fprintf(stdout, "%s:%d:%d: %s: baselined: %s\n",
-					rf.File, rf.Line, rf.Col, rf.Check, rf.Msg)
-			}
 		}
-		if len(findings) > 0 || len(baselined) > 0 {
-			fmt.Fprintf(stdout, "vollint: %d finding(s) in %d package(s), %d baselined, %d suppressed\n",
-				len(findings), len(pkgs), len(baselined), len(res.Suppressed))
+		if len(res.Findings) > 0 {
+			fmt.Fprintf(stdout, "vollint: %d finding(s) in %d package(s), %d suppressed\n",
+				len(res.Findings), len(pkgs), len(res.Suppressed))
 		}
 	}
-	if len(findings) > 0 || len(stale) > 0 {
+	if len(res.Findings) > 0 {
 		return 1
 	}
 	return 0

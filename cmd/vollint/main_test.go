@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,15 +16,19 @@ const tickleakFixture = "../../internal/lint/testdata/tickleak"
 
 // TestRunFlagsFixture drives the CLI against the deliberately-bad
 // tickleak fixture — the demonstration that the `make lint` gate fails
-// when a check regresses.
+// when a check regresses. The full suite runs, and the fixture trips
+// tickleak alone (TestGolden forbids cross-check hits).
 func TestRunFlagsFixture(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "tickleak", tickleakFixture}, &out, &errb)
+	code := run([]string{tickleakFixture}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	if got := strings.Count(out.String(), ": tickleak: "); got != 3 {
 		t.Fatalf("tickleak findings = %d, want 3\n%s", got, out.String())
+	}
+	if got := strings.Count(out.String(), "\n"); got != 4 {
+		t.Errorf("output lines = %d, want 3 findings and the summary\n%s", got, out.String())
 	}
 	if !strings.Contains(out.String(), "vollint: 3 finding(s)") {
 		t.Errorf("missing summary line:\n%s", out.String())
@@ -33,7 +38,7 @@ func TestRunFlagsFixture(t *testing.T) {
 // TestRunJSON checks the machine-readable shape CI archives.
 func TestRunJSON(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-json", "-checks", "tickleak", tickleakFixture}, &out, &errb)
+	code := run([]string{"-json", tickleakFixture}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errb.String())
 	}
@@ -52,8 +57,8 @@ func TestRunJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if rep.Packages != 1 || len(rep.Checks) != 1 || rep.Checks[0] != "tickleak" {
-		t.Errorf("packages=%d checks=%v, want 1 package and [tickleak]", rep.Packages, rep.Checks)
+	if rep.Packages != 1 || !reflect.DeepEqual(rep.Checks, lint.AnalyzerNames()) {
+		t.Errorf("packages=%d checks=%v, want 1 package and the full suite", rep.Packages, rep.Checks)
 	}
 	if len(rep.Findings) != 3 {
 		t.Fatalf("findings = %d, want 3\n%s", len(rep.Findings), out.String())
@@ -85,9 +90,8 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	// The full suite: six per-package checks plus the four
-	// interprocedural ones. A new analyzer must be added here (and to
-	// the docs) deliberately.
+	// The full suite, all ten checks. A new analyzer must be added here
+	// (and to the docs) deliberately.
 	want := []string{
 		"determinism", "lockedsend", "goroutinehygiene", "tickleak",
 		"nilsafeobs", "wireerr",
@@ -104,120 +108,23 @@ func TestRunList(t *testing.T) {
 	}
 }
 
+// TestRunUnknownCheck: an ignore directive naming a check the suite
+// does not have is itself a finding, so the run fails and names it.
 func TestRunUnknownCheck(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-checks", "nope"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2 (usage error)", code)
+	if code := run([]string{"../../internal/lint/testdata/ignore"}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(errb.String(), "unknown check") {
-		t.Errorf("stderr missing diagnostic:\n%s", errb.String())
-	}
-}
-
-// loadTickleakFindings runs just the tickleak analyzer over its fixture
-// through the lint package, giving the baseline tests the exact findings
-// the CLI will see (so they never hard-code messages that may evolve).
-func loadTickleakFindings(t *testing.T) ([]lint.Finding, string) {
-	t.Helper()
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(tickleakFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var az []*lint.Analyzer
-	for _, a := range lint.Analyzers() {
-		if a.Name == "tickleak" {
-			az = append(az, a)
-		}
-	}
-	res := lint.Run(pkgs, az, lint.Options{})
-	if len(res.Findings) < 2 {
-		t.Fatalf("tickleak fixture yields %d findings, need >= 2", len(res.Findings))
-	}
-	return res.Findings, loader.ModDir
-}
-
-// TestRunBaselineSuppresses pins the tolerated half of the ratchet: a
-// baseline recording every current finding turns exit 1 into exit 0.
-func TestRunBaselineSuppresses(t *testing.T) {
-	findings, modDir := loadTickleakFindings(t)
-	base := filepath.Join(t.TempDir(), "base.json")
-	if err := lint.WriteBaseline(base, findings, modDir); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "tickleak", "-baseline", base, tickleakFixture}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (fully baselined)\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "baselined") {
-		t.Errorf("summary should mention baselined findings:\n%s", out.String())
-	}
-}
-
-// TestRunBaselineNewFinding pins the ratchet's teeth: a finding not in
-// the baseline still fails, and only the fresh one is printed.
-func TestRunBaselineNewFinding(t *testing.T) {
-	findings, modDir := loadTickleakFindings(t)
-	base := filepath.Join(t.TempDir(), "base.json")
-	if err := lint.WriteBaseline(base, findings[1:], modDir); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "tickleak", "-baseline", base, tickleakFixture}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (one finding outside the baseline)\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if got := strings.Count(out.String(), ": tickleak: "); got != 1 {
-		t.Errorf("fresh findings printed = %d, want exactly 1 (the rest are baselined)\n%s", got, out.String())
-	}
-}
-
-// TestRunBaselineStaleEntry pins the shrink half of the ratchet: an
-// entry whose finding was fixed fails the run until -update removes it.
-func TestRunBaselineStaleEntry(t *testing.T) {
-	findings, modDir := loadTickleakFindings(t)
-	base := filepath.Join(t.TempDir(), "base.json")
-	if err := lint.WriteBaseline(base, findings, modDir); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b lint.Baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	b.Entries = append(b.Entries, lint.BaselineEntry{
-		Check: "tickleak", File: "internal/lint/testdata/tickleak/fixed.go",
-		Msg: "a finding that no longer exists", Count: 1,
-	})
-	raw, err = json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "tickleak", "-baseline", base, tickleakFixture}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (stale entry)\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "stale baseline entry") {
-		t.Errorf("missing stale diagnostic:\n%s", out.String())
+	if !strings.Contains(out.String(), `unknown check "gophers"`) {
+		t.Errorf("stdout missing diagnostic:\n%s", out.String())
 	}
 }
 
 // TestRunUpdateFlow drives the documented workflow end to end inside a
 // throwaway module whose internal/wire is the wireevolve fixture:
-// -update writes the schema and baseline next to go.mod, the following
-// run is green, and deleting a committed trailing wire field turns the
-// same invocation red — the acceptance contract for the evolution gate.
+// -update writes the schema next to go.mod, the following run is green,
+// and deleting a committed trailing wire field turns the same invocation
+// red — the acceptance contract for the evolution gate.
 func TestRunUpdateFlow(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "internal", "lint", "testdata", "wireevolve", "wireevolve.go"))
 	if err != nil {
@@ -243,29 +150,27 @@ func TestRunUpdateFlow(t *testing.T) {
 	t.Chdir(dir)
 
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "wireevolve", "-baseline", "lint_baseline.json", "-update", "./internal/wire"}, &out, &errb)
+	code := run([]string{"-update", "./internal/wire"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("-update exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	for _, p := range []string{"lint_baseline.json", "wire_schema.json"} {
-		if _, err := os.Stat(filepath.Join(dir, p)); err != nil {
-			t.Errorf("-update did not write %s: %v", p, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "wire_schema.json")); err != nil {
+		t.Errorf("-update did not write wire_schema.json: %v", err)
 	}
 
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"-checks", "wireevolve", "-baseline", "lint_baseline.json", "./internal/wire"}, &out, &errb)
+	code = run([]string{"./internal/wire"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("post-update exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 
 	// Deleting a committed trailing field (Welcome.Name) must fail the
-	// run even with the freshly written baseline in force.
+	// run.
 	writeWire(strings.Replace(fixture, "\tName string\n", "", 1))
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"-checks", "wireevolve", "-baseline", "lint_baseline.json", "./internal/wire"}, &out, &errb)
+	code = run([]string{"./internal/wire"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit after trailing-field delete = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}

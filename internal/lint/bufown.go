@@ -39,7 +39,7 @@ var analyzerBufOwn = &Analyzer{
 	Name: "bufown",
 	Doc: "wire.Buffer ownership must transfer cleanly across function boundaries: " +
 		"no double release, no use after consume, no leak on early-return paths",
-	RunModule: runBufOwn,
+	Run: runBufOwn,
 }
 
 // ownKind classifies what a callee does with a buffer-carrying
@@ -52,13 +52,16 @@ const (
 	ownOpaque                 // untrackable: callers stop tracking
 )
 
-func runBufOwn(p *ModulePass) {
+func runBufOwn(p *Pass) {
 	kinds := classifyParams(p)
 	for _, node := range p.Graph.Funcs() {
 		if !bufOwnPackages[node.Pkg.Path] || skipBufOwnFunc(node) {
 			continue
 		}
-		checkBody(p, node.Pkg, node.Decl.Type, node.Decl.Body, kinds)
+		b := &bufFlow{p: p, pkg: node.Pkg, kinds: kinds}
+		f := &flow[*types.Var, bufTrack]{pkg: node.Pkg, enter: b.enter, leave: b.leave,
+			call: b.call, send: b.send, assign: b.assign, ret: b.ret, escape: b.escape}
+		f.walk(node.Decl.Type, node.Decl.Body)
 	}
 }
 
@@ -109,7 +112,7 @@ func isBufferCarrier(t types.Type) bool {
 // of every in-scope module function, iterating to a fixpoint because a
 // parameter's kind can depend on the kind of the parameter it is passed
 // on to.
-func classifyParams(p *ModulePass) map[*types.Var]ownKind {
+func classifyParams(p *Pass) map[*types.Var]ownKind {
 	kinds := map[*types.Var]ownKind{}
 	type candidate struct {
 		node  *FuncNode
@@ -213,7 +216,7 @@ func (c *paramClassifier) stmt(s ast.Stmt) int {
 		if s.Else != nil {
 			alt = c.stmt(s.Else)
 		}
-		return d + maxInt(arms, alt)
+		return d + max(arms, alt)
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return c.branchMax(s)
 	case *ast.ForStmt:
@@ -224,13 +227,13 @@ func (c *paramClassifier) stmt(s ast.Stmt) int {
 		if s.Cond != nil {
 			d += c.expr(s.Cond)
 		}
-		return d + maxInt(c.stmt(s.Body), 0)
+		return d + max(c.stmt(s.Body), 0)
 	case *ast.RangeStmt:
-		return c.expr(s.X) + maxInt(c.stmt(s.Body), 0)
+		return c.expr(s.X) + max(c.stmt(s.Body), 0)
 	case *ast.ReturnStmt:
 		d := 0
 		for _, e := range s.Results {
-			if c.mentionsParam(e) {
+			if mentionsVar(c.pkg, e, c.param) {
 				c.opaque = true // ownership flows back out: untrackable
 			}
 			d += c.expr(e)
@@ -242,7 +245,7 @@ func (c *paramClassifier) stmt(s ast.Stmt) int {
 			d += c.expr(e)
 		}
 		for i, lhs := range s.Lhs {
-			if i < len(s.Rhs) && c.mentionsParam(s.Rhs[i]) {
+			if i < len(s.Rhs) && mentionsVar(c.pkg, s.Rhs[i], c.param) {
 				if isBufferCarrier(typeOf(c.pkg, s.Rhs[i])) {
 					d += c.storeDelta(lhs)
 				}
@@ -252,7 +255,7 @@ func (c *paramClassifier) stmt(s ast.Stmt) int {
 		return d
 	case *ast.SendStmt:
 		d := c.expr(s.Chan)
-		if c.mentionsParam(s.Value) {
+		if mentionsVar(c.pkg, s.Value, c.param) {
 			d++
 		} else {
 			d += c.expr(s.Value)
@@ -261,7 +264,7 @@ func (c *paramClassifier) stmt(s ast.Stmt) int {
 	case *ast.DeferStmt:
 		return c.expr(s.Call)
 	case *ast.GoStmt:
-		if c.mentionsParam(s.Call) {
+		if mentionsVar(c.pkg, s.Call, c.param) {
 			c.opaque = true
 		}
 		return 0
@@ -325,7 +328,7 @@ func (c *paramClassifier) expr(n ast.Node) int {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if c.mentionsParam(n) {
+			if mentionsVar(c.pkg, n, c.param) {
 				c.opaque = true // captured by a closure: untrackable
 			}
 			return false
@@ -341,7 +344,7 @@ func (c *paramClassifier) expr(n ast.Node) int {
 // buffer field), or passing the parameter to another classified
 // parameter.
 func (c *paramClassifier) callDelta(call *ast.CallExpr) int {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && c.rootedAtParam(sel.X) {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && c.rootedAtParam(sel.X) {
 		if recv, name, typ, ok := methodCall(c.pkg, call); ok && isNamedType(typ, wirePkgPath, "Buffer") {
 			_ = recv
 			switch name {
@@ -381,7 +384,7 @@ func (c *paramClassifier) callDelta(call *ast.CallExpr) int {
 // package-level variable) consumes a reference; a store into a plain
 // local is untrackable.
 func (c *paramClassifier) storeDelta(lhs ast.Expr) int {
-	switch l := unparen(lhs).(type) {
+	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		c.opaque = true // alias
 	case *ast.IndexExpr, *ast.SelectorExpr:
@@ -396,20 +399,9 @@ func (c *paramClassifier) storeDelta(lhs ast.Expr) int {
 	return 0
 }
 
-func (c *paramClassifier) mentionsParam(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && c.pkg.Info.Uses[id] == c.param {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func (c *paramClassifier) rootedAtParam(e ast.Expr) bool {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			return c.pkg.Info.Uses[x] == c.param
 		case *ast.SelectorExpr:
@@ -438,199 +430,62 @@ type bufEvent struct {
 	pos  token.Pos
 }
 
-// bufTrack is one tracked variable's per-path state.
+// bufTrack is one tracked variable's per-path state. A variable whose
+// tracking stopped leaves the state.
 type bufTrack struct {
-	name    string
-	credit  int
-	stopped bool
+	name   string
+	credit int
 }
 
-// bufWalker walks one function body in statement order with a per-path
-// credit per tracked buffer.
-type bufWalker struct {
-	p     *ModulePass
-	pkg   *Package
-	kinds map[*types.Var]ownKind
-	state map[*types.Var]*bufTrack
-	// events collects the source-order ownership events for the leak
-	// scan; branch copies share the sink.
-	events *[]bufEvent
-	// lits queues nested function literals for their own analysis.
-	lits *[]*ast.FuncLit
+// bufFlow is bufown's side of the statement walk (flow.go): a credit per
+// tracked buffer on each path, and the source-order ownership events of
+// the body being walked, which drive its leak scan.
+type bufFlow struct {
+	p      *Pass
+	pkg    *Package
+	kinds  map[*types.Var]ownKind
+	events []bufEvent
 }
 
-// checkBody analyzes one function (or literal) body: the credit walk
-// reports double releases and uses after consume; the event trail then
-// drives the early-return leak scan. Buffer-carrying parameters start
-// with one credit; locals acquired from buffer-returning calls are
-// tracked from their acquisition.
-func checkBody(p *ModulePass, pkg *Package, ftype *ast.FuncType, body *ast.BlockStmt, kinds map[*types.Var]ownKind) {
-	if body == nil {
-		return
-	}
-	var events []bufEvent
-	var lits []*ast.FuncLit
-	w := &bufWalker{p: p, pkg: pkg, kinds: kinds, state: map[*types.Var]*bufTrack{}, events: &events, lits: &lits}
-	if ftype != nil && ftype.Params != nil {
-		for _, field := range ftype.Params.List {
-			for _, name := range field.Names {
-				if v, ok := pkg.Info.Defs[name].(*types.Var); ok && isBufferCarrier(v.Type()) {
-					w.state[v] = &bufTrack{name: name.Name, credit: 1}
-				}
+// enter starts a body: its buffer-carrying parameters hold one credit
+// each; locals acquired from buffer-returning calls are tracked from
+// their acquisition.
+func (b *bufFlow) enter(ftype *ast.FuncType) map[*types.Var]bufTrack {
+	b.events = nil
+	st := map[*types.Var]bufTrack{}
+	for _, field := range ftype.Params.List {
+		for _, name := range field.Names {
+			if v, ok := b.pkg.Info.Defs[name].(*types.Var); ok && isBufferCarrier(v.Type()) {
+				st[v] = bufTrack{name: name.Name, credit: 1}
 			}
 		}
 	}
-	w.walkStmts(body.List)
-	reportLeaks(p, pkg, body, events)
-	for i := 0; i < len(lits); i++ {
-		checkBody(p, pkg, lits[i].Type, lits[i].Body, kinds)
-	}
+	return st
 }
 
-func (w *bufWalker) copyState() map[*types.Var]*bufTrack {
-	c := make(map[*types.Var]*bufTrack, len(w.state))
-	for k, v := range w.state {
-		cp := *v
-		c[k] = &cp
-	}
-	return c
+// leave runs the early-return leak scan over the body's event trail.
+func (b *bufFlow) leave(body *ast.BlockStmt) {
+	reportLeaks(b.p, b.pkg, body, b.events)
 }
 
-// branch walks statements on a copy of the credit state.
-func (w *bufWalker) branch(stmts ...ast.Stmt) {
-	saved := w.state
-	w.state = w.copyState()
-	w.walkStmts(stmts)
-	w.state = saved
-}
-
-func (w *bufWalker) walkStmts(stmts []ast.Stmt) {
-	for _, s := range stmts {
-		if w.walkStmt(s) {
-			return // unreachable after return
-		}
+func (b *bufFlow) send(st map[*types.Var]bufTrack, s *ast.SendStmt, _ sendKind) {
+	if v, ok := b.trackedIn(st, s.Value); ok {
+		b.consume(st, v, s.Arrow, "sent on a channel")
 	}
-}
-
-func (w *bufWalker) walkStmt(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List)
-	case *ast.ExprStmt:
-		w.scanExpr(s.X)
-	case *ast.AssignStmt:
-		w.assign(s)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan)
-		if v, ok := w.trackedIn(s.Value); ok {
-			w.consume(v, s.Arrow, "sent on a channel")
-		} else {
-			w.scanExpr(s.Value)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e)
-		}
-		// Ownership of anything mentioned in the results leaves this
-		// function (returned outright or handed to the call computing
-		// the result); stop tracking rather than guess.
-		for v, t := range w.state {
-			if !t.stopped && mentionsVar(w.pkg, s, v) {
-				w.stop(v, s.Pos())
-			}
-		}
-		return true
-	case *ast.DeferStmt:
-		w.handleCall(s.Call, s.Pos())
-	case *ast.GoStmt:
-		// Anything handed to another goroutine is out of reach.
-		for v, t := range w.state {
-			if !t.stopped && mentionsVar(w.pkg, s, v) {
-				w.stop(v, s.Pos())
-			}
-		}
-		for _, arg := range s.Call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				*w.lits = append(*w.lits, lit)
-			}
-		}
-		if lit, ok := unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			*w.lits = append(*w.lits, lit)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.scanExpr(s.Cond)
-		w.branch(s.Body)
-		if s.Else != nil {
-			w.branch(s.Else)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond)
-		}
-		w.branch(s.Body)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X)
-		w.branch(s.Body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag)
-		}
-		for _, cl := range s.Body.List {
-			w.branch(cl.(*ast.CaseClause).Body...)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		for _, cl := range s.Body.List {
-			w.branch(cl.(*ast.CaseClause).Body...)
-		}
-	case *ast.SelectStmt:
-		for _, cl := range s.Body.List {
-			cc := cl.(*ast.CommClause)
-			arm := cc.Body
-			if cc.Comm != nil {
-				arm = append([]ast.Stmt{cc.Comm}, arm...)
-			}
-			w.branch(arm...)
-		}
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt)
-	case *ast.DeclStmt:
-		w.scanExpr(s.Decl)
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X)
-	}
-	return false
 }
 
 // assign handles acquisitions, aliases, overwrites and stores.
-func (w *bufWalker) assign(s *ast.AssignStmt) {
-	for _, e := range s.Rhs {
-		w.scanExpr(e)
-	}
+func (b *bufFlow) assign(st map[*types.Var]bufTrack, s *ast.AssignStmt) {
 	// Acquisition: `b := f()` or `b, err := f()` where f returns an
 	// owned *wire.Buffer (module convention: every returned buffer is
 	// owned by the caller).
 	if len(s.Rhs) == 1 {
-		if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok && !isConversion(w.pkg, call) && returnsBuffer(w.pkg, call) {
-			if id, ok := unparen(s.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-				if v := objOf(w.pkg, id); v != nil {
-					if t, tracked := w.state[v]; tracked && !t.stopped {
-						// Overwrite: the old reference is gone.
-						w.stop(v, s.Pos())
-					}
-					w.state[v] = &bufTrack{name: id.Name, credit: 1}
-					*w.events = append(*w.events, bufEvent{v, evAcquire, call.Pos()})
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok && !isConversion(b.pkg, call) && returnsBuffer(b.pkg, call) {
+			if id, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
+				if v := objOf(b.pkg, id); v != nil {
+					b.stop(st, v, s.Pos()) // overwrite: the old reference is gone
+					st[v] = bufTrack{name: id.Name, credit: 1}
+					b.events = append(b.events, bufEvent{v, evAcquire, call.Pos()})
 				}
 			}
 			return
@@ -640,124 +495,96 @@ func (w *bufWalker) assign(s *ast.AssignStmt) {
 		if i >= len(s.Rhs) {
 			break
 		}
-		rhsVar, rhsTracked := w.trackedIn(s.Rhs[i])
-		switch l := unparen(lhs).(type) {
+		rhsVar, rhsTracked := b.trackedIn(st, s.Rhs[i])
+		switch l := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
-			if v := objOf(w.pkg, l); v != nil {
-				if t, tracked := w.state[v]; tracked && !t.stopped {
-					w.stop(v, s.Pos()) // overwritten
-				}
+			if v := objOf(b.pkg, l); v != nil {
+				b.stop(st, v, s.Pos()) // overwritten
 			}
 			if rhsTracked {
-				w.stop(rhsVar, s.Pos()) // aliased
+				b.stop(st, rhsVar, s.Pos()) // aliased
 			}
 		case *ast.IndexExpr, *ast.SelectorExpr:
 			if !rhsTracked {
 				continue
 			}
-			if root, ok := rootVar(w.pkg, l); ok && isLocalVar(root) {
-				w.stop(rhsVar, s.Pos()) // stored into a local container
+			if root, ok := rootVar(b.pkg, l); ok && isLocalVar(root) {
+				b.stop(st, rhsVar, s.Pos()) // stored into a local container
 			} else {
-				w.consume(rhsVar, s.Pos(), "stored into a shared structure")
+				b.consume(st, rhsVar, s.Pos(), "stored into a shared structure")
 			}
 		default:
 			if rhsTracked {
-				w.stop(rhsVar, s.Pos())
+				b.stop(st, rhsVar, s.Pos())
 			}
 		}
 	}
 }
 
-// scanExpr processes one expression tree in source order: calls apply
-// their ownership effects; function literals are queued and anything
-// they capture stops.
-func (w *bufWalker) scanExpr(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			*w.lits = append(*w.lits, n)
-			for v, t := range w.state {
-				if !t.stopped && mentionsVar(w.pkg, n, v) {
-					w.stop(v, n.Pos())
-				}
-			}
-			return false
-		case *ast.CallExpr:
-			w.handleCall(n, n.Pos())
-		}
-		return true
-	})
-}
-
-// handleCall applies one call's effect on every tracked variable it
-// touches.
-func (w *bufWalker) handleCall(call *ast.CallExpr, pos token.Pos) {
-	if isConversion(w.pkg, call) {
-		return
-	}
+// call applies one call's effect on every tracked variable it touches.
+func (b *bufFlow) call(st map[*types.Var]bufTrack, call *ast.CallExpr) {
+	pos := call.Pos()
 	// Method on (a field of) a tracked variable.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if root, ok := rootVar(w.pkg, sel.X); ok {
-			if t, tracked := w.state[root]; tracked && !t.stopped {
-				if _, name, typ, ok := methodCall(w.pkg, call); ok && isNamedType(typ, wirePkgPath, "Buffer") {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if root, ok := rootVar(b.pkg, sel.X); ok {
+			if t, tracked := st[root]; tracked {
+				if _, name, typ, ok := methodCall(b.pkg, call); ok && isNamedType(typ, wirePkgPath, "Buffer") {
 					switch name {
 					case "Release":
-						w.consume(root, pos, "released")
+						b.consume(st, root, pos, "released")
 					case "Retain":
 						t.credit += retainCount(call)
+						st[root] = t
 					default:
-						w.use(root, pos)
+						b.use(st, root, pos)
 					}
 					return
 				}
-				w.use(root, pos)
+				b.use(st, root, pos)
 				return
 			}
 		}
 	}
 	// Tracked variables passed as arguments.
-	params := calleeParams(w.pkg, call)
+	params := calleeParams(b.pkg, call)
 	for i, arg := range call.Args {
-		v, tracked := w.trackedIn(arg)
+		v, tracked := b.trackedIn(st, arg)
 		if !tracked {
 			continue
 		}
 		if params == nil || i >= len(params) {
-			w.stop(v, arg.Pos()) // unknown or external callee
+			b.stop(st, v, arg.Pos()) // unknown or external callee
 			continue
 		}
-		switch w.kinds[params[i]] {
+		switch b.kinds[params[i]] {
 		case ownConsume:
-			w.consume(v, arg.Pos(), "handed to a consuming callee")
+			b.consume(st, v, arg.Pos(), "handed to a consuming callee")
 		case ownBorrow:
-			w.use(v, arg.Pos())
+			b.use(st, v, arg.Pos())
 		default:
-			w.stop(v, arg.Pos())
+			b.stop(st, v, arg.Pos())
 		}
 	}
 }
 
 // trackedIn reports the live tracked variable that e is (or wraps in a
 // carrier literal).
-func (w *bufWalker) trackedIn(e ast.Expr) (*types.Var, bool) {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		if v, isVar := w.pkg.Info.Uses[id].(*types.Var); isVar {
-			if t, tracked := w.state[v]; tracked && !t.stopped {
+func (b *bufFlow) trackedIn(st map[*types.Var]bufTrack, e ast.Expr) (*types.Var, bool) {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if v, isVar := b.pkg.Info.Uses[id].(*types.Var); isVar {
+			if _, tracked := st[v]; tracked {
 				return v, true
 			}
 		}
 		return nil, false
 	}
-	if lit, ok := unparen(e).(*ast.CompositeLit); ok && isBufferCarrier(typeOf(w.pkg, lit)) {
+	if lit, ok := ast.Unparen(e).(*ast.CompositeLit); ok && isBufferCarrier(typeOf(b.pkg, lit)) {
 		for _, el := range lit.Elts {
 			x := el
 			if kv, isKV := el.(*ast.KeyValueExpr); isKV {
 				x = kv.Value
 			}
-			if v, tracked := w.trackedIn(x); tracked {
+			if v, tracked := b.trackedIn(st, x); tracked {
 				return v, true
 			}
 		}
@@ -765,38 +592,50 @@ func (w *bufWalker) trackedIn(e ast.Expr) (*types.Var, bool) {
 	return nil, false
 }
 
-func (w *bufWalker) consume(v *types.Var, pos token.Pos, what string) {
-	t := w.state[v]
-	if t == nil || t.stopped {
+func (b *bufFlow) consume(st map[*types.Var]bufTrack, v *types.Var, pos token.Pos, what string) {
+	t, tracked := st[v]
+	if !tracked {
 		return
 	}
-	*w.events = append(*w.events, bufEvent{v, evConsume, pos})
+	b.events = append(b.events, bufEvent{v, evConsume, pos})
 	if t.credit <= 0 {
-		w.p.Reportf(pos, "Retain the buffer before sharing it, or drop the extra release",
+		b.p.Reportf(pos, "Retain the buffer before sharing it, or drop the extra release",
 			"wire.Buffer %q %s after its reference was already consumed (double release)", t.name, what)
 		return
 	}
 	t.credit--
+	st[v] = t
 }
 
-func (w *bufWalker) use(v *types.Var, pos token.Pos) {
-	t := w.state[v]
-	if t == nil || t.stopped {
-		return
-	}
-	if t.credit <= 0 {
-		w.p.Reportf(pos, "use the buffer before handing its reference off, or Retain an extra reference",
+func (b *bufFlow) use(st map[*types.Var]bufTrack, v *types.Var, pos token.Pos) {
+	if t, tracked := st[v]; tracked && t.credit <= 0 {
+		b.p.Reportf(pos, "use the buffer before handing its reference off, or Retain an extra reference",
 			"wire.Buffer %q used after its reference was consumed", t.name)
 	}
 }
 
-func (w *bufWalker) stop(v *types.Var, pos token.Pos) {
-	t := w.state[v]
-	if t == nil || t.stopped {
-		return
+func (b *bufFlow) stop(st map[*types.Var]bufTrack, v *types.Var, pos token.Pos) {
+	if _, tracked := st[v]; tracked {
+		delete(st, v)
+		b.events = append(b.events, bufEvent{v, evStop, pos})
 	}
-	t.stopped = true
-	*w.events = append(*w.events, bufEvent{v, evStop, pos})
+}
+
+// ret stops tracking whatever the results mention: its ownership leaves
+// this function (returned outright or handed to the call computing the
+// result), so tracking stops rather than guess.
+func (b *bufFlow) ret(st map[*types.Var]bufTrack, s *ast.ReturnStmt) {
+	b.escape(st, s)
+}
+
+// escape stops every tracked variable n references: anything captured
+// by a literal or handed to another goroutine is out of reach.
+func (b *bufFlow) escape(st map[*types.Var]bufTrack, n ast.Node) {
+	for v := range st {
+		if mentionsVar(b.pkg, n, v) {
+			b.stop(st, v, n.Pos())
+		}
+	}
 }
 
 // mentionsVar reports whether the subtree references v.
@@ -856,7 +695,7 @@ type retInfo struct {
 // and its first consume/stop, unless guarded by the acquisition's error
 // variable or a nil-check of the buffer itself, or mentioning the buffer
 // (which transfers it out).
-func reportLeaks(p *ModulePass, pkg *Package, body *ast.BlockStmt, events []bufEvent) {
+func reportLeaks(p *Pass, pkg *Package, body *ast.BlockStmt, events []bufEvent) {
 	if len(events) == 0 {
 		return
 	}
@@ -961,11 +800,11 @@ func acquisitionErrVars(pkg *Package, body *ast.BlockStmt) map[token.Pos]*types.
 		if !ok || len(s.Rhs) != 1 || len(s.Lhs) != 2 {
 			return true
 		}
-		call, ok := unparen(s.Rhs[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
 		if !ok || !returnsBuffer(pkg, call) {
 			return true
 		}
-		if id, ok := unparen(s.Lhs[1]).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(s.Lhs[1]).(*ast.Ident); ok {
 			if v := objOf(pkg, id); v != nil {
 				out[call.Pos()] = v
 			}
@@ -976,13 +815,6 @@ func acquisitionErrVars(pkg *Package, body *ast.BlockStmt) map[token.Pos]*types.
 }
 
 // --- shared helpers ------------------------------------------------------
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 func typeOf(pkg *Package, e ast.Expr) types.Type {
 	if tv, ok := pkg.Info.Types[e]; ok {
@@ -996,7 +828,7 @@ func retainCount(call *ast.CallExpr) int {
 	if len(call.Args) != 1 {
 		return 1
 	}
-	if lit, ok := unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.INT {
+	if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.INT {
 		if n, err := strconv.Atoi(lit.Value); err == nil && n > 0 {
 			return n
 		}
@@ -1024,14 +856,14 @@ func calleeParams(pkg *Package, call *ast.CallExpr) []*types.Var {
 
 // argIsVar reports whether arg is exactly the given variable.
 func argIsVar(pkg *Package, arg ast.Expr, v *types.Var) bool {
-	id, ok := unparen(arg).(*ast.Ident)
+	id, ok := ast.Unparen(arg).(*ast.Ident)
 	return ok && pkg.Info.Uses[id] == v
 }
 
 // wrapsVar reports whether arg is a carrier composite literal with v as
 // a field value (outBuf{buf: v}).
 func wrapsVar(pkg *Package, arg ast.Expr, v *types.Var) bool {
-	lit, ok := unparen(arg).(*ast.CompositeLit)
+	lit, ok := ast.Unparen(arg).(*ast.CompositeLit)
 	if !ok || !isBufferCarrier(typeOf(pkg, lit)) {
 		return false
 	}
@@ -1051,7 +883,7 @@ func wrapsVar(pkg *Package, arg ast.Expr, v *types.Var) bool {
 // selector/index chain.
 func rootVar(pkg *Package, e ast.Expr) (*types.Var, bool) {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			v, ok := pkg.Info.Uses[x].(*types.Var)
 			return v, ok

@@ -162,7 +162,7 @@ func collectCalls(pkg *Package, body ast.Node, node *FuncNode) {
 						walk(arg, deferred)
 					}
 				}
-				if _, isLit := unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
+				if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
 					walk(n.Call.Fun, deferred)
 				}
 				return false
@@ -208,7 +208,7 @@ func isConversion(pkg *Package, call *ast.CallExpr) bool {
 // nil for anything dynamic: interface method calls, func values,
 // builtins.
 func resolveCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 			return f
@@ -246,15 +246,4 @@ func recvIsInterface(fn *types.Func) bool {
 	}
 	_, isIface := sig.Recv().Type().Underlying().(*types.Interface)
 	return isIface
-}
-
-// unparen strips parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

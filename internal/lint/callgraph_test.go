@@ -95,10 +95,10 @@ func TestPropagate(t *testing.T) {
 	helper := g.Lookup(cgFixPath, "", "helper")
 	sound := g.Lookup(cgFixPath, "Dog", "Sound")
 	direct := map[*types.Func]facts{
-		helper.Fn: {"helper-fact": helper.Decl.Pos()},
-		sound.Fn:  {"sound-fact": sound.Decl.Pos()},
+		helper.Fn: {"helper-fact": {Pos: helper.Decl.Pos()}},
+		sound.Fn:  {"sound-fact": {Pos: sound.Decl.Pos()}},
 	}
-	got := propagate(g, direct)
+	got := propagate(g, direct, nil)
 
 	has := func(fn, fact string) bool {
 		n := g.Lookup(cgFixPath, "", fn)

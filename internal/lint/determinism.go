@@ -52,28 +52,30 @@ var analyzerDeterminism = &Analyzer{
 }
 
 func runDeterminism(p *Pass) {
-	simPath := simPathPackages[p.Pkg.Path]
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, pkg := range p.Pkgs {
+		simPath := simPathPackages[pkg.Path]
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				path, name, ok := pkgFuncCall(pkg, call)
+				if !ok {
+					return true
+				}
+				switch {
+				case simPath && path == "time" && wallClockFuncs[name]:
+					p.Reportf(call.Pos(),
+						"route timing through obs.Tracer / metrics helpers, or take an explicit clock from the caller",
+						"wall-clock time.%s in sim-path package %s breaks seed-determinism", name, pkg.Path)
+				case (path == "math/rand" || path == "math/rand/v2") && !seededRandCtors[name]:
+					p.Reportf(call.Pos(),
+						"draw from a *rand.Rand built with rand.New(rand.NewSource(seed))",
+						"global math/rand.%s is un-seeded shared state; results stop being a function of the seed", name)
+				}
 				return true
-			}
-			path, name, ok := pkgFuncCall(p.Pkg, call)
-			if !ok {
-				return true
-			}
-			switch {
-			case simPath && path == "time" && wallClockFuncs[name]:
-				p.Reportf(call.Pos(),
-					"route timing through obs.Tracer / metrics helpers, or take an explicit clock from the caller",
-					"wall-clock time.%s in sim-path package %s breaks seed-determinism", name, p.Pkg.Path)
-			case (path == "math/rand" || path == "math/rand/v2") && !seededRandCtors[name]:
-				p.Reportf(call.Pos(),
-					"draw from a *rand.Rand built with rand.New(rand.NewSource(seed))",
-					"global math/rand.%s is un-seeded shared state; results stop being a function of the seed", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }

@@ -13,59 +13,44 @@ var analyzerGoroutineHygiene = &Analyzer{
 }
 
 func runGoroutineHygiene(p *Pass) {
-	// Library code only: main packages own the process lifetime, and the
-	// PR 3/4 leaks were all in internal packages.
-	if p.Pkg.Types == nil || p.Pkg.Types.Name() == "main" {
-		return
-	}
-	// Index same-package function declarations so `go s.frameLoop()` can
-	// be checked against frameLoop's body, not just literal closures.
-	decls := map[types.Object]*ast.FuncDecl{}
-	for _, f := range p.Pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj := p.Pkg.Info.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
+	for _, pkg := range p.Pkgs {
+		// Library code only: main packages own the process lifetime, and
+		// the goroutine leaks found so far were all in internal packages.
+		if pkg.Types == nil || pkg.Types.Name() == "main" {
+			continue
 		}
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				gs, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				body, bodyPkg := goTargetBody(p.Graph, pkg, gs.Call)
+				if body == nil {
+					return true // body not in the module; nothing to judge
+				}
+				if !hasLifecycleRef(bodyPkg, body) {
+					p.Reportf(gs.Pos(),
+						"plumb a ctx or done channel into the goroutine (or track it with a WaitGroup) so shutdown can reap it",
+						"goroutine body references no context, channel, or WaitGroup — nothing can stop or await it")
+				}
 				return true
-			}
-			body := goTargetBody(p.Pkg, decls, gs.Call)
-			if body == nil {
-				return true // body not in this package; nothing to judge
-			}
-			if !hasLifecycleRef(p.Pkg, body) {
-				p.Reportf(gs.Pos(),
-					"plumb a ctx or done channel into the goroutine (or track it with a WaitGroup) so shutdown can reap it",
-					"goroutine body references no context, channel, or WaitGroup — nothing can stop or await it")
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
-// goTargetBody resolves the body the go statement will run: a literal's
-// body, or the declaration of a same-package function/method.
-func goTargetBody(pkg *Package, decls map[types.Object]*ast.FuncDecl, call *ast.CallExpr) *ast.BlockStmt {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		return fun.Body
-	case *ast.Ident:
-		if fd := decls[pkg.Info.Uses[fun]]; fd != nil {
-			return fd.Body
-		}
-	case *ast.SelectorExpr:
-		if fd := decls[pkg.Info.Uses[fun.Sel]]; fd != nil {
-			return fd.Body
-		}
+// goTargetBody resolves the body the go statement will run, with the
+// package it lives in: a literal's body, or the declaration the call
+// graph resolves the call to.
+func goTargetBody(g *CallGraph, pkg *Package, call *ast.CallExpr) (*ast.BlockStmt, *Package) {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		return lit.Body, pkg
 	}
-	return nil
+	if node := g.Nodes[resolveCallee(pkg, call)]; node != nil {
+		return node.Decl.Body, node.Pkg
+	}
+	return nil, nil
 }
 
 // hasLifecycleRef reports whether the body (including nested literals)

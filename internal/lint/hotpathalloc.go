@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // hotpathalloc keeps the frame path's 0 allocs/op guarantee a lint
@@ -29,7 +30,7 @@ var analyzerHotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//vollint:hotpath functions must not reach an allocation source (directly " +
 		"or via module callees) outside a sync.Pool",
-	RunModule: runHotPathAlloc,
+	Run: runHotPathAlloc,
 }
 
 // allocSource is one direct allocation with its description.
@@ -38,57 +39,41 @@ type allocSource struct {
 	desc string
 }
 
-// allocWitness summarizes why a function allocates.
-type allocWitness struct {
-	desc  string
-	depth int
-}
-
-func runHotPathAlloc(p *ModulePass) {
+func runHotPathAlloc(p *Pass) {
 	// Direct sources per function (pool-mediated functions contribute
-	// nothing).
+	// nothing), then the transitive closure over the call graph: a
+	// function allocates if it has a direct source or synchronously
+	// calls a module function that does.
 	direct := map[*types.Func][]allocSource{}
+	seeds := map[*types.Func]facts{}
+	first := map[*types.Func]string{}
 	for _, node := range p.Graph.Funcs() {
 		if usesSyncPool(node.Pkg, node.Decl.Body) {
 			continue
 		}
-		direct[node.Fn] = directAllocs(node.Pkg, node.Decl.Body)
-	}
-
-	// Fixpoint: a function allocates if it has a direct source or
-	// synchronously calls a module function that does.
-	witness := map[*types.Func]allocWitness{}
-	for fn, srcs := range direct {
+		srcs := directAllocs(node.Pkg, node.Decl.Body)
+		direct[node.Fn] = srcs
 		if len(srcs) > 0 {
-			witness[fn] = allocWitness{desc: srcs[0].desc}
+			seeds[node.Fn] = facts{"alloc": {Pos: srcs[0].pos}}
+			first[node.Fn] = srcs[0].desc
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, node := range p.Graph.Funcs() {
-			if _, has := witness[node.Fn]; has {
-				continue
+	allocates := propagate(p.Graph, seeds, func(fn *types.Func) bool {
+		_, tracked := direct[fn]
+		return !tracked // pool-mediated: never becomes a witness
+	})
+	// chain names why fn allocates: the callees down to the first direct
+	// source, at most five deep.
+	chain := func(fn *types.Func) string {
+		var hops []string
+		for via := allocates[fn]["alloc"].Via; via != nil; via = allocates[fn]["alloc"].Via {
+			if len(hops) == 5 {
+				return strings.Join(hops, " → ") + " → …"
 			}
-			if _, pool := direct[node.Fn]; !pool {
-				continue // pool-mediated: never becomes a witness
-			}
-			for _, call := range node.Calls {
-				if call.Go || call.Callee == nil {
-					continue
-				}
-				cw, allocates := witness[call.Callee]
-				if !allocates {
-					continue
-				}
-				if cw.depth >= 5 {
-					witness[node.Fn] = allocWitness{desc: call.Callee.Name() + " → …", depth: cw.depth + 1}
-				} else {
-					witness[node.Fn] = allocWitness{desc: call.Callee.Name() + " → " + cw.desc, depth: cw.depth + 1}
-				}
-				changed = true
-				break
-			}
+			fn = via
+			hops = append(hops, fn.Name())
 		}
+		return strings.Join(append(hops, first[fn]), " → ")
 	}
 
 	// Report on annotated functions: every direct source, and every call
@@ -111,13 +96,12 @@ func runHotPathAlloc(p *ModulePass) {
 			if call.Go || call.Callee == nil || seen[call.Pos] {
 				continue
 			}
-			w, allocates := witness[call.Callee]
-			if !allocates {
+			if _, ok := allocates[call.Callee]["alloc"]; !ok {
 				continue
 			}
 			seen[call.Pos] = true
 			p.Reportf(call.Pos, "pool the allocation inside the callee or hoist the call off the hot path",
-				"hot path calls %s, which allocates (%s)", call.Callee.Name(), w.desc)
+				"hot path calls %s, which allocates (%s)", call.Callee.Name(), chain(call.Callee))
 		}
 	}
 }
@@ -163,7 +147,7 @@ func directAllocs(pkg *Package, body ast.Node) []allocSource {
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if _, isLit := unparen(n.X).(*ast.CompositeLit); isLit {
+				if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit {
 					add(n.Pos(), "&composite literal escapes to the heap")
 				}
 			}
@@ -189,7 +173,7 @@ func directAllocs(pkg *Package, body ast.Node) []allocSource {
 // classifyAllocCall flags allocating calls: make/new, growing appends,
 // string<->[]byte conversions, and interface boxing at call boundaries.
 func classifyAllocCall(pkg *Package, call *ast.CallExpr, add func(token.Pos, string, ...any)) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
 			switch b.Name() {
 			case "make":
@@ -278,13 +262,13 @@ func boxingFree(t types.Type) bool {
 // appendBaseAllocates reports whether the append base starts empty: nil,
 // a fresh literal, or a make with no capacity.
 func appendBaseAllocates(pkg *Package, base ast.Expr) bool {
-	switch b := unparen(base).(type) {
+	switch b := ast.Unparen(base).(type) {
 	case *ast.Ident:
 		return b.Name == "nil"
 	case *ast.CompositeLit:
 		return true
 	case *ast.CallExpr:
-		if id, ok := unparen(b.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(b.Fun).(*ast.Ident); ok {
 			if built, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin && built.Name() == "make" {
 				return len(b.Args) < 3 // make([]T, n) without explicit cap
 			}

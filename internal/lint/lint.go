@@ -9,17 +9,19 @@
 // stay nil-safe (nilsafeobs), and the transport must never silently drop
 // a write error (wireerr).
 //
-// On top of the per-package checks sits an interprocedural layer — a
-// module-wide call graph with per-function summaries (callgraph.go,
-// summary.go) — carrying four whole-module checks: lockorder (mutex
-// acquisition order across hub/session/transport/blockcache must stay
-// acyclic and follow the declared hierarchy), bufown (wire.Buffer
-// reference ownership must transfer cleanly across function boundaries:
-// no use-after-consume, double-release, or early-return leaks),
-// wireevolve (the wire protocol may only evolve by appending trailing
-// fields and flag bits, checked against the committed wire_schema.json),
-// and hotpathalloc (functions annotated //vollint:hotpath must not reach
-// an allocation site outside a pool).
+// Every check is one Pass over all loaded packages with a module-wide
+// call graph and per-function summaries at hand (callgraph.go,
+// summary.go), and the three flow checks — lockedsend, lockorder,
+// bufown — share one statement-order walker (flow.go). Four checks look
+// across function boundaries: lockorder (mutex acquisition order across
+// hub/session/transport/blockcache must stay acyclic and follow the
+// declared hierarchy), bufown (wire.Buffer reference ownership must
+// transfer cleanly across function boundaries: no use-after-consume,
+// double-release, or early-return leaks), wireevolve (the wire protocol
+// may only evolve by appending trailing fields and flag bits, checked
+// against the committed wire_schema.json), and hotpathalloc (functions
+// annotated //vollint:hotpath must not reach an allocation site outside
+// a pool).
 //
 // Findings carry file:line, the check name and a one-line fix hint. A
 // deliberate exception is suppressed — with an audit trail — by a
@@ -61,54 +63,31 @@ func (f Finding) String() string {
 	return s
 }
 
-// Analyzer is one named check. Exactly one of Run (per-package) and
-// RunModule (whole-module, with the call graph) is set.
+// Analyzer is one named check.
 type Analyzer struct {
 	Name string
 	// Doc is the invariant the check enforces, one sentence.
 	Doc string
 	Run func(*Pass)
-	// RunModule runs once over every loaded package with the shared call
-	// graph — the interprocedural checks live here.
-	RunModule func(*ModulePass)
 }
 
-// Pass is one per-package analyzer's run over one package.
+// Pass is one analyzer's run over every loaded package, with the shared
+// module call graph for the checks that look across function
+// boundaries; a per-package check loops over Pkgs. All packages share
+// one FileSet (the loader guarantees it), so positions are comparable
+// across packages.
 type Pass struct {
-	Pkg      *Package
+	Pkgs  []*Package
+	Graph *CallGraph
+	Opts  Options
+
 	check    string
 	findings []Finding
 }
 
 // Reportf records a finding at pos with a fix hint.
 func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
-	pp := p.Pkg.Fset.Position(pos)
-	p.findings = append(p.findings, Finding{
-		Check: p.check,
-		File:  pp.Filename,
-		Line:  pp.Line,
-		Col:   pp.Column,
-		Msg:   fmt.Sprintf(format, args...),
-		Hint:  hint,
-	})
-}
-
-// ModulePass is one whole-module analyzer's run. All packages share one
-// FileSet (the loader guarantees it), so positions are comparable across
-// packages.
-type ModulePass struct {
-	Pkgs  []*Package
-	Graph *CallGraph
-	Opts  Options
-	fset  *token.FileSet
-
-	check    string
-	findings []Finding
-}
-
-// Reportf records a finding at pos with a fix hint.
-func (p *ModulePass) Reportf(pos token.Pos, hint, format string, args ...any) {
-	pp := p.fset.Position(pos)
+	pp := p.Pkgs[0].Fset.Position(pos)
 	p.findings = append(p.findings, Finding{
 		Check: p.check,
 		File:  pp.Filename,
@@ -121,13 +100,9 @@ func (p *ModulePass) Reportf(pos token.Pos, hint, format string, args ...any) {
 
 // Options configures a suite run.
 type Options struct {
-	// ReportUnusedIgnores should be set when the full suite runs (an
-	// ignore directive for a check that did not run cannot be proven
-	// unused).
-	ReportUnusedIgnores bool
-	// SchemaPath is the committed wire-schema baseline wireevolve checks
-	// against (normally <module root>/wire_schema.json). Empty disables
-	// the schema diff (the check still validates struct shape).
+	// SchemaPath is the committed wire schema wireevolve checks against
+	// (normally <module root>/wire_schema.json). Empty disables the
+	// schema diff (the check still validates struct shape).
 	SchemaPath string
 }
 
@@ -169,12 +144,11 @@ type Result struct {
 	Suppressed []Finding `json:"suppressed,omitempty"`
 }
 
-// Run applies the analyzers to every package: per-package checks run on
-// each package, module checks run once over all of them with a shared
-// call graph. Ignore directives are collected module-wide, so a module
-// finding can be suppressed at the line it lands on regardless of which
-// package triggered the analysis.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
+// Run applies the full suite to the packages over one shared call
+// graph. Ignore directives are collected module-wide, so a finding can
+// be suppressed at the line it lands on regardless of which package
+// triggered the analysis.
+func Run(pkgs []*Package, opts Options) Result {
 	var res Result
 	if len(pkgs) == 0 {
 		return res
@@ -189,33 +163,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	}
 
 	var found []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{Pkg: pkg, check: a.Name}
-			a.Run(pass)
-			found = append(found, pass.findings...)
-		}
-	}
-	var graph *CallGraph
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		mp := &ModulePass{
-			Pkgs:  pkgs,
-			Graph: graph,
-			Opts:  opts,
-			fset:  pkgs[0].Fset,
-			check: a.Name,
-		}
-		a.RunModule(mp)
-		found = append(found, mp.findings...)
+	graph := BuildCallGraph(pkgs)
+	for _, a := range Analyzers() {
+		pass := &Pass{Pkgs: pkgs, Graph: graph, Opts: opts, check: a.Name}
+		a.Run(pass)
+		found = append(found, pass.findings...)
 	}
 
 	for i := range found {
@@ -236,7 +188,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 				Msg:  "malformed //vollint:ignore directive: " + d.malformed,
 				Hint: "write //vollint:ignore <check> <reason>",
 			})
-		case opts.ReportUnusedIgnores && !d.used:
+		case !d.used:
 			res.Findings = append(res.Findings, Finding{
 				Check: DirectiveCheck, File: d.file, Line: d.line, Col: d.col,
 				Msg:  fmt.Sprintf("//vollint:ignore %s directive matches no finding", d.check),

@@ -88,7 +88,7 @@ func TestGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg := loadFixture(t, tc.dir, tc.path)
-			res := Run([]*Package{pkg}, Analyzers(), Options{ReportUnusedIgnores: true, SchemaPath: tc.schema})
+			res := Run([]*Package{pkg}, Options{SchemaPath: tc.schema})
 
 			got := map[string][]string{}
 			for _, f := range res.Findings {
@@ -120,7 +120,7 @@ func TestGolden(t *testing.T) {
 // stale directive that matches no finding.
 func TestIgnoreDirectives(t *testing.T) {
 	pkg := loadFixture(t, "ignore", "volcast/internal/lint/testdata/ignore")
-	res := Run([]*Package{pkg}, Analyzers(), Options{ReportUnusedIgnores: true})
+	res := Run([]*Package{pkg}, Options{})
 
 	if len(res.Suppressed) != 1 {
 		t.Fatalf("suppressed = %d, want 1: %v", len(res.Suppressed), res.Suppressed)
@@ -152,14 +152,5 @@ func TestIgnoreDirectives(t *testing.T) {
 	if byCheck[DirectiveCheck] != 3 || missingReason != 1 || unknownCheck != 1 || unused != 1 {
 		t.Errorf("directive findings = %d (missingReason=%d unknownCheck=%d unused=%d), want 3 (1/1/1)\nfindings: %v",
 			byCheck[DirectiveCheck], missingReason, unknownCheck, unused, res.Findings)
-	}
-
-	// A partial-suite run cannot prove a directive unused, so the stale
-	// one must not be reported then.
-	partial := Run([]*Package{pkg}, Analyzers(), Options{})
-	for _, f := range partial.Findings {
-		if strings.Contains(f.Msg, "matches no finding") {
-			t.Errorf("partial run reported unused directive: %s", f)
-		}
 	}
 }

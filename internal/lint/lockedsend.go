@@ -15,219 +15,79 @@ var analyzerLockedSend = &Analyzer{
 	Run: runLockedSend,
 }
 
-// lsScan walks one function body in statement order, tracking which
-// mutexes are held. It is a heuristic, tuned to never cry wolf: branches
-// run on a copy of the held set (a conditional unlock never clears the
-// outer state), deferred unlocks keep the lock held to the end, and
-// nested function literals are scanned separately with a fresh state (a
-// spawned or deferred closure does not hold the caller's lock).
-type lsScan struct {
-	p    *Pass
-	held map[string]bool
-	// queue collects nested FuncLits for their own scan.
-	queue *[]*ast.FuncLit
-}
-
+// runLockedSend walks every function body with the set of mutexes held,
+// keyed by the receiver expression, and flags a blocking operation made
+// while the set is non-empty.
 func runLockedSend(p *Pass) {
-	var queue []*ast.FuncLit
-	for _, body := range funcBodies(p.Pkg) {
-		s := &lsScan{p: p, held: map[string]bool{}, queue: &queue}
-		s.stmts(body.List)
-	}
-	for len(queue) > 0 {
-		lit := queue[0]
-		queue = queue[1:]
-		s := &lsScan{p: p, held: map[string]bool{}, queue: &queue}
-		s.stmts(lit.Body.List)
-	}
-}
-
-func (s *lsScan) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
-	}
-}
-
-// branch runs a statement list on a copy of the held set, so lock state
-// changes inside one control-flow arm do not leak into the code after it.
-func (s *lsScan) branch(list []ast.Stmt) {
-	saved := s.held
-	s.held = map[string]bool{}
-	for k := range saved {
-		s.held[k] = true
-	}
-	s.stmts(list)
-	s.held = saved
-}
-
-func (s *lsScan) stmt(st ast.Stmt) {
-	switch t := st.(type) {
-	case *ast.ExprStmt:
-		s.expr(t.X)
-	case *ast.SendStmt:
-		s.expr(t.Chan)
-		s.expr(t.Value)
-		s.flagSend(t.Arrow, "channel send")
-	case *ast.AssignStmt:
-		for _, e := range t.Rhs {
-			s.expr(e)
-		}
-		for _, e := range t.Lhs {
-			s.expr(e)
-		}
-	case *ast.DeclStmt:
-		s.expr(t.Decl)
-	case *ast.ReturnStmt:
-		for _, e := range t.Results {
-			s.expr(e)
-		}
-	case *ast.IfStmt:
-		if t.Init != nil {
-			s.stmt(t.Init)
-		}
-		s.expr(t.Cond)
-		s.branch(t.Body.List)
-		if t.Else != nil {
-			s.branch([]ast.Stmt{t.Else})
-		}
-	case *ast.ForStmt:
-		if t.Init != nil {
-			s.stmt(t.Init)
-		}
-		if t.Cond != nil {
-			s.expr(t.Cond)
-		}
-		s.branch(t.Body.List)
-	case *ast.RangeStmt:
-		s.expr(t.X)
-		s.branch(t.Body.List)
-	case *ast.BlockStmt:
-		s.stmts(t.List)
-	case *ast.LabeledStmt:
-		s.stmt(t.Stmt)
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			s.stmt(t.Init)
-		}
-		if t.Tag != nil {
-			s.expr(t.Tag)
-		}
-		for _, cl := range t.Body.List {
-			s.branch(cl.(*ast.CaseClause).Body)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cl := range t.Body.List {
-			s.branch(cl.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cl := range t.Body.List {
-			if cl.(*ast.CommClause).Comm == nil {
-				hasDefault = true
+	for _, pkg := range p.Pkgs {
+		flag := func(held map[string]bool, pos token.Pos, what string) {
+			if len(held) == 0 {
+				return
 			}
-		}
-		for _, cl := range t.Body.List {
-			comm := cl.(*ast.CommClause)
-			// A send in a select without a default blocks exactly like a
-			// bare send; with a default it cannot.
-			if send, ok := comm.Comm.(*ast.SendStmt); ok && !hasDefault {
-				s.flagSend(send.Arrow, "blocking select send")
+			keys := make([]string, 0, len(held))
+			for k := range held {
+				keys = append(keys, k)
 			}
-			s.branch(comm.Body)
+			sort.Strings(keys)
+			p.Reportf(pos,
+				"release the mutex before blocking, or use a select with a default case",
+				"%s while holding %s can wedge every other locker", what, strings.Join(keys, ", "))
 		}
-	case *ast.GoStmt:
-		// The goroutine does not hold the spawner's lock; its body is
-		// scanned separately. Arguments evaluate inline, though.
-		s.callArgsOnly(t.Call)
-	case *ast.DeferStmt:
-		// Deferred unlocks keep the lock held for the rest of the body;
-		// the deferred call itself runs after any send below it.
-		if _, name, typ, ok := methodCall(s.p.Pkg, t.Call); ok && isMutex(typ) &&
-			(name == "Unlock" || name == "RUnlock") {
-			return
+		f := &flow[string, bool]{
+			pkg: pkg,
+			call: func(held map[string]bool, call *ast.CallExpr) {
+				lockedSendCall(pkg, held, call, flag)
+			},
+			send: func(held map[string]bool, s *ast.SendStmt, how sendKind) {
+				switch how {
+				case sendBlocks:
+					flag(held, s.Arrow, "channel send")
+				case sendSelect:
+					flag(held, s.Arrow, "blocking select send")
+				}
+			},
 		}
-		s.callArgsOnly(t.Call)
+		for _, body := range funcBodies(pkg) {
+			f.walk(nil, body)
+		}
 	}
 }
 
-// callArgsOnly scans a call's arguments (queuing FuncLits) without
-// treating the call itself as executing inline.
-func (s *lsScan) callArgsOnly(call *ast.CallExpr) {
-	for _, a := range call.Args {
-		s.expr(a)
-	}
-}
-
-// expr scans one expression for lock transitions and blocking calls,
-// queuing any function literal for a separate scan.
-func (s *lsScan) expr(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(node ast.Node) bool {
-		switch t := node.(type) {
-		case *ast.FuncLit:
-			*s.queue = append(*s.queue, t)
-			return false
-		case *ast.CallExpr:
-			s.call(t)
-		}
-		return true
-	})
-}
-
-func (s *lsScan) call(call *ast.CallExpr) {
-	if recv, name, typ, ok := methodCall(s.p.Pkg, call); ok {
+// lockedSendCall applies a mutex call to held, or flags a blocking call.
+func lockedSendCall(pkg *Package, held map[string]bool, call *ast.CallExpr, flag func(map[string]bool, token.Pos, string)) {
+	if recv, name, typ, ok := methodCall(pkg, call); ok {
 		if isMutex(typ) {
-			key := exprString(s.p.Pkg, recv)
+			key := exprString(pkg, recv)
 			switch name {
 			case "Lock", "RLock":
-				s.held[key] = true
+				held[key] = true
 			case "Unlock", "RUnlock":
-				delete(s.held, key)
+				delete(held, key)
 			}
 			return
 		}
 		// Blocking socket I/O under a lock stalls every other locker for
 		// as long as the peer does.
 		if name == "Read" || name == "Write" {
-			conn := lookupInterface(s.p.Pkg, "net", "Conn")
+			conn := lookupInterface(pkg, "net", "Conn")
 			if implementsIface(typ, conn) {
-				s.flag(call.Pos(), "net.Conn."+name)
+				flag(held, call.Pos(), "net.Conn."+name)
 			}
 		}
 		return
 	}
-	if path, name, ok := pkgFuncCall(s.p.Pkg, call); ok {
+	if path, name, ok := pkgFuncCall(pkg, call); ok {
 		switch {
 		case path == "volcast/internal/wire" && (name == "WriteMessage" || name == "ReadMessage"):
-			s.flag(call.Pos(), "wire."+name)
+			flag(held, call.Pos(), "wire."+name)
 		case path == "time" && name == "Sleep":
-			s.flag(call.Pos(), "time.Sleep")
+			flag(held, call.Pos(), "time.Sleep")
 		}
 	}
 }
 
-// flagSend reports a send at pos when any mutex is held.
-func (s *lsScan) flagSend(pos token.Pos, what string) {
-	s.flag(pos, what)
-}
-
-// flag reports a blocking operation at pos when any mutex is held.
-func (s *lsScan) flag(pos token.Pos, what string) {
-	if len(s.held) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(s.held))
-	for k := range s.held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s.p.Reportf(pos,
-		"release the mutex before blocking, or use a select with a default case",
-		"%s while holding %s can wedge every other locker", what, strings.Join(keys, ", "))
-}
-
+// isMutex reports whether t (or its pointee) is sync.Mutex or
+// sync.RWMutex.
 func isMutex(t types.Type) bool {
 	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
 }

@@ -22,14 +22,12 @@ import (
 // add noise.
 //
 // Acquisition edges come from two sources, both computed on the
-// statement-order walk of every function body: a direct Lock with other
-// classes held, and a call into a module function whose transitive
-// summary (propagate over the call graph) says it acquires classes of
-// its own. Held-set tracking is deliberately conservative: branches are
-// explored with a copy of the held set and their effects discarded,
-// deferred unlocks keep the lock held to the end of the function, and
-// go-spawned literals start from an empty held set on their own
-// goroutine (and contribute nothing to the spawner's summary).
+// statement-order walk of every function body (flow.go, whose rules
+// for branches, deferred unlocks and literals the held set follows): a
+// direct Lock with other classes held, and a call into a module
+// function whose transitive summary (propagate over the call graph)
+// says it acquires classes of its own. go-spawned literals contribute
+// nothing to the spawner's summary.
 
 // lockOrderPackages are the packages whose mutexes form lock classes.
 var lockOrderPackages = map[string]bool{
@@ -56,14 +54,14 @@ var analyzerLockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "mutex acquisition across hub/transport/blockcache must stay acyclic and " +
 		"follow the declared hub→session→subscriber hierarchy",
-	RunModule: runLockOrder,
+	Run: runLockOrder,
 }
 
 // lockEdge is one observed ordering: to was acquired (directly or via a
 // call) while from was held.
 type lockEdge struct{ from, to string }
 
-func runLockOrder(p *ModulePass) {
+func runLockOrder(p *Pass) {
 	checkHierarchyTable(p)
 
 	// Pass 1: direct acquisitions per function (go-literal bodies
@@ -77,19 +75,40 @@ func runLockOrder(p *ModulePass) {
 			direct[node.Fn] = f
 		}
 	}
-	acquires := propagate(p.Graph, direct)
+	acquires := propagate(p.Graph, direct, nil)
 
 	// Pass 2: statement-order walk computing held sets and edges.
 	edges := map[lockEdge]token.Pos{}
-	addEdge := func(from, to string, pos token.Pos) {
-		e := lockEdge{from, to}
-		if _, ok := edges[e]; !ok {
-			edges[e] = pos
+	addEdges := func(held map[string]token.Pos, to string, pos token.Pos) {
+		for from := range held {
+			if e := (lockEdge{from, to}); edges[e] == token.NoPos {
+				edges[e] = pos
+			}
 		}
 	}
 	for _, node := range p.Graph.Funcs() {
-		w := &lockWalker{pkg: node.Pkg, graph: p.Graph, acquires: acquires, addEdge: addEdge}
-		w.walkBody(node.Decl.Body, map[string]token.Pos{})
+		pkg := node.Pkg
+		f := &flow[string, token.Pos]{
+			pkg: pkg,
+			call: func(held map[string]token.Pos, call *ast.CallExpr) {
+				if class, op := mutexOp(pkg, call); class != "" {
+					switch op {
+					case "Lock", "RLock":
+						addEdges(held, class, call.Pos())
+						held[class] = call.Pos()
+					case "Unlock", "RUnlock":
+						delete(held, class)
+					}
+					return
+				}
+				if callee := resolveCallee(pkg, call); callee != nil {
+					for class := range acquires[callee] {
+						addEdges(held, class, call.Pos())
+					}
+				}
+			},
+		}
+		f.walk(nil, node.Decl.Body)
 	}
 
 	reportCycles(p, edges)
@@ -98,7 +117,7 @@ func runLockOrder(p *ModulePass) {
 
 // checkHierarchyTable verifies every declared class still names a real
 // mutex when its package is loaded.
-func checkHierarchyTable(p *ModulePass) {
+func checkHierarchyTable(p *Pass) {
 	byPath := map[string]*Package{}
 	for _, pkg := range p.Pkgs {
 		byPath[pkg.Path] = pkg
@@ -123,7 +142,7 @@ func checkHierarchyTable(p *ModulePass) {
 		if tn, isType := obj.(*types.TypeName); isType {
 			if st, isStruct := tn.Type().Underlying().(*types.Struct); isStruct {
 				for i := 0; i < st.NumFields(); i++ {
-					if st.Field(i).Name() == field && isMutexType(st.Field(i).Type()) {
+					if st.Field(i).Name() == field && isMutex(st.Field(i).Type()) {
 						ok = true
 					}
 				}
@@ -142,7 +161,7 @@ func checkHierarchyTable(p *ModulePass) {
 func collectAcquires(pkg *Package, body ast.Node, out facts) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
-			if _, isLit := unparen(g.Call.Fun).(*ast.FuncLit); isLit {
+			if _, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); isLit {
 				return false
 			}
 			return true
@@ -153,209 +172,18 @@ func collectAcquires(pkg *Package, body ast.Node, out facts) {
 		}
 		if class, op := mutexOp(pkg, call); op == "Lock" || op == "RLock" {
 			if _, have := out[class]; !have && class != "" {
-				out[class] = call.Pos()
+				out[class] = witness{Pos: call.Pos()}
 			}
 		}
 		return true
 	})
-}
-
-// lockWalker walks one function body in statement order tracking the
-// held set.
-type lockWalker struct {
-	pkg      *Package
-	graph    *CallGraph
-	acquires map[*types.Func]facts
-	addEdge  func(from, to string, pos token.Pos)
-}
-
-// walkBody processes a block with the given held set, mutating it.
-func (w *lockWalker) walkBody(body *ast.BlockStmt, held map[string]token.Pos) {
-	if body == nil {
-		return
-	}
-	w.walkStmts(body.List, held)
-}
-
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		if w.walkStmt(s, held) {
-			return // return statement: the rest is unreachable
-		}
-	}
-}
-
-// walkStmt processes one statement; it reports whether control leaves
-// the enclosing function.
-func (w *lockWalker) walkStmt(s ast.Stmt, held map[string]token.Pos) bool {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		w.walkStmt(s.Body, copyHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held)
-		}
-		inner := copyHeld(held)
-		w.walkStmt(s.Body, inner)
-		if s.Post != nil {
-			w.walkStmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		w.walkStmt(s.Body, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, copyHeld(held))
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			w.walkStmts(c.(*ast.CaseClause).Body, copyHeld(held))
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			branch := copyHeld(held)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, branch)
-			}
-			w.walkStmts(cc.Body, branch)
-		}
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, held)
-	case *ast.GoStmt:
-		// The spawned body runs with an empty held set on its own
-		// goroutine; argument expressions evaluate here.
-		for _, arg := range s.Call.Args {
-			if _, isLit := arg.(*ast.FuncLit); !isLit {
-				w.scanExpr(arg, held)
-			}
-		}
-		if lit, isLit := unparen(s.Call.Fun).(*ast.FuncLit); isLit {
-			w.walkBody(lit.Body, map[string]token.Pos{})
-		}
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the lock held to function end: drop
-		// nothing. Other deferred calls are approximated at the defer
-		// site with the current held set.
-		if class, op := mutexOp(w.pkg, s.Call); class != "" && (op == "Unlock" || op == "RUnlock") {
-			return false
-		}
-		if lit, isLit := unparen(s.Call.Fun).(*ast.FuncLit); isLit {
-			w.walkBody(lit.Body, copyHeld(held))
-			return false
-		}
-		w.handleCall(s.Call, held)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held)
-		}
-		return true
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		w.scanExpr(s.Decl, held)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held)
-	}
-	return false
-}
-
-// scanExpr processes calls inside one expression tree in source order,
-// without descending into function literal bodies (a literal's body runs
-// when it is called, not where it is written).
-func (w *lockWalker) scanExpr(n ast.Node, held map[string]token.Pos) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			w.handleCall(n, held)
-			// If the called operand is a literal, its body runs right
-			// here on this goroutine with the current held set.
-			if lit, isLit := unparen(n.Fun).(*ast.FuncLit); isLit {
-				w.walkBody(lit.Body, held)
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// handleCall applies one call's lock effects to held and records edges.
-func (w *lockWalker) handleCall(call *ast.CallExpr, held map[string]token.Pos) {
-	if class, op := mutexOp(w.pkg, call); class != "" {
-		switch op {
-		case "Lock", "RLock":
-			for from := range held {
-				w.addEdge(from, class, call.Pos())
-			}
-			held[class] = call.Pos()
-		case "Unlock", "RUnlock":
-			delete(held, class)
-		}
-		return
-	}
-	if len(held) == 0 {
-		return
-	}
-	callee := resolveCallee(w.pkg, call)
-	if callee == nil {
-		return
-	}
-	for class := range w.acquires[callee] {
-		for from := range held {
-			w.addEdge(from, class, call.Pos())
-		}
-	}
 }
 
 // mutexOp recognizes a project-mutex method call, returning its lock
 // class and the method name ("" class when the receiver is not a
 // classifiable project mutex).
 func mutexOp(pkg *Package, call *ast.CallExpr) (class, op string) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", ""
 	}
@@ -381,10 +209,10 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (class, op string) {
 // package-level mutex, "" for anything unclassifiable (locals,
 // out-of-scope packages).
 func mutexClass(pkg *Package, recv ast.Expr) string {
-	switch r := unparen(recv).(type) {
+	switch r := ast.Unparen(recv).(type) {
 	case *ast.SelectorExpr:
 		// Qualified package-level var: pkg.gMu.
-		if id, ok := unparen(r.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(r.X).(*ast.Ident); ok {
 			if pn, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
 				path := pn.Imported().Path()
 				if lockOrderPackages[path] {
@@ -425,19 +253,9 @@ func mutexClass(pkg *Package, recv ast.Expr) string {
 	return ""
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "sync" &&
-		(named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
-}
-
 // reportCycles finds strongly connected components (and self-loops) in
 // the acquisition graph and reports each once.
-func reportCycles(p *ModulePass, edges map[lockEdge]token.Pos) {
+func reportCycles(p *Pass, edges map[lockEdge]token.Pos) {
 	adj := map[string][]string{}
 	nodes := map[string]bool{}
 	for e := range edges {
@@ -532,7 +350,7 @@ func inSCC(comp []string, n string) bool {
 
 // reportHierarchyViolations flags edges that contradict the declared
 // ranks.
-func reportHierarchyViolations(p *ModulePass, edges map[lockEdge]token.Pos) {
+func reportHierarchyViolations(p *Pass, edges map[lockEdge]token.Pos) {
 	rank := map[string]int{}
 	for _, h := range LockHierarchy {
 		rank[h.Class] = h.Rank

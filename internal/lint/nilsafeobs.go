@@ -26,11 +26,15 @@ var nilSafeTargets = map[string]map[string]bool{
 }
 
 func runNilSafeObs(p *Pass) {
-	targets, ok := nilSafeTargets[p.Pkg.Path]
-	if !ok {
-		return
+	for _, pkg := range p.Pkgs {
+		if targets, ok := nilSafeTargets[pkg.Path]; ok {
+			checkNilSafe(p, pkg, targets)
+		}
 	}
-	for _, f := range p.Pkg.Files {
+}
+
+func checkNilSafe(p *Pass, pkg *Package, targets map[string]bool) {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
@@ -43,7 +47,7 @@ func runNilSafeObs(p *Pass) {
 			if len(targets) > 0 && !targets[typeName] {
 				continue
 			}
-			if nilGuarded(p.Pkg, fd, recvIdent) {
+			if nilGuarded(pkg, fd, recvIdent) {
 				continue
 			}
 			recvName := "recv"

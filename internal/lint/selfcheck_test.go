@@ -29,10 +29,7 @@ func TestSelfCheck(t *testing.T) {
 			t.Fatalf("typecheck %s: %v", p.Path, e)
 		}
 	}
-	res := Run(pkgs, Analyzers(), Options{
-		ReportUnusedIgnores: true,
-		SchemaPath:          filepath.Join(l.ModDir, "wire_schema.json"),
-	})
+	res := Run(pkgs, Options{SchemaPath: filepath.Join(l.ModDir, "wire_schema.json")})
 	for _, f := range res.Findings {
 		t.Errorf("vollint: %s", f)
 	}

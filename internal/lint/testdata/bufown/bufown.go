@@ -140,12 +140,11 @@ func Stash(b *wire.Buffer) {
 	m[0] = b
 }
 
-// The shapes below pin where a statement-order walk can disagree with
-// another: code after a return, a loop's post statement, a select's
-// comm clause, a deferred release, and function literals called inline
-// or stored.
+// The shapes below pin the statement walk's rules on code after a
+// return, a loop's post statement, a select's comm clause, a deferred
+// release, and function literals called inline or stored.
 
-// AfterReturn double-releases only in unreachable code.
+// AfterReturn double-releases only in unreachable code: clean.
 func AfterReturn() {
 	b, err := wire.NewBuffer(&wire.Ping{})
 	if err != nil {
@@ -163,7 +162,7 @@ func PostRelease(n int) {
 		return
 	}
 	b.Release()
-	for i := 0; i < n; b.Release() {
+	for i := 0; i < n; b.Release() { //want:bufown
 		i++
 	}
 }
@@ -181,14 +180,14 @@ func CommDouble(q chan *wire.Buffer) {
 }
 
 // DeferRelease releases on the way out and reads the buffer before
-// then.
+// then: clean, the deferred release spends the reference at the end.
 func DeferRelease() {
 	b, err := wire.NewBuffer(&wire.Ping{})
 	if err != nil {
 		return
 	}
 	defer b.Release()
-	n := b.Len() //want:bufown
+	n := b.Len()
 	_ = n
 }
 
@@ -202,7 +201,7 @@ func InlineDouble() {
 	func() {
 		b.Release()
 	}()
-	b.Release()
+	b.Release() //want:bufown
 }
 
 // StoredRelease hands the release to a literal called later: tracking

@@ -77,24 +77,24 @@ func (h *hub) GoodBranchUnlock(v int, ready bool) {
 	h.out <- v
 }
 
-// The shapes below pin where a statement-order walk can disagree with
-// another: code after a return, a loop's post statement, a select's
-// comm clause, a deferred unlock, and function literals called inline
-// or stored.
+// The shapes below pin the statement walk's rules on code after a
+// return, a loop's post statement, a select's comm clause, a deferred
+// unlock, and function literals called inline, stored, spawned or
+// deferred.
 
-// AfterReturn sends in unreachable code after a return.
+// AfterReturn sends only in unreachable code after a return: clean.
 func (h *hub) AfterReturn(v int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return
-	h.out <- v //want:lockedsend
+	h.out <- v
 }
 
 // PostSend sends from the loop's post statement while locked.
 func (h *hub) PostSend(n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := 0; i < n; h.out <- i {
+	for i := 0; i < n; h.out <- i { //want:lockedsend
 		i++
 	}
 }
@@ -108,7 +108,7 @@ func (h *hub) CommWrite(c net.Conn, b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	select {
-	case h.out <- first(c.Write(b)):
+	case h.out <- first(c.Write(b)): //want:lockedsend
 	default:
 	}
 }
@@ -125,12 +125,13 @@ func (h *hub) DeferLitUnlock(v int) {
 func (h *hub) InlineSend(v int) {
 	h.mu.Lock()
 	func() {
-		h.out <- v
+		h.out <- v //want:lockedsend
 	}()
 	h.mu.Unlock()
 }
 
-// StoredLockedSend returns a literal that locks and sends when called.
+// StoredLockedSend returns a literal that locks and sends when called;
+// the literal is walked on its own, from no locks held.
 func (h *hub) StoredLockedSend(v int) func() {
 	f := func() {
 		h.mu.Lock()
@@ -138,4 +139,22 @@ func (h *hub) StoredLockedSend(v int) func() {
 		h.mu.Unlock()
 	}
 	return f
+}
+
+// GoLockedSend locks and sends inside the goroutine it spawns.
+func (h *hub) GoLockedSend(v int) {
+	go func() {
+		h.mu.Lock()
+		h.out <- v //want:lockedsend
+		h.mu.Unlock()
+	}()
+}
+
+// DeferLockedSend locks and sends inside a deferred literal.
+func (h *hub) DeferLockedSend(v int) {
+	defer func() {
+		h.mu.Lock()
+		h.out <- v //want:lockedsend
+		h.mu.Unlock()
+	}()
 }

@@ -142,10 +142,10 @@ func LocalMutex(fc *frameCache) {
 	mu.Unlock()
 }
 
-// The shapes below pin where a statement-order walk can disagree with
-// another: code after a return, a loop's post statement, a select's
-// comm clause, a deferred unlock, and function literals called inline
-// or stored. Each uses a class of its own so no two share an edge.
+// The shapes below pin the statement walk's rules on code after a
+// return, a loop's post statement, a select's comm clause, a deferred
+// unlock, and function literals called inline or stored. Each uses a
+// class of its own so no two share an edge.
 
 type afterReturn struct{ mu sync.Mutex }
 type postLock struct{ mu sync.Mutex }
@@ -216,7 +216,7 @@ func StoredOrder(s *session, c *subscriber) func() {
 	return func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		s.mu.Lock()
+		s.mu.Lock() //want:lockorder
 		s.subs = nil
 		s.mu.Unlock()
 	}

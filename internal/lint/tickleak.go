@@ -13,15 +13,17 @@ var analyzerTickLeak = &Analyzer{
 }
 
 func runTickLeak(p *Pass) {
-	for _, body := range funcBodies(p.Pkg) {
-		scanTickLeak(p, body)
+	for _, pkg := range p.Pkgs {
+		for _, body := range funcBodies(pkg) {
+			scanTickLeak(p, pkg, body)
+		}
 	}
 }
 
 // scanTickLeak checks one declaration body, nested literals included —
 // both for NewTicker/NewTimer detection and for the Stop search, so a
 // deferred closure stopping the ticker satisfies the check.
-func scanTickLeak(p *Pass, body *ast.BlockStmt) {
+func scanTickLeak(p *Pass, pkg *Package, body *ast.BlockStmt) {
 	// Pass 1: collect tickers/timers bound to a local variable, and flag
 	// the unstoppable patterns outright.
 	type owned struct {
@@ -42,7 +44,7 @@ func scanTickLeak(p *Pass, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			fn, ok := newTickerCall(p.Pkg, call)
+			fn, ok := newTickerCall(pkg, call)
 			if !ok {
 				return true
 			}
@@ -53,9 +55,9 @@ func scanTickLeak(p *Pass, body *ast.BlockStmt) {
 					"time.%s result is discarded; its goroutine and channel leak", fn)
 				return true
 			}
-			obj := p.Pkg.Info.Defs[ident]
+			obj := pkg.Info.Defs[ident]
 			if obj == nil {
-				obj = p.Pkg.Info.Uses[ident]
+				obj = pkg.Info.Uses[ident]
 			}
 			if obj != nil {
 				locals = append(locals, owned{obj: obj, pos: call, fn: fn})
@@ -68,12 +70,12 @@ func scanTickLeak(p *Pass, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			fn, ok := newTickerCall(p.Pkg, call)
+			fn, ok := newTickerCall(pkg, call)
 			if !ok {
 				return true
 			}
 			assignedCalls[call] = true
-			if obj := p.Pkg.Info.Defs[t.Names[0]]; obj != nil {
+			if obj := pkg.Info.Defs[t.Names[0]]; obj != nil {
 				locals = append(locals, owned{obj: obj, pos: call, fn: fn})
 			}
 		}
@@ -86,7 +88,7 @@ func scanTickLeak(p *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if path, name, ok := pkgFuncCall(p.Pkg, call); ok && path == "time" {
+		if path, name, ok := pkgFuncCall(pkg, call); ok && path == "time" {
 			switch {
 			case name == "Tick":
 				p.Reportf(call.Pos(), "use time.NewTicker and defer its Stop",
@@ -105,7 +107,7 @@ func scanTickLeak(p *Pass, body *ast.BlockStmt) {
 		stopped, escaped := false, false
 		ast.Inspect(body, func(n ast.Node) bool {
 			ident, ok := n.(*ast.Ident)
-			if !ok || p.Pkg.Info.Uses[ident] != o.obj {
+			if !ok || pkg.Info.Uses[ident] != o.obj {
 				return true
 			}
 			switch use := tickerUse(body, ident); use {

@@ -19,15 +19,20 @@ var wireErrPackages = map[string]bool{
 }
 
 func runWireErr(p *Pass) {
-	if !wireErrPackages[p.Pkg.Path] {
-		return
+	for _, pkg := range p.Pkgs {
+		if wireErrPackages[pkg.Path] {
+			checkWireErr(p, pkg)
+		}
 	}
-	for _, f := range p.Pkg.Files {
+}
+
+func checkWireErr(p *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch t := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := t.X.(*ast.CallExpr); ok {
-					if what, is := writeCall(p.Pkg, call); is {
+					if what, is := writeCall(pkg, call); is {
 						report(p, call, what, "result dropped")
 					}
 				}
@@ -39,7 +44,7 @@ func runWireErr(p *Pass) {
 				if !ok {
 					return true
 				}
-				what, is := writeCall(p.Pkg, call)
+				what, is := writeCall(pkg, call)
 				if !is {
 					return true
 				}

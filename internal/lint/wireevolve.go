@@ -26,7 +26,7 @@ var analyzerWireEvolve = &Analyzer{
 	Name: "wireevolve",
 	Doc: "wire messages may only evolve by appending trailing fields; flag bits and " +
 		"message type numbers are append-only, checked against committed wire_schema.json",
-	RunModule: runWireEvolve,
+	Run: runWireEvolve,
 }
 
 // WireSchema is the serialized protocol shape.
@@ -55,7 +55,7 @@ type WireConst struct {
 	Value int64  `json:"value"`
 }
 
-func runWireEvolve(p *ModulePass) {
+func runWireEvolve(p *Pass) {
 	var wirePkg *Package
 	for _, pkg := range p.Pkgs {
 		if pkg.Path == wirePkgPath {
@@ -85,7 +85,7 @@ func runWireEvolve(p *ModulePass) {
 }
 
 // diffWireSchema reports every way cur breaks the committed baseline.
-func diffWireSchema(p *ModulePass, pkg *Package, base, cur WireSchema, pos map[string]token.Pos) {
+func diffWireSchema(p *Pass, pkg *Package, base, cur WireSchema, pos map[string]token.Pos) {
 	anchor := func(key string) token.Pos {
 		if at, ok := pos[key]; ok {
 			return at
@@ -124,7 +124,7 @@ func diffWireSchema(p *ModulePass, pkg *Package, base, cur WireSchema, pos map[s
 	diffConsts(p, anchor, "message type", base.Types, cur.Types)
 }
 
-func diffConsts(p *ModulePass, anchor func(string) token.Pos, what string, base, cur []WireConst) {
+func diffConsts(p *Pass, anchor func(string) token.Pos, what string, base, cur []WireConst) {
 	curBy := map[string]int64{}
 	for _, c := range cur {
 		curBy[c.Name] = c.Value
