@@ -19,20 +19,20 @@ var analyzerLockedSend = &Analyzer{
 // keyed by the receiver expression, and flags a blocking operation made
 // while the set is non-empty.
 func runLockedSend(p *Pass) {
-	for _, pkg := range p.Pkgs {
-		flag := func(held map[string]bool, pos token.Pos, what string) {
-			if len(held) == 0 {
-				return
-			}
-			keys := make([]string, 0, len(held))
-			for k := range held {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			p.Reportf(pos,
-				"release the mutex before blocking, or use a select with a default case",
-				"%s while holding %s can wedge every other locker", what, strings.Join(keys, ", "))
+	flag := func(held map[string]bool, pos token.Pos, what string) {
+		if len(held) == 0 {
+			return
 		}
+		keys := make([]string, 0, len(held))
+		for k := range held {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		p.Reportf(pos,
+			"release the mutex before blocking, or use a select with a default case",
+			"%s while holding %s can wedge every other locker", what, strings.Join(keys, ", "))
+	}
+	for _, pkg := range p.Pkgs {
 		f := &flow[string, bool]{
 			pkg: pkg,
 			call: func(held map[string]bool, call *ast.CallExpr) {
