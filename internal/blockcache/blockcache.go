@@ -86,6 +86,9 @@ func (c *Cache) counter(kind string) *metrics.Counter {
 }
 
 // Used returns the bytes currently held.
+//
+// Kept: the budget-bound tests read it to check a tier never holds more
+// than its budget.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -318,14 +321,6 @@ func SessionBlocks(c *Cache, label string) codec.BlockCache {
 	return blockTier{c: c, sc: c.SessionCounters(label)}
 }
 
-// SessionCells is SessionBlocks for the decode tier.
-func SessionCells(c *Cache, label string) codec.CellCache {
-	if c == nil {
-		return nil
-	}
-	return cellTier{c: c, sc: c.SessionCounters(label)}
-}
-
 // DefaultBudgetMB is the combined byte budget (MB, split evenly between
 // the encode and decode tiers) used when VOLCAST_CACHE_MB is unset.
 const DefaultBudgetMB = 64
@@ -351,6 +346,9 @@ func envBudgetMB() int {
 }
 
 // BudgetMB returns the current combined budget in MB.
+//
+// Kept: the budget tests read it to check SetBudgetMB and the
+// VOLCAST_CACHE_MB default.
 func BudgetMB() int {
 	gMu.Lock()
 	defer gMu.Unlock()

@@ -209,10 +209,6 @@ func TestSetBasics(t *testing.T) {
 	if s.Contains(5) {
 		t.Error("Clone aliases storage")
 	}
-	s.Clear()
-	if s.Count() != 0 {
-		t.Error("Clear failed")
-	}
 }
 
 func TestSetOps(t *testing.T) {
@@ -235,9 +231,6 @@ func TestSetOps(t *testing.T) {
 	}
 	if got := a.Union(b).Count(); got != 6 {
 		t.Errorf("Union = %d", got)
-	}
-	if got := a.Diff(b).IDs(); len(got) != 2 || got[0] != 1 || got[1] != 70 {
-		t.Errorf("Diff = %v", got)
 	}
 	if a.Equal(b) {
 		t.Error("unequal sets Equal")
@@ -314,13 +307,6 @@ func TestGroupIoU(t *testing.T) {
 	// Pairwise GroupIoU must match IoU.
 	if g2, i2 := GroupIoU([]*Set{a, b}), IoU(a, b); math.Abs(g2-i2) > 1e-12 {
 		t.Errorf("GroupIoU pair %v != IoU %v", g2, i2)
-	}
-	inter := GroupIntersection([]*Set{a, b, c})
-	if inter.Count() != 1 || !inter.Contains(3) {
-		t.Errorf("GroupIntersection = %v", inter.IDs())
-	}
-	if GroupIntersection(nil).Count() != 0 {
-		t.Error("GroupIntersection(nil) not empty")
 	}
 }
 

@@ -19,9 +19,6 @@ func NewSet(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Cap returns the set capacity in bits.
-func (s *Set) Cap() int { return s.n }
-
 // Add inserts id; out-of-range IDs are ignored.
 func (s *Set) Add(id ID) {
 	i := int(id)
@@ -63,13 +60,6 @@ func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// Clear removes all elements.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
 }
 
 // ForEach calls fn for every member in ascending order.
@@ -143,16 +133,6 @@ func (s *Set) Union(t *Set) *Set {
 	return out
 }
 
-// Diff returns a new set s \ t.
-func (s *Set) Diff(t *Set) *Set {
-	out := s.Clone()
-	n := min(len(s.words), len(t.words))
-	for i := 0; i < n; i++ {
-		out.words[i] &^= t.words[i]
-	}
-	return out
-}
-
 // Equal reports whether s and t contain the same members.
 func (s *Set) Equal(t *Set) bool {
 	n := max(len(s.words), len(t.words))
@@ -200,19 +180,6 @@ func GroupIoU(maps []*Set) float64 {
 		return 1
 	}
 	return float64(inter.Count()) / float64(u)
-}
-
-// GroupIntersection returns ∩ maps (the overlapped cells multicast would
-// carry), or an empty set for no maps.
-func GroupIntersection(maps []*Set) *Set {
-	if len(maps) == 0 {
-		return NewSet(0)
-	}
-	out := maps[0].Clone()
-	for _, m := range maps[1:] {
-		out = out.Intersect(m)
-	}
-	return out
 }
 
 func min(a, b int) int {

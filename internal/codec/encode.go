@@ -529,6 +529,9 @@ func (e *Encoder) EncodeFrame(g *cell.Grid, c *pointcloud.Cloud) map[cell.ID]*Bl
 // layer prefix — the parity contract the experiments pin. layers clamps
 // to [1, Layers]; at the top tier the original point set (duplicates
 // included) comes back.
+//
+// Kept: the oracle for that prefix contract in the codec and experiments
+// parity tests.
 func (e *Encoder) TierPoints(c *pointcloud.Cloud, idxs []int, cellBounds geom.AABB, layers int) []pointcloud.Point {
 	L := e.layers()
 	if layers < 1 {

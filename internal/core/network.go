@@ -97,6 +97,8 @@ func (n *Network) SetBodies(bodies []phy.Body) {
 // UserRSS returns the RSS of a user at pos under the best default sector
 // (sector-sweep training result, which falls back to reflected paths
 // under blockage). Only valid on 802.11ad.
+//
+// Kept: the stream tests probe the modeled link with it.
 func (n *Network) UserRSS(pos geom.Vec3) (float64, error) {
 	if n.Kind != NetAD {
 		return 0, fmt.Errorf("core: RSS undefined on %v", n.Kind)
@@ -107,6 +109,8 @@ func (n *Network) UserRSS(pos geom.Vec3) (float64, error) {
 
 // UnicastRate returns the effective (MAC-level, dedicated-airtime)
 // unicast rate in Mbps for a user at pos; 0 on outage.
+//
+// Kept: the stream tests probe the modeled link with it.
 func (n *Network) UnicastRate(pos geom.Vec3) float64 {
 	return n.UnicastRateOffset(pos, 0)
 }

@@ -204,11 +204,6 @@ type AblationConfig struct {
 	Seed    int64
 }
 
-// DefaultAblationConfig stresses 7 headset users on the mmWave WLAN.
-func DefaultAblationConfig() AblationConfig {
-	return AblationConfig{Users: 7, Seconds: 3, Points: 300_000, Seed: 1}
-}
-
 // Ablation toggles the system's design features one at a time and runs
 // the full session engine for each configuration:
 //

@@ -43,6 +43,9 @@ type Table1Config struct {
 }
 
 // DefaultTable1Config reproduces the paper's full table.
+//
+// Kept: TestExperimentsDocMatchesTable1 renders the full table with it
+// and requires the result verbatim in EXPERIMENTS.md.
 func DefaultTable1Config() Table1Config {
 	return Table1Config{Frames: 10, Seed: 1, Scale: 1, MaxADUsers: 7, MaxACUsers: 3}
 }

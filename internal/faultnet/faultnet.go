@@ -212,6 +212,8 @@ func (l *Listener) Accept() (net.Conn, error) {
 // Plans returns the fault schedules of every accepted connection so far,
 // in accept order. Comparing this log across runs with the same seed is
 // the reproducibility check.
+//
+// Kept: the fault and chaos tests compare and count these schedules.
 func (l *Listener) Plans() []Plan {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -244,6 +246,8 @@ func (d *Dialer) Wrap(conn net.Conn) *Conn {
 }
 
 // Plans returns the schedules assigned so far, in dial order.
+//
+// Kept: the dialer's reproducibility test compares these schedules.
 func (d *Dialer) Plans() []Plan {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -265,7 +269,10 @@ type Conn struct {
 	reset  bool
 }
 
-// WrapConn applies plan to conn with no shared stats (tests, tooling).
+// WrapConn applies plan to conn with no shared stats.
+//
+// Kept: the fault tests and the transport's adaptation test wrap one
+// connection with a chosen Plan through it.
 func WrapConn(conn net.Conn, plan Plan) *Conn { return wrap(conn, plan, &Stats{}) }
 
 func wrap(conn net.Conn, plan Plan, stats *Stats) *Conn {
@@ -387,12 +394,4 @@ func (c *Conn) pace(n int64) {
 		return
 	}
 	time.Sleep(time.Duration(n * int64(time.Second) / c.plan.BandwidthBps))
-}
-
-// IsInjected reports whether err (or anything it wraps) was produced by
-// this package.
-func IsInjected(err error) bool {
-	return errors.Is(err, ErrInjectedReset) ||
-		errors.Is(err, ErrShortWrite) ||
-		errors.Is(err, ErrAcceptFault)
 }

@@ -52,13 +52,6 @@ func (b AABB) Expand(d float64) AABB {
 	return AABB{Min: b.Min.Sub(e), Max: b.Max.Add(e)}
 }
 
-// Intersects reports whether b and c overlap.
-func (b AABB) Intersects(c AABB) bool {
-	return b.Min.X <= c.Max.X && b.Max.X >= c.Min.X &&
-		b.Min.Y <= c.Max.Y && b.Max.Y >= c.Min.Y &&
-		b.Min.Z <= c.Max.Z && b.Max.Z >= c.Min.Z
-}
-
 // String implements fmt.Stringer.
 func (b AABB) String() string { return fmt.Sprintf("aabb[%v..%v]", b.Min, b.Max) }
 

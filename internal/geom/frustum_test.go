@@ -124,25 +124,6 @@ func TestAABBBasics(t *testing.T) {
 	}
 }
 
-func TestAABBIntersects(t *testing.T) {
-	a := NewAABB(V(0, 0, 0), V(1, 1, 1))
-	cases := []struct {
-		b    AABB
-		want bool
-	}{
-		{NewAABB(V(0.5, 0.5, 0.5), V(2, 2, 2)), true},
-		{NewAABB(V(1, 1, 1), V(2, 2, 2)), true}, // touching counts
-		{NewAABB(V(1.1, 0, 0), V(2, 1, 1)), false},
-		{NewAABB(V(-2, -2, -2), V(-1, -1, -1)), false},
-		{NewAABB(V(-1, -1, -1), V(2, 2, 2)), true}, // containing
-	}
-	for i, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestPlaneDist(t *testing.T) {
 	pl := PlaneFromPointNormal(V(0, 0, 5), V(0, 0, 1))
 	if d := pl.Dist(V(0, 0, 7)); math.Abs(d-2) > eps {

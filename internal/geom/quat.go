@@ -36,6 +36,8 @@ func FromEuler(yaw, pitch, roll float64) Quat {
 
 // Euler returns the yaw, pitch, roll angles (radians) of q, the inverse of
 // FromEuler up to angle wrapping and gimbal ambiguity.
+//
+// Kept: it is the inverse TestEulerRoundTrip checks FromEuler against.
 func (q Quat) Euler() (yaw, pitch, roll float64) {
 	// Rotation matrix elements needed for yaw-pitch-roll extraction with
 	// R = Ry(yaw) * Rx(pitch) * Rz(roll).

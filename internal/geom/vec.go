@@ -44,14 +44,8 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Len returns the Euclidean length of v.
 func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }
 
-// LenSq returns the squared length of v, avoiding the sqrt.
-func (v Vec3) LenSq() float64 { return v.Dot(v) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Len() }
-
-// DistSq returns the squared distance between v and w.
-func (v Vec3) DistSq(w Vec3) float64 { return v.Sub(w).LenSq() }
 
 // Norm returns v normalized to unit length. The zero vector is returned
 // unchanged so callers never see NaNs.
@@ -122,14 +116,10 @@ func (v Vec3) Abs() Vec3 {
 	return Vec3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)}
 }
 
-// IsFinite reports whether all components are finite (no NaN or Inf).
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
-
 // ApproxEq reports whether v and w differ by at most eps in every component.
+//
+// Kept: the geom, pointcloud, predict and trace tests compare vectors
+// with it.
 func (v Vec3) ApproxEq(w Vec3, eps float64) bool {
 	return math.Abs(v.X-w.X) <= eps && math.Abs(v.Y-w.Y) <= eps && math.Abs(v.Z-w.Z) <= eps
 }

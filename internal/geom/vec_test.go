@@ -54,18 +54,12 @@ func TestVecNorm(t *testing.T) {
 	if got := V(3, 0, 4).Len(); math.Abs(got-5) > eps {
 		t.Errorf("Len = %v", got)
 	}
-	if got := V(3, 0, 4).LenSq(); math.Abs(got-25) > eps {
-		t.Errorf("LenSq = %v", got)
-	}
 }
 
 func TestVecDist(t *testing.T) {
 	a, b := V(1, 1, 1), V(4, 5, 1)
 	if d := a.Dist(b); math.Abs(d-5) > eps {
 		t.Errorf("Dist = %v, want 5", d)
-	}
-	if d := a.DistSq(b); math.Abs(d-25) > eps {
-		t.Errorf("DistSq = %v, want 25", d)
 	}
 }
 
@@ -142,18 +136,6 @@ func onLane(i int, x float64) Vec3 {
 
 func laneOf(v Vec3, i int) float64 {
 	return [3]float64{v.X, v.Y, v.Z}[i]
-}
-
-func TestVecIsFinite(t *testing.T) {
-	if !V(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if (Vec3{X: math.NaN()}).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if (Vec3{Z: math.Inf(1)}).IsFinite() {
-		t.Error("Inf vector reported finite")
-	}
 }
 
 func TestAzimuthElevationRoundTrip(t *testing.T) {

@@ -235,17 +235,6 @@ func (h *Hub) NumClients() int {
 	return n
 }
 
-// Scenes returns the live scene ids, unordered.
-func (h *Hub) Scenes() []uint32 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]uint32, 0, len(h.sessions))
-	for id := range h.sessions {
-		out = append(out, id)
-	}
-	return out
-}
-
 // SubscriberLabel resolves a tracer user id to its "scene<N>/<name>"
 // label, or "" for unknown users — the obs debug endpoint's UserLabel
 // hook, which keeps /qoe readable when many sessions share one tracer.

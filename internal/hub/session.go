@@ -545,9 +545,8 @@ type batchWriter struct {
 	// until a FrameComplete closes it out.
 	sendStart time.Time
 	sendDur   time.Duration
-	// Deadline and send budget resolved once: the windowed miss/violation
-	// accounting below compares against them per delivered frame.
-	deadline   time.Duration
+	// Send budget resolved once: the windowed violation accounting below
+	// compares against it per delivered frame.
 	sendBudget time.Duration
 	// until, once set by drain, replaces the per-write timeout with the
 	// drain budget's absolute deadline.
@@ -616,7 +615,7 @@ func (w *batchWriter) flush() error {
 			if !b.t0.IsZero() {
 				lat := time.Since(b.t0)
 				w.s.wFrameMS.Observe(float64(lat) / float64(time.Millisecond))
-				if lat > w.deadline {
+				if lat > obs.DefaultDeadline {
 					w.s.wMisses.Add(1)
 				}
 			}
@@ -647,7 +646,6 @@ func (s *session) writeLoop(c *subscriber) {
 		s: s, c: c,
 		batch:      make([]outBuf, 0, maxWriteBatch),
 		scratch:    make([][]byte, maxWriteBatch),
-		deadline:   cfg.Trace.Deadline(),
 		sendBudget: cfg.Trace.StageBudget(obs.StageSend),
 	}
 	writeBatch := func() bool {

@@ -130,17 +130,3 @@ func (s *Scheduler) GoodputForRSS(rss []float64) []float64 {
 	}
 	return s.UnicastGoodputs(phyRates)
 }
-
-// TxTimeSeconds returns the airtime needed to move the given payload at
-// the given PHY rate through this MAC (includes framing efficiency).
-func (s *Scheduler) TxTimeSeconds(bytes int, phyMbps float64) float64 {
-	g := s.userCap(phyMbps)
-	if g <= 0 {
-		return infSeconds
-	}
-	return float64(bytes) * 8 / (g * 1e6)
-}
-
-// infSeconds stands in for "cannot be transmitted" (outage) while keeping
-// arithmetic well-behaved.
-const infSeconds = 1e12

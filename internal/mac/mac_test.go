@@ -108,23 +108,6 @@ func TestGoodputForRSS(t *testing.T) {
 	}
 }
 
-func TestTxTime(t *testing.T) {
-	s, _ := NewScheduler(DefaultAD())
-	// 1 MB at MCS1: 385 Mbps × 0.62 ≈ 238.7 Mbps → ≈ 33.5 ms.
-	sec := s.TxTimeSeconds(1_000_000, 385)
-	if sec < 0.030 || sec > 0.040 {
-		t.Errorf("TxTime = %v s", sec)
-	}
-	// Outage: effectively infinite.
-	if got := s.TxTimeSeconds(1000, 0); got < 1e9 {
-		t.Errorf("outage TxTime = %v", got)
-	}
-	// Monotone in bytes.
-	if s.TxTimeSeconds(2_000_000, 385) <= sec {
-		t.Error("TxTime not monotone in payload")
-	}
-}
-
 func TestTransportCapBinds(t *testing.T) {
 	s, _ := NewScheduler(DefaultAD())
 	one := s.UnicastGoodputs([]float64{4620})

@@ -144,6 +144,8 @@ func (p *Problem) Greedy() ([][]int, error) {
 // Optimal finds the airtime-minimal partition by subset dynamic
 // programming. It is exponential in the user count and guarded to n ≤ 16
 // (the paper's scenarios are ≤ 7 users).
+//
+// Kept: the oracle the grouping tests hold Greedy to.
 func (p *Problem) Optimal() ([][]int, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -217,16 +219,6 @@ func sortPlan(plan [][]int) {
 		}
 		return a[0] - b[0]
 	})
-}
-
-// MeetsDeadline reports whether the plan fits the frame budget of the
-// target frame rate (the paper's constraint Tm(k) ≤ 1/F generalized to
-// the whole schedule).
-func (p *Problem) MeetsDeadline(plan [][]int, fps float64) bool {
-	if fps <= 0 {
-		return false
-	}
-	return p.PlanTime(plan) <= 1/fps
 }
 
 // AchievableFPS returns the frame rate the plan sustains (1/PlanTime),

@@ -46,7 +46,6 @@ func (t *Tracer) Analyze() []FrameReport {
 		return nil
 	}
 	spans := t.Snapshot()
-	deadline := t.Deadline()
 	var budgetMS [numStages]float64
 	for s := Stage(0); s < numStages; s++ {
 		budgetMS[s] = float64(t.StageBudget(s)) / float64(time.Millisecond)
@@ -84,7 +83,7 @@ func (t *Tracer) Analyze() []FrameReport {
 	}
 
 	out := make([]FrameReport, 0, len(perUser))
-	deadlineMS := float64(deadline) / float64(time.Millisecond)
+	deadlineMS := float64(DefaultDeadline) / float64(time.Millisecond)
 	for k, stages := range perUser {
 		if g, ok := global[k.frame]; ok {
 			for s := range g {

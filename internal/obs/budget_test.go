@@ -26,23 +26,9 @@ func TestStageBudgetDefaultsSumToDeadline(t *testing.T) {
 
 func TestStageBudgetOverrideAndNilSafety(t *testing.T) {
 	tr := New(64)
-	tr.SetStageBudget(StageSend, 5*time.Millisecond)
-	if got := tr.StageBudget(StageSend); got != 5*time.Millisecond {
-		t.Errorf("override StageBudget(send) = %v", got)
-	}
-	tr.SetStageBudget(StageSend, 0) // restore derived
-	if got := tr.StageBudget(StageSend); got != StageBudget(DefaultDeadline, StageSend) {
-		t.Errorf("restored StageBudget(send) = %v", got)
-	}
-	// Budgets scale with the frame deadline.
-	tr.SetDeadline(66 * time.Millisecond)
-	if got := tr.StageBudget(StageSend); got != StageBudget(66*time.Millisecond, StageSend) {
-		t.Errorf("scaled StageBudget(send) = %v", got)
-	}
 	var nilTr *Tracer
-	nilTr.SetStageBudget(StageSend, time.Second)
-	if got := nilTr.StageBudget(StageSend); got != StageBudget(DefaultDeadline, StageSend) {
-		t.Errorf("nil StageBudget(send) = %v", got)
+	if got := nilTr.StageBudget(StageSend); got != tr.StageBudget(StageSend) {
+		t.Errorf("nil StageBudget(send) = %v, want %v", got, tr.StageBudget(StageSend))
 	}
 	if got := tr.StageBudget(numStages); got != 0 {
 		t.Errorf("out-of-range StageBudget = %v", got)
@@ -68,7 +54,7 @@ func TestAnalyzeReportsBudgetViolations(t *testing.T) {
 	if !ok {
 		t.Fatalf("send over budget not reported: %+v", r.OverBudget)
 	}
-	wantOver := 10 - float64(StageBudget(DefaultDeadline, StageSend))/float64(time.Millisecond)
+	wantOver := 10 - float64(tr.StageBudget(StageSend))/float64(time.Millisecond)
 	if over < wantOver-0.01 || over > wantOver+0.01 {
 		t.Errorf("send overrun %.3f ms, want %.3f", over, wantOver)
 	}

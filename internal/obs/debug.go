@@ -102,6 +102,9 @@ func NewDebugMux(cfg DebugConfig) *http.ServeMux {
 	mux.HandleFunc("/qoe", func(w http.ResponseWriter, r *http.Request) {
 		t := tracer()
 		rows := t.QoE()
+		if rows == nil {
+			rows = []UserQoE{}
+		}
 		if cfg.UserLabel != nil {
 			for i := range rows {
 				rows[i].Label = cfg.UserLabel(rows[i].User)

@@ -92,6 +92,16 @@ func TestDebugQoE(t *testing.T) {
 	if len(rows) != 1 || rows[0].Misses != 1 {
 		t.Errorf("qoe rows = %+v, want one user with one miss", rows)
 	}
+	// With no tracer, or a tracer with no user rows yet, the JSON form is
+	// an empty list like /sessions and /events, never null.
+	for name, cfg := range map[string]DebugConfig{"nil": {}, "empty": {Tracer: New(16)}} {
+		srv := httptest.NewServer(NewDebugMux(cfg))
+		code, body := get(t, srv.URL+"/qoe?format=json")
+		srv.Close()
+		if code != http.StatusOK || strings.TrimSpace(body) != "[]" {
+			t.Errorf("%s tracer: GET /qoe?format=json = %d: %q, want []", name, code, body)
+		}
+	}
 }
 
 func TestDebugPprofAndIndex(t *testing.T) {

@@ -183,6 +183,8 @@ func pruneFlightDumps(dir string, keep int) {
 }
 
 // Captured returns the number of dumps written.
+//
+// Kept: the flight-recorder and SLO tests count dumps with it.
 func (f *FlightRecorder) Captured() int64 {
 	if f == nil {
 		return 0

@@ -110,96 +110,35 @@ var defaultBudgetPct = [numStages]float64{
 }
 
 // Tracer records spans into a fixed ring. All methods are safe for
-// concurrent use and nil-safe; construct with New.
+// concurrent use and nil-safe; construct with New. Its frames are judged
+// against DefaultDeadline and its stages against their fixed shares of it.
 type Tracer struct {
-	mu       sync.Mutex
-	epoch    time.Time
-	buf      []Span
-	total    uint64 // spans ever recorded; ring index = total % cap
-	deadline time.Duration
-	budgets  [numStages]time.Duration // explicit overrides; 0 = derive
+	mu    sync.Mutex
+	epoch time.Time
+	buf   []Span
+	total uint64 // spans ever recorded; ring index = total % cap
 }
 
 // New returns a tracer holding the last capacity spans (DefaultCapacity
-// when capacity <= 0), with the 33 ms default frame deadline.
+// when capacity <= 0).
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		epoch:    time.Now(),
-		buf:      make([]Span, capacity),
-		deadline: DefaultDeadline,
+		epoch: time.Now(),
+		buf:   make([]Span, capacity),
 	}
 }
 
-// SetDeadline changes the per-frame budget used by Analyze (non-positive
-// restores the default).
-func (t *Tracer) SetDeadline(d time.Duration) {
-	if t == nil {
-		return
-	}
-	if d <= 0 {
-		d = DefaultDeadline
-	}
-	t.mu.Lock()
-	t.deadline = d
-	t.mu.Unlock()
-}
-
-// Deadline returns the per-frame budget.
-func (t *Tracer) Deadline() time.Duration {
-	if t == nil {
-		return DefaultDeadline
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.deadline
-}
-
-// SetStageBudget pins an explicit per-frame budget for one stage,
-// overriding the deadline-derived default (non-positive restores the
-// derived value).
-func (t *Tracer) SetStageBudget(s Stage, d time.Duration) {
-	if t == nil {
-		return
-	}
-	if s >= numStages {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	t.budgets[s] = d
-	t.mu.Unlock()
-}
-
-// StageBudget returns the per-frame budget for one stage: the explicit
-// override when set, otherwise the defaultBudgetPct share of the frame
-// deadline. Unknown stages have no budget (zero).
+// StageBudget returns the per-frame budget for one stage: its
+// defaultBudgetPct share of DefaultDeadline. Unknown stages have no
+// budget (zero). A nil tracer has the same budgets.
 func (t *Tracer) StageBudget(s Stage) time.Duration {
-	if t == nil {
-		return StageBudget(DefaultDeadline, s)
-	}
 	if s >= numStages {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d := t.budgets[s]; d > 0 {
-		return d
-	}
-	return StageBudget(t.deadline, s)
-}
-
-// StageBudget derives a stage's share of a frame deadline from the
-// default budget split.
-func StageBudget(deadline time.Duration, s Stage) time.Duration {
-	if s >= numStages || deadline <= 0 {
-		return 0
-	}
-	return time.Duration(float64(deadline) * defaultBudgetPct[s] / 100)
+	return time.Duration(float64(DefaultDeadline) * defaultBudgetPct[s] / 100)
 }
 
 // Record stores one measured span.
@@ -290,6 +229,8 @@ func (t *Tracer) Total() uint64 {
 
 // Epoch returns the tracer's construction time (span Start values are
 // nanoseconds since it).
+//
+// Kept: the obs tests place spans at known offsets from it.
 func (t *Tracer) Epoch() time.Time {
 	if t == nil {
 		return time.Time{}

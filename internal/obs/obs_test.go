@@ -14,10 +14,6 @@ func TestNilTracerNoOps(t *testing.T) {
 	tr.Record(1, 2, StageEncode, time.Now(), time.Millisecond)
 	tr.RecordModeled(1, 2, StageAirtime, time.Millisecond)
 	tr.Begin(1, 2, StagePlan).End()
-	tr.SetDeadline(time.Second)
-	if tr.Deadline() != DefaultDeadline {
-		t.Errorf("nil Deadline() = %v, want default", tr.Deadline())
-	}
 	if tr.Len() != 0 || tr.Total() != 0 {
 		t.Errorf("nil tracer holds spans: len=%d total=%d", tr.Len(), tr.Total())
 	}
@@ -260,15 +256,10 @@ func TestPerfettoValidity(t *testing.T) {
 
 func TestSetDeadline(t *testing.T) {
 	tr := New(16)
-	tr.SetDeadline(10 * time.Millisecond)
-	tr.Record(0, 0, StageDecode, tr.Epoch(), 15*time.Millisecond)
+	tr.Record(0, 0, StageDecode, tr.Epoch(), 40*time.Millisecond)
 	reports := tr.Analyze()
 	if len(reports) != 1 || !reports[0].Missed {
-		t.Fatalf("15ms frame under a 10ms budget should miss: %+v", reports)
-	}
-	tr.SetDeadline(0)
-	if tr.Deadline() != DefaultDeadline {
-		t.Errorf("SetDeadline(0) should restore the default, got %v", tr.Deadline())
+		t.Fatalf("40ms frame under the 33ms deadline should miss: %+v", reports)
 	}
 }
 

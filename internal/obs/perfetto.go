@@ -63,7 +63,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 
 	file := perfettoFile{
 		DisplayTimeUnit:  "ms",
-		DeadlineMS:       float64(t.Deadline()) / float64(time.Millisecond),
+		DeadlineMS:       float64(DefaultDeadline) / float64(time.Millisecond),
 		DeadlineMisses:   []FrameReport{},
 		StageBudgetsMS:   map[string]float64{},
 		BudgetViolations: []FrameReport{},

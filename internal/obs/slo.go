@@ -33,6 +33,8 @@ type SLOTargets struct {
 
 // DefaultSLOTargets: the paper's 33 ms motion-to-photon budget at p99,
 // and at most 5% missed frames per window.
+//
+// Kept: the SLO tests run the engine at these targets.
 func DefaultSLOTargets() SLOTargets {
 	return SLOTargets{P99MaxMS: 33, MissRateMax: 0.05, MinSamples: 30, RecoverAfter: 3}
 }

@@ -53,6 +53,8 @@ func (w AWV) Normalize() AWV {
 }
 
 // Power returns ‖w‖².
+//
+// Kept: the phy and beam tests check weight vectors are unit power.
 func (w AWV) Power() float64 {
 	var p float64
 	for _, c := range w {
@@ -230,6 +232,9 @@ func (a *Array) elementGain(uz float64) float64 {
 // but no per-element amplitude control), amplitudes forced uniform. The
 // result is re-normalized to unit power. phaseBits <= 0 leaves phases
 // continuous.
+//
+// Kept: the oracle for the paper's §5 COTS-quantization check in the beam
+// tests.
 func QuantizeAWV(w AWV, phaseBits int, phaseOnly bool) AWV {
 	out := make(AWV, len(w))
 	steps := 0.0

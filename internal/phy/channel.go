@@ -301,4 +301,6 @@ func (f *Fading) Step(dt float64) float64 {
 }
 
 // OffsetDB returns the current excursion without advancing time.
+//
+// Kept: the fading determinism test compares two processes' state.
 func (f *Fading) OffsetDB() float64 { return f.state }

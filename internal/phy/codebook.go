@@ -76,6 +76,9 @@ func DefaultCodebook(a *Array, cfg CodebookConfig) *Codebook {
 
 // BestSector returns the codebook sector with the highest gain toward the
 // world direction dir (what sector-level sweep training would select).
+//
+// Kept: the codebook-coverage and RSS-calibration tests pick sectors
+// with it.
 func (cb *Codebook) BestSector(a *Array, dir geom.Vec3) (Sector, float64) {
 	best := Sector{Index: -1}
 	bestGain := math.Inf(-1)

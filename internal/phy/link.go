@@ -294,6 +294,8 @@ func (r *Radio) RSS(w AWV, rx geom.Vec3) float64 {
 
 // RSSLOSOnly is RSS restricted to the line-of-sight path — used to show
 // how much the reflection paths contribute under blockage.
+//
+// Kept: the blockage tests and the link differential test read it.
 func (r *Radio) RSSLOSOnly(w AWV, rx geom.Vec3) float64 {
 	l := r.Link(nil, rx)
 	l.weigh(w)
@@ -306,9 +308,6 @@ func (r *Radio) SweepBestSector(cb *Codebook, rx geom.Vec3) (Sector, float64) {
 	l := r.Link(cb, rx)
 	return l.Sweep(l.BlockedBy(r.Channel.Bodies))
 }
-
-// SNR returns the signal-to-noise ratio in dB for the given RSS.
-func (r *Radio) SNR(rssDBm float64) float64 { return rssDBm - r.Budget.NoiseFloorDBm }
 
 // BestPathDir returns the departure direction of the strongest usable
 // path (lowest loss per meter), preferring unblocked paths. This is what

@@ -290,13 +290,6 @@ func TestCommonMCS(t *testing.T) {
 	}
 }
 
-func TestSNR(t *testing.T) {
-	r := &Radio{Budget: DefaultLinkBudget()}
-	if got := r.SNR(-60); math.Abs(got-14.5) > 1e-9 {
-		t.Errorf("SNR = %v", got)
-	}
-}
-
 func BenchmarkRSS(b *testing.B) {
 	a := testArray(b)
 	ch := NewChannel(DefaultRoom())

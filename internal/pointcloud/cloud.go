@@ -1,19 +1,12 @@
 // Package pointcloud provides the volumetric media substrate: point-cloud
-// frames, videos, voxel downsampling, and a deterministic synthetic
-// generator that stands in for the 8i "soldier" dynamic voxelized
-// point-cloud dataset used by the paper. The generator produces an
-// articulated humanoid animated at 30 FPS whose per-frame point counts and
-// spatial extent match the dataset's quality ladder (330K / 430K / 550K
-// points per frame).
+// frames, videos, and a deterministic synthetic generator that stands in
+// for the 8i "soldier" dynamic voxelized point-cloud dataset used by the
+// paper. The generator produces an articulated humanoid animated at 30 FPS
+// whose per-frame point counts and spatial extent match the dataset's
+// quality ladder (330K / 430K / 550K points per frame).
 package pointcloud
 
-import (
-	"errors"
-	"fmt"
-	"math"
-
-	"volcast/internal/geom"
-)
+import "volcast/internal/geom"
 
 // Point is a single colored point of a volumetric frame. Positions are in
 // meters in the content coordinate system (Y up, content roughly centered
@@ -43,70 +36,6 @@ func (c *Cloud) Bounds() (geom.AABB, bool) {
 		b.Max = b.Max.Max(p.Pos)
 	}
 	return b, true
-}
-
-// Centroid returns the mean point position; the zero vector for an empty
-// cloud.
-func (c *Cloud) Centroid() geom.Vec3 {
-	if len(c.Points) == 0 {
-		return geom.Vec3{}
-	}
-	var s geom.Vec3
-	for _, p := range c.Points {
-		s = s.Add(p.Pos)
-	}
-	return s.Scale(1 / float64(len(c.Points)))
-}
-
-// VoxelDownsample returns a new cloud with at most one point per cubic
-// voxel of the given edge length (meters), keeping the first point seen in
-// each voxel. It is the mechanism behind the dataset's quality ladder:
-// smaller voxels keep more points.
-func (c *Cloud) VoxelDownsample(voxel float64) (*Cloud, error) {
-	if voxel <= 0 {
-		return nil, fmt.Errorf("pointcloud: voxel size %v must be positive", voxel)
-	}
-	type key struct{ x, y, z int32 }
-	seen := make(map[key]struct{}, len(c.Points))
-	out := &Cloud{Points: make([]Point, 0, len(c.Points))}
-	for _, p := range c.Points {
-		k := key{
-			int32(math.Floor(p.Pos.X / voxel)),
-			int32(math.Floor(p.Pos.Y / voxel)),
-			int32(math.Floor(p.Pos.Z / voxel)),
-		}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
-}
-
-// Subsample returns a cloud with every k-th point (k>=1), a cheap way to
-// hit an exact point budget.
-func (c *Cloud) Subsample(k int) (*Cloud, error) {
-	if k < 1 {
-		return nil, errors.New("pointcloud: subsample stride must be >= 1")
-	}
-	out := &Cloud{Points: make([]Point, 0, (len(c.Points)+k-1)/k)}
-	for i := 0; i < len(c.Points); i += k {
-		out.Points = append(out.Points, c.Points[i])
-	}
-	return out, nil
-}
-
-// TrimTo returns a cloud with at most n points (prefix). It never copies
-// when the cloud already fits.
-func (c *Cloud) TrimTo(n int) *Cloud {
-	if n < 0 {
-		n = 0
-	}
-	if len(c.Points) <= n {
-		return c
-	}
-	return &Cloud{Points: c.Points[:n]}
 }
 
 // Video is a sequence of point-cloud frames at a fixed frame rate.

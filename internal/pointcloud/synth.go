@@ -66,12 +66,6 @@ type SynthConfig struct {
 	Sway float64
 }
 
-// DefaultSynthConfig returns the configuration matching the paper's
-// highest-quality content: 300 frames (10 s) at 30 FPS, 550K points.
-func DefaultSynthConfig() SynthConfig {
-	return SynthConfig{Frames: 300, FPS: 30, PointsPerFrame: QualityHigh.Points(), Seed: 1, Sway: 1}
-}
-
 // segment is one capsule of the articulated humanoid: a tube from A to B
 // with the given radius, holding a share of the point budget.
 type segment struct {

@@ -44,6 +44,9 @@ func WriteCSV(w io.Writer, s *Study) error {
 
 // ReadCSV parses a study from the interchange format. Sample rate is
 // inferred from the first user's timestamps.
+//
+// Kept: DESIGN §3 and §5 promise it, so that recorded traces can replace
+// the synthetic ones.
 func ReadCSV(r io.Reader) (*Study, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)

@@ -44,20 +44,6 @@ type GenConfig struct {
 	POIs []geom.Vec3
 }
 
-// DefaultGenConfig matches the paper's study shape: 30 Hz, 300-frame
-// (10 s) session around a human-height content at the origin.
-func DefaultGenConfig(device Device, users int, seed int64) GenConfig {
-	return GenConfig{
-		Users:         users,
-		Device:        device,
-		Frames:        300,
-		Hz:            30,
-		Seed:          seed,
-		ContentCenter: geom.Vec3{},
-		ContentHeight: 1.8,
-	}
-}
-
 // deviceEnvelope are the per-device mobility parameters. Headset users
 // walk freely around the content; phone users mostly stand and pan,
 // orbiting slowly if at all. These envelopes are what produce the paper's

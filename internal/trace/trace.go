@@ -94,29 +94,6 @@ func (t *Trace) PoseAtTime(tsec float64) geom.Pose {
 	return t.Samples[i].Pose.Lerp(t.Samples[i+1].Pose, f-float64(i))
 }
 
-// Velocity estimates the translational velocity (m/s) at sample i by
-// central difference.
-func (t *Trace) Velocity(i int) geom.Vec3 {
-	if t.Hz <= 0 || len(t.Samples) < 2 {
-		return geom.Vec3{}
-	}
-	a := t.PoseAt(i - 1).Pos
-	b := t.PoseAt(i + 1).Pos
-	dt := 2.0 / float64(t.Hz)
-	return b.Sub(a).Scale(1 / dt)
-}
-
-// AngularSpeed estimates the rotational speed (rad/s) at sample i.
-func (t *Trace) AngularSpeed(i int) float64 {
-	if t.Hz <= 0 || len(t.Samples) < 2 {
-		return 0
-	}
-	a := t.PoseAt(i - 1).Rot
-	b := t.PoseAt(i + 1).Rot
-	dt := 2.0 / float64(t.Hz)
-	return a.AngleTo(b) / dt
-}
-
 // PathLength returns the total translational distance of the trace.
 func (t *Trace) PathLength() float64 {
 	total := 0.0
@@ -133,6 +110,8 @@ type Study struct {
 }
 
 // ByDevice returns the traces of one study group.
+//
+// Kept: the study tests compare the headset and phone groups with it.
 func (s *Study) ByDevice(d Device) []*Trace {
 	var out []*Trace
 	for _, t := range s.Traces {
