@@ -73,7 +73,9 @@ sim-parity:
 # points), and the wire reader against arbitrary bytes (never panics,
 # allocates within the length prefix it checked, re-encodes and re-parses
 # to the same message, hands out payloads that alias no one else's bytes,
-# allocates no more than readChunk for a body that has not arrived), and
+# allocates no more than readChunk for a body that has not arrived), the
+# connections' buffered reader against ReadMessage (the same messages and
+# the same terminal error at any buffer size and any read split), and
 # the content generator's branch-free sin/cos against math.Sin/math.Cos
 # (the same bits for any argument folded into the kernels' domain), and
 # the link equation's base-10 power against math.Pow(10, y) (the same
@@ -83,7 +85,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
-	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzReadMessage$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzReaderMatchesReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzTrigMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 

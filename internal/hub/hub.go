@@ -633,8 +633,10 @@ func (h *Hub) handle(conn net.Conn) {
 		h.mu.Unlock()
 	}
 
+	// One Reader frames everything the client sends, the Hello included.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.ReadMessage(conn)
+	rd := wire.NewReader(conn)
+	msg, err := rd.Read()
 	if err != nil {
 		unpend()
 		h.cfg.Logf("hub: handshake read: %v", err)
@@ -730,7 +732,7 @@ func (h *Hub) handle(conn net.Conn) {
 		if h.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(h.cfg.IdleTimeout))
 		}
-		msg, err := wire.ReadMessage(conn)
+		msg, err := rd.Read()
 		if err != nil {
 			if isTimeout(err) {
 				h.cfg.Metrics.Counter("transport.heartbeat.misses").Inc()

@@ -74,6 +74,9 @@ func lockedSendCall(pkg *Package, held map[string]bool, call *ast.CallExpr, flag
 				flag(held, call.Pos(), "net.Conn."+name)
 			}
 		}
+		if name == "Read" && isNamedType(typ, "volcast/internal/wire", "Reader") {
+			flag(held, call.Pos(), "wire.Reader.Read")
+		}
 		return
 	}
 	if path, name, ok := pkgFuncCall(pkg, call); ok {

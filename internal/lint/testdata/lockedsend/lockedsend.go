@@ -6,6 +6,8 @@ package lockedsend
 import (
 	"net"
 	"sync"
+
+	"volcast/internal/wire"
 )
 
 type hub struct {
@@ -35,6 +37,13 @@ func (h *hub) BadConnWrite(c net.Conn, b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	c.Write(b) //want:lockedsend
+}
+
+// BadFramedRead waits on the peer for a whole message under the lock.
+func (h *hub) BadFramedRead(rd *wire.Reader) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	rd.Read() //want:lockedsend
 }
 
 // GoodUnlockFirst releases before sending.

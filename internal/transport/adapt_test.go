@@ -18,13 +18,15 @@ import (
 	"volcast/internal/wire"
 )
 
-// adaptTap is a client's connection that records every Adapt the server
-// sends, framing the inbound stream as wire.ReadMessage does.
+// adaptTap is a client's connection that records every Adapt and
+// FrameComplete the server sends, framing the inbound stream as
+// wire.ReadMessage does.
 type adaptTap struct {
 	net.Conn
-	mu     sync.Mutex
-	buf    []byte
-	adapts []wire.Adapt
+	mu        sync.Mutex
+	buf       []byte
+	adapts    []wire.Adapt
+	completes []wire.FrameComplete
 }
 
 func (a *adaptTap) Read(p []byte) (int, error) {
@@ -37,9 +39,13 @@ func (a *adaptTap) Read(p []byte) (int, error) {
 		if len(a.buf) < end {
 			break
 		}
-		if wire.MsgType(a.buf[4]) == wire.TypeAdapt {
-			if m, err := wire.ReadMessage(bytes.NewReader(a.buf[:end])); err == nil {
-				a.adapts = append(a.adapts, *m.(*wire.Adapt))
+		if t := wire.MsgType(a.buf[4]); t == wire.TypeAdapt || t == wire.TypeFrameComplete {
+			m, _ := wire.ReadMessage(bytes.NewReader(a.buf[:end]))
+			switch m := m.(type) {
+			case *wire.Adapt:
+				a.adapts = append(a.adapts, *m)
+			case *wire.FrameComplete:
+				a.completes = append(a.completes, *m)
 			}
 		}
 		a.buf = a.buf[end:]
@@ -51,6 +57,12 @@ func (a *adaptTap) received() []wire.Adapt {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]wire.Adapt(nil), a.adapts...)
+}
+
+func (a *adaptTap) frameCompletes() []wire.FrameComplete {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]wire.FrameComplete(nil), a.completes...)
 }
 
 // dialTap dials plain TCP, lets wrap shape the socket and puts the tap on

@@ -212,7 +212,7 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	if cfg.Layers {
 		helloFlags |= wire.HelloFlagLayers
 	}
-	conn, _, err := join(sessionCtx, cfg.Dial, cfg.Addr,
+	conn, rd, _, err := join(sessionCtx, cfg.Dial, cfg.Addr,
 		&wire.Hello{ClientID: cfg.ID, Name: cfg.Name, Scene: cfg.Scene, Flags: helloFlags})
 	if err != nil {
 		return err
@@ -312,7 +312,9 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	defer func() { close(stopWriter); <-writerDone }()
 
 	// Pose sender at the trace rate, clocked against the session start so
-	// the viewport stays on-trace across reconnects.
+	// the viewport stays on-trace across reconnects. The first pose goes
+	// out at connect, not a tick later: until the hub has one it pushes
+	// the whole frame at full density.
 	hz := 30
 	if cfg.Trace != nil && cfg.Trace.Hz > 0 {
 		hz = cfg.Trace.Hz
@@ -324,13 +326,6 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 		ticker := time.NewTicker(time.Second / time.Duration(hz))
 		defer ticker.Stop()
 		for {
-			select {
-			case <-sessionCtx.Done():
-				return
-			case <-poseStop:
-				return
-			case <-ticker.C:
-			}
 			t := time.Since(sessionStart).Seconds()
 			var pu wire.PoseUpdate
 			pu.Seq = uint32(stats.PosesSent)
@@ -342,11 +337,19 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 			}
 			enqueue(&pu)
 			stats.PosesSent++
+			select {
+			case <-sessionCtx.Done():
+				return
+			case <-poseStop:
+				return
+			case <-ticker.C:
+			}
 		}
 	}()
 	defer func() { close(poseStop); <-poseDone }()
 
 	rx := newReceiver(stats, int(cfg.ID), cfg.Tracer, cfg.Decode, cfg.Layers)
+	rx.in = rd
 	defer rx.join() // no decode outlives the connection, however it ends
 	// frameStart anchors the burst latency (first cell read → last cell
 	// decoded) reported through OnFrameLatency.
@@ -356,14 +359,14 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 		// Idle timeout bounds every read: a silent server (crash, stall,
 		// blackhole) surfaces as a timeout, not an unbounded hang. The
 		// session deadline still wins when nearer.
-		rd := time.Now().Add(cfg.IdleTimeout)
+		until := time.Now().Add(cfg.IdleTimeout)
 		sessionBounded := false
-		if deadline, ok := sessionCtx.Deadline(); ok && deadline.Before(rd) {
-			rd = deadline
+		if deadline, ok := sessionCtx.Deadline(); ok && deadline.Before(until) {
+			until = deadline
 			sessionBounded = true
 		}
-		conn.SetReadDeadline(rd)
-		msg, err := wire.ReadMessage(conn)
+		conn.SetReadDeadline(until)
+		msg, err := rd.Read()
 		if err != nil {
 			// The socket deadline fires at the session's wall-clock end a
 			// beat before the ctx timer does — that timeout is the session
@@ -416,8 +419,10 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 
 // join dials addr (dial nil = plain TCP), sends hello and waits for the
 // server's Welcome — the handshake both players open every connection
-// with. The caller owns the returned connection.
-func join(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, hello *wire.Hello) (net.Conn, *wire.Welcome, error) {
+// with. The caller owns the returned connection and reads everything
+// after the Welcome through the returned Reader, which may already hold
+// the first bytes the server sent after it.
+func join(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, hello *wire.Hello) (net.Conn, *wire.Reader, *wire.Welcome, error) {
 	if dial == nil {
 		dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			d := net.Dialer{Timeout: 5 * time.Second}
@@ -426,24 +431,25 @@ func join(ctx context.Context, dial func(context.Context, string) (net.Conn, err
 	}
 	conn, err := dial(ctx, addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dial: %w", err)
+		return nil, nil, nil, fmt.Errorf("transport: dial: %w", err)
 	}
 	if err := wire.WriteMessage(conn, hello); err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("transport: hello: %w", err)
+		return nil, nil, nil, fmt.Errorf("transport: hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.ReadMessage(conn)
+	rd := wire.NewReader(conn)
+	msg, err := rd.Read()
 	if err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("transport: welcome: %w", err)
+		return nil, nil, nil, fmt.Errorf("transport: welcome: %w", err)
 	}
 	welcome, ok := msg.(*wire.Welcome)
 	if !ok {
 		conn.Close()
-		return nil, nil, fmt.Errorf("transport: expected Welcome, got %v", msg.Type())
+		return nil, nil, nil, fmt.Errorf("transport: expected Welcome, got %v", msg.Type())
 	}
-	return conn, welcome, nil
+	return conn, rd, welcome, nil
 }
 
 // heldCell is one retained layered prefix: the bytes, their layer count,
@@ -487,6 +493,9 @@ type receiver struct {
 	// server's per-subscriber delivery memory: a reconnect starts both
 	// sides from scratch.
 	held map[uint32]*heldCell
+	// in is the Reader the cells come from; a payload it does not own is
+	// copied before the hand-off (nil: every payload is).
+	in *wire.Reader
 	// A frame's decode is one span, first hand-off → last cell decoded,
 	// recorded at FrameComplete; the gap between consecutive
 	// FrameCompletes is the client's presentation interval.
@@ -516,7 +525,9 @@ func (r *receiver) cell(m *wire.CellData) {
 	if m.Multicast {
 		st.MulticastBytes += int64(len(m.Payload))
 	}
-	payload := m.Payload
+	// An in-buffer payload aliases the read loop's wire.Reader until its
+	// next Read; owned marks bytes nothing writes again.
+	payload, owned := m.Payload, r.in != nil && r.in.Owned()
 	if m.BaseLayers > 0 {
 		// Enhancement-only delta: append to the retained prefix. Without
 		// it (shouldn't happen — the server tracks or verifies what we
@@ -527,6 +538,7 @@ func (r *receiver) cell(m *wire.CellData) {
 			return
 		}
 		payload = append(append(make([]byte, 0, len(hc.data)+len(m.Payload)), hc.data...), m.Payload...)
+		owned = true
 		st.DeltaCells++
 		st.DeltaBytes += int64(len(m.Payload))
 		st.DeltaFullBytes += int64(len(payload))
@@ -534,12 +546,17 @@ func (r *receiver) cell(m *wire.CellData) {
 	if r.held != nil && m.Layers > 0 {
 		cp := bytes.Clone(payload)
 		r.held[m.CellID] = &heldCell{data: cp, layers: m.Layers, token: codec.HashBytes(cp)[0]}
+		payload, owned = cp, true
 	}
 	if !r.decode {
 		return
 	}
-	// payload is the message's own buffer or the reassembly above: nothing
-	// writes it again, so the decode may read it from another goroutine.
+	// The decode reads payload from another goroutine while the read loop
+	// refills the Reader's buffer: it gets bytes nothing writes again (an
+	// owned body or one of the copies above) or a copy of its own.
+	if !owned {
+		payload = bytes.Clone(payload)
+	}
 	if r.decStart.IsZero() {
 		r.decStart = time.Now()
 	}

@@ -73,7 +73,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 	if cfg.Layers {
 		helloFlags |= wire.HelloFlagLayers
 	}
-	conn, welcome, err := join(ctx, cfg.Dial, cfg.Addr,
+	conn, rd, welcome, err := join(ctx, cfg.Dial, cfg.Addr,
 		&wire.Hello{ClientID: cfg.ID, Name: "pull", Flags: helloFlags, Scene: cfg.Scene})
 	if err != nil {
 		return stats, err
@@ -112,6 +112,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 
 	deadline := time.Now().Add(cfg.Duration)
 	rx := newReceiver(&stats, int(cfg.ID), nil, cfg.Decode, cfg.Layers)
+	rx.in = rd
 	start := time.Now()
 	frame := uint32(0)
 	next := time.Now()
@@ -170,7 +171,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 	drain:
 		for {
 			conn.SetReadDeadline(frameDeadline)
-			msg, err := wire.ReadMessage(conn)
+			msg, err := rd.Read()
 			if err != nil {
 				if isTimeout(err) && time.Now().Before(deadline) {
 					// Lost FrameComplete or stalled burst: abandon this

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -111,4 +112,39 @@ func FuzzReadMessage(f *testing.F) {
 			reparse(data, "the input, after a parsed payload of it was overwritten,")
 		}
 	})
+}
+
+// FuzzReaderMatchesReadMessage holds Reader.Read to successive
+// ReadMessage calls on arbitrary bytes: the same messages and the same
+// terminal error, whatever the Reader's buffer size (5 to 260 bytes, so
+// short inputs reach both the in-buffer and the owned-body path and every
+// boundary between them) and however the source splits its reads (whole,
+// or at most chunk bytes a read).
+//
+// The committed corpus (testdata/fuzz/FuzzReaderMatchesReadMessage) holds
+// bursts of cells around the buffer size, every control type back to
+// back, and streams cut inside a prefix and inside a body.
+func FuzzReaderMatchesReadMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, size, chunk uint8) {
+		oracle := bytes.NewReader(data)
+		want, wantErr := drain(t, func() (Message, error) { return ReadMessage(oracle) })
+		var src io.Reader = bytes.NewReader(data)
+		if chunk > 0 {
+			src = &chunked{r: src, n: int(chunk)}
+		}
+		got, err := drain(t, newReaderSize(src, 5+int(size)).Read)
+		if d := diffStreams(got, err, want, wantErr); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// chunked returns at most n bytes a read.
+type chunked struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunked) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
 }

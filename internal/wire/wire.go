@@ -71,8 +71,8 @@ func (t MsgType) String() string {
 // is well under this); it protects readers from hostile length prefixes.
 const MaxMessageSize = 16 << 20
 
-// readChunk is the most ReadMessage allocates for a body before any of
-// it has arrived.
+// readChunk is the most ReadMessage (or a Reader, for a message larger
+// than its buffer) allocates for a body before any of it has arrived.
 const readChunk = 1 << 20
 
 // Errors returned by the codec.
@@ -264,9 +264,10 @@ type CellData struct {
 	Multicast bool
 	// Payload is the codec block bytes: a self-contained layer prefix
 	// when BaseLayers is 0, otherwise the enhancement delta that upgrades
-	// a retained BaseLayers-prefix to Layers. On a message ReadMessage
-	// returned it aliases that message's own buffer (capped, so an append
-	// copies): the buffer belongs to the message and is read into once.
+	// a retained BaseLayers-prefix to Layers. A parsed payload is capped,
+	// so an append copies. On a message ReadMessage returned it aliases
+	// that message's own buffer, read into once; on one Reader.Read
+	// returned it may alias the Reader's buffer, valid until the next Read.
 	Payload []byte
 	// Layers is the number of codec layers the delivered prefix spans
 	// once assembled (0 = flat block / pre-layering sender). The two
@@ -568,23 +569,43 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads and parses one message.
+// ReadMessage reads and parses one message straight off r: two reads
+// and a body of its own per message. The connections' read loops frame
+// through a Reader instead; ReadMessage is the oracle its differential
+// tests and fuzz target hold it to, and the benchmark's wire micro.
 func ReadMessage(r io.Reader) (Message, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
+	if err := checkLength(n); err != nil {
+		return nil, err
+	}
+	body, err := readBody(r, n)
+	if err != nil {
+		return nil, err
+	}
+	return parse(body)
+}
+
+// checkLength vets a length prefix before anything is read on its word.
+func checkLength(n uint32) error {
 	if n == 0 {
-		return nil, ErrShort
+		return ErrShort
 	}
 	if n > MaxMessageSize {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
-	// The prefix is the peer's word, not bytes: allocate at most readChunk
-	// before the body arrives and double only as it does, so a peer that
-	// claims MaxMessageSize and stalls costs readChunk, not 16 MB. A
-	// message up to readChunk is one allocation and one read.
+	return nil
+}
+
+// readBody reads an n-byte body, n checked, into a buffer of its own.
+// The prefix is the peer's word, not bytes: it allocates at most
+// readChunk before the body arrives and doubles only as it does, so a
+// peer that claims MaxMessageSize and stalls costs readChunk, not 16 MB.
+// A body up to readChunk is one allocation and one read.
+func readBody(r io.Reader, n uint32) ([]byte, error) {
 	buf := make([]byte, min(n, readChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
@@ -597,11 +618,17 @@ func ReadMessage(r io.Reader) (Message, error) {
 		}
 		buf = grown
 	}
-	m, err := newMessage(MsgType(buf[0]))
+	return buf, nil
+}
+
+// parse is the one parser behind ReadMessage and Reader: the type byte,
+// then the type's body. The message may alias body (CellData.Payload).
+func parse(body []byte) (Message, error) {
+	m, err := newMessage(MsgType(body[0]))
 	if err != nil {
 		return nil, err
 	}
-	if err := m.parseBody(buf[1:]); err != nil {
+	if err := m.parseBody(body[1:]); err != nil {
 		return nil, err
 	}
 	return m, nil
