@@ -12,9 +12,6 @@ type Pose struct {
 	Rot Quat
 }
 
-// Forward returns the view direction of the pose.
-func (p Pose) Forward() Vec3 { return p.Rot.Forward() }
-
 // Lerp interpolates position linearly and orientation spherically by t.
 func (p Pose) Lerp(q Pose, t float64) Pose {
 	return Pose{Pos: p.Pos.Lerp(q.Pos, t), Rot: p.Rot.Slerp(q.Rot, t)}

@@ -60,9 +60,6 @@ func (v Vec3) Norm() Vec3 {
 // Neg returns -v.
 func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 
-// Mul returns the component-wise product of v and w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
-
 // Lerp linearly interpolates from v to w by t in [0,1].
 func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
 	return Vec3{
@@ -109,11 +106,6 @@ func maxF(x, y float64) float64 {
 		return y
 	}
 	return math.Max(x, y)
-}
-
-// Abs returns the component-wise absolute value of v.
-func (v Vec3) Abs() Vec3 {
-	return Vec3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)}
 }
 
 // ApproxEq reports whether v and w differ by at most eps in every component.

@@ -32,8 +32,15 @@ func (c *Cloud) Bounds() (geom.AABB, bool) {
 	}
 	b := geom.AABB{Min: c.Points[0].Pos, Max: c.Points[0].Pos}
 	for _, p := range c.Points[1:] {
-		b.Min = b.Min.Min(p.Pos)
-		b.Max = b.Max.Max(p.Pos)
+		q := p.Pos
+		// A point strictly inside the running box leaves it as it is: Min
+		// and Max would hand back the box's own components. A NaN fails
+		// every comparison, so it takes the full path.
+		if b.Min.X < q.X && q.X < b.Max.X && b.Min.Y < q.Y && q.Y < b.Max.Y && b.Min.Z < q.Z && q.Z < b.Max.Z {
+			continue
+		}
+		b.Min = b.Min.Min(q)
+		b.Max = b.Max.Max(q)
 	}
 	return b, true
 }
@@ -46,14 +53,6 @@ type Video struct {
 	FPS int
 	// Frames holds the per-frame clouds.
 	Frames []*Cloud
-}
-
-// Duration returns the video length in seconds.
-func (v *Video) Duration() float64 {
-	if v.FPS == 0 {
-		return 0
-	}
-	return float64(len(v.Frames)) / float64(v.FPS)
 }
 
 // Bounds returns the union of all frame bounds.

@@ -2,6 +2,7 @@ package pointcloud
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"volcast/internal/geom"
@@ -30,15 +31,130 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// refBounds is Cloud.Bounds before it skipped interior points: Min and
+// Max on every point.
+func refBounds(c *Cloud) (geom.AABB, bool) {
+	if len(c.Points) == 0 {
+		return geom.AABB{}, false
+	}
+	b := geom.AABB{Min: c.Points[0].Pos, Max: c.Points[0].Pos}
+	for _, p := range c.Points[1:] {
+		b.Min = b.Min.Min(p.Pos)
+		b.Max = b.Max.Max(p.Pos)
+	}
+	return b, true
+}
+
+// sameBits reports whether two boxes agree bit for bit on every component.
+func sameBits(a, b geom.AABB) bool {
+	for _, p := range [][2]float64{
+		{a.Min.X, b.Min.X}, {a.Min.Y, b.Min.Y}, {a.Min.Z, b.Min.Z},
+		{a.Max.X, b.Max.X}, {a.Max.Y, b.Max.Y}, {a.Max.Z, b.Max.Z},
+	} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBoundsMatchesReference holds Cloud.Bounds and Video.Bounds to the
+// per-point Min/Max pass by Float64bits: seeded clouds whose components
+// mix ordinary values with ±0, NaNs of two payloads and ±Inf, clouds with
+// points on every face of their box (ties), and every cloud in several
+// shuffled orders.
+func TestBoundsMatchesReference(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000123), math.Inf(1), math.Inf(-1)}
+	r := rand.New(rand.NewSource(11))
+	component := func(special float64) float64 {
+		if r.Float64() < special {
+			return specials[r.Intn(len(specials))]
+		}
+		return float64(r.Intn(9)-4) * 0.5 // a coarse lattice: many ties
+	}
+	var clouds []*Cloud
+	for _, special := range []float64{0, 0.01, 0.2, 1} {
+		for _, n := range []int{1, 2, 3, 10, 200} {
+			c := &Cloud{Points: make([]Point, n)}
+			for i := range c.Points {
+				c.Points[i].Pos = geom.V(component(special), component(special), component(special))
+			}
+			clouds = append(clouds, c)
+		}
+	}
+	// Ties on every face: an interior cloud, then points that each sit on
+	// one face of its box and strictly inside on the other two axes.
+	c := &Cloud{}
+	for i := 0; i < 50; i++ {
+		c.Points = append(c.Points, Point{Pos: geom.V(r.Float64(), r.Float64(), r.Float64())})
+	}
+	b, _ := refBounds(c)
+	mid := b.Min.Lerp(b.Max, 0.5)
+	for _, face := range []geom.Vec3{
+		{X: b.Min.X, Y: mid.Y, Z: mid.Z}, {X: b.Max.X, Y: mid.Y, Z: mid.Z},
+		{X: mid.X, Y: b.Min.Y, Z: mid.Z}, {X: mid.X, Y: b.Max.Y, Z: mid.Z},
+		{X: mid.X, Y: mid.Y, Z: b.Min.Z}, {X: mid.X, Y: mid.Y, Z: b.Max.Z},
+		b.Min, b.Max,
+	} {
+		c.Points = append(c.Points, Point{Pos: face})
+	}
+	clouds = append(clouds, c, smallCloud(), &Cloud{})
+	// Signed-zero ties: a box with a +0 face met by a −0 on that axis, and
+	// a −0 face met by a +0, the one tie whose Min/Max changes the bits.
+	pz, nz := 0.0, math.Copysign(0, -1)
+	for axis := 0; axis < 3; axis++ {
+		on := func(v, other float64) geom.Vec3 {
+			p := geom.V(other, other, other)
+			switch axis {
+			case 0:
+				p.X = v
+			case 1:
+				p.Y = v
+			default:
+				p.Z = v
+			}
+			return p
+		}
+		clouds = append(clouds,
+			&Cloud{Points: []Point{{Pos: geom.V(pz, pz, pz)}, {Pos: geom.V(1, 1, 1)}, {Pos: on(nz, 0.5)}}},
+			&Cloud{Points: []Point{{Pos: geom.V(nz, nz, nz)}, {Pos: geom.V(-1, -1, -1)}, {Pos: on(pz, -0.5)}}})
+	}
+
+	for ci, c := range clouds {
+		for order := 0; order < 8; order++ {
+			if order > 0 {
+				r.Shuffle(len(c.Points), func(i, j int) { c.Points[i], c.Points[j] = c.Points[j], c.Points[i] })
+			}
+			got, gotOK := c.Bounds()
+			want, wantOK := refBounds(c)
+			if gotOK != wantOK || !sameBits(got, want) {
+				t.Fatalf("cloud %d, order %d: Bounds = %v %v, reference %v %v", ci, order, got, gotOK, want, wantOK)
+			}
+		}
+	}
+
+	v := &Video{Frames: clouds}
+	want, wantOK := geom.AABB{}, false
+	for _, c := range clouds {
+		if b, ok := refBounds(c); ok {
+			if wantOK {
+				want = want.Union(b)
+			} else {
+				want, wantOK = b, true
+			}
+		}
+	}
+	if got, gotOK := v.Bounds(); gotOK != wantOK || !sameBits(got, want) {
+		t.Fatalf("Video.Bounds = %v %v, reference %v %v", got, gotOK, want, wantOK)
+	}
+}
+
 func TestVideoDurationAndAvg(t *testing.T) {
 	v := &Video{FPS: 30, Frames: []*Cloud{{Points: make([]Point, 10)}, {Points: make([]Point, 20)}}}
-	if d := v.Duration(); math.Abs(d-2.0/30) > 1e-12 {
-		t.Errorf("Duration = %v", d)
-	}
 	if a := v.AvgPoints(); a != 15 {
 		t.Errorf("AvgPoints = %v", a)
 	}
-	if (&Video{}).Duration() != 0 || (&Video{}).AvgPoints() != 0 {
+	if (&Video{}).AvgPoints() != 0 {
 		t.Error("empty video stats not zero")
 	}
 }
@@ -118,5 +234,17 @@ func TestQualityString(t *testing.T) {
 	}
 	if Quality(99).Points() != 330_000 {
 		t.Error("unknown quality points fallback")
+	}
+}
+
+// BenchmarkVideoBounds is the bounds pass every store factory makes on its
+// way to frame 0, over cold_join's content: 10 frames of 50 K points.
+func BenchmarkVideoBounds(b *testing.B) {
+	v := SynthVideo(SynthConfig{Frames: 10, FPS: 30, PointsPerFrame: 50_000, Seed: 1, Sway: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := v.Bounds(); !ok {
+			b.Fatal("no bounds")
+		}
 	}
 }

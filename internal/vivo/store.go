@@ -61,12 +61,16 @@ type build struct {
 	waits *metrics.Counter
 }
 
-// BuildStore partitions and encodes the video in playout order on the
-// par pool and returns as soon as frame 0 is stored; frames 1…n−1 become
-// ready one by one behind Frame, which waits only for a frame not built
-// yet, and Wait blocks until the last one is. The strides slice must
-// include 1 (full density); it is sorted and deduplicated. Frame slots
-// are filled by index, so the store is identical for any pool width.
+// BuildStore partitions and encodes the video in playout order and
+// returns as soon as frame 0 is stored. Frame 0 is encoded first, alone,
+// with its cells fanned out across the whole par pool; only then does a
+// background build start frames 1…n−1, frame-parallel on the pool with
+// each frame's cells encoded inline. Those frames become ready one by one
+// behind Frame, which waits only for a frame not built yet, and Wait
+// blocks until the last one is. The strides slice must include 1 (full
+// density); it is sorted and deduplicated. Frame slots and each frame's
+// blocks are filled by index, so the store is identical for any pool
+// width.
 //
 // Each cell is encoded exactly once as a block of len(strides) layers
 // and every rung is served as a layer-prefix view of that block — one
@@ -81,9 +85,9 @@ type build struct {
 //
 // The build encodes from its own copy of v.Frames and drops each source
 // frame once it is encoded, so the raw video is not held beside the
-// store. A panic encoding frame 0 is BuildStore's error; a panic in a
-// later frame is re-raised, as its *par.PanicError, by whoever reads that
-// frame.
+// store. A panic encoding frame 0 is BuildStore's error, and no later
+// frame is started; a panic in a later frame is re-raised, as its
+// *par.PanicError, by whoever reads that frame.
 func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides []int) (*Store, error) {
 	ss := dedupSorted(strides)
 	if len(ss) == 0 || ss[0] != 1 {
@@ -113,35 +117,50 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	src := append([]*pointcloud.Cloud(nil), v.Frames...)
 	encoded := reg.Counter("vivo.frames_encoded")
 	stopBuild := reg.Histogram("vivo.build_store", nil).TimeMillis()
+	// buildFrame stores frame fi, its cells encoded width wide, and closes
+	// its ready channel; a panic becomes the frame's *par.PanicError.
+	buildFrame := func(fi, width int) {
+		defer close(b.ready[fi])
+		defer func() {
+			if r := recover(); r != nil {
+				b.failed[fi] = framePanic(fi, r)
+			}
+		}()
+		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
+		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
+		st.frames[fi].Store(encodeFrame(src[fi], g, enc, st.ladder, width))
+		src[fi] = nil
+		stopFrame()
+		sp.End()
+		encoded.Inc()
+	}
+	buildFrame(0, par.Workers())
+	if err := b.failed[0]; err != nil {
+		return nil, err
+	}
 	go func() {
 		defer close(b.done)
 		// Every item returns nil, so par schedules every frame and returns
 		// nil: a frame is never cancelled, and a reader of any index is
 		// always woken.
-		_ = par.ForEach(context.Background(), n, func(fi int) error {
-			defer close(b.ready[fi])
-			defer func() {
-				if r := recover(); r != nil {
-					b.failed[fi] = &par.PanicError{Index: fi, Value: r, Stack: debug.Stack()}
-				}
-			}()
-			sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
-			stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
-			st.frames[fi].Store(encodeFrame(src[fi], g, enc, st.ladder))
-			src[fi] = nil
-			stopFrame()
-			sp.End()
-			encoded.Inc()
+		_ = par.ForEach(context.Background(), n-1, func(i int) error {
+			buildFrame(i+1, 1)
 			return nil
 		})
 		stopBuild()
 	}()
-	<-b.ready[0]
-	if err := b.failed[0]; err != nil {
-		<-b.done
-		return nil, err
-	}
 	return st, nil
+}
+
+// framePanic is frame fi's *par.PanicError for a panic recovered while
+// building it. A cell's panic arrives as the *par.PanicError of
+// encodeFrame's fan-out; it keeps its value and stack under the frame's
+// index.
+func framePanic(fi int, r any) *par.PanicError {
+	if pe, ok := r.(*par.PanicError); ok {
+		return &par.PanicError{Index: fi, Value: pe.Value, Stack: pe.Stack}
+	}
+	return &par.PanicError{Index: fi, Value: r, Stack: debug.Stack()}
 }
 
 // NewStore assembles a store from pre-built frames — the ingestion path
@@ -166,18 +185,32 @@ func builtStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) *St
 }
 
 // encodeFrame partitions and encodes one frame: each cell once, with
-// every coarser stride's entry a layer-prefix view of the full block.
+// every coarser stride's entry a layer-prefix view of the full block. The
+// cells are fanned out width wide on par and their blocks collected by
+// index in ascending cell-ID order, so the frame is the same at any
+// width; a cell's panic is re-raised as the fan-out's *par.PanicError.
 // It yields after every cell: a build runs beside the frames it already
 // serves, and without the yield the pool's encoders hold every P for a
 // whole preemption slice while the frame loop, writers and readers wait.
-func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad tier.Ladder) *FrameBlocks {
+func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad tier.Ladder, width int) *FrameBlocks {
 	parts := g.Partition(frame)
 	occ := cell.NewSet(g.NumCells())
-	full := make(map[cell.ID]*codec.Block, len(parts))
-	for id, idxs := range parts {
+	for id := range parts {
 		occ.Add(id)
-		full[id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
+	}
+	ids := occ.IDs()
+	blocks := make([]*codec.Block, len(ids))
+	if err := par.ForEachN(context.Background(), width, len(ids), func(i int) error {
+		id := ids[i]
+		blocks[i] = enc.EncodeCell(id, frame, parts[id], g.Bounds(id))
 		runtime.Gosched()
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	full := make(map[cell.ID]*codec.Block, len(ids))
+	for i, id := range ids {
+		full[id] = blocks[i]
 	}
 	return &FrameBlocks{Occupied: occ, ByStride: rungMaps(full, lad)}
 }
