@@ -195,13 +195,8 @@ func TestSetBasics(t *testing.T) {
 	if !s.Contains(64) || s.Contains(63) || s.Contains(999) {
 		t.Error("Contains misbehaves")
 	}
-	s.Remove(64)
-	if s.Contains(64) || s.Count() != 2 {
-		t.Error("Remove misbehaves")
-	}
-	s.Remove(500) // no-op
 	ids := s.IDs()
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 129 {
+	if len(ids) != 3 || ids[0] != 0 || ids[1] != 64 || ids[2] != 129 {
 		t.Errorf("IDs = %v", ids)
 	}
 	c := s.Clone()
@@ -232,12 +227,6 @@ func TestSetOps(t *testing.T) {
 	if got := a.Union(b).Count(); got != 6 {
 		t.Errorf("Union = %d", got)
 	}
-	if a.Equal(b) {
-		t.Error("unequal sets Equal")
-	}
-	if !a.Equal(a.Clone()) {
-		t.Error("clone not Equal")
-	}
 }
 
 func TestSetDifferentCapacities(t *testing.T) {
@@ -251,9 +240,6 @@ func TestSetDifferentCapacities(t *testing.T) {
 	}
 	if got := a.UnionCount(b); got != 2 {
 		t.Errorf("UnionCount = %d", got)
-	}
-	if a.Equal(b) {
-		t.Error("Equal across capacities wrong")
 	}
 	u := a.Union(b)
 	if !u.Contains(150) || !u.Contains(5) {

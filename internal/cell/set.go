@@ -28,15 +28,6 @@ func (s *Set) Add(id ID) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Remove deletes id; out-of-range IDs are ignored.
-func (s *Set) Remove(id ID) {
-	i := int(id)
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Contains reports membership of id.
 func (s *Set) Contains(id ID) bool {
 	i := int(id)
@@ -131,24 +122,6 @@ func (s *Set) Union(t *Set) *Set {
 		out.words[i] = a | b
 	}
 	return out
-}
-
-// Equal reports whether s and t contain the same members.
-func (s *Set) Equal(t *Set) bool {
-	n := max(len(s.words), len(t.words))
-	for i := 0; i < n; i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
-		}
-		if i < len(t.words) {
-			b = t.words[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // IoU returns the intersection-over-union of two visibility maps, the

@@ -592,6 +592,7 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
+		posed:  make(chan struct{}),
 	}
 	prefix := "hub.session." + label + "."
 	s.cFrames = h.cfg.Metrics.Counter(prefix + "frames")
@@ -746,6 +747,7 @@ func (h *Hub) handle(conn net.Conn) {
 			c.pose = m.Pose
 			c.seen = true
 			c.mu.Unlock()
+			s.sawPose()
 		case *wire.SegmentRequest:
 			c.mu.Lock()
 			c.pull = true

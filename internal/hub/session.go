@@ -46,6 +46,10 @@ type session struct {
 	cancel context.CancelFunc
 	// done closes when frameLoop exits; the reaper waits on it.
 	done chan struct{}
+	// posed closes, once, at the first PoseUpdate any subscriber sends:
+	// frameLoop's first push waits for it or for one interval.
+	posed     chan struct{}
+	posedOnce sync.Once
 
 	// Per-session counters (hub.session.<scene>.*), resolved once at
 	// build time so the frame loop never does registry lookups.
@@ -227,24 +231,42 @@ func (s *session) snapshotSubs() []*subscriber {
 // cells to every subscriber, with multicast marking for shared cells. It
 // exits only once the store's build has finished, so Shutdown and the
 // reaper never leave an encode running behind a session.
+//
+// Frame 0 goes out at the first pose a subscriber sends — a push client
+// sends one behind its Hello, so it is waiting when the join that built
+// the scene reads past its Welcome — or one interval after the start for
+// pull clients and peers that send none. The ticker is anchored there.
 func (s *session) frameLoop() {
 	defer s.hub.wg.Done()
 	defer close(s.done)
 	defer s.store.Wait()
+	defer s.recoverFrame()
 	interval := time.Second / time.Duration(s.fps)
+	start := time.NewTimer(interval)
+	select {
+	case <-s.ctx.Done():
+		start.Stop()
+		return
+	case <-s.posed:
+		start.Stop()
+	case <-start.C:
+	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	defer s.recoverFrame()
-	frame := 0
-	for {
+	for frame := 0; ; frame++ {
+		s.pushFrame(frame)
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 		}
-		s.pushFrame(frame)
-		frame++
 	}
+}
+
+// sawPose records that a subscriber sent a PoseUpdate; only the first
+// does anything (see frameLoop).
+func (s *session) sawPose() {
+	s.posedOnce.Do(func() { close(s.posed) })
 }
 
 // recoverFrame, deferred by every reader of the store, turns a frame's

@@ -220,17 +220,3 @@ func sortPlan(plan [][]int) {
 		return a[0] - b[0]
 	})
 }
-
-// AchievableFPS returns the frame rate the plan sustains (1/PlanTime),
-// capped at the content rate.
-func (p *Problem) AchievableFPS(plan [][]int, capFPS float64) float64 {
-	t := p.PlanTime(plan)
-	if t <= 0 {
-		return capFPS
-	}
-	f := 1 / t
-	if f > capFPS {
-		return capFPS
-	}
-	return f
-}

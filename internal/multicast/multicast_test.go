@@ -195,15 +195,8 @@ func TestDeadlineAndFPS(t *testing.T) {
 	p := fixedProblem(users, nil, nil)
 	plan := [][]int{{0}}
 	// 1 MB at 240 Mbps: 8e6/240e6 = 33.3 ms, exactly 1/30 s.
-	fps := p.AchievableFPS(plan, 30)
-	if math.Abs(fps-30) > 0.1 {
-		t.Errorf("AchievableFPS = %v", fps)
-	}
-	// Cap applies.
-	users[0].RequestBytes = 1
-	p4 := fixedProblem(users, nil, nil)
-	if got := p4.AchievableFPS(plan, 30); got != 30 {
-		t.Errorf("capped FPS = %v", got)
+	if pt := p.PlanTime(plan); math.Abs(pt-1.0/30) > 1e-4 {
+		t.Errorf("PlanTime = %v, want 1/30 s", pt)
 	}
 }
 

@@ -97,13 +97,3 @@ func (l *EventLog) Snapshot() []Event {
 	}
 	return out
 }
-
-// Total returns the number of events ever appended (>= len(Snapshot())).
-func (l *EventLog) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}

@@ -63,25 +63,6 @@ func (w AWV) Power() float64 {
 	return p
 }
 
-// Scale returns w scaled by the real factor s.
-func (w AWV) Scale(s float64) AWV {
-	out := make(AWV, len(w))
-	for i, c := range w {
-		out[i] = c * complex(s, 0)
-	}
-	return out
-}
-
-// Add returns the element-wise sum w + v; the vectors must have equal
-// length.
-func (w AWV) Add(v AWV) AWV {
-	out := make(AWV, len(w))
-	for i := range w {
-		out[i] = w[i] + v[i]
-	}
-	return out
-}
-
 // Array is a uniform planar array (UPA) of isotropic-ish patch elements
 // with half-wavelength spacing, plus its mounting pose in the room. The
 // Airfide AP in the paper exposes 8 patches; we model the equivalent

@@ -74,10 +74,14 @@ func TestLinkMatchesReferenceBitExact(t *testing.T) {
 		mask := l.BlockedBy(r.Channel.Bodies)
 		other := geom.V(rnd.Float64()*8-4, 1.5, rnd.Float64()*6-3)
 		steered := a.SteerTo(rx.Sub(a.Pos))
+		twoLobe := a.SteerTo(other.Sub(a.Pos))
+		for e := range twoLobe {
+			twoLobe[e] += steered[e]
+		}
 		awvs := []AWV{
 			cb.Sectors[rnd.Intn(cb.Len())].W,
 			steered,
-			QuantizeAWV(steered.Add(a.SteerTo(other.Sub(a.Pos))), 2, true),
+			QuantizeAWV(twoLobe, 2, true),
 			steered[:a.Elements()/2], // shorter than the array: only those elements radiate
 		}
 		for k, w := range awvs {

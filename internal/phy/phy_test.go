@@ -38,15 +38,6 @@ func TestAWVNormalize(t *testing.T) {
 	if got := z.Normalize(); got.Power() != 0 {
 		t.Errorf("zero normalize = %v", got)
 	}
-	// Add / Scale.
-	s := w.Scale(0.5)
-	if s[0] != 1 {
-		t.Errorf("Scale = %v", s[0])
-	}
-	sum := w.Add(w)
-	if sum[0] != 4 {
-		t.Errorf("Add = %v", sum[0])
-	}
 }
 
 func TestSteeredBeamPeaksAtTarget(t *testing.T) {

@@ -26,9 +26,6 @@ func New(strides []int) Ladder {
 // Rungs returns the ladder depth.
 func (l Ladder) Rungs() int { return len(l.strides) }
 
-// Strides returns a copy of the prepared strides.
-func (l Ladder) Strides() []int { return append([]int(nil), l.strides...) }
-
 // StrideAt returns the stride of rung r, clamping r into range.
 func (l Ladder) StrideAt(r int) int {
 	if r < 0 {

@@ -212,12 +212,17 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	if cfg.Layers {
 		helloFlags |= wire.HelloFlagLayers
 	}
+	// The first pose rides behind the Hello: the hub pushes a new scene's
+	// frame 0 as soon as it reads one, and it reads the connection again
+	// right after its Welcome, so the pose is already waiting there.
+	first := tracePose(cfg.Trace, uint32(stats.PosesSent), time.Since(sessionStart).Seconds())
 	conn, rd, _, err := join(sessionCtx, cfg.Dial, cfg.Addr,
-		&wire.Hello{ClientID: cfg.ID, Name: cfg.Name, Scene: cfg.Scene, Flags: helloFlags})
+		&wire.Hello{ClientID: cfg.ID, Name: cfg.Name, Scene: cfg.Scene, Flags: helloFlags}, &first)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
+	stats.PosesSent++
 
 	// The single owned writer. Closing the connection is its job: writer
 	// exit (error or stop) severs the socket, which unblocks the reader.
@@ -312,9 +317,9 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	defer func() { close(stopWriter); <-writerDone }()
 
 	// Pose sender at the trace rate, clocked against the session start so
-	// the viewport stays on-trace across reconnects. The first pose goes
-	// out at connect, not a tick later: until the hub has one it pushes
-	// the whole frame at full density.
+	// the viewport stays on-trace across reconnects. Its first pose goes
+	// out at once, not a tick later: the one behind the Hello is as old as
+	// the scene's build.
 	hz := 30
 	if cfg.Trace != nil && cfg.Trace.Hz > 0 {
 		hz = cfg.Trace.Hz
@@ -326,15 +331,7 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 		ticker := time.NewTicker(time.Second / time.Duration(hz))
 		defer ticker.Stop()
 		for {
-			t := time.Since(sessionStart).Seconds()
-			var pu wire.PoseUpdate
-			pu.Seq = uint32(stats.PosesSent)
-			pu.T = t
-			if cfg.Trace != nil {
-				pu.Pose = cfg.Trace.PoseAtTime(t)
-			} else {
-				pu.Pose.Rot = quatIdent()
-			}
+			pu := tracePose(cfg.Trace, uint32(stats.PosesSent), time.Since(sessionStart).Seconds())
 			enqueue(&pu)
 			stats.PosesSent++
 			select {
@@ -417,12 +414,25 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	return nil
 }
 
+// tracePose is the PoseUpdate a push client sends t seconds into its
+// session: the trace's pose then, or a static pose at the origin.
+func tracePose(tr *trace.Trace, seq uint32, t float64) wire.PoseUpdate {
+	pu := wire.PoseUpdate{Seq: seq, T: t}
+	if tr != nil {
+		pu.Pose = tr.PoseAtTime(t)
+	} else {
+		pu.Pose.Rot = geom.QuatIdent()
+	}
+	return pu
+}
+
 // join dials addr (dial nil = plain TCP), sends hello and waits for the
 // server's Welcome — the handshake both players open every connection
-// with. The caller owns the returned connection and reads everything
-// after the Welcome through the returned Reader, which may already hold
-// the first bytes the server sent after it.
-func join(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, hello *wire.Hello) (net.Conn, *wire.Reader, *wire.Welcome, error) {
+// with. A non-nil pose goes out in the same write as the hello, without
+// waiting for the Welcome. The caller owns the returned connection and
+// reads everything after the Welcome through the returned Reader, which
+// may already hold the first bytes the server sent after it.
+func join(ctx context.Context, dial func(context.Context, string) (net.Conn, error), addr string, hello *wire.Hello, pose *wire.PoseUpdate) (net.Conn, *wire.Reader, *wire.Welcome, error) {
 	if dial == nil {
 		dial = func(ctx context.Context, addr string) (net.Conn, error) {
 			d := net.Dialer{Timeout: 5 * time.Second}
@@ -433,7 +443,14 @@ func join(ctx context.Context, dial func(context.Context, string) (net.Conn, err
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("transport: dial: %w", err)
 	}
-	if err := wire.WriteMessage(conn, hello); err != nil {
+	b, err := wire.AppendMessage(nil, hello)
+	if err == nil && pose != nil {
+		b, err = wire.AppendMessage(b, pose)
+	}
+	if err == nil {
+		_, err = conn.Write(b)
+	}
+	if err != nil {
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("transport: hello: %w", err)
 	}
@@ -609,6 +626,3 @@ func isTimeout(err error) bool {
 	}
 	return errors.Is(err, context.DeadlineExceeded)
 }
-
-// quatIdent avoids importing geom just for the identity rotation.
-func quatIdent() geom.Quat { return geom.QuatIdent() }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -262,12 +263,26 @@ func fakeServer(t *testing.T, script func(conn net.Conn)) string {
 				return
 			}
 			go func() {
-				defer conn.Close()
+				defer hangUp(conn)
 				script(conn)
 			}()
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// hangUp ends a scripted connection without a reset: it half-closes, then
+// reads what the client still sends until the client closes (a second at
+// most). Closing a TCP socket with unread bytes sends a reset, which can
+// discard what the client has not read yet, and a script that reads only
+// the Hello always leaves the first pose a push client writes behind it.
+func hangUp(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	io.Copy(io.Discard, conn)
+	conn.Close()
 }
 
 // welcomeFor answers the handshake with a 1-cell grid.

@@ -74,7 +74,7 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		helloFlags |= wire.HelloFlagLayers
 	}
 	conn, rd, welcome, err := join(ctx, cfg.Dial, cfg.Addr,
-		&wire.Hello{ClientID: cfg.ID, Name: "pull", Flags: helloFlags, Scene: cfg.Scene})
+		&wire.Hello{ClientID: cfg.ID, Name: "pull", Flags: helloFlags, Scene: cfg.Scene}, nil)
 	if err != nil {
 		return stats, err
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -127,5 +128,54 @@ func TestFirstFrameCulledToPose(t *testing.T) {
 	if int(first.Cells) != culled {
 		t.Errorf("first frame %d carried %d cells, want the %d its pose sees (of %d occupied)",
 			first.Frame, first.Cells, culled, occ.Count())
+	}
+}
+
+// TestFirstFrameAtFirstPose: the client's first pose rides behind its
+// Hello and the hub pushes a new scene's frame 0 as soon as it reads it,
+// so at 1 fps — one interval is a second — the first frame completes well
+// inside the interval, already culled to the pose. At 120 fps the same
+// holds with the ticker running.
+func TestFirstFrameAtFirstPose(t *testing.T) {
+	store := testStore(t, 5, 8_000)
+	pose := geom.Pose{Pos: store.Grid().Center(store.Frame(0).Occupied.IDs()[0]), Rot: geom.QuatIdent()}
+	occ := store.Frame(0).Occupied
+	culled := len(vivo.New(store.Grid(), vivo.DefaultParams()).Request(occ, pose).Cells)
+	if culled == occ.Count() {
+		t.Fatalf("the pose sees all %d occupied cells: it cannot tell culled from vanilla", culled)
+	}
+	for _, fps := range []int{1, 120} {
+		t.Run(fmt.Sprintf("fps%d", fps), func(t *testing.T) {
+			_, _, addr := startHub(t, store, hub.Config{FPS: fps, Metrics: metrics.NewRegistry()})
+			tap := &adaptTap{}
+			var dialed, firstAt time.Time
+			dial := dialTap(tap, nil)
+			if _, err := RunClient(context.Background(), ClientConfig{
+				Addr: addr, ID: 1, Duration: 600 * time.Millisecond,
+				Trace: &trace.Trace{Hz: 1, Samples: []trace.Sample{{Pose: pose}}},
+				Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+					dialed = time.Now()
+					return dial(ctx, addr)
+				},
+				OnFrameLatency: func(time.Duration) {
+					if firstAt.IsZero() {
+						firstAt = time.Now()
+					}
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			completes := tap.frameCompletes()
+			if len(completes) == 0 || firstAt.IsZero() {
+				t.Fatal("no frame completed")
+			}
+			if d := firstAt.Sub(dialed); d > 300*time.Millisecond {
+				t.Errorf("first frame completed %v after dialing, want well inside one interval (%v)", d, time.Second/time.Duration(fps))
+			}
+			if first := completes[0]; first.Frame != 0 || int(first.Cells) != culled {
+				t.Errorf("first frame %d carried %d cells, want frame 0 with the %d its pose sees (of %d occupied)",
+					first.Frame, first.Cells, culled, occ.Count())
+			}
+		})
 	}
 }

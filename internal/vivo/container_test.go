@@ -63,7 +63,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 	for f := 0; f < orig.NumFrames(); f++ {
 		ofb, gfb := orig.Frame(f), got.Frame(f)
-		if !ofb.Occupied.Equal(gfb.Occupied) {
+		if !slices.Equal(ofb.Occupied.IDs(), gfb.Occupied.IDs()) {
 			t.Fatalf("frame %d occupancy mismatch", f)
 		}
 		for _, stride := range os {

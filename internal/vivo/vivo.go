@@ -75,15 +75,6 @@ type Request struct {
 	Cells []CellRequest
 }
 
-// Set returns the requested cell IDs as a set with the given capacity.
-func (r Request) Set(capacity int) *cell.Set {
-	s := cell.NewSet(capacity)
-	for _, c := range r.Cells {
-		s.Add(c.ID)
-	}
-	return s
-}
-
 // Visibility computes fetch requests for frames partitioned on a grid.
 type Visibility struct {
 	g *cell.Grid

@@ -6,7 +6,9 @@
 //
 // Message flow:
 //
-//	client → server: Hello, then PoseUpdate at the trace rate, Bye to end
+//	client → server: Hello with its first PoseUpdate right behind it (not
+//	                 waiting for Welcome), then PoseUpdate at the trace
+//	                 rate, Bye to end
 //	server → client: Welcome, then per frame a burst of CellData
 //	                 followed by FrameComplete; Adapt on quality changes
 //	either → either: Ping on an idle link, answered by Pong (heartbeat)
