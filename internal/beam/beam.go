@@ -132,35 +132,50 @@ func minRSS(rss []float64) float64 {
 // DesignCustom returns the multi-lobe beam for the group, refined
 // RefineIters times by probing.
 func (d *Designer) DesignCustom(members []Member) (phy.AWV, error) {
+	w, _, err := d.designCustom(members)
+	return w, err
+}
+
+// designCustom is DesignCustom that also returns the group's RSS under
+// the beam, which the probing measured.
+func (d *Designer) designCustom(members []Member) (phy.AWV, []float64, error) {
 	w, err := Combine(members)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rss := d.GroupRSS(w, members)
 	cur := append([]Member(nil), members...)
 	for it := 0; it < d.RefineIters; it++ {
-		rss := d.GroupRSS(w, cur)
 		for i := range cur {
 			cur[i].RSSDBm = rss[i]
 		}
 		w2, err := Combine(cur)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Keep the refinement only if it helps the bottleneck member.
-		if minRSS(d.GroupRSS(w2, cur)) > minRSS(rss) {
-			w = w2
+		if rss2 := d.GroupRSS(w2, cur); minRSS(rss2) > minRSS(rss) {
+			w, rss = w2, rss2
 		}
 	}
-	return w, nil
+	return w, rss, nil
 }
 
 // BestDefaultCommon returns the single codebook sector with the highest
 // bottleneck (min-member) RSS — the best a default-codebook device can do
 // for the whole group with one beam.
 func (d *Designer) BestDefaultCommon(members []Member) (phy.AWV, float64) {
-	var best phy.AWV
-	bestMin := math.Inf(-1)
-	for s, sec := range d.Codebook.Sectors {
+	s, m := d.bestDefaultCommon(members)
+	if s < 0 {
+		return nil, m
+	}
+	return d.Codebook.Sectors[s].W, m
+}
+
+// bestDefaultCommon is BestDefaultCommon by sector index, -1 for none.
+func (d *Designer) bestDefaultCommon(members []Member) (int, float64) {
+	best, bestMin := -1, math.Inf(-1)
+	for s := range d.Codebook.Sectors {
 		m := math.Inf(1)
 		for _, mem := range members {
 			if v := mem.Link.SectorRSS(s, mem.Blocked); v < m {
@@ -168,7 +183,7 @@ func (d *Designer) BestDefaultCommon(members []Member) (phy.AWV, float64) {
 			}
 		}
 		if m > bestMin {
-			best, bestMin = sec.W, m
+			best, bestMin = s, m
 		}
 	}
 	return best, bestMin
@@ -187,16 +202,21 @@ const (
 // use it only when it beats the best default common beam on the
 // bottleneck RSS ("when both users have high RSS, we should directly use
 // the default common beam"). Returns the chosen beam, the group's RSS
-// under it, and which rule fired.
+// under it, and which rule fired. Every RSS is one already measured: the
+// custom beam's by its probing, the default beam's by the sector sweep
+// (a sector's RSS equals the RSS under its weights, bit for bit).
 func (d *Designer) Select(members []Member) (phy.AWV, []float64, Choice, error) {
-	custom, err := d.DesignCustom(members)
+	custom, customRSS, err := d.designCustom(members)
 	if err != nil {
 		return nil, nil, ChoseDefault, err
 	}
-	defW, defMin := d.BestDefaultCommon(members)
-	customRSS := d.GroupRSS(custom, members)
+	s, defMin := d.bestDefaultCommon(members)
 	if minRSS(customRSS) > defMin {
 		return custom, customRSS, ChoseCustom, nil
 	}
-	return defW, d.GroupRSS(defW, members), ChoseDefault, nil
+	rss := make([]float64, len(members))
+	for i, m := range members {
+		rss[i] = m.Link.SectorRSS(s, m.Blocked)
+	}
+	return d.Codebook.Sectors[s].W, rss, ChoseDefault, nil
 }

@@ -104,14 +104,17 @@ func (p *FramePlan) OverlapBytes(members []int) int {
 // Plan works in scratch the Planner owns and reuses from frame to frame
 // (one link response per user, the group-rate memo, the overlap table), so
 // a Planner must not be driven from multiple goroutines; parallel
-// evaluations each build their own Planner (and Network). Within a plan,
-// each user's link build and unicast sweep fan out on the par pool — item
-// u touches only user u's link, sweep scratch and rate — and the greedy
-// grouping that follows is sequential. Blockage never
-// goes through the network's shared channel state while planning: who
-// blocks whom is a per-path mask over each user's link response. On
-// return the channel's body set is in.Bodies, which is what direct Radio
-// calls between plans (the session's proactive beam switch) then see.
+// evaluations each build their own Planner (and Network). Prepare is the
+// exception: calls for distinct users may run concurrently (after
+// Reserve). A user's link response is kept from frame
+// to frame and rebuilt only when their receiver has moved, and within a
+// plan the rebuilds fan out on the par pool — item u touches only user
+// u's link and sweep scratch — while the greedy grouping that follows is
+// sequential. Blockage never goes through the network's shared channel
+// state while planning: who blocks whom is a per-path mask over each
+// user's link response. On return the channel's body set is in.Bodies,
+// which is what direct Radio calls between plans (the session's proactive
+// beam switch) then see.
 type Planner struct {
 	Net *Network
 	// Metrics receives plan timings and airtime stats; nil disables
@@ -121,11 +124,12 @@ type Planner struct {
 	// tracing (every tracer method is nil-safe).
 	Trace *obs.Tracer
 
-	links   []phy.Link         // per user, rebuilt each frame
+	links   []phy.Link         // per user, rebuilt when their receiver moves
 	solo    []sweepScratch     // per user, for their unicast sweep
 	group   sweepScratch       // for the group sweeps
 	rates   map[uint64]float64 // by groupKey, cleared each frame
 	offsets []float64
+	stale   []int // the users whose link Plan rebuilds
 	overlap overlapTable
 }
 
@@ -215,6 +219,36 @@ body:
 	return sc.members
 }
 
+// Reserve sizes the planner's per-user scratch for n users on an
+// 802.11ad network, keeping the links it holds. Call it before running
+// Prepare concurrently; Plan calls it itself.
+func (pl *Planner) Reserve(n int) {
+	if n > cap(pl.links) {
+		pl.links = append(pl.links[:cap(pl.links)], make([]phy.Link, n-cap(pl.links))...)
+	}
+	if n > cap(pl.solo) {
+		pl.solo = append(pl.solo[:cap(pl.solo)], make([]sweepScratch, n-cap(pl.solo))...)
+	}
+	pl.links, pl.solo = pl.links[:n], pl.solo[:n]
+}
+
+// Prepare readies user u of a frame on an 802.11ad network: it rebuilds
+// u's link response if u's receiver (in.Positions[u]) is not the one the
+// link was built for, then sweeps it for u's unicast sector under
+// in.Bodies, into the link's row memo. It reads only in.Positions and
+// in.Bodies, and touches only u's link and sweep scratch, so calls for
+// distinct users may run concurrently once Reserve has sized the planner.
+// Plan prepares every user itself; a caller that prepares them earlier,
+// inside a fan-out of its own, leaves Plan only the lookups.
+func (pl *Planner) Prepare(in FrameInput, u int) {
+	net := pl.Net
+	if l := &pl.links[u]; !l.BuiltFor(net.Radio, net.Codebook, in.Positions[u]) {
+		l.Reset(net.Radio, net.Codebook, in.Positions[u])
+	}
+	self := [1]int{u}
+	pl.membersOf(&pl.solo[u], in, self[:])
+}
+
 // groupKey encodes an ordered member list of n users as one integer; ok
 // is false when the list is too long to fit.
 func groupKey(group []int, n int) (key uint64, ok bool) {
@@ -281,17 +315,25 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 		}
 	}
 	if ad {
-		if cap(pl.links) < n {
-			pl.links, pl.solo = make([]phy.Link, n), make([]sweepScratch, n)
+		// Only a link rebuild is worth a pool fan-out: the sweep of a kept
+		// link is a few lookups, far below what waking a worker costs.
+		pl.Reserve(n)
+		pl.stale = pl.stale[:0]
+		for u := range users {
+			if pl.links[u].BuiltFor(pl.Net.Radio, pl.Net.Codebook, in.Positions[u]) {
+				pl.Prepare(in, u)
+			} else {
+				pl.stale = append(pl.stale, u)
+			}
 		}
-		pl.links, pl.solo = pl.links[:n], pl.solo[:n]
-		if err := par.ForEach(context.Background(), n, func(u int) error {
-			pl.links[u].Reset(pl.Net.Radio, pl.Net.Codebook, in.Positions[u])
-			self := [1]int{u}
-			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.membersOf(&pl.solo[u], in, self[:])[0].RSSDBm + offset(u))
+		if err := par.ForEach(context.Background(), len(pl.stale), func(i int) error {
+			pl.Prepare(in, pl.stale[i])
 			return nil
 		}); err != nil {
 			return nil, err
+		}
+		for u := range users {
+			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.solo[u].members[0].RSSDBm + offset(u))
 		}
 	}
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -127,6 +130,129 @@ func TestPlanWidthParity(t *testing.T) {
 	}
 }
 
+// samePlan fails the test unless got has want's groups, users and plan
+// time, to the bit.
+func samePlan(t *testing.T, what string, got, want *FramePlan) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.Users, want.Users) || got.PlanTime != want.PlanTime {
+		t.Fatalf("%s: plan %v %+v %v, fresh planner %v %+v %v", what, got.Groups, got.Users, got.PlanTime, want.Groups, want.Users, want.PlanTime)
+	}
+}
+
+// TestPlanPrepareMatchesFresh drives TestPlanMatchesReferenceBitExact's
+// frames, at pool widths 1 and 8, through planners that keep their links
+// from frame to frame, and requires every plan to equal a fresh planner's:
+// one whose users are prepared in a fan-out before Plan, as the stream
+// step does; one that plans alone; and one that plans each frame and then
+// a second frame whose users stand where they stood, so that every link
+// is carried over, under the bodies of half a second later (moved) or of
+// the same frame (not moved).
+func TestPlanPrepareMatchesFresh(t *testing.T) {
+	defer par.SetWorkers(0)
+	frames := 60
+	if testing.Short() {
+		frames = 12
+	}
+	st := testStore(t, 3, 20_000)
+	study := trace.GenerateStudy(30*frames+16, 1)
+	for _, w := range []int{1, 8} {
+		par.SetWorkers(w)
+		net, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshNet, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func(in FrameInput) *FramePlan {
+			plan, err := NewPlanner(freshNet).Plan(ModeMulticast, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
+		}
+		plan := func(pl *Planner, in FrameInput) *FramePlan {
+			got, err := pl.Plan(ModeMulticast, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		fading := make([]*phy.Fading, 7)
+		for u := range fading {
+			fading[u] = phy.NewFading(int64(100 + u))
+		}
+		prepared, alone, carried := NewPlanner(net), NewPlanner(net), NewPlanner(net)
+		for f := 0; f < frames; f++ {
+			n, custom := 2+f%6, f/6%2 == 0
+			in := studyFrame(st, study, fading, n, 30*f, custom)
+			want := fresh(in)
+
+			prepared.Reserve(n)
+			if err := par.ForEach(context.Background(), n, func(u int) error {
+				prepared.Prepare(in, u)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, fmt.Sprintf("width %d frame %d prepared", w, f), plan(prepared, in), want)
+			samePlan(t, fmt.Sprintf("width %d frame %d alone", w, f), plan(alone, in), want)
+
+			samePlan(t, fmt.Sprintf("width %d frame %d carried", w, f), plan(carried, in), want)
+			later := studyFrame(st, study, fading, n, 30*f+15, custom)
+			later.Positions = in.Positions
+			if f%2 == 0 {
+				later.Bodies = in.Bodies
+			}
+			for u := 0; u < n; u++ {
+				if !carried.links[u].BuiltFor(net.Radio, net.Codebook, later.Positions[u]) {
+					t.Fatalf("width %d frame %d: user %d's link was not kept", w, f, u)
+				}
+			}
+			samePlan(t, fmt.Sprintf("width %d frame %d carried, bodies moved %v", w, f, f%2 == 1), plan(carried, later), fresh(later))
+		}
+	}
+}
+
+// TestPlanRebuildsMovedLink moves one receiver by one ulp between two
+// plans: that user's link must be the one not kept, it must be rebuilt,
+// and the plan must equal a fresh planner's.
+func TestPlanRebuildsMovedLink(t *testing.T) {
+	st := testStore(t, 2, 20_000)
+	study := trace.GenerateStudy(31, 1)
+	net, err := NewAD()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fading := []*phy.Fading{phy.NewFading(1), phy.NewFading(2), phy.NewFading(3)}
+	in := studyFrame(st, study, fading, 3, 30, true)
+	pl := NewPlanner(net)
+	if _, err := pl.Plan(ModeMulticast, in); err != nil {
+		t.Fatal(err)
+	}
+	moved := in
+	moved.Positions = append([]geom.Vec3(nil), in.Positions...)
+	moved.Positions[1].Z = math.Nextafter(moved.Positions[1].Z, math.Inf(1))
+	for u, want := range []bool{true, false, true} {
+		if got := pl.links[u].BuiltFor(net.Radio, net.Codebook, moved.Positions[u]); got != want {
+			t.Fatalf("before the plan, user %d's link is kept: %v, want %v", u, got, want)
+		}
+	}
+	got, err := pl.Plan(ModeMulticast, moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pl.links[1].BuiltFor(net.Radio, net.Codebook, moved.Positions[1]) {
+		t.Fatal("the moved receiver's link was not rebuilt")
+	}
+	want, err := NewPlanner(net).Plan(ModeMulticast, moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "one ulp moved", got, want)
+}
+
 // TestPlanLeavesChannelBodies pins Plan's post-condition: whatever it did
 // with blockage while planning, the network's channel holds the frame's
 // own body set afterwards, for direct Radio calls between plans.
@@ -152,9 +278,10 @@ func TestPlanLeavesChannelBodies(t *testing.T) {
 }
 
 // planAllocBudget is the steady-state allocation ceiling of one 4-user
-// multicast plan with custom beams (measured 148: the beam designs'
-// weight vectors and RSS slices, the greedy merge's member lists, the
-// plan itself).
+// multicast plan with custom beams (measured 138 at pool widths 1 and 2
+// with its links kept, 138 and 144 with every link rebuilt:
+// the beam designs' weight vectors and RSS slices, the greedy merge's
+// member lists, the plan itself).
 const planAllocBudget = 200
 
 func TestPlanSteadyStateAllocs(t *testing.T) {
@@ -178,9 +305,45 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPlanRebuildAllocs holds the path a simulated session takes every
+// frame to the same ceiling: two study steps alternate, so every user
+// has moved and every link is rebuilt in Plan's fan-out over the stale
+// users, at pool widths 1 and 2.
+func TestPlanRebuildAllocs(t *testing.T) {
+	defer par.SetWorkers(0)
+	st := testStore(t, 2, 20_000)
+	study := trace.GenerateStudy(32, 1)
+	fading := []*phy.Fading{phy.NewFading(1), phy.NewFading(2), phy.NewFading(3), phy.NewFading(4)}
+	ins := [2]FrameInput{studyFrame(st, study, fading, 4, 30, true), studyFrame(st, study, fading, 4, 31, true)}
+	for u := range ins[0].Positions {
+		if ins[0].Positions[u] == ins[1].Positions[u] {
+			t.Fatalf("user %d stands still between the two steps", u)
+		}
+	}
+	for _, w := range []int{1, 2} {
+		par.SetWorkers(w)
+		net, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPlanner(net)
+		i := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := pl.Plan(ModeMulticast, ins[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("width %d: %.0f allocs per 4-user plan, every link rebuilt", w, allocs)
+		if allocs > planAllocBudget {
+			t.Errorf("width %d: %.0f allocs per plan with every link rebuilt, budget %d", w, allocs, planAllocBudget)
+		}
+	}
+}
+
 func benchmarkPlan(b *testing.B, users int) {
 	st := testStore(b, 2, 20_000)
-	study := trace.GenerateStudy(31, 1)
+	study := trace.GenerateStudy(32, 1)
 	net, err := NewAD()
 	if err != nil {
 		b.Fatal(err)
@@ -189,19 +352,21 @@ func benchmarkPlan(b *testing.B, users int) {
 	for u := range fading {
 		fading[u] = phy.NewFading(int64(u))
 	}
-	in := studyFrame(st, study, fading, users, 30, true)
+	ins := [2]FrameInput{studyFrame(st, study, fading, users, 30, true), studyFrame(st, study, fading, users, 31, true)}
 	pl := NewPlanner(net)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Plan(ModeMulticast, in); err != nil {
+		if _, err := pl.Plan(ModeMulticast, ins[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkPlan times the cross-layer planner's frame step: multicast
-// grouping with custom beams and fading, planner scratch warm.
+// grouping with custom beams and fading, planner scratch warm. The users
+// move every frame (two study steps alternate), so every link is rebuilt,
+// as in a simulated session.
 func BenchmarkPlan(b *testing.B) {
 	b.Run("users=4", func(b *testing.B) { benchmarkPlan(b, 4) })
 	b.Run("users=7", func(b *testing.B) { benchmarkPlan(b, 7) })

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -171,5 +172,61 @@ func TestMapReturnsErrorNilResults(t *testing.T) {
 func TestZeroItems(t *testing.T) {
 	if err := ForEach(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("n=0: %v", err)
+	}
+}
+
+// spin does iters steps of dependent floating-point work, a stand-in for
+// a CPU-bound work item (a clock-timed spin would hide that two vCPUs may
+// share one core).
+func spin(iters int) float64 {
+	x := 1.0
+	for i := 0; i < iters; i++ {
+		x = x*1.0000001 + 1e-9
+	}
+	return x
+}
+
+// spinSink keeps spin's result live.
+var spinSink atomic.Uint64
+
+// spinPerMicro calibrates spin: how many steps take a microsecond in
+// series on this machine.
+func spinPerMicro() int {
+	const iters = 1 << 22
+	t0 := time.Now()
+	spinSink.Add(uint64(spin(iters)))
+	return max(1, int(iters/time.Since(t0).Microseconds()))
+}
+
+// BenchmarkForEachGranularity measures what a fan-out buys at a given
+// item size: 4 and 16 items of 10 µs, 100 µs and 1 ms of fixed work each
+// (as long as it takes in series), run in series (width 1) and on a pool
+// GOMAXPROCS wide, so run it at -cpu 2 and the like. A fan-out pays to
+// wake its workers and the items then share whatever the vCPUs really
+// have; below a few hundred µs per item that can eat the overlap
+// (DESIGN §14).
+func BenchmarkForEachGranularity(b *testing.B) {
+	perMicro := spinPerMicro()
+	for _, n := range []int{4, 16} {
+		for _, d := range []time.Duration{10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond} {
+			iters := perMicro * int(d.Microseconds())
+			item := func(int) error {
+				spinSink.Add(uint64(spin(iters)))
+				return nil
+			}
+			for _, mode := range []string{"serial", "pool"} {
+				b.Run(fmt.Sprintf("items=%d/item=%v/%s", n, d, mode), func(b *testing.B) {
+					width := 1
+					if mode == "pool" {
+						width = runtime.GOMAXPROCS(0)
+					}
+					for i := 0; i < b.N; i++ {
+						if err := ForEachN(context.Background(), width, n, item); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

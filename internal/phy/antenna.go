@@ -139,8 +139,10 @@ func (a *Array) steer(dst AWV, u geom.Vec3) AWV {
 	k := 2 * math.Pi / Wavelength()
 	for n := 0; n < a.NY; n++ {
 		for m := 0; m < a.NX; m++ {
-			phase := k * d * (float64(m)*u.X + float64(n)*u.Y)
-			dst = append(dst, cmplx.Exp(complex(0, phase)))
+			// e^(iφ): cmplx.Exp(complex(0, φ)) computes exactly this, 1·cos φ and
+			// 1·sin φ from the same Sincos.
+			sin, cos := math.Sincos(k * d * (float64(m)*u.X + float64(n)*u.Y))
+			dst = append(dst, complex(cos, sin))
 		}
 	}
 	return dst

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"sync/atomic"
 
 	"volcast/internal/geom"
 )
@@ -20,8 +21,44 @@ type Sector struct {
 // Codebook is a set of predefined beams, like the sector sweep codebook a
 // commercial 802.11ad device ships with. The paper's Fig. 3b shows that
 // these default single-lobe beams cannot serve multicast groups well.
+//
+// A codebook is immutable once a Link has read it: the first Link built
+// with it on an array computes every sector's radiated weights (W with
+// the array's imperfections applied) and keeps them with the codebook for
+// the links after it, so a later change to Sectors would go unseen.
 type Codebook struct {
 	Sectors []Sector
+
+	radiated atomic.Pointer[radiatedSectors]
+}
+
+// radiatedSectors holds every sector's radiated weights on one array; it
+// is read-only once published.
+type radiatedSectors struct {
+	array *Array
+	w     []AWV
+}
+
+// radiatedOn returns every sector's radiated weights on a, computing them
+// on the codebook's first use with a (or with another array since). Two
+// first uses may race: each computes the same table and either may be
+// kept, so the read path takes no lock.
+func (cb *Codebook) radiatedOn(a *Array) []AWV {
+	if t := cb.radiated.Load(); t != nil && t.array == a {
+		return t.w
+	}
+	t := &radiatedSectors{array: a, w: make([]AWV, len(cb.Sectors))}
+	n := 0
+	for _, sec := range cb.Sectors {
+		n += len(sec.W)
+	}
+	slab := make(AWV, n)
+	for s, sec := range cb.Sectors {
+		t.w[s] = a.weigh(slab[:len(sec.W):len(sec.W)], sec.W)
+		slab = slab[len(sec.W):]
+	}
+	cb.radiated.Store(t)
+	return t.w
 }
 
 // CodebookConfig controls DefaultCodebook generation.

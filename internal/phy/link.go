@@ -47,14 +47,17 @@ func NewRadio(a *Array, ch *Channel) *Radio {
 // blockage is a bit mask over the paths (bit p = a body stands in path
 // p), supplied at evaluation time.
 //
-// Building a Link costs one ray trace and one steering vector per path;
-// evaluating it costs one dot product per path (RSS) or additions only
-// (Sweep, SectorRSS: one pass over the codebook per blocked mask, a
-// lookup after that) and allocates nothing. Every value is bit-identical
-// to tracing and steering afresh per call: the float expressions and
-// their order are the same, only hoisted. A Link holds evaluation
-// scratch, so it is not safe for concurrent use.
+// Building a Link costs one ray trace and one steering vector per path,
+// and one dot product per sector and path; evaluating it costs one dot
+// product per path (RSS) or additions only (Sweep, SectorRSS: one pass
+// over the codebook per blocked mask, a lookup after that) and allocates
+// nothing. Every value is bit-identical to tracing and steering afresh
+// per call: the float expressions and their order are the same, only
+// hoisted. So a Link may be kept for as long as its receiver stays put
+// (BuiltFor says whether it has). A Link holds evaluation scratch, so it
+// is not safe for concurrent use.
 type Link struct {
+	radio    *Radio
 	array    *Array
 	budget   LinkBudget
 	bodyLoss float64
@@ -105,7 +108,7 @@ func (r *Radio) Link(cb *Codebook, rx geom.Vec3) *Link {
 // reusing its buffers.
 func (l *Link) Reset(r *Radio, cb *Codebook, rx geom.Vec3) {
 	a := r.Array
-	l.array, l.budget, l.bodyLoss, l.tx, l.rx = a, r.Budget, r.Channel.BodyLossDB, a.Pos, rx
+	l.radio, l.array, l.budget, l.bodyLoss, l.tx, l.rx = r, a, r.Budget, r.Channel.BodyLossDB, a.Pos, rx
 	if l.paths == nil { // first build: room for the LOS and first-order paths
 		l.paths, l.terms, l.sv = make([]Path, 0, 7), make([]pathTerm, 0, 7), make(AWV, 0, 7*a.Elements())
 	}
@@ -138,16 +141,30 @@ func (l *Link) Reset(r *Radio, cb *Codebook, rx geom.Vec3) {
 	l.gains = l.gains[:n]
 	l.power = [2][]float64{l.gains[n : 2*n : 2*n], l.gains[2*n : 3*n : 3*n]}
 	l.rows = l.gains[3*n : size]
-	for s, sec := range cb.Sectors {
-		l.weigh(sec.W)
+	for s, we := range cb.radiatedOn(a) {
 		for p := 0; p < np; p++ {
-			l.gains[s*np+p] = l.gain(p)
+			l.gains[s*np+p] = l.gain(we, p)
 		}
 	}
 }
 
 // Rx returns the receiver position the link was built for.
 func (l *Link) Rx() geom.Vec3 { return l.rx }
+
+// BuiltFor reports whether l is what Reset(r, cb, rx) would build, that
+// is, whether its last Reset was on r and cb toward rx, bit for bit. It
+// takes the radio and codebook to be unchanged since.
+func (l *Link) BuiltFor(r *Radio, cb *Codebook, rx geom.Vec3) bool {
+	return l.radio == r && l.codebook == cb && sameBits(l.rx, rx)
+}
+
+// sameBits reports whether a and b hold the same floats, bit for bit (so
+// 0 and -0 differ, as they may in a trace).
+func sameBits(a, b geom.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
 
 // BlockedBy returns the mask of paths that pass through any of the bodies.
 func (l *Link) BlockedBy(bodies []Body) uint64 {
@@ -163,17 +180,17 @@ func (l *Link) BlockedBy(bodies []Body) uint64 {
 	return mask
 }
 
-// weigh loads w, with the array imperfections applied, as the weights
-// gain evaluates.
+// weigh loads w, with the array imperfections applied, into the link's
+// scratch weights (a codebook's sectors come radiated already).
 func (l *Link) weigh(w AWV) { l.we = l.array.weigh(l.we[:len(w)], w) }
 
-// gain returns the transmit gain (dBi) of the loaded weights along path p.
-func (l *Link) gain(p int) float64 {
+// gain returns the transmit gain (dBi) of radiated weights we along path p.
+func (l *Link) gain(we AWV, p int) float64 {
 	if l.terms[p].behind {
 		return behindPanelDBi
 	}
 	ne := l.array.Elements()
-	return arrayFactorDB(l.we, l.sv[p*ne:(p+1)*ne]) + l.terms[p].elem
+	return arrayFactorDB(we, l.sv[p*ne:(p+1)*ne]) + l.terms[p].elem
 }
 
 // dbm is the link equation for one path under transmit gain g; a blocked
@@ -203,7 +220,7 @@ func (l *Link) RSS(w AWV, blocked uint64) float64 {
 	l.weigh(w)
 	var linear float64
 	for p := range l.paths {
-		linear += pow10(l.dbm(p, l.gain(p), blocked>>p&1 != 0) / 10)
+		linear += pow10(l.dbm(p, l.gain(l.we, p), blocked>>p&1 != 0) / 10)
 	}
 	return toDBm(linear)
 }
@@ -299,7 +316,7 @@ func (r *Radio) RSS(w AWV, rx geom.Vec3) float64 {
 func (r *Radio) RSSLOSOnly(w AWV, rx geom.Vec3) float64 {
 	l := r.Link(nil, rx)
 	l.weigh(w)
-	return l.dbm(0, l.gain(0), l.BlockedBy(r.Channel.Bodies)&1 != 0) // trace puts the LOS first
+	return l.dbm(0, l.gain(l.we, 0), l.BlockedBy(r.Channel.Bodies)&1 != 0) // trace puts the LOS first
 }
 
 // SweepBestSector is Link.Sweep toward rx under the channel's current

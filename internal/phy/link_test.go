@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -199,6 +200,40 @@ func TestSweepMemoMatchesFresh(t *testing.T) {
 	past := uint64(1) << 50 // not among the rows of the last draw
 	if n := testing.AllocsPerRun(20, func() { l.Sweep(past); l.SectorRSS(3, past) }); n != 0 {
 		t.Errorf("a full memo allocates %v per Sweep and SectorRSS, want 0", n)
+	}
+}
+
+// TestLinkBuiltFor pins the key a kept Link is reused under: the radio,
+// the codebook and the receiver's bits. A receiver moved by one ulp on
+// any axis, or from 0 to -0, is another link.
+func TestLinkBuiltFor(t *testing.T) {
+	rnd := rand.New(rand.NewSource(37))
+	r, cb, rx := diffWorld(t, rnd, 0)
+	var l Link
+	if l.BuiltFor(r, cb, rx) {
+		t.Fatal("a zero Link claims to be built")
+	}
+	l.Reset(r, cb, rx)
+	if !l.BuiltFor(r, cb, rx) {
+		t.Fatal("a Link is not built for the receiver it was just reset to")
+	}
+	r2, cb2, _ := diffWorld(t, rnd, 1)
+	moved := []geom.Vec3{
+		geom.V(math.Nextafter(rx.X, math.Inf(1)), rx.Y, rx.Z),
+		geom.V(rx.X, math.Nextafter(rx.Y, math.Inf(-1)), rx.Z),
+		geom.V(rx.X, rx.Y, math.Nextafter(rx.Z, math.Inf(1))),
+	}
+	for _, m := range moved {
+		if l.BuiltFor(r, cb, m) {
+			t.Errorf("a receiver moved by one ulp to %v reuses the link built for %v", m, rx)
+		}
+	}
+	if l.BuiltFor(r2, cb, rx) || l.BuiltFor(r, cb2, rx) {
+		t.Error("a Link claims to be built for another radio or codebook")
+	}
+	l.Reset(r, cb, geom.V(0, 1.5, 2))
+	if l.BuiltFor(r, cb, geom.V(math.Copysign(0, -1), 1.5, 2)) {
+		t.Error("a receiver at x = -0 reuses the link built for x = 0")
 	}
 }
 

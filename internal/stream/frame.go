@@ -88,9 +88,11 @@ type frame struct {
 // step advances one frame. The visibility pipeline only reads shared
 // state, and the decode cache's singleflight decodes each distinct block
 // once however many viewports overlap, so culling and decoding fan out on
-// the par pool by user index. The planner works in scratch of its own:
-// it fans each user's link build and unicast sweep out on the same pool,
-// then groups them sequentially.
+// the par pool by user index. On 802.11ad the cull's fan-out also
+// prepares each user's link and unicast sweep (core.Planner.Prepare), so
+// the plan after it only groups, sequentially, and a frame wakes the pool
+// once for both: a fan-out over items this short gains nothing on its
+// own (DESIGN §14).
 func (p *framePath) step(in frameSpec) (frame, error) {
 	n := len(in.poses)
 	fr := frame{
@@ -98,17 +100,47 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 		culled: make([]vivo.Request, n),
 		reqs:   make([]vivo.Request, n),
 	}
+	positions := make([]geom.Vec3, n)
+	bodies := make([]phy.Body, n)
+	for u, pose := range in.poses {
+		positions[u] = pose.Pos
+		bodies[u] = phy.DefaultBody(pose.Pos)
+	}
+	input := core.FrameInput{
+		Store:        p.store,
+		Frame:        fr.fi,
+		Requests:     fr.reqs,
+		Positions:    positions,
+		Bodies:       bodies,
+		CustomBeams:  in.customBeams,
+		RSSOffsetsDB: in.rssOffsets,
+		Seq:          in.seq,
+	}
+	ad := p.planner.Net.Kind == NetAD
+	if ad {
+		p.planner.Reserve(n)
+	}
 	occ := p.store.Frame(fr.fi).Occupied
 	lad := p.store.Ladder()
+	// session.visibility times the whole fan-out, so on 802.11ad it takes
+	// in the link work, which core.prepare times apart, one sample per
+	// user; core.plan then leaves that work out.
+	prepare := p.reg.Histogram("core.prepare", nil)
 	visDone := p.reg.Histogram("session.visibility", nil).TimeMillis()
 	if err := par.ForEach(context.Background(), n, func(u int) error {
-		defer p.tr.Begin(in.seq, u, obs.StageCull).End()
+		cull := p.tr.Begin(in.seq, u, obs.StageCull)
 		if in.mode == ModeVanilla {
 			fr.culled[u] = vivo.VanillaRequest(occ)
 		} else {
 			fr.culled[u] = p.vis.Request(occ, in.views[u])
 		}
 		fr.reqs[u] = abr.AtLevel(lad, fr.culled[u], in.levels[u])
+		cull.End()
+		if ad {
+			defer p.tr.Begin(in.seq, u, obs.StagePlan).End()
+			defer prepare.TimeMillis()()
+			p.planner.Prepare(input, u)
+		}
 		return nil
 	}); err != nil {
 		return fr, err
@@ -142,22 +174,7 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 	if in.steer != nil {
 		floors = in.steer(fr.reqs)
 	}
-	positions := make([]geom.Vec3, n)
-	bodies := make([]phy.Body, n)
-	for u, pose := range in.poses {
-		positions[u] = pose.Pos
-		bodies[u] = phy.DefaultBody(pose.Pos)
-	}
-	plan, err := p.planner.Plan(in.mode, core.FrameInput{
-		Store:        p.store,
-		Frame:        fr.fi,
-		Requests:     fr.reqs,
-		Positions:    positions,
-		Bodies:       bodies,
-		CustomBeams:  in.customBeams,
-		RSSOffsetsDB: in.rssOffsets,
-		Seq:          in.seq,
-	})
+	plan, err := p.planner.Plan(in.mode, input)
 	if err != nil {
 		return fr, err
 	}
