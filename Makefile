@@ -77,9 +77,10 @@ sim-parity:
 # connections' buffered reader against ReadMessage (the same messages and
 # the same terminal error at any buffer size and any read split), and
 # the content generator's branch-free sin/cos against math.Sin/math.Cos
-# (the same bits for any argument folded into the kernels' domain), and
-# the link equation's base-10 power against math.Pow(10, y) (the same
-# bits for any y). Minimizing each new input is capped at a second so it
+# (the same bits for any argument folded into the kernels' domain), its
+# table-driven shade against the shade of math.Sin (the same uint8 for any
+# (h, θ) folded into the sampler's domain), and the link equation's
+# base-10 power against math.Pow(10, y) (the same bits for any y). Minimizing each new input is capped at a second so it
 # cannot eat the ten.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReadMessage$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReaderMatchesReadMessage -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzTrigMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
+	$(GO) test -run '^$$' -fuzz FuzzShadeMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:

@@ -6,7 +6,12 @@
 // quality ladder (330K / 430K / 550K points per frame).
 package pointcloud
 
-import "volcast/internal/geom"
+import (
+	"context"
+
+	"volcast/internal/geom"
+	"volcast/internal/par"
+)
 
 // Point is a single colored point of a volumetric frame. Positions are in
 // meters in the content coordinate system (Y up, content roughly centered
@@ -55,20 +60,33 @@ type Video struct {
 	Frames []*Cloud
 }
 
-// Bounds returns the union of all frame bounds.
+// Bounds returns the union of all frame bounds. Each frame's bounds are
+// taken on the par pool and collected by index, then united in frame
+// order, so the box is the serial pass's, bit for bit, at any width. A
+// panicking frame re-panics, as the serial pass did.
 func (v *Video) Bounds() (geom.AABB, bool) {
+	type frameBox struct {
+		b  geom.AABB
+		ok bool
+	}
+	boxes := make([]frameBox, len(v.Frames))
+	if err := par.ForEach(context.Background(), len(v.Frames), func(i int) error {
+		boxes[i].b, boxes[i].ok = v.Frames[i].Bounds()
+		return nil
+	}); err != nil {
+		panic(err)
+	}
 	var out geom.AABB
 	any := false
-	for _, f := range v.Frames {
-		b, ok := f.Bounds()
-		if !ok {
+	for _, f := range boxes {
+		if !f.ok {
 			continue
 		}
 		if !any {
-			out = b
+			out = f.b
 			any = true
 		} else {
-			out = out.Union(b)
+			out = out.Union(f.b)
 		}
 	}
 	return out, any

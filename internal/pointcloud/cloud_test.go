@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"volcast/internal/geom"
+	"volcast/internal/par"
 )
 
 func smallCloud() *Cloud {
@@ -146,6 +147,80 @@ func TestBoundsMatchesReference(t *testing.T) {
 	}
 	if got, gotOK := v.Bounds(); gotOK != wantOK || !sameBits(got, want) {
 		t.Fatalf("Video.Bounds = %v %v, reference %v %v", got, gotOK, want, wantOK)
+	}
+}
+
+// refVideoBounds is Video.Bounds before it took the frames' bounds on the
+// pool: one serial pass, uniting each frame's box in frame order.
+func refVideoBounds(v *Video) (geom.AABB, bool) {
+	var out geom.AABB
+	any := false
+	for _, f := range v.Frames {
+		b, ok := f.Bounds()
+		if !ok {
+			continue
+		}
+		if !any {
+			out = b
+			any = true
+		} else {
+			out = out.Union(b)
+		}
+	}
+	return out, any
+}
+
+// TestVideoBoundsMatchesReference holds Video.Bounds to the serial union
+// by Float64bits at pool widths 1, 2 and 8: no frames, only empty frames,
+// empty and single-point frames among full ones, frames whose faces meet
+// as −0 against +0 (in both frame orders), NaN coordinates of two
+// payloads and ±Inf, seeded mixes of all of these, and synthesized videos.
+func TestVideoBoundsMatchesReference(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	pz, nz := 0.0, math.Copysign(0, -1)
+	nan1, nan2 := math.NaN(), math.Float64frombits(0xfff8000000000123)
+	one := func(x, y, z float64) *Cloud { return &Cloud{Points: []Point{{Pos: geom.V(x, y, z)}}} }
+	videos := []*Video{
+		{},
+		{Frames: []*Cloud{{}, {}, {}}},
+		{Frames: []*Cloud{{}, one(1, 2, 3), {}, one(-1, 0.5, 2), smallCloud(), {}}},
+		{Frames: []*Cloud{one(pz, pz, pz), one(nz, nz, nz), one(1, 1, 1)}},
+		{Frames: []*Cloud{one(nz, nz, nz), one(pz, pz, pz), one(-1, -1, -1)}},
+		{Frames: []*Cloud{one(pz, nz, pz), {}, one(nz, pz, nz)}},
+		{Frames: []*Cloud{one(1, 2, 3), one(nan1, 0, 0), one(0, nan2, 0), one(0, 0, -4)}},
+		{Frames: []*Cloud{one(nan2, nan1, nan1), one(nan1, nan2, 0)}},
+		{Frames: []*Cloud{one(math.Inf(1), 0, 0), one(math.Inf(-1), nan1, 0), smallCloud()}},
+	}
+	specials := []float64{pz, nz, nan1, nan2, math.Inf(1), math.Inf(-1)}
+	r := rand.New(rand.NewSource(17))
+	component := func() float64 {
+		if r.Float64() < 0.05 {
+			return specials[r.Intn(len(specials))]
+		}
+		return float64(r.Intn(9)-4) * 0.5
+	}
+	for i := 0; i < 40; i++ {
+		v := &Video{Frames: make([]*Cloud, 1+r.Intn(24))}
+		for f := range v.Frames {
+			v.Frames[f] = &Cloud{Points: make([]Point, r.Intn(4)*r.Intn(20))}
+			for p := range v.Frames[f].Points {
+				v.Frames[f].Points[p].Pos = geom.V(component(), component(), component())
+			}
+		}
+		videos = append(videos, v)
+	}
+	videos = append(videos,
+		SynthVideo(SynthConfig{Frames: 10, PointsPerFrame: 5_000, Seed: 4, Sway: 1}),
+		SynthScene(DefaultSceneConfig(6, 6_000, 9)))
+
+	for _, workers := range []int{1, 2, 8} {
+		par.SetWorkers(workers)
+		for vi, v := range videos {
+			want, wantOK := refVideoBounds(v)
+			if got, gotOK := v.Bounds(); gotOK != wantOK || !sameBits(got, want) {
+				t.Fatalf("width %d, video %d: Bounds = %v %v, reference %v %v", workers, vi, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }
 

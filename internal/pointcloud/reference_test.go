@@ -213,6 +213,152 @@ func FuzzTrigMatchesMath(f *testing.F) {
 	})
 }
 
+// refShade is the sampler's shade before shadeOf, on the stdlib's sines
+// (which sinPos matches bit for bit).
+func refShade(h, theta float64) uint8 {
+	return uint8(12 + 11*math.Sin(8*h+3*theta) + 4*math.Sin(40*h))
+}
+
+// nearShade is the value shadeOf computes from sinNear, and whether it
+// lies within the guard, so the exact fallback runs.
+func nearShade(h, theta float64) (v float64, exact bool) {
+	v = 12 + 11*sinNear(8*h+3*theta) + 4*sinNear(40*h)
+	return v, nearInteger(v)
+}
+
+// sameShade fails unless shadeOf(h, theta) is refShade's, and returns
+// nearShade's value and whether shadeOf took its exact fallback.
+func sameShade(t *testing.T, h, theta float64) (v float64, exact bool) {
+	t.Helper()
+	if got, want := shadeOf(h, theta), refShade(h, theta); got != want {
+		t.Fatalf("shadeOf(%v, %v) = %d, reference %d", h, theta, got, want)
+	}
+	return nearShade(h, theta)
+}
+
+// TestShadeMatchesMath holds shadeOf to the shade it replaced over the
+// generator's domain (0 ≤ h < 1, 0 ≤ θ < 2π): ten million (h, θ) drawn as
+// the sampler draws them; h = 0, where sin(40h) is exactly 0, against a
+// θ sweep that includes θ = 0 (a shade of exactly 12); and, for every
+// integer the shade can cross, the θ at which it crosses for seeded h and
+// the floats either side of it — values within the guard, so the exact
+// fallback runs, and straddling the integer, where the approximation
+// alone would truncate wrongly. It also sweeps sinNear against sinPos
+// over its whole domain, node midpoints (where the Taylor step is
+// longest) included, and holds the error to sinNearBound, and the shade's
+// value to within shadeBound of the exact expression's.
+func TestShadeMatchesMath(t *testing.T) {
+	worst := 0.0
+	check := func(x float64) {
+		if e := math.Abs(sinNear(x) - sinPos(x)); e > worst {
+			worst = e
+		}
+	}
+	for k := 0; k < sinNearTop*sinNearScale; k++ {
+		mid := (float64(k) + 0.5) / sinNearScale
+		for _, x := range []float64{float64(k) / sinNearScale, mid, math.Nextafter(mid, 0), math.Nextafter(mid, 100)} {
+			check(x)
+		}
+	}
+	check(sinNearTop)
+	for x := 0.0; x < sinNearTop; x += 1e-5 {
+		check(x)
+	}
+	if worst > sinNearBound {
+		t.Fatalf("max |sinNear − sinPos| = %.3g over [0, %d], bound %.3g", worst, sinNearTop, sinNearBound)
+	}
+	t.Logf("max |sinNear − sinPos| = %.3g (bound %.3g)", worst, sinNearBound)
+
+	r := rand.New(rand.NewSource(3))
+	worst = 0
+	drawn := 0
+	for i := 0; i < 10_000_000; i++ {
+		h := r.Float64()
+		theta := r.Float64() * 2 * math.Pi
+		v, exact := sameShade(t, h, theta)
+		if exact {
+			drawn++
+		}
+		if e := math.Abs(v - (12 + 11*sinPos(8*h+3*theta) + 4*sinPos(40*h))); e > worst {
+			worst = e
+		}
+	}
+	if worst > shadeBound {
+		t.Fatalf("max shade value error %.3g, bound %.3g", worst, shadeBound)
+	}
+	t.Logf("max shade value error %.3g (bound %.3g, guard %.3g); %d of the drawn shades fell back", worst, shadeBound, shadeGuard, drawn)
+
+	if _, exact := sameShade(t, 0, 0); !exact {
+		t.Fatal("shadeOf(0, 0) = 12 exactly did not take the exact fallback")
+	}
+	for i := 0; i < 100_000; i++ {
+		sameShade(t, 0, math.Nextafter(float64(i)*2*math.Pi/100_000, 0))
+		sameShade(t, 0, r.Float64()*2*math.Pi)
+	}
+
+	// Crossings: 12 + 4 sin(40h) + 11 sin(y) = n at y = asin(s) + 2πm and
+	// π − asin(s) + 2πm, with y = 8h + 3θ.
+	fallbacks, straddles, saved := 0, 0, 0
+	for i := 0; i < 300; i++ {
+		h := r.Float64()
+		if i == 0 {
+			h = 0
+		}
+		for n := -3; n <= 27; n++ {
+			s := (float64(n) - 12 - 4*math.Sin(40*h)) / 11
+			if s < -1 || s > 1 {
+				continue
+			}
+			for m := -1; m <= 5; m++ {
+				for _, y := range []float64{math.Asin(s) + 2*math.Pi*float64(m), math.Pi - math.Asin(s) + 2*math.Pi*float64(m)} {
+					theta := (y - 8*h) / 3
+					if theta < 0 || theta >= 2*math.Pi {
+						continue
+					}
+					below, above := false, false
+					lo := theta
+					for j := 0; j < 16 && lo > 0; j++ {
+						lo = math.Nextafter(lo, 0)
+					}
+					for x, j := lo, 0; j < 33 && x < 2*math.Pi; x, j = math.Nextafter(x, 7), j+1 {
+						v, fell := sameShade(t, h, x)
+						if fell {
+							fallbacks++
+						}
+						if uint8(v) != refShade(h, x) {
+							saved++ // the fallback, not the approximation, got this one right
+						}
+						exact := 12 + 11*sinPos(8*h+3*x) + 4*sinPos(40*h)
+						below = below || exact < float64(n)
+						above = above || exact >= float64(n)
+					}
+					if below && above {
+						straddles++
+					}
+				}
+			}
+		}
+	}
+	if fallbacks == 0 || straddles == 0 || saved == 0 {
+		t.Fatalf("searched crossings: %d exact fallbacks, %d straddled integers, %d shades only the fallback got right; want all > 0", fallbacks, straddles, saved)
+	}
+	t.Logf("searched crossings: %d exact fallbacks, %d straddled integers, %d shades only the fallback got right", fallbacks, straddles, saved)
+}
+
+// FuzzShadeMatchesMath folds any (h, θ) into the generator's domain,
+// 0 ≤ h < 1 and 0 ≤ θ < 2π, and requires the shade of the stdlib's sines.
+func FuzzShadeMatchesMath(f *testing.F) {
+	f.Add(0.0, 0.0)
+	f.Add(0.5, 1.0)
+	f.Add(math.Nextafter(1, 0), math.Nextafter(2*math.Pi, 0))
+	f.Fuzz(func(t *testing.T, h, theta float64) {
+		if math.IsNaN(h) || math.IsInf(h, 0) || math.IsNaN(theta) || math.IsInf(theta, 0) {
+			return
+		}
+		sameShade(t, math.Mod(math.Abs(h), 1), math.Mod(math.Abs(theta), 2*math.Pi))
+	})
+}
+
 func BenchmarkSynthFrame(b *testing.B) {
 	cfg := SynthConfig{Frames: 1, FPS: 30, PointsPerFrame: 50_000, Seed: 1, Sway: 1}
 	b.ReportAllocs()

@@ -152,7 +152,7 @@ func appendHumanoid(pts []Point, cfg SynthConfig, frameIdx int) []Point {
 			// function of surface position like a real captured texture.
 			// Spatially smooth colors are what make Draco-class color
 			// delta coding effective, so the codec sees realistic input.
-			shade := uint8(12 + 11*sinPos(8*h+3*theta) + 4*sinPos(40*h))
+			shade := shadeOf(h, theta)
 			pts = append(pts, Point{
 				Pos: p,
 				R:   clampU8(int(sg.color[0]) + int(shade)),

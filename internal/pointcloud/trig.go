@@ -66,3 +66,74 @@ func sincosPos(x float64) (sin, cos float64) {
 	s, c = s^d, c^d
 	return math.Float64frombits(s ^ (j>>2&1)<<63), math.Float64frombits(c ^ (j>>2^j>>1)&1<<63)
 }
+
+// The shade (DESIGN.md §18) reaches the output only through its uint8
+// conversion, so its two sines need not be exact: sinNear is within
+// sinNearBound of sinPos over [0, sinNearTop], and shadeOf trusts a shade
+// computed from it unless that value lies within shadeGuard of an integer,
+// where it recomputes the shade with sinPos. The shade is then the exact
+// expression's, bit for bit, for every (h, θ) the generator draws.
+
+// sinNearScale is sinNear's node count per unit, a power of two, so a node
+// k/sinNearScale and a point's offset from its nearest node are exact.
+// sinNearTop is the top of its domain: the generator's arguments are
+// 8h+3θ < 8+6π and 40h < 40.
+const (
+	sinNearScale = 32
+	sinNearTop   = 40
+)
+
+// sinNearTab holds sin and cos at the nodes k/sinNearScale, k = 0 … 1280.
+var sinNearTab = func() (t [sinNearTop*sinNearScale + 1][2]float64) {
+	for k := range t {
+		t[k][0], t[k][1] = math.Sincos(float64(k) / sinNearScale)
+	}
+	return t
+}()
+
+// sinNearBound bounds |sinNear(x) − sinPos(x)| over [0, sinNearTop], and
+// shadeBound the difference it makes to the shade's value (DESIGN.md §18
+// derives both); shadeGuard is the distance from an integer inside which
+// shadeOf recomputes exactly. shadeBound ≪ shadeGuard.
+const (
+	sinNearBound = 2.2e-14
+	shadeBound   = 4e-13
+	shadeGuard   = 1e-9
+)
+
+// sinNear approximates sin(x) for 0 ≤ x ≤ sinNearTop to within
+// sinNearBound: the nearest node's sin and cos, and Taylor polynomials of
+// the offset d (|d| ≤ 1/64) in the angle-sum formula. Outside that domain
+// the result is unspecified, or the table index panics.
+//
+//vollint:hotpath
+func sinNear(x float64) float64 {
+	k := int(x*sinNearScale + 0.5)
+	d := x - float64(k)*(1.0/sinNearScale)
+	n := &sinNearTab[k]
+	dd := d * d
+	return n[0]*(1-dd*(1.0/2-dd*(1.0/24))) + n[1]*d*(1-dd*(1.0/6-dd*(1.0/120)))
+}
+
+// shadeOf returns uint8(12 + 11*sinPos(8*h+3*theta) + 4*sinPos(40*h)), the
+// sampler's shade, for 0 ≤ h < 1 and 0 ≤ theta < 2π. The value computed
+// with sinNear is within shadeBound of that expression's; unless it lies
+// within shadeGuard of an integer, both lie strictly between the same two
+// integers and truncate alike. Otherwise the exact expression is computed.
+//
+//vollint:hotpath
+func shadeOf(h, theta float64) uint8 {
+	v := 12 + 11*sinNear(8*h+3*theta) + 4*sinNear(40*h)
+	if nearInteger(v) {
+		v = 12 + 11*sinPos(8*h+3*theta) + 4*sinPos(40*h)
+	}
+	return uint8(v)
+}
+
+// nearInteger reports whether v lies within shadeGuard of an integer.
+//
+//vollint:hotpath
+func nearInteger(v float64) bool {
+	f := v - math.Floor(v)
+	return f < shadeGuard || f > 1-shadeGuard
+}

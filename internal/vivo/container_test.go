@@ -10,6 +10,7 @@ import (
 	"volcast/internal/blockcache"
 	"volcast/internal/cell"
 	"volcast/internal/codec"
+	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/pointcloud"
 )
@@ -197,4 +198,69 @@ func BenchmarkBuildStoreCold(b *testing.B) {
 		}
 		st.Wait()
 	}
+}
+
+// BenchmarkColdFactory is a store factory's path to frame 0 on cold_join's
+// content (ten 50 K-point frames, strides {1, 2}), as the benchmark rig
+// and volserve run it: synth (SynthVideo), bounds (Video.Bounds), frame0
+// (NewGrid, then BuildStore up to its return, into an empty encode tier)
+// and factory, the three in sequence. Each iteration synthesizes a new
+// seed; the build's later frames are waited out, and a fresh encode tier
+// made, with the timer stopped.
+func BenchmarkColdFactory(b *testing.B) {
+	strides := []int{1, 2}
+	content := func(seed int) *pointcloud.Video {
+		return pointcloud.SynthVideo(pointcloud.SynthConfig{Frames: 10, FPS: 30, PointsPerFrame: 50_000, Seed: int64(seed), Sway: 1})
+	}
+	// frame0 builds v's store up to frame 0 with the timer running and
+	// waits out the rest of the build with it stopped.
+	frame0 := func(b *testing.B, v *pointcloud.Video, bounds geom.AABB) {
+		b.StopTimer()
+		enc := codec.NewEncoder(codec.DefaultParams()).Cached(blockcache.BlockCacheOn(blockcache.New("bench", 256<<20, metrics.NewRegistry())))
+		b.StartTimer()
+		g, err := cell.NewGrid(bounds, cell.Size50)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := BuildStore(v, g, enc, strides)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		st.Wait()
+		b.StartTimer()
+	}
+	bounds := func(b *testing.B, v *pointcloud.Video) geom.AABB {
+		box, ok := v.Bounds()
+		if !ok {
+			b.Fatal("no bounds")
+		}
+		return box
+	}
+	b.Run("synth", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			content(i)
+		}
+	})
+	b.Run("bounds", func(b *testing.B) {
+		v := content(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bounds(b, v)
+		}
+	})
+	b.Run("frame0", func(b *testing.B) {
+		v := content(1)
+		box := bounds(b, v)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frame0(b, v, box)
+		}
+	})
+	b.Run("factory", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			v := content(i)
+			frame0(b, v, bounds(b, v))
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -186,9 +187,13 @@ func builtStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) *St
 
 // encodeFrame partitions and encodes one frame: each cell once, with
 // every coarser stride's entry a layer-prefix view of the full block. The
-// cells are fanned out width wide on par and their blocks collected by
-// index in ascending cell-ID order, so the frame is the same at any
-// width; a cell's panic is re-raised as the fan-out's *par.PanicError.
+// cells are fanned out width wide on par, largest first: a frame is
+// stored only once its biggest cell is, so that cell starts first rather
+// than wherever its ID falls. Their blocks are collected by index in
+// ascending cell-ID order, so the frame is the same at any width. Every
+// cell runs even when one panics, and the lowest-ID cell's panic is
+// re-raised as a *par.PanicError, so which panic surfaces does not depend
+// on the width or the order either.
 // It yields after every cell: a build runs beside the frames it already
 // serves, and without the yield the pool's encoders hold every P for a
 // whole preemption slice while the frame loop, writers and readers wait.
@@ -199,14 +204,31 @@ func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, lad 
 		occ.Add(id)
 	}
 	ids := occ.IDs()
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(parts[ids[b]]) - len(parts[ids[a]]) })
 	blocks := make([]*codec.Block, len(ids))
-	if err := par.ForEachN(context.Background(), width, len(ids), func(i int) error {
+	panics := make([]*par.PanicError, len(ids))
+	// Every item returns nil (a panic is recorded, not returned), so par
+	// runs every cell and returns nil.
+	_ = par.ForEachN(context.Background(), width, len(order), func(j int) error {
+		i := order[j]
+		defer func() {
+			if r := recover(); r != nil {
+				panics[i] = &par.PanicError{Index: i, Value: r, Stack: debug.Stack()}
+			}
+		}()
 		id := ids[i]
 		blocks[i] = enc.EncodeCell(id, frame, parts[id], g.Bounds(id))
 		runtime.Gosched()
 		return nil
-	}); err != nil {
-		panic(err)
+	})
+	for _, pe := range panics {
+		if pe != nil {
+			panic(pe)
+		}
 	}
 	full := make(map[cell.ID]*codec.Block, len(ids))
 	for i, id := range ids {

@@ -3,13 +3,16 @@ package vivo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"volcast/internal/cell"
 	"volcast/internal/codec"
 	"volcast/internal/par"
+	"volcast/internal/pointcloud"
 	"volcast/internal/testutil/leakcheck"
 )
 
@@ -165,5 +168,99 @@ func TestBuildStoreFrameZeroPanicStartsNothing(t *testing.T) {
 			release()
 			snap.Check(t)
 		})
+	}
+}
+
+// cellRecorder records the cell of every encode in the order the encodes
+// finish, and panics, with the cell's ID as the value, after encoding a
+// cell in boom.
+type cellRecorder struct {
+	boom map[cell.ID]bool
+
+	mu    sync.Mutex
+	cells []cell.ID
+}
+
+func (c *cellRecorder) Block(key codec.CacheKey, encode func() *codec.Block) *codec.Block {
+	blk := encode()
+	c.mu.Lock()
+	c.cells = append(c.cells, blk.CellID)
+	c.mu.Unlock()
+	if c.boom[blk.CellID] {
+		panic(blk.CellID)
+	}
+	return blk
+}
+
+// largestFirst returns frame's occupied cells by point count, largest
+// first, ties in ascending ID order.
+func largestFirst(g *cell.Grid, frame *pointcloud.Cloud) []cell.ID {
+	parts := g.Partition(frame)
+	ids := make([]cell.ID, 0, len(parts))
+	for id := range parts {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	slices.SortStableFunc(ids, func(a, b cell.ID) int { return len(parts[b]) - len(parts[a]) })
+	return ids
+}
+
+// TestBuildStoreEncodesLargestCellFirst: at pool width 1, where the
+// fan-out runs inline, frame 0's cells are encoded largest first, ties in
+// ID order, and the store is still the reference's.
+func TestBuildStoreEncodesLargestCellFirst(t *testing.T) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(1)
+	strides := []int{1, 2}
+	v, g := testVideo(t, 3, 6_000)
+	ref, err := refBuildStore(v, g, codec.NewEncoder(codec.DefaultParams()), strides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := largestFirst(g, v.Frames[0])
+	rec := &cellRecorder{}
+	st, err := BuildStore(v, g, codec.NewEncoder(codec.DefaultParams()).Cached(rec), strides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Wait()
+	rec.mu.Lock()
+	got := rec.cells[:min(len(rec.cells), len(want))]
+	rec.mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Errorf("frame 0 encoded cells %v, want largest first %v", got, want)
+	}
+	if slices.IsSorted(want) {
+		t.Errorf("frame 0's cells %v are in ID order by size too: the test shows nothing", want)
+	}
+	sameStore(t, "width 1", st, ref)
+}
+
+// TestBuildStoreReportsLowestCellPanic: when several of frame 0's cells
+// panic — here the largest, which is encoded first, and two others — the
+// error BuildStore returns carries the lowest cell ID's panic value at
+// every pool width, as the ascending-ID fan-out did at width 1.
+func TestBuildStoreReportsLowestCellPanic(t *testing.T) {
+	defer par.SetWorkers(0)
+	strides := []int{1, 2}
+	v, g := testVideo(t, 3, 6_000)
+	order := largestFirst(g, v.Frames[0])
+	byID := slices.Clone(order)
+	slices.Sort(byID)
+	boom := map[cell.ID]bool{order[0]: true, byID[len(byID)/2]: true, byID[len(byID)-1]: true}
+	lowest := byID[len(byID)-1]
+	for id := range boom {
+		lowest = min(lowest, id)
+	}
+	if lowest == order[0] {
+		t.Fatalf("the largest cell %d has the lowest panicking ID: the test shows nothing", lowest)
+	}
+	for _, width := range []int{1, 2, 8} {
+		par.SetWorkers(width)
+		_, err := BuildStore(v, g, codec.NewEncoder(codec.DefaultParams()).Cached(&cellRecorder{boom: boom}), strides)
+		var pe *par.PanicError
+		if !errors.As(err, &pe) || pe.Index != 0 || pe.Value != lowest {
+			t.Fatalf("width %d: BuildStore returned %v, want frame 0's *par.PanicError with cell %d's value", width, err, lowest)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package vivo
 
 import (
 	"math"
+	"sync"
 
 	"volcast/internal/cell"
 	"volcast/internal/geom"
@@ -104,6 +105,11 @@ func (v *Visibility) Visible(occ *cell.Set, pose geom.Pose) *cell.Set {
 	return v.g.VisibleCells(occ, geom.NewFrustum(pose, v.p.Frustum))
 }
 
+// depthBufs recycles Unoccluded's depth buffers (*[]float64): 36 KB at the
+// default 96 bins, taken once per user per frame, concurrently within a
+// frame's cull fan-out.
+var depthBufs sync.Pool
+
 // Unoccluded filters vis down to cells not hidden behind nearer cells, as
 // seen from eye. It uses an angular depth buffer: each cell splats its
 // angular footprint with its distance; a cell loses when every bin it
@@ -114,7 +120,13 @@ func (v *Visibility) Unoccluded(vis *cell.Set, eye geom.Vec3) *cell.Set {
 	if nEl < 1 {
 		nEl = 1
 	}
-	depth := make([]float64, nAz*nEl)
+	buf, _ := depthBufs.Get().(*[]float64)
+	if buf == nil || cap(*buf) < nAz*nEl {
+		fresh := make([]float64, nAz*nEl)
+		buf = &fresh
+	}
+	defer depthBufs.Put(buf)
+	depth := (*buf)[:nAz*nEl]
 	for i := range depth {
 		depth[i] = math.Inf(1)
 	}

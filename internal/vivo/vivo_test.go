@@ -1,8 +1,10 @@
 package vivo
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"volcast/internal/cell"
@@ -220,14 +222,81 @@ func TestBuildStoreRejectsMissingStride1(t *testing.T) {
 	}
 }
 
-func BenchmarkVivoRequest(b *testing.B) {
+// requestWorld is BenchmarkVivoRequest's scene: a 100 K-point frame on
+// 50 cm cells and a viewer 3 m back.
+func requestWorld() (*cell.Grid, *cell.Set, geom.Pose) {
 	cfg := pointcloud.SynthConfig{Frames: 1, FPS: 30, PointsPerFrame: 100_000, Seed: 2, Sway: 1}
 	frame := pointcloud.SynthFrame(cfg, 0)
 	bounds, _ := frame.Bounds()
 	g, _ := cell.NewGrid(bounds, cell.Size50)
-	occ := g.OccupiedCells(frame)
-	v := New(g, DefaultParams())
 	pose := geom.Pose{Pos: geom.V(0, 1.5, 3.0), Rot: geom.LookRotation(geom.V(0, -0.2, -1), geom.V(0, 1, 0))}
+	return g, g.OccupiedCells(frame), pose
+}
+
+// TestRequestAllocs pins Request at six allocations warm: Unoccluded's
+// depth buffer comes from depthBufs, not from make.
+func TestRequestAllocs(t *testing.T) {
+	g, occ, pose := requestWorld()
+	v := New(g, DefaultParams())
+	if n := testing.AllocsPerRun(50, func() { v.Request(occ, pose) }); n > 6 {
+		t.Fatalf("Request: %v allocations, want ≤ 6", n)
+	}
+}
+
+// TestRequestMatchesFreshBuffers: requests made from recycled depth
+// buffers — left dirty by a larger bin count, or shared by concurrent
+// callers — equal those made from fresh ones.
+func TestRequestMatchesFreshBuffers(t *testing.T) {
+	g, occ, pose := requestWorld()
+	var vs []*Visibility
+	for _, bins := range []int{96, 200, 8, 97} {
+		p := DefaultParams()
+		p.OcclusionBins = bins
+		vs = append(vs, New(g, p))
+	}
+	poses := []geom.Pose{pose}
+	for i := 0; i < 7; i++ {
+		a := float64(i) * 2 * math.Pi / 7
+		eye := geom.V(3*math.Sin(a), 1.2+0.1*float64(i), 3*math.Cos(a))
+		poses = append(poses, geom.Pose{Pos: eye, Rot: geom.LookRotation(geom.V(0, 1, 0).Sub(eye), geom.V(0, 1, 0))})
+	}
+	want := make([][]Request, len(vs))
+	for vi, v := range vs {
+		for _, p := range poses {
+			depthBufs = sync.Pool{} // a fresh buffer for every reference request
+			want[vi] = append(want[vi], v.Request(occ, p))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(vs))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for vi := range vs {
+					vi := (vi + w + round) % len(vs)
+					for pi, p := range poses {
+						if got := vs[vi].Request(occ, p); !slices.Equal(got.Cells, want[vi][pi].Cells) {
+							errs <- fmt.Sprintf("bins %d, pose %d: %v, fresh %v", vs[vi].p.OcclusionBins, pi, got.Cells, want[vi][pi].Cells)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+func BenchmarkVivoRequest(b *testing.B) {
+	g, occ, pose := requestWorld()
+	v := New(g, DefaultParams())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = v.Request(occ, pose)
