@@ -79,9 +79,13 @@ sim-parity:
 # the content generator's branch-free sin/cos against math.Sin/math.Cos
 # (the same bits for any argument folded into the kernels' domain), its
 # table-driven shade against the shade of math.Sin (the same uint8 for any
-# (h, θ) folded into the sampler's domain), and the link equation's
-# base-10 power against math.Pow(10, y) (the same bits for any y). Minimizing each new input is capped at a second so it
-# cannot eat the ten.
+# (h, θ) folded into the sampler's domain), the link equation's base-10
+# power against math.Pow(10, y) (the same bits for any y), and the
+# sector sweeps, which rank sectors in linear power and evaluate only
+# the contenders, against the pre-kernel formula (the same sector and
+# the same RSS for any receiver, bodies and reflection order).
+# Minimizing each new input is capped at a second so it cannot eat the
+# ten.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOctreeEncodeMatchesReference -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/codec
@@ -91,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTrigMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzShadeMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
+	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 
 # trace-smoke runs a tiny traced session and lints the Perfetto dump:
 # it must parse, cover >= 6 pipeline stages per frame, and attribute

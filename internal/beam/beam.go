@@ -174,19 +174,9 @@ func (d *Designer) BestDefaultCommon(members []Member) (phy.AWV, float64) {
 
 // bestDefaultCommon is BestDefaultCommon by sector index, -1 for none.
 func (d *Designer) bestDefaultCommon(members []Member) (int, float64) {
-	best, bestMin := -1, math.Inf(-1)
-	for s := range d.Codebook.Sectors {
-		m := math.Inf(1)
-		for _, mem := range members {
-			if v := mem.Link.SectorRSS(s, mem.Blocked); v < m {
-				m = v
-			}
-		}
-		if m > bestMin {
-			best, bestMin = s, m
-		}
-	}
-	return best, bestMin
+	return phy.BestCommonSector(d.Codebook, len(members), func(i int) (*phy.Link, uint64) {
+		return members[i].Link, members[i].Blocked
+	})
 }
 
 // Choice reports which beam the selection rule picked.

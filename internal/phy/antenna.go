@@ -190,12 +190,20 @@ func (a *Array) weigh(dst, w AWV) AWV {
 // arrayFactorDB returns 10·log10 |Σ we[i]·sv[i]|² for radiated weights we
 // (see weigh) and steering vector sv. For unit-norm weights it peaks at N,
 // the array gain.
-func arrayFactorDB(we, sv AWV) float64 {
+func arrayFactorDB(we, sv AWV) float64 { return factorDB(arrayFactor(we, sv)) }
+
+// arrayFactor returns Σ we[i]·sv[i], summed in element order.
+func arrayFactor(we, sv AWV) complex128 {
 	var acc complex128
 	sv = sv[:len(we)]
 	for i := range we {
 		acc += we[i] * sv[i]
 	}
+	return acc
+}
+
+// factorDB returns 10·log10 |acc|², |acc| floored at 1e-9.
+func factorDB(acc complex128) float64 {
 	af := cmplx.Abs(acc)
 	if af < 1e-9 {
 		af = 1e-9

@@ -43,19 +43,22 @@ func NewRadio(a *Array, ch *Channel) *Radio {
 // every term of the RSS computation that depends on neither the transmit
 // weights nor on who stands in the room — the traced paths with each
 // one's free-space loss, steering vector and element-pattern gain — plus,
-// when built with a codebook, every sector's gain along every path. Body
-// blockage is a bit mask over the paths (bit p = a body stands in path
-// p), supplied at evaluation time.
+// when built with a codebook, every sector's array factor along every
+// path. Body blockage is a bit mask over the paths (bit p = a body stands
+// in path p), supplied at evaluation time.
 //
 // Building a Link costs one ray trace and one steering vector per path,
-// and one dot product per sector and path; evaluating it costs one dot
-// product per path (RSS) or additions only (Sweep, SectorRSS: one pass
-// over the codebook per blocked mask, a lookup after that) and allocates
-// nothing. Every value is bit-identical to tracing and steering afresh
-// per call: the float expressions and their order are the same, only
-// hoisted. So a Link may be kept for as long as its receiver stays put
-// (BuiltFor says whether it has). A Link holds evaluation scratch, so it
-// is not safe for concurrent use.
+// one dot product per sector and path, and two pow10 per path. Evaluating
+// it costs one dot product per path (RSS); a sector sweep (Sweep,
+// BestCommonSector) ranks every sector by a multiply-add per path and
+// runs the link equation only for the sectors whose rank comes within
+// rankGuard of the best, and SectorRSS runs it for the sector asked.
+// Nothing allocates. Every value is bit-identical to tracing and steering
+// afresh per call: the float expressions and their order are the same,
+// only hoisted, and a ranking decides only which values are computed
+// (DESIGN.md §14). So a Link may be kept for as long as its receiver
+// stays put (BuiltFor says whether it has). A Link holds evaluation
+// scratch, so it is not safe for concurrent use.
 type Link struct {
 	radio    *Radio
 	array    *Array
@@ -68,23 +71,29 @@ type Link struct {
 	sv       AWV // steering vectors, path-major, Elements() each
 	we       AWV // scratch: the weights under evaluation, imperfections applied
 
-	// Sector table, row-major by sector then path: sector s's gain (dBi)
-	// along path p, and the linear power (mW) it delivers over p when p
-	// is clear (power[0]) or body-blocked (power[1]). A power column is
-	// computed when a mask first needs it (its bit in filled): most paths
-	// are only ever seen in one state.
+	// Sector table: sector s's array factor along path p,
+	// Σ_i (w_i·e_i)·a_p,i, at acc[s*np+p] (1 for a path that leaves behind
+	// the panel, whose gain the weights do not change), and the factor of
+	// path p's received power (mW) that no weight changes,
+	// 10^((Tx + elem_p + Rx − FSPL_p − L_p)/10), at k[2p] when p is clear
+	// and k[2p+1] when it is body-blocked. A sector's ranked power,
+	// Σ_p max(|acc|², 1e−18)·k, is its received power up to rounding.
 	codebook *Codebook
-	gains    []float64
-	power    [2][]float64
-	filled   [2]uint64
+	acc      []complex128
+	k        []float64
 
-	// Swept rows: every sector's RSS (dBm) under each of the first
-	// len(rowMasks) masks evaluated since Reset, row i (under rowMasks[i])
-	// at rows[i*sectors:]. A planner asks one link about a handful of
-	// masks per frame — one per set of other bodies in its path — and
-	// about each of them many times. A mask past the memo's capacity is
-	// evaluated afresh, which gives the same floats.
-	rows     []float64
+	// Swept rows, one under each of the first len(rowMasks) masks evaluated
+	// since Reset: row i (under rowMasks[i]) holds every sector's ranked
+	// power at ranked[i*sectors:], the RSS (dBm) of each sector evaluated
+	// so far at exact[i*sectors:] (NaN for the rest), and its Sweep's
+	// sector plus one at swept[i] (0 before its first Sweep). A planner
+	// asks one link about a handful of masks per frame — one per set of
+	// other bodies in its path — and about each of them many times. A
+	// mask past the memo's capacity is ranked and evaluated afresh, which
+	// gives the same floats.
+	ranked   []float64
+	exact    []float64
+	swept    [8]int
 	rowMasks [8]uint64
 	nrows    int
 }
@@ -130,21 +139,37 @@ func (l *Link) Reset(r *Radio, cb *Codebook, rx geom.Vec3) {
 	if cb == nil {
 		return
 	}
-	np, n := len(l.paths), len(cb.Sectors)*len(l.paths)
-	none := ^uint64(0) << np // no column computed; there are none past np
-	l.filled = [2]uint64{none, none}
+	np, ns := len(l.paths), len(cb.Sectors)
 	l.nrows = 0
-	size := 3*n + len(l.rowMasks)*len(cb.Sectors)
-	if cap(l.gains) < size {
-		l.gains = make([]float64, n, size) // one slab: gains, the two power tables, the swept rows
+	if cap(l.acc) < ns*np {
+		l.acc = make([]complex128, ns*np)
 	}
-	l.gains = l.gains[:n]
-	l.power = [2][]float64{l.gains[n : 2*n : 2*n], l.gains[2*n : 3*n : 3*n]}
-	l.rows = l.gains[3*n : size]
+	l.acc = l.acc[:ns*np]
+	rows := len(l.rowMasks) * ns
+	size := 2*np + 2*rows
+	if cap(l.k) < size {
+		l.k = make([]float64, size) // one slab: k, then the ranked and the exact rows
+	}
+	l.k = l.k[:size]
+	l.ranked, l.exact = l.k[2*np:2*np+rows:2*np+rows], l.k[2*np+rows:size:size]
+	l.k = l.k[:2*np]
+	ne := a.Elements()
 	for s, we := range cb.radiatedOn(a) {
-		for p := 0; p < np; p++ {
-			l.gains[s*np+p] = l.gain(we, p)
+		for p, t := range l.terms {
+			c := complex(1, 0)
+			if !t.behind {
+				c = arrayFactor(we, l.sv[p*ne:(p+1)*ne])
+			}
+			l.acc[s*np+p] = c
 		}
+	}
+	for p, t := range l.terms {
+		g := t.elem
+		if t.behind {
+			g = behindPanelDBi
+		}
+		l.k[2*p] = pow10(l.dbm(p, g, false) / 10)
+		l.k[2*p+1] = pow10(l.dbm(p, g, true) / 10)
 	}
 }
 
@@ -225,81 +250,184 @@ func (l *Link) RSS(w AWV, blocked uint64) float64 {
 	return toDBm(linear)
 }
 
+// rankGuard is how close to the best ranked power (relative) a sector's
+// must come for a sweep to evaluate its RSS exactly. rankBound bounds the
+// relative error of a ranked power against the received power the link
+// equation sums (DESIGN.md §14 derives it); with rankBound ≪ rankGuard,
+// every sector a sweep skips has a lower RSS than the one it picks.
+const (
+	rankGuard = 1e-9
+	rankBound = 2e-13
+)
+
+// contends reports whether a sector of ranked power v may still be the
+// one a sweep picks when the best ranked power is top.
+func contends(v, top float64) bool { return v >= top*(1-rankGuard) }
+
 // SectorRSS is RSS for the s-th sector of the link's codebook.
 //
 //vollint:hotpath
 func (l *Link) SectorRSS(s int, blocked uint64) float64 {
-	if row := l.row(blocked); row != nil {
-		return row[s]
-	}
-	return l.sectorRSS(s, blocked)
+	return l.exactAt(l.row(blocked), s, blocked)
 }
 
-// row returns every sector's RSS under blocked from the memo, sweeping
-// the row on the mask's first use; nil when the memo is full without it.
-func (l *Link) row(blocked uint64) []float64 {
-	ns := len(l.codebook.Sectors)
+// rank is the s-th sector's ranked power under blocked.
+func (l *Link) rank(s int, blocked uint64) float64 {
+	return l.rankAt(l.row(blocked), s, blocked)
+}
+
+// row returns the index of blocked's row in the memo, adding the row on
+// the mask's first use; -1 when the memo is full without it.
+func (l *Link) row(blocked uint64) int {
 	for i, m := range l.rowMasks[:l.nrows] {
 		if m == blocked {
-			return l.rows[i*ns : (i+1)*ns]
+			return i
 		}
 	}
 	if l.nrows == len(l.rowMasks) {
-		return nil
+		return -1
 	}
-	l.rowMasks[l.nrows] = blocked
-	row := l.rows[l.nrows*ns : (l.nrows+1)*ns]
+	i := l.nrows
 	l.nrows++
-	for s := range row {
-		row[s] = l.sectorRSS(s, blocked)
+	l.rowMasks[i], l.swept[i] = blocked, 0
+	ns := len(l.codebook.Sectors)
+	ranked, exact := l.ranked[i*ns:(i+1)*ns], l.exact[i*ns:(i+1)*ns]
+	for s := range ranked {
+		ranked[s], exact[s] = l.rankedPower(s, blocked), math.NaN()
 	}
-	return row
+	return i
 }
 
-// sectorRSS evaluates SectorRSS from the power tables.
-func (l *Link) sectorRSS(s int, blocked uint64) float64 {
-	if (blocked&^l.filled[1])|(^blocked&^l.filled[0]) != 0 {
-		l.fill(blocked)
+// rankAt is rank with blocked's row already looked up (i = -1: none).
+func (l *Link) rankAt(i, s int, blocked uint64) float64 {
+	if i < 0 {
+		return l.rankedPower(s, blocked)
 	}
+	return l.ranked[i*len(l.codebook.Sectors)+s]
+}
+
+// exactAt is SectorRSS with blocked's row already looked up (i = -1:
+// none), evaluating the sector on its first use under the row's mask.
+func (l *Link) exactAt(i, s int, blocked uint64) float64 {
+	if i < 0 {
+		return toDBm(l.sectorPower(s, blocked))
+	}
+	x := &l.exact[i*len(l.codebook.Sectors)+s]
+	if math.IsNaN(*x) {
+		*x = toDBm(l.sectorPower(s, blocked))
+	}
+	return *x
+}
+
+// rankedPower is Σ_p max(|acc|², 1e−18)·k over the s-th sector's paths
+// under blocked: its received power (mW) within rankBound, relative.
+func (l *Link) rankedPower(s int, blocked uint64) float64 {
+	np := len(l.paths)
+	var v float64
+	for p, c := range l.acc[s*np : (s+1)*np] {
+		v += max(real(c)*real(c)+imag(c)*imag(c), 1e-18) * l.k[2*p+int(blocked>>p&1)]
+	}
+	return v
+}
+
+// sectorPower is the s-th sector's received power (mW) under blocked by
+// the link equation, the very float expression RSS evaluates for the
+// sector's weights: the gain, then the dBm sum, pow10, and the sum over
+// the paths in trace order.
+func (l *Link) sectorPower(s int, blocked uint64) float64 {
 	np := len(l.paths)
 	var linear float64
-	for p := 0; p < np; p++ {
-		linear += l.power[blocked>>p&1][s*np+p]
-	}
-	return toDBm(linear)
-}
-
-// fill computes the power columns that blocked is the first mask to need.
-func (l *Link) fill(blocked uint64) {
-	np := len(l.paths)
-	for p := 0; p < np; p++ {
-		b := blocked >> p & 1
-		if l.filled[b]>>p&1 != 0 {
-			continue
+	for p, c := range l.acc[s*np : (s+1)*np] {
+		g := float64(behindPanelDBi)
+		if !l.terms[p].behind {
+			g = factorDB(c) + l.terms[p].elem
 		}
-		l.filled[b] |= 1 << p
-		for i := p; i < len(l.gains); i += np {
-			l.power[b][i] = pow10(l.dbm(p, l.gains[i], b == 1) / 10)
-		}
+		linear += pow10(l.dbm(p, g, blocked>>p&1 != 0) / 10)
 	}
+	return linear
 }
 
 // Sweep performs a sector-level sweep: it returns the codebook sector
 // delivering the highest actual RSS (through whatever paths exist,
-// including reflections around a blocked LOS) and that RSS. This is what
-// 802.11ad SLS training measures, and it is why real links survive
-// blockage by falling back to reflected paths.
+// including reflections around a blocked LOS) and that RSS, the lowest
+// index among equals. This is what 802.11ad SLS training measures, and it
+// is why real links survive blockage by falling back to reflected paths.
 //
 //vollint:hotpath
 func (l *Link) Sweep(blocked uint64) (Sector, float64) {
-	best := Sector{Index: -1}
-	bestRSS := math.Inf(-1)
-	for s := range l.codebook.Sectors {
-		if v := l.SectorRSS(s, blocked); v > bestRSS {
-			best, bestRSS = l.codebook.Sectors[s], v
+	i := l.row(blocked)
+	if i >= 0 && l.swept[i] > 0 {
+		s := l.swept[i] - 1
+		return l.codebook.Sectors[s], l.exactAt(i, s, blocked)
+	}
+	ns := len(l.codebook.Sectors)
+	top := math.Inf(-1)
+	for s := 0; s < ns; s++ {
+		if v := l.rankAt(i, s, blocked); v > top {
+			top = v
 		}
 	}
-	return best, bestRSS
+	best, bestRSS := -1, math.Inf(-1)
+	for s := 0; s < ns; s++ {
+		if !contends(l.rankAt(i, s, blocked), top) {
+			continue
+		}
+		if v := l.exactAt(i, s, blocked); v > bestRSS {
+			best, bestRSS = s, v
+		}
+	}
+	if best < 0 {
+		return Sector{Index: -1}, bestRSS
+	}
+	if i >= 0 {
+		l.swept[i] = best + 1
+	}
+	return l.codebook.Sectors[best], bestRSS
+}
+
+// BestCommonSector returns the sector of cb whose weakest receiver's RSS
+// is the highest, and that RSS: the best one beam of the codebook can do
+// for a multicast group. The group has n receivers; member(i) returns the
+// i-th one's link, built with cb, and its blocked mask. The lowest index
+// wins among equals; an empty codebook gives -1 and -Inf, an empty group
+// sector 0 and +Inf. Like Sweep it ranks the sectors, by their weakest
+// member's ranked power, and evaluates the members' SectorRSS only for
+// the sectors that contend, so sector and RSS are those of comparing
+// every sector's minimum SectorRSS.
+func BestCommonSector(cb *Codebook, n int, member func(i int) (*Link, uint64)) (int, float64) {
+	top := math.Inf(-1)
+	for s := range cb.Sectors {
+		b := math.Inf(1)
+		for i := 0; i < n && b > top; i++ { // past top, s cannot raise it
+			l, blocked := member(i)
+			if v := l.rank(s, blocked); v < b {
+				b = v
+			}
+		}
+		if b > top {
+			top = b
+		}
+	}
+	best, bestMin := -1, math.Inf(-1)
+sector:
+	for s := range cb.Sectors {
+		for i := 0; i < n; i++ { // the weakest contends when every member does
+			if l, blocked := member(i); !contends(l.rank(s, blocked), top) {
+				continue sector
+			}
+		}
+		m := math.Inf(1)
+		for i := 0; i < n; i++ {
+			l, blocked := member(i)
+			if v := l.SectorRSS(s, blocked); v < m {
+				m = v
+			}
+		}
+		if m > bestMin {
+			best, bestMin = s, m
+		}
+	}
+	return best, bestMin
 }
 
 // RSS returns the received signal strength (dBm) at rx for transmit

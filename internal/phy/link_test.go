@@ -238,8 +238,11 @@ func TestLinkBuiltFor(t *testing.T) {
 }
 
 // BenchmarkSweepBestSector times the full sector sweep toward a receiver
-// with two blockers in the room, and its two halves: building the link
-// response and sweeping it.
+// with two blockers in the room, and its parts: building the link
+// response, sweeping a built link under a mask it has swept before (a
+// memoised row), and one user-frame of a session, where every pose moves:
+// a Reset toward one of two alternating receivers, then a Sweep under its
+// fresh mask.
 func BenchmarkSweepBestSector(b *testing.B) {
 	a, _ := NewArray(8, 4, geom.V(0, 2.5, -4), geom.QuatIdent())
 	ch := NewChannel(DefaultRoom())
@@ -265,6 +268,14 @@ func BenchmarkSweepBestSector(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l.Sweep(mask)
+		}
+	})
+	rxs := [2]geom.Vec3{rx, geom.V(-1.2, 1.4, 1.5)}
+	b.Run("link-frame", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l.Reset(r, cb, rxs[i&1])
+			l.Sweep(l.BlockedBy(ch.Bodies))
 		}
 	})
 }
