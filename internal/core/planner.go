@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"volcast/internal/beam"
@@ -9,7 +8,6 @@ import (
 	"volcast/internal/metrics"
 	"volcast/internal/multicast"
 	"volcast/internal/obs"
-	"volcast/internal/par"
 	"volcast/internal/phy"
 	"volcast/internal/vivo"
 )
@@ -106,15 +104,15 @@ func (p *FramePlan) OverlapBytes(members []int) int {
 // a Planner must not be driven from multiple goroutines; parallel
 // evaluations each build their own Planner (and Network). Prepare is the
 // exception: calls for distinct users may run concurrently (after
-// Reserve). A user's link response is kept from frame
-// to frame and rebuilt only when their receiver has moved, and within a
-// plan the rebuilds fan out on the par pool — item u touches only user
-// u's link and sweep scratch — while the greedy grouping that follows is
-// sequential. Blockage never goes through the network's shared channel
-// state while planning: who blocks whom is a per-path mask over each
-// user's link response. On return the channel's body set is in.Bodies,
-// which is what direct Radio calls between plans (the session's proactive
-// beam switch) then see.
+// Reserve). A user's link response is kept from frame to frame and
+// rebuilt only when their receiver has moved. Plan prepares the users in
+// order on the calling goroutine, then groups them: a user's link build
+// and sweep are far shorter than what starting a pool worker costs
+// (DESIGN.md §14). Blockage never goes through the network's shared
+// channel state while planning: who blocks whom is a per-path mask over
+// each user's link response. On return the channel's body set is
+// in.Bodies, which is what evaluations between plans (the session's
+// proactive beam switch, on Link(u) under the channel's bodies) then see.
 type Planner struct {
 	Net *Network
 	// Metrics receives plan timings and airtime stats; nil disables
@@ -129,7 +127,6 @@ type Planner struct {
 	group   sweepScratch       // for the group sweeps
 	rates   map[uint64]float64 // by groupKey, cleared each frame
 	offsets []float64
-	stale   []int // the users whose link Plan rebuilds
 	overlap overlapTable
 }
 
@@ -238,8 +235,8 @@ func (pl *Planner) Reserve(n int) {
 // in.Bodies, into the link's row memo. It reads only in.Positions and
 // in.Bodies, and touches only u's link and sweep scratch, so calls for
 // distinct users may run concurrently once Reserve has sized the planner.
-// Plan prepares every user itself; a caller that prepares them earlier,
-// inside a fan-out of its own, leaves Plan only the lookups.
+// Plan prepares every user itself; a caller that prepares them earlier
+// leaves Plan only the lookups, and can read the links (Link) in between.
 func (pl *Planner) Prepare(in FrameInput, u int) {
 	net := pl.Net
 	if l := &pl.links[u]; !l.BuiltFor(net.Radio, net.Codebook, in.Positions[u]) {
@@ -248,6 +245,12 @@ func (pl *Planner) Prepare(in FrameInput, u int) {
 	self := [1]int{u}
 	pl.membersOf(&pl.solo[u], in, self[:])
 }
+
+// Link returns user u's link response, as the last Prepare (or Plan) of
+// u left it: built toward that frame's in.Positions[u] on the network's
+// radio and codebook. It is the planner's own scratch: evaluate it between
+// plans, and on one goroutine.
+func (pl *Planner) Link(u int) *phy.Link { return &pl.links[u] }
 
 // groupKey encodes an ordered member list of n users as one integer; ok
 // is false when the list is too long to fit.
@@ -315,22 +318,9 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 		}
 	}
 	if ad {
-		// Only a link rebuild is worth a pool fan-out: the sweep of a kept
-		// link is a few lookups, far below what waking a worker costs.
 		pl.Reserve(n)
-		pl.stale = pl.stale[:0]
 		for u := range users {
-			if pl.links[u].BuiltFor(pl.Net.Radio, pl.Net.Codebook, in.Positions[u]) {
-				pl.Prepare(in, u)
-			} else {
-				pl.stale = append(pl.stale, u)
-			}
-		}
-		if err := par.ForEach(context.Background(), len(pl.stale), func(i int) error {
-			pl.Prepare(in, pl.stale[i])
-			return nil
-		}); err != nil {
-			return nil, err
+			pl.Prepare(in, u)
 		}
 		for u := range users {
 			users[u].UnicastRateMbps = pl.Net.unicastRateAt(pl.solo[u].members[0].RSSDBm + offset(u))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -142,8 +143,9 @@ func samePlan(t *testing.T, what string, got, want *FramePlan) {
 // TestPlanPrepareMatchesFresh drives TestPlanMatchesReferenceBitExact's
 // frames, at pool widths 1 and 8, through planners that keep their links
 // from frame to frame, and requires every plan to equal a fresh planner's:
-// one whose users are prepared in a fan-out before Plan, as the stream
-// step does; one that plans alone; and one that plans each frame and then
+// one whose users are prepared in a fan-out before Plan, as Prepare's
+// contract allows (the stream step prepares them in a loop); one that
+// plans alone; and one that plans each frame and then
 // a second frame whose users stand where they stood, so that every link
 // is carried over, under the bodies of half a second later (moved) or of
 // the same frame (not moved).
@@ -215,6 +217,86 @@ func TestPlanPrepareMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestPreparedLinkMatchesReference holds the session's proactive beam
+// switch, which evaluates the link Prepare left for user u (Planner.Link)
+// under the channel's bodies, to the Radio calls it replaced and to the
+// pre-kernel trace: over study frames with 2–6 users, first- and
+// second-order reflections, and channel bodies that are the previous
+// frame's (as in a session) or seeded draws with a body on some user's
+// line of sight, the best path's direction and the RSS of a beam steered
+// along it must be ==. Some draws must block paths and move the best path
+// off the LOS.
+func TestPreparedLinkMatchesReference(t *testing.T) {
+	st := testStore(t, 2, 20_000)
+	study := trace.GenerateStudy(30*24+16, 1)
+	rnd := rand.New(rand.NewSource(40))
+	fading := make([]*phy.Fading, 6)
+	for u := range fading {
+		fading[u] = phy.NewFading(int64(1 + u))
+	}
+	blockedSeen, offLOS := 0, 0
+	for _, second := range []bool{false, true} {
+		net, err := NewAD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Radio.Channel.SecondOrder = second
+		tx := net.Radio.Array.Pos
+		pl := NewPlanner(net)
+		var prev []phy.Body
+		for f := 0; f < 24; f++ {
+			n := 2 + f%5
+			in := studyFrame(st, study, fading, n, 30*f+7, f%3 == 0)
+			bodies := prev
+			if f%2 == 1 {
+				rx := in.Positions[rnd.Intn(n)]
+				bodies = []phy.Body{phy.DefaultBody(tx.Add(rx.Sub(tx).Scale(0.8)))}
+				for k := rnd.Intn(5); k > 0; k-- {
+					bodies = append(bodies, phy.DefaultBody(geom.V(rnd.Float64()*8-4, 0, rnd.Float64()*7-3.5)))
+				}
+			}
+			net.SetBodies(bodies)
+			pl.Reserve(n)
+			for u := 0; u < n; u++ {
+				pl.Prepare(in, u)
+			}
+			for u, rx := range in.Positions {
+				l := pl.Link(u)
+				blocked := l.BlockedBy(net.Radio.Channel.Bodies)
+				dir, ok := l.BestPathDir(blocked)
+				if rdir, rok := net.Radio.BestPathDir(rx); dir != rdir || ok != rok {
+					t.Fatalf("second order %v, frame %d, user %d: Link.BestPathDir %v %v, Radio.BestPathDir %v %v", second, f, u, dir, ok, rdir, rok)
+				}
+				if wdir, wok := refBestPathDir(net.Radio, rx); dir != wdir || ok != wok {
+					t.Fatalf("second order %v, frame %d, user %d: Link.BestPathDir %v %v, reference %v %v", second, f, u, dir, ok, wdir, wok)
+				}
+				w := net.Radio.Array.SteerTo(dir)
+				got := l.RSS(w, blocked)
+				if want := net.Radio.RSS(w, rx); got != want {
+					t.Fatalf("second order %v, frame %d, user %d: Link.RSS %v, Radio.RSS %v", second, f, u, got, want)
+				}
+				if want := refRSS(net.Radio, w, rx); got != want {
+					t.Fatalf("second order %v, frame %d, user %d: Link.RSS %v, reference %v", second, f, u, got, want)
+				}
+				if blocked != 0 {
+					blockedSeen++
+				}
+				if dir != rx.Sub(tx).Norm() {
+					offLOS++
+				}
+			}
+			if _, err := pl.Plan(ModeMulticast, in); err != nil {
+				t.Fatal(err)
+			}
+			prev = in.Bodies
+		}
+	}
+	if blockedSeen == 0 || offLOS == 0 {
+		t.Fatalf("%d links with blocked paths, %d best paths off the LOS: both must be positive", blockedSeen, offLOS)
+	}
+	t.Logf("%d links with blocked paths, %d best paths off the LOS", blockedSeen, offLOS)
+}
+
 // TestPlanRebuildsMovedLink moves one receiver by one ulp between two
 // plans: that user's link must be the one not kept, it must be rebuilt,
 // and the plan must equal a fresh planner's.
@@ -278,8 +360,8 @@ func TestPlanLeavesChannelBodies(t *testing.T) {
 }
 
 // planAllocBudget is the steady-state allocation ceiling of one 4-user
-// multicast plan with custom beams (measured 138 at pool widths 1 and 2
-// with its links kept, 138 and 144 with every link rebuilt:
+// multicast plan with custom beams (measured 137 at pool widths 1 and 2,
+// with its links kept or every link rebuilt:
 // the beam designs' weight vectors and RSS slices, the greedy merge's
 // member lists, the plan itself).
 const planAllocBudget = 200
@@ -307,8 +389,7 @@ func TestPlanSteadyStateAllocs(t *testing.T) {
 
 // TestPlanRebuildAllocs holds the path a simulated session takes every
 // frame to the same ceiling: two study steps alternate, so every user
-// has moved and every link is rebuilt in Plan's fan-out over the stale
-// users, at pool widths 1 and 2.
+// has moved and every link is rebuilt by Plan, at pool widths 1 and 2.
 func TestPlanRebuildAllocs(t *testing.T) {
 	defer par.SetWorkers(0)
 	st := testStore(t, 2, 20_000)

@@ -31,6 +31,20 @@ func refRSS(r *phy.Radio, w phy.AWV, rx geom.Vec3) float64 {
 	return 10 * math.Log10(linear)
 }
 
+// refBestPathDir is Radio.BestPathDir as it stood: the lowest-loss path
+// of the channel's trace under its current bodies.
+func refBestPathDir(r *phy.Radio, rx geom.Vec3) (geom.Vec3, bool) {
+	bestScore := math.Inf(-1)
+	var bestDir geom.Vec3
+	found := false
+	for _, p := range r.Channel.Paths(r.Array.Pos, rx) {
+		if score := -phy.FSPL(p.Length) - p.ExtraLossDB; score > bestScore {
+			bestScore, bestDir, found = score, p.Dir, true
+		}
+	}
+	return bestDir, found
+}
+
 func refMemberFor(n *Network, pos geom.Vec3) beam.Member {
 	var best phy.AWV
 	bestRSS := math.Inf(-1)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -229,4 +230,37 @@ func BenchmarkForEachGranularity(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkForEachStart measures a fan-out's fixed cost: how long after
+// the ForEachN call every helper goroutine is running its first item.
+// The fan-out has one item per worker (GOMAXPROCS of them, so run it at
+// -cpu 2 and up), and each item spins until all have started, so each
+// runs on a helper of its own; us/start is the median, over the fan-outs,
+// of the time until the last of them started. A fan-out over items
+// shorter than that runs mostly on the first helper (DESIGN §14).
+func BenchmarkForEachStart(b *testing.B) {
+	width := runtime.GOMAXPROCS(0)
+	if width < 2 {
+		b.Skip("a fan-out starts a second helper only at GOMAXPROCS ≥ 2")
+	}
+	starts := make([]time.Duration, b.N)
+	for i := range starts {
+		var started atomic.Int32
+		var last time.Duration
+		t0 := time.Now()
+		if err := ForEachN(context.Background(), width, width, func(int) error {
+			if started.Add(1) == int32(width) {
+				last = time.Since(t0)
+			}
+			for started.Load() < int32(width) {
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		starts[i] = last
+	}
+	slices.Sort(starts)
+	b.ReportMetric(float64(starts[len(starts)/2])/float64(time.Microsecond), "us/start")
 }

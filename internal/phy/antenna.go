@@ -202,6 +202,20 @@ func arrayFactor(we, sv AWV) complex128 {
 	return acc
 }
 
+// arrayFactor2 returns arrayFactor(w0, sv) and arrayFactor(w1, sv), for
+// weights of one length, in one pass: two independent sums, each in
+// element order, so each is the same float arrayFactor returns while the
+// pass waits on one add latency for both.
+func arrayFactor2(w0, w1, sv AWV) (complex128, complex128) {
+	var acc0, acc1 complex128
+	w1, sv = w1[:len(w0)], sv[:len(w0)]
+	for i := range w0 {
+		acc0 += w0[i] * sv[i]
+		acc1 += w1[i] * sv[i]
+	}
+	return acc0, acc1
+}
+
 // factorDB returns 10·log10 |acc|², |acc| floored at 1e-9.
 func factorDB(acc complex128) float64 {
 	af := cmplx.Abs(acc)

@@ -154,13 +154,29 @@ func (l *Link) Reset(r *Radio, cb *Codebook, rx geom.Vec3) {
 	l.ranked, l.exact = l.k[2*np:2*np+rows:2*np+rows], l.k[2*np+rows:size:size]
 	l.k = l.k[:2*np]
 	ne := a.Elements()
-	for s, we := range cb.radiatedOn(a) {
-		for p, t := range l.terms {
-			c := complex(1, 0)
-			if !t.behind {
-				c = arrayFactor(we, l.sv[p*ne:(p+1)*ne])
+	sectors := cb.radiatedOn(a)
+	for p, t := range l.terms {
+		if t.behind {
+			for s := range sectors {
+				l.acc[s*np+p] = 1
 			}
-			l.acc[s*np+p] = c
+			continue
+		}
+		// Two sectors per pass: their sums are independent, so each
+		// element's adds overlap instead of waiting on the last element's
+		// (DESIGN.md §14).
+		sv := l.sv[p*ne : (p+1)*ne]
+		s := 0
+		for ; s+1 < ns; s += 2 {
+			w0, w1 := sectors[s], sectors[s+1]
+			if len(w0) == len(w1) {
+				l.acc[s*np+p], l.acc[(s+1)*np+p] = arrayFactor2(w0, w1, sv)
+			} else {
+				l.acc[s*np+p], l.acc[(s+1)*np+p] = arrayFactor(w0, sv), arrayFactor(w1, sv)
+			}
+		}
+		if s < ns {
+			l.acc[s*np+p] = arrayFactor(sectors[s], sv)
 		}
 	}
 	for p, t := range l.terms {
@@ -221,11 +237,16 @@ func (l *Link) gain(we AWV, p int) float64 {
 // dbm is the link equation for one path under transmit gain g; a blocked
 // path pays the body loss on top of its reflection loss.
 func (l *Link) dbm(p int, g float64, blocked bool) float64 {
+	return l.budget.TxPowerDBm + g + l.budget.RxGainDBi - l.terms[p].fspl - l.loss(p, blocked)
+}
+
+// loss is path p's reflection loss, plus the body loss when blocked.
+func (l *Link) loss(p int, blocked bool) float64 {
 	loss := l.paths[p].ExtraLossDB
 	if blocked {
 		loss += l.bodyLoss
 	}
-	return l.budget.TxPowerDBm + g + l.budget.RxGainDBi - l.terms[p].fspl - loss
+	return loss
 }
 
 // toDBm converts summed linear path power to dBm.
@@ -455,20 +476,25 @@ func (r *Radio) SweepBestSector(cb *Codebook, rx geom.Vec3) (Sector, float64) {
 }
 
 // BestPathDir returns the departure direction of the strongest usable
-// path (lowest loss per meter), preferring unblocked paths. This is what
-// proactive beam switching steers to when the LOS is predicted blocked.
+// path (lowest loss per meter), preferring unblocked paths: Link.BestPathDir
+// toward rx under the channel's current bodies. This is what proactive
+// beam switching steers to when the LOS is predicted blocked.
 func (r *Radio) BestPathDir(rx geom.Vec3) (geom.Vec3, bool) {
-	paths := r.Channel.Paths(r.Array.Pos, rx)
+	l := r.Link(nil, rx)
+	return l.BestPathDir(l.BlockedBy(r.Channel.Bodies))
+}
+
+// BestPathDir returns the departure direction of the path that alone
+// would deliver the highest RSS under an ideally steered beam (array gain
+// is direction-independent at peak), the paths in the blocked mask paying
+// the body loss; the first in trace order among equals. ok is false when
+// the link has no path.
+func (l *Link) BestPathDir(blocked uint64) (dir geom.Vec3, ok bool) {
 	bestScore := math.Inf(-1)
-	var bestDir geom.Vec3
-	found := false
-	for _, p := range paths {
-		// Score = the RSS this path alone would deliver under an ideally
-		// steered beam (array gain is direction-independent at peak).
-		score := -FSPL(p.Length) - p.ExtraLossDB
-		if score > bestScore {
-			bestScore, bestDir, found = score, p.Dir, true
+	for p := range l.paths {
+		if score := -l.terms[p].fspl - l.loss(p, blocked>>p&1 != 0); score > bestScore {
+			bestScore, dir, ok = score, l.paths[p].Dir, true
 		}
 	}
-	return bestDir, found
+	return dir, ok
 }

@@ -279,3 +279,52 @@ func BenchmarkSweepBestSector(b *testing.B) {
 		}
 	})
 }
+
+// TestSectorTableMatchesReference pins Reset's sector table, filled two
+// sectors per pass with a one-sector tail, to one arrayFactor sum per
+// entry by Float64bits, over codebooks of 1, 3, 15 and 97 sectors (odd
+// and even passes, the tail alone and behind a pass) and one whose
+// sectors alternate between full and half-length weights, on the
+// differential draws (receivers level with the panel, so some paths leave
+// behind it). Sweep and every SectorRSS must still equal the pre-kernel
+// formula's.
+func TestSectorTableMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(40))
+	behind := 0
+	for i := 0; i < 40; i++ {
+		r, _, rx := diffWorld(t, rnd, i)
+		a := r.Array
+		grid := func(az, el int) *Codebook {
+			return DefaultCodebook(a, CodebookConfig{AzSectors: az, ElSectors: el, AzSpanRad: geom.Rad(120), ElSpanRad: geom.Rad(60)})
+		}
+		mixed := grid(5, 3)
+		for s := 1; s < len(mixed.Sectors); s += 2 {
+			mixed.Sectors[s].W = mixed.Sectors[s].W[:a.Elements()/2]
+		}
+		for _, cb := range []*Codebook{grid(1, 1), grid(3, 1), grid(5, 3), grid(97, 1), mixed} {
+			l := r.Link(cb, rx)
+			np, ne := len(l.paths), a.Elements()
+			if len(l.acc) != len(cb.Sectors)*np {
+				t.Fatalf("draw %d, %d sectors: table of %d entries for %d paths", i, len(cb.Sectors), len(l.acc), np)
+			}
+			for s, we := range cb.radiatedOn(a) {
+				for p, term := range l.terms {
+					want := complex(1, 0)
+					if term.behind {
+						behind++
+					} else {
+						want = arrayFactor(we, l.sv[p*ne:(p+1)*ne])
+					}
+					got := l.acc[s*np+p]
+					if math.Float64bits(real(got)) != math.Float64bits(real(want)) || math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+						t.Fatalf("draw %d, %d sectors, sector %d path %d: acc %v, one sum %v", i, len(cb.Sectors), s, p, got, want)
+					}
+				}
+			}
+			sameSweep(t, r, cb, rx)
+		}
+	}
+	if behind == 0 {
+		t.Error("no draw had a path leaving behind the panel")
+	}
+}

@@ -85,14 +85,14 @@ type frame struct {
 	plan         *core.FramePlan
 }
 
-// step advances one frame. The visibility pipeline only reads shared
-// state, and the decode cache's singleflight decodes each distinct block
-// once however many viewports overlap, so culling and decoding fan out on
-// the par pool by user index. On 802.11ad the cull's fan-out also
-// prepares each user's link and unicast sweep (core.Planner.Prepare), so
-// the plan after it only groups, sequentially, and a frame wakes the pool
-// once for both: a fan-out over items this short gains nothing on its
-// own (DESIGN §14).
+// step advances one frame. Each user's cull and, on 802.11ad, their link
+// and unicast sweep (core.Planner.Prepare) run in user order on the
+// calling goroutine, so the plan after them only groups and the steer
+// hook finds every link ready: a user's item is shorter than starting a
+// pool worker takes (DESIGN §14). Decoding, whose items are whole
+// viewports of blocks, fans out on the par pool by user index; the decode
+// cache's singleflight decodes each distinct block once however many
+// viewports overlap.
 func (p *framePath) step(in frameSpec) (frame, error) {
 	n := len(in.poses)
 	fr := frame{
@@ -122,12 +122,12 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 	}
 	occ := p.store.Frame(fr.fi).Occupied
 	lad := p.store.Ladder()
-	// session.visibility times the whole fan-out, so on 802.11ad it takes
-	// in the link work, which core.prepare times apart, one sample per
-	// user; core.plan then leaves that work out.
+	// session.visibility times the whole loop, so on 802.11ad it takes in
+	// the link work, which core.prepare times apart, one sample per user;
+	// core.plan then leaves that work out.
 	prepare := p.reg.Histogram("core.prepare", nil)
 	visDone := p.reg.Histogram("session.visibility", nil).TimeMillis()
-	if err := par.ForEach(context.Background(), n, func(u int) error {
+	for u := range fr.reqs {
 		cull := p.tr.Begin(in.seq, u, obs.StageCull)
 		if in.mode == ModeVanilla {
 			fr.culled[u] = vivo.VanillaRequest(occ)
@@ -137,13 +137,11 @@ func (p *framePath) step(in frameSpec) (frame, error) {
 		fr.reqs[u] = abr.AtLevel(lad, fr.culled[u], in.levels[u])
 		cull.End()
 		if ad {
-			defer p.tr.Begin(in.seq, u, obs.StagePlan).End()
-			defer prepare.TimeMillis()()
+			span, done := p.tr.Begin(in.seq, u, obs.StagePlan), prepare.TimeMillis()
 			p.planner.Prepare(input, u)
+			done()
+			span.End()
 		}
-		return nil
-	}); err != nil {
-		return fr, err
 	}
 	visDone()
 

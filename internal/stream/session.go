@@ -242,10 +242,13 @@ func (s *Session) Run() (QoE, error) {
 				switch s.ctrl.Decide(st8) {
 				case abr.ActionBeamSwitch:
 					// Steer a dedicated beam along the strongest path
-					// (reflection) instead of the blocked LOS sector.
-					if dir, ok := s.net.Radio.BestPathDir(poses[u].Pos); ok {
-						w := s.net.Radio.Array.SteerTo(dir)
-						rss := s.net.Radio.RSS(w, poses[u].Pos)
+					// (reflection) instead of the blocked LOS sector, on the
+					// link the step has just prepared toward poses[u]; the
+					// channel still holds the previous frame's bodies.
+					l := s.path.planner.Link(u)
+					blocked := l.BlockedBy(s.net.Radio.Channel.Bodies)
+					if dir, ok := l.BestPathDir(blocked); ok {
+						rss := l.RSS(s.net.Radio.Array.SteerTo(dir), blocked)
 						if r2 := s.net.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rss)); r2 > 0 {
 							floors[u] = r2
 						}

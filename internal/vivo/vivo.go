@@ -106,8 +106,8 @@ func (v *Visibility) Visible(occ *cell.Set, pose geom.Pose) *cell.Set {
 }
 
 // depthBufs recycles Unoccluded's depth buffers (*[]float64): 36 KB at the
-// default 96 bins, taken once per user per frame, concurrently within a
-// frame's cull fan-out.
+// default 96 bins, taken once per user per frame, by requests that may run
+// concurrently (the hub's scenes, experiments run side by side).
 var depthBufs sync.Pool
 
 // Unoccluded filters vis down to cells not hidden behind nearer cells, as
