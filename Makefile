@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-bench bench-selftest sim-parity fuzz-smoke trace-smoke chaos-smoke loadtest-smoke slo-smoke layer-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench-selftest sim-parity fuzz-smoke chaos-smoke verify
 
 build:
 	$(GO) build ./...
@@ -97,60 +97,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 
-# trace-smoke runs a tiny traced session and lints the Perfetto dump:
-# it must parse, cover >= 6 pipeline stages per frame, and attribute
-# every deadline miss to a stage.
-trace-smoke:
-	$(GO) run ./cmd/volsim -trace /tmp/volsim-trace.json session -users 2 -seconds 1 -points 20000 -multicast -decode
-	$(GO) run ./cmd/tracelint -min-stages 6 /tmp/volsim-trace.json
-
 # chaos-smoke soaks a 3-push + 1-pull session against a seeded fault
 # injector (mid-stream resets, read stalls, bandwidth caps, accept
 # failures) under -race and asserts no hangs, no goroutine leaks, every
 # client finishing, and the fault schedule replaying from the seed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak|TestChaosScheduleReplaysAcrossListeners' -v ./internal/transport
-
-# loadtest-smoke drives the pinned multi-session scenario — 4 sessions ×
-# 16 clients, fixed seed — through a self-hosted hub and fails unless
-# every gate holds: no hang, frames delivered, and the goroutine count
-# back within two of where it started once the hub and the fleet stopped.
-loadtest-smoke:
-	$(GO) run ./cmd/volload -sessions 4 -clients 64 -duration 8s \
-		-frames 20 -points 2000 -load-seed 42 -min-frames 1000
-
-# slo-smoke proves the SLO plane end to end on a pinned seeded scenario:
-# one link-capped session (0.25 Mbps via client-side faultnet, the TCP
-# twin of the sim path's LinkCapMbps) must trip its SLO exactly once —
-# one breach event, one flight dump — while the uncapped session stays
-# clean, the scraped /sessions windowed quantiles move between scrapes,
-# and tracelint -flight accepts the captured dump.
-slo-smoke:
-	rm -rf /tmp/volcast-flight && rm -f /tmp/volcast-slo.json
-	$(GO) run ./cmd/volload -sessions 2 -clients 4 -duration 12s \
-		-frames 30 -points 4000 -load-seed 7 -fps 60 -queue-depth 64 \
-		-cap-scene 1 -cap-mbps 0.25 \
-		-slo-every 200ms -slo-min-samples 10 -slo-recover-after 99999 \
-		-flight-dir /tmp/volcast-flight -flight-interval 1h \
-		-debug-addr 127.0.0.1:0 -scrape-every 1s \
-		-min-breaches 1 -max-breaches 1 -require-live-quantiles \
-		-out /tmp/volcast-slo.json
-	@dumps="$$(ls /tmp/volcast-flight/flight_*.json)"; \
-		n="$$(echo "$$dumps" | wc -l)"; \
-		if [ "$$n" -ne 1 ]; then echo "slo-smoke: $$n flight dumps, want exactly 1"; exit 1; fi; \
-		$(GO) run ./cmd/tracelint -flight $$dumps
-
-# layer-smoke proves tiered serving end to end on a pinned scenario: two
-# scenes with identical single-frame content, layered push clients, and
-# one pull probe per scene that holds a coarse rung then flips to full
-# density mid-run. Gates: the upgrades travel as enhancement-only deltas
-# that undercut a full re-send (-min-delta-cells), and the second scene's
-# store build hits the first's shared encode-tier entries
-# (-min-cache-hits) — one encode serves every tier and every scene.
-layer-smoke:
-	$(GO) run ./cmd/volload -sessions 2 -clients 8 -duration 6s \
-		-frames 1 -points 4000 -load-seed 1 -min-frames 500 \
-		-layers -probe-upgrade -min-delta-cells 1 -min-cache-hits 1
 
 # verify is the CI gate: static checks (vet, gofmt, vollint), a full
 # build, the test suite under the race detector (the parallel

@@ -220,40 +220,6 @@ func (l *Listener) Plans() []Plan {
 	return append([]Plan(nil), l.plans...)
 }
 
-// Dialer wraps outbound connections the same way the Listener wraps
-// inbound ones, assigning connection indices in dial order.
-type Dialer struct {
-	cfg Config
-
-	mu    sync.Mutex
-	plans []Plan
-
-	// Stats counts faults injected so far.
-	Stats Stats
-}
-
-// NewDialer returns a fault-injecting dialer.
-func NewDialer(cfg Config) *Dialer { return &Dialer{cfg: cfg} }
-
-// Wrap applies the next connection's Plan to conn.
-func (d *Dialer) Wrap(conn net.Conn) *Conn {
-	d.mu.Lock()
-	idx := len(d.plans)
-	plan := PlanFor(d.cfg, idx)
-	d.plans = append(d.plans, plan)
-	d.mu.Unlock()
-	return wrap(conn, plan, &d.Stats)
-}
-
-// Plans returns the schedules assigned so far, in dial order.
-//
-// Kept: the dialer's reproducibility test compares these schedules.
-func (d *Dialer) Plans() []Plan {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Plan(nil), d.plans...)
-}
-
 // Conn applies one Plan to an underlying connection. Reads and writes
 // account traffic toward the reset offset; once crossed, the underlying
 // connection is closed and both directions fail with ErrInjectedReset.

@@ -243,20 +243,3 @@ func TestListenerAcceptFaultAndPlans(t *testing.T) {
 		}
 	}
 }
-
-func TestDialerWrapAssignsSequentialPlans(t *testing.T) {
-	d := NewDialer(Config{Seed: 5, ShortWriteProb: 1})
-	a1, _ := pipeConns(t)
-	a2, _ := pipeConns(t)
-	c1 := d.Wrap(a1)
-	c2 := d.Wrap(a2)
-	if c1.Plan().Conn != 0 || c2.Plan().Conn != 1 {
-		t.Errorf("dialer indices: %d, %d", c1.Plan().Conn, c2.Plan().Conn)
-	}
-	if c1.Plan().ShortWriteAt == 0 || c2.Plan().ShortWriteAt == 0 {
-		t.Error("short writes not drawn at p=1")
-	}
-	if got := d.Plans(); len(got) != 2 {
-		t.Errorf("dialer logged %d plans", len(got))
-	}
-}

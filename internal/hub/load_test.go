@@ -22,9 +22,12 @@ import (
 	"volcast/internal/vivo"
 )
 
-// TestLoadSmokeMultiSession mirrors the pinned volload smoke scenario:
-// 4 sessions × 16 concurrent clients against one hub, every client
-// receiving frames, shutdown leaving nothing behind.
+// TestLoadSmokeMultiSession is the pinned multi-session gate: 4 sessions
+// × 16 concurrent clients against one hub, half of them layer-aware,
+// every client finishing and receiving frames, at least minFleetFrames
+// delivered across the fleet, and shutdown leaving no goroutine behind.
+// The floor is fixed: lengthen the run, never lower the floor, if a slow
+// machine needs the margin.
 func TestLoadSmokeMultiSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second load smoke")
@@ -66,6 +69,7 @@ func TestLoadSmokeMultiSession(t *testing.T) {
 	addr := <-ready
 
 	const sessions, perSession = 4, 16
+	const minFleetFrames = 1000
 	study := trace.GenerateStudy(90, 1)
 	frames := make([]int, sessions*perSession)
 	var wg sync.WaitGroup
@@ -80,6 +84,7 @@ func TestLoadSmokeMultiSession(t *testing.T) {
 				Scene:    uint32(i % sessions),
 				Trace:    study.Traces[i%len(study.Traces)],
 				Duration: 1500 * time.Millisecond,
+				Layers:   i%2 == 1,
 			})
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -92,10 +97,16 @@ func TestLoadSmokeMultiSession(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	total := 0
 	for i, f := range frames {
 		if f == 0 {
 			t.Errorf("client %d (scene %d) completed no frames", i, i%sessions)
 		}
+		total += f
+	}
+	t.Logf("fleet completed %d frames", total)
+	if total < minFleetFrames {
+		t.Errorf("fleet completed %d frames, want at least %d", total, minFleetFrames)
 	}
 	if got := h.NumSessions(); got != sessions {
 		t.Errorf("NumSessions = %d, want %d", got, sessions)

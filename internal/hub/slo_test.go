@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,13 +124,34 @@ func TestSLOBreachFlightAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Flight *obs.FlightInfo `json:"flight"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+		DeadlineMisses []obs.FrameReport `json:"deadlineMisses"`
+		Flight         *obs.FlightInfo   `json:"flight"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("flight dump does not parse: %v", err)
 	}
-	if doc.Flight == nil || doc.Flight.Scene != "1" {
-		t.Fatalf("flight annotation = %+v", doc.Flight)
+	if doc.Flight == nil || doc.Flight.Scene != "1" || doc.Flight.Reason == "" {
+		t.Fatalf("flight annotation = %+v, want scene 1 and a reason", doc.Flight)
+	}
+	// The captured ring shows the pipeline, not one stage of it, and
+	// every deadline miss in it names the stage responsible.
+	stages := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			stages[ev.Name] = true
+		}
+	}
+	if len(stages) < 2 {
+		t.Errorf("flight dump covers %d distinct stages, want at least 2: %v", len(stages), stages)
+	}
+	for _, m := range doc.DeadlineMisses {
+		if m.Slowest == "" {
+			t.Errorf("flight dump: deadline miss (frame %d, user %d) names no stage", m.Frame, m.User)
+		}
 	}
 
 	// The windowed instruments behind the breach are live on /sessions.
@@ -143,6 +165,41 @@ func TestSLOBreachFlightAndEvents(t *testing.T) {
 	if infos[1].Scene != "2" || infos[1].SLOBreached {
 		t.Errorf("scene 2 info = %+v", infos[1])
 	}
+
+	// The windowed quantiles are live, not frozen: with traffic flowing,
+	// two consecutive scrapes of the debug mux's /sessions read different
+	// quantiles for a scene that has frames in its window at both.
+	srv := httptest.NewServer(obs.NewDebugMux(obs.DebugConfig{Sessions: h.SessionInfos}))
+	scrape := func() map[string]obs.SessionInfo {
+		resp, err := srv.Client().Get(srv.URL + "/sessions?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rows []obs.SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+			t.Fatalf("/sessions: %v", err)
+		}
+		out := make(map[string]obs.SessionInfo, len(rows))
+		for _, row := range rows {
+			out[row.Scene] = row
+		}
+		return out
+	}
+	prev := scrape()
+	waitFor(t, "windowed quantiles to change between two /sessions scrapes", 10*time.Second, func() bool {
+		cur := scrape()
+		defer func() { prev = cur }()
+		for scene, row := range cur {
+			p, ok := prev[scene]
+			if ok && p.WindowFrames > 0 && row.WindowFrames > 0 &&
+				(p.P50MS != row.P50MS || p.P95MS != row.P95MS || p.P99MS != row.P99MS) {
+				return true
+			}
+		}
+		return false
+	})
+	srv.Close()
 
 	stalled.Close()
 	healthy.Close()

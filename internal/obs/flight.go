@@ -21,7 +21,7 @@ import (
 
 // FlightInfo is the breach annotation embedded in a dump under the
 // top-level "flight" key (Perfetto viewers ignore unknown keys;
-// tracelint -flight requires it).
+// TestSLOBreachFlightAndEvents requires it, scene and reason filled).
 type FlightInfo struct {
 	// Scene is the session whose breach triggered the capture.
 	Scene string `json:"scene"`
@@ -113,7 +113,8 @@ func (f *FlightRecorder) Capture(scene string, window int64, reason string) (str
 	}
 
 	// Render the Perfetto dump, then splice the breach annotation in as
-	// a top-level key (viewers ignore it; tracelint -flight checks it).
+	// a top-level key (viewers ignore it; TestSLOBreachFlightAndEvents
+	// checks it).
 	var buf bytes.Buffer
 	if err := tracer.WritePerfetto(&buf); err != nil {
 		return "", err
@@ -202,12 +203,4 @@ func (f *FlightRecorder) Suppressed() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.suppressed
-}
-
-// Dir returns the dump directory.
-func (f *FlightRecorder) Dir() string {
-	if f == nil {
-		return ""
-	}
-	return f.dir
 }

@@ -14,7 +14,7 @@ func TestFlightRecorderNil(t *testing.T) {
 	if path != "" || err != nil {
 		t.Fatalf("nil Capture = (%q, %v)", path, err)
 	}
-	if f.Captured() != 0 || f.Suppressed() != 0 || f.Dir() != "" {
+	if f.Captured() != 0 || f.Suppressed() != 0 {
 		t.Fatal("nil recorder must read zero")
 	}
 }
@@ -77,10 +77,11 @@ func TestFlightFilenameSanitization(t *testing.T) {
 	}
 }
 
-// TestFlightDumpsAreNeverTorn polls the dump directory the way the SLO
-// tests and tracelint do — glob flight_*.json, parse every match — while
-// captures of a well-filled ring run. A dump becomes visible only once
-// it is complete, so every file the glob ever matches must parse.
+// TestFlightDumpsAreNeverTorn polls the dump directory the way
+// TestSLOBreachFlightAndEvents does — glob flight_*.json, parse every
+// match — while captures of a well-filled ring run. A dump becomes
+// visible only once it is complete, so every file the glob ever matches
+// must parse.
 func TestFlightDumpsAreNeverTorn(t *testing.T) {
 	dir := t.TempDir()
 	tr := New(1 << 10)

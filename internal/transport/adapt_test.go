@@ -162,8 +162,9 @@ func playUntil(t *testing.T, cfg ClientConfig, tap *adaptTap, done func([]wire.A
 // passes, hears it, and is not dropped as a slow client. The content is
 // ≈ 60 Mbps so that the excess fills the hub's kernel send buffer (up to
 // 4 MB once autotuned on Linux) inside the first pass: until it is full
-// the writer cannot see the link. volload's 2 KB receive buffer is left
-// out: on loopback it alone holds a connection to ≈ 0.5 Mbps, below the
+// the writer cannot see the link. No small client receive buffer is set
+// (TestSLOBreachFlightAndEvents uses one to starve a subscriber): a 2 KB
+// buffer alone held a paced loopback connection to ≈ 0.5 Mbps, below the
 // cap under test.
 func TestCappedClientMovesDown(t *testing.T) {
 	store := testStore(t, 5, 40_000)

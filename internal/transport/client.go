@@ -3,8 +3,9 @@
 // consumes what the server pushes, and a pull client (RunPullClient) that
 // runs its own visibility pipeline and requests cells per frame. Both
 // decode what they receive through one receiver and report QoE
-// statistics. The serving side is the hub package; volplay, volload and the
-// examples are thin wrappers around this package.
+// statistics. The serving side is the hub package; volplay and the
+// examples are thin wrappers around this package, and the hub's load test
+// (TestLoadSmokeMultiSession) drives a fleet of these clients.
 //
 // Fault model: the transport assumes the link misbehaves. Each
 // connection has exactly one owning writer goroutine whose death tears

@@ -33,11 +33,6 @@ type PullClientConfig struct {
 	// Stride is the density rung to request (distance-based LOD is the
 	// server's job in push mode; pull clients choose per request).
 	Stride uint8
-	// StrideAt overrides Stride per frame when set (a return of 0 keeps
-	// Stride) — the hook tier-upgrade scenarios use to flip a session
-	// from a coarse rung to a dense one mid-run and exercise the
-	// enhancement-delta path deterministically.
-	StrideAt func(frame uint32) uint8
 	// Decode enables full decoding of received cells.
 	Decode bool
 	// Layers advertises HelloFlagLayers and attaches held-prefix tokens
@@ -136,16 +131,10 @@ func RunPullClient(ctx context.Context, cfg PullClientConfig) (ClientStats, erro
 		// frustum (the client cannot know occupancy; the server skips
 		// empty cells and reports the delivered count).
 		fr := geom.NewFrustum(pose, geom.DefaultFrustumParams())
-		stride := cfg.Stride
-		if cfg.StrideAt != nil {
-			if s := cfg.StrideAt(frame); s > 0 {
-				stride = s
-			}
-		}
 		var refs []wire.CellRef
 		for id := cell.ID(0); int(id) < grid.NumCells(); id++ {
 			if fr.IntersectsAABB(grid.Bounds(id)) {
-				ref := wire.CellRef{CellID: uint32(id), Stride: stride}
+				ref := wire.CellRef{CellID: uint32(id), Stride: cfg.Stride}
 				if hc := rx.held[uint32(id)]; hc != nil {
 					ref.HaveLayers, ref.Token = hc.layers, hc.token
 				}
