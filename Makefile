@@ -20,18 +20,19 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint type-checks the module and runs the vollint suite — the ten
+# lint type-checks the module and runs the vollint suite — the six
 # project-specific invariants of DESIGN.md §9 (determinism, lockedsend,
-# goroutinehygiene, tickleak, nilsafeobs, wireerr, lockorder, bufown,
-# wireevolve, hotpathalloc). Any finding exits 1; a //vollint:ignore
-# <check> <reason> comment is the only way to tolerate one. wireevolve
-# diffs the wire package against the committed wire_schema.json (run
-# `vollint -update` to rewrite it after a deliberate protocol change).
+# tickleak, wireerr, lockorder, hotpathalloc). Any finding exits 1; a
+# //vollint:ignore <check> <reason> comment is the only way to tolerate
+# one. The wire schema is held by `go test ./internal/wire` (run
+# `go test ./internal/wire -run TestWireSchema -args -update` to rewrite
+# wire_schema.json after a deliberate protocol change).
 lint:
 	$(GO) run ./cmd/vollint ./...
 
 # lint-bench guards the lint suite's own latency: one full vollint run
-# over the module (all ten checks, call graph included) must finish
+# over the module (all six checks — determinism, lockedsend, tickleak,
+# wireerr, lockorder, hotpathalloc — call graph included) must finish
 # within 60 seconds, so the gate never comes to dominate CI.
 lint-bench:
 	@$(GO) build -o /tmp/vollint-bench ./cmd/vollint

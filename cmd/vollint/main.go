@@ -1,22 +1,19 @@
 // Command vollint type-checks the module and runs volcast's
-// project-specific static-analysis suite (internal/lint): ten checks
-// (determinism, lockedsend, goroutinehygiene, tickleak, nilsafeobs,
-// wireerr, lockorder, bufown, wireevolve, hotpathalloc), each one pass
-// over every loaded package with the module call graph at hand.
+// project-specific static-analysis suite (internal/lint): six checks
+// (determinism, lockedsend, tickleak, wireerr, lockorder,
+// hotpathalloc), each one pass over every loaded package with the
+// module call graph at hand.
 // Findings carry file:line, the check name and a fix hint; a
 // //vollint:ignore <check> <reason> comment suppresses one with an audit
 // trail, and is the only way to tolerate a finding.
 //
 // Usage:
 //
-//	vollint [-json] [-list] [-show-ignored] [-update] [packages...]
+//	vollint [-json] [-list] [-show-ignored] [packages...]
 //
 // Patterns default to ./... and follow go-tool conventions (directories,
-// module import paths, trailing /... for recursion). wireevolve diffs
-// the wire package against wire_schema.json at the module root; -update
-// rewrites that file to match the current tree after a deliberate
-// protocol change. Exit status is 0 when clean, 1 on findings, 2 on
-// usage, parse, or type errors.
+// module import paths, trailing /... for recursion). Exit status is 0
+// when clean, 1 on findings, 2 on usage, parse, or type errors.
 package main
 
 import (
@@ -41,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
 	showIgnored := fs.Bool("show-ignored", false, "also print suppressed findings with their reasons")
 	list := fs.Bool("list", false, "list the available checks and exit")
-	update := fs.Bool("update", false, "rewrite wire_schema.json to match the current tree")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -78,17 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	schemaPath := filepath.Join(loader.ModDir, "wire_schema.json")
-	if *update {
-		if err := lint.WriteWireSchema(pkgs, schemaPath); err != nil {
-			fmt.Fprintf(stderr, "vollint: write wire schema: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "vollint: wrote %s\n", schemaPath)
-		return 0
-	}
-
-	res := lint.Run(pkgs, lint.Options{SchemaPath: schemaPath})
+	res := lint.Run(pkgs)
 
 	if *jsonOut {
 		out := struct {

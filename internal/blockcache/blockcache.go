@@ -96,6 +96,8 @@ func (c *Cache) Used() int64 {
 }
 
 // Len returns the number of cached values.
+//
+// Kept: the budget and eviction tests count a tier's entries with it.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

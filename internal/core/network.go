@@ -137,6 +137,9 @@ func (n *Network) unicastRateAt(rssDBm float64) float64 {
 // or the customized multi-lobe beam (paper §4.2), through the MAC.
 // Only meaningful on 802.11ad; on 802.11ac multicast uses the lowest MCS
 // legacy rule and is modeled at the basic rate.
+//
+// Kept: the stream tests compare default and custom beams' group rates
+// with it.
 func (n *Network) MulticastRate(positions []geom.Vec3, customBeams bool) float64 {
 	return n.MulticastRateOffset(positions, nil, customBeams)
 }

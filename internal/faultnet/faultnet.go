@@ -245,9 +245,6 @@ func wrap(conn net.Conn, plan Plan, stats *Stats) *Conn {
 	return &Conn{Conn: conn, plan: plan, stats: stats}
 }
 
-// Plan returns the connection's fault schedule.
-func (c *Conn) Plan() Plan { return c.plan }
-
 // tripReset marks the connection reset and severs the underlying socket.
 func (c *Conn) tripReset() error {
 	// Called with c.mu held.

@@ -94,6 +94,8 @@ func (q Quat) Norm() Quat {
 }
 
 // Len returns the quaternion magnitude.
+//
+// Kept: the slerp test checks that a midpoint is unit length with it.
 func (q Quat) Len() float64 {
 	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
 }

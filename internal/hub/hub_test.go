@@ -227,9 +227,15 @@ func TestLastLeaveReapsSession(t *testing.T) {
 	conn := rawJoin(t, addr, 1, 5)
 	waitFor(t, "session creation", 5*time.Second, func() bool { return h.NumSessions() == 1 })
 	conn.Close()
-	waitFor(t, "last-leave reap", 5*time.Second, func() bool { return h.NumSessions() == 0 })
-	if got := reg.Snapshot().Counters["hub.sessions.reaped"]; got != 1 {
+	// The reaper takes the session out of the table before it counts the
+	// reap, so wait on the counter, then look at the table.
+	reaped := reg.Counter("hub.sessions.reaped")
+	waitFor(t, "last-leave reap", 5*time.Second, func() bool { return reaped.Value() >= 1 })
+	if got := reaped.Value(); got != 1 {
 		t.Errorf("hub.sessions.reaped = %d, want 1", got)
+	}
+	if n := h.NumSessions(); n != 0 {
+		t.Errorf("NumSessions() = %d after the reap, want 0", n)
 	}
 
 	// The next join rebuilds the scene from scratch.

@@ -146,9 +146,9 @@ func (c *subscriber) beginDrain() {
 }
 
 // releaseQueued drops the references of whatever the writer will never
-// send. Called once on writer exit, after close() severed the connection;
-// a buffer racing into the queue after the final drain is merely not
-// pooled — the GC still reclaims it.
+// send. The writer calls it on exit, after close() closed done; an
+// enqueue that lands behind that drain sees done closed and calls it
+// again, so no reference is left in the queue.
 func (c *subscriber) releaseQueued() {
 	for {
 		select {
@@ -854,7 +854,7 @@ func (s *session) adaptPass(fi int, push []*subscriber, reqs []vivo.Request) {
 // media. The call consumes exactly one buffer reference regardless of
 // outcome — on success it transfers to the writer, on failure it is
 // released here — so callers never touch the buffer again after an
-// enqueue (the vollint bufown check enforces this).
+// enqueue (leakcheck'd tests count the references left held).
 //
 //vollint:hotpath
 func (s *session) enqueue(c *subscriber, b outBuf) bool {
@@ -863,7 +863,14 @@ func (s *session) enqueue(c *subscriber, b outBuf) bool {
 		b.buf.Release()
 		return false
 	case c.out <- b:
-		return true
+		select {
+		case <-c.done:
+			// The writer may have drained its queue already.
+			c.releaseQueued()
+			return false
+		default:
+			return true
+		}
 	default:
 		s.hub.cEnqueueDrops.Inc()
 		s.cDropsEnqueue.Inc()

@@ -9,14 +9,14 @@ import (
 
 // This file is the interprocedural substrate of vollint v2: a module-wide
 // call graph over every loaded package, built from the go/types results
-// the PR 5 loader already produces. Resolution is type-based and
+// the loader already produces. Resolution is type-based and
 // deliberately conservative — a call through an interface method, a func
 // value, or a builtin resolves to a nil Callee, and the checks built on
-// the graph (lockorder, bufown, hotpathalloc) treat unknown callees as
+// the graph (lockorder, hotpathalloc) treat unknown callees as
 // contributing nothing rather than everything. That keeps the suite free
 // of x/tools-style whole-program pointer analysis while still following
 // the concrete call chains (hub → session → subscriber, pushFrame →
-// enqueue → Release) the project's invariants actually run through.
+// enqueue) the project's invariants actually run through.
 
 // HotpathDirective marks a function whose body and module-resolved
 // callees must stay allocation-free (checked by hotpathalloc).
@@ -64,6 +64,8 @@ func (g *CallGraph) Funcs() []*FuncNode { return g.order }
 
 // Lookup finds the node for the named function: recv is the bare
 // receiver type name ("" for package-level functions).
+//
+// Kept: the call graph tests find fixture functions by name with it.
 func (g *CallGraph) Lookup(pkgPath, recv, name string) *FuncNode {
 	for _, n := range g.order {
 		if n.Pkg.Path != pkgPath || n.Fn.Name() != name {

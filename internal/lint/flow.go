@@ -5,8 +5,8 @@ import (
 	"maps"
 )
 
-// flow is the one statement-order walker behind the three flow checks
-// (lockedsend, lockorder, bufown). It walks a function body in source
+// flow is the one statement-order walker behind the two flow checks
+// (lockedsend, lockorder). It walks a function body in source
 // order with a per-path state of type map[K]V and hands each check the
 // events it cares about through its hooks; a check keeps only its state
 // type and its rules. The walk is a heuristic tuned never to cry wolf:
@@ -16,33 +16,19 @@ import (
 //     so what one arm does never leaks into the code after it;
 //   - a block stops at a return: what follows is unreachable;
 //   - a deferred call runs on a copy of the state at the defer site: a
-//     deferred unlock keeps the lock held for the rest of the body, and a
-//     deferred release does not spend the reference the body still uses;
+//     deferred unlock keeps the lock held for the rest of the body;
 //   - a function literal called on the spot is walked with the current
 //     state, a deferred one with a copy of it; one spawned by go, stored
 //     or passed does not run here, so it is queued and walked later from
-//     a fresh state.
+//     an empty state.
 //
-// Every hook is optional.
+// Both hooks are optional.
 type flow[K comparable, V any] struct {
 	pkg *Package
-	// enter gives a body's starting state from its signature (nil: an
-	// empty state); leave runs once the body, inline literals included,
-	// is walked.
-	enter func(*ast.FuncType) map[K]V
-	leave func(*ast.BlockStmt)
-
 	// call sees every call (conversions aside) where it is evaluated.
 	call func(st map[K]V, call *ast.CallExpr)
 	// send sees a send statement once its operands are walked.
 	send func(st map[K]V, s *ast.SendStmt, how sendKind)
-	// assign sees an assignment between its right and left sides.
-	assign func(st map[K]V, s *ast.AssignStmt)
-	// ret sees a return once its results are walked.
-	ret func(st map[K]V, s *ast.ReturnStmt)
-	// escape sees a function literal that does not run here, and the call
-	// of a go statement: whatever they capture or receive leaves the walk.
-	escape func(st map[K]V, n ast.Node)
 
 	queue []*ast.FuncLit
 }
@@ -57,24 +43,13 @@ const (
 )
 
 // walk walks one declared body, then every literal the walk queued,
-// each from the state enter gives it.
-func (f *flow[K, V]) walk(ftype *ast.FuncType, body *ast.BlockStmt) {
-	f.body(ftype, body)
+// each from an empty state.
+func (f *flow[K, V]) walk(body *ast.BlockStmt) {
+	f.stmts(map[K]V{}, body.List)
 	for len(f.queue) > 0 {
 		lit := f.queue[0]
 		f.queue = f.queue[1:]
-		f.body(lit.Type, lit.Body)
-	}
-}
-
-func (f *flow[K, V]) body(ftype *ast.FuncType, body *ast.BlockStmt) {
-	st := map[K]V{}
-	if f.enter != nil {
-		st = f.enter(ftype)
-	}
-	f.stmts(st, body.List)
-	if f.leave != nil {
-		f.leave(body)
+		f.stmts(map[K]V{}, lit.Body.List)
 	}
 }
 
@@ -112,18 +87,12 @@ func (f *flow[K, V]) stmt(st map[K]V, s ast.Stmt) bool {
 		for _, e := range s.Rhs {
 			f.expr(st, e)
 		}
-		if f.assign != nil {
-			f.assign(st, s)
-		}
 		for _, e := range s.Lhs {
 			f.expr(st, e)
 		}
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			f.expr(st, e)
-		}
-		if f.ret != nil {
-			f.ret(st, s)
 		}
 		return true
 	case *ast.IfStmt:
@@ -172,9 +141,6 @@ func (f *flow[K, V]) stmt(st map[K]V, s ast.Stmt) bool {
 		for _, a := range s.Call.Args {
 			f.expr(st, a)
 		}
-		if f.escape != nil {
-			f.escape(st, s.Call)
-		}
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			f.queue = append(f.queue, lit)
 		} else {
@@ -213,9 +179,6 @@ func (f *flow[K, V]) expr(st map[K]V, n ast.Node) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if f.escape != nil {
-				f.escape(st, n)
-			}
 			f.queue = append(f.queue, n)
 			return false
 		case *ast.CallExpr:

@@ -48,7 +48,7 @@ func TestFlowRules(t *testing.T) {
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
-				f.walk(fd.Type, fd.Body)
+				f.walk(fd.Body)
 			}
 		}
 	}

@@ -4,24 +4,23 @@
 // invariants the reproduction's correctness rests on and no generic tool
 // checks. Simulation results must be a pure function of the seed, so
 // sim-path packages must not read the wall clock or the global math/rand
-// (determinism). Hot-path goroutines must be cancellable and leak-free
-// (goroutinehygiene, tickleak, lockedsend). The observability layers must
-// stay nil-safe (nilsafeobs), and the transport must never silently drop
-// a write error (wireerr).
+// (determinism). Tickers must be stopped (tickleak), a goroutine must not
+// block while it holds a mutex (lockedsend), and the transport must never
+// silently drop a write error (wireerr).
 //
 // Every check is one Pass over all loaded packages with a module-wide
 // call graph and per-function summaries at hand (callgraph.go,
-// summary.go), and the three flow checks — lockedsend, lockorder,
-// bufown — share one statement-order walker (flow.go). Four checks look
-// across function boundaries: lockorder (mutex acquisition order across
+// summary.go), and the two flow checks — lockedsend, lockorder — share
+// one statement-order walker (flow.go). Two checks look across function
+// boundaries: lockorder (mutex acquisition order across
 // hub/session/transport/blockcache must stay acyclic and follow the
-// declared hierarchy), bufown (wire.Buffer reference ownership must
-// transfer cleanly across function boundaries: no use-after-consume,
-// double-release, or early-return leaks), wireevolve (the wire protocol
-// may only evolve by appending trailing fields and flag bits, checked
-// against the committed wire_schema.json), and hotpathalloc (functions
-// annotated //vollint:hotpath must not reach an allocation site outside
-// a pool).
+// declared hierarchy) and hotpathalloc (functions annotated
+// //vollint:hotpath must not reach an allocation site outside a pool).
+//
+// Rules a runtime test holds in fewer lines are not checks here: goroutine
+// and wire.Buffer leaks (leakcheck), nil-safe observability types (the nil
+// receiver sweeps in obs and metrics) and wire protocol evolution
+// (wire.TestWireSchema against wire_schema.json).
 //
 // Findings carry file:line, the check name and a one-line fix hint. A
 // deliberate exception is suppressed — with an audit trail — by a
@@ -79,7 +78,6 @@ type Analyzer struct {
 type Pass struct {
 	Pkgs  []*Package
 	Graph *CallGraph
-	Opts  Options
 
 	check    string
 	findings []Finding
@@ -98,26 +96,14 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// Options configures a suite run.
-type Options struct {
-	// SchemaPath is the committed wire schema wireevolve checks against
-	// (normally <module root>/wire_schema.json). Empty disables the
-	// schema diff (the check still validates struct shape).
-	SchemaPath string
-}
-
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism,
 		analyzerLockedSend,
-		analyzerGoroutineHygiene,
 		analyzerTickLeak,
-		analyzerNilSafeObs,
 		analyzerWireErr,
 		analyzerLockOrder,
-		analyzerBufOwn,
-		analyzerWireEvolve,
 		analyzerHotPathAlloc,
 	}
 }
@@ -148,7 +134,7 @@ type Result struct {
 // graph. Ignore directives are collected module-wide, so a finding can
 // be suppressed at the line it lands on regardless of which package
 // triggered the analysis.
-func Run(pkgs []*Package, opts Options) Result {
+func Run(pkgs []*Package) Result {
 	var res Result
 	if len(pkgs) == 0 {
 		return res
@@ -165,7 +151,7 @@ func Run(pkgs []*Package, opts Options) Result {
 	var found []Finding
 	graph := BuildCallGraph(pkgs)
 	for _, a := range Analyzers() {
-		pass := &Pass{Pkgs: pkgs, Graph: graph, Opts: opts, check: a.Name}
+		pass := &Pass{Pkgs: pkgs, Graph: graph, check: a.Name}
 		a.Run(pass)
 		found = append(found, pass.findings...)
 	}

@@ -48,7 +48,7 @@ func runLockedSend(p *Pass) {
 			},
 		}
 		for _, body := range funcBodies(pkg) {
-			f.walk(nil, body)
+			f.walk(body)
 		}
 	}
 }

@@ -108,7 +108,7 @@ func runLockOrder(p *Pass) {
 				}
 			},
 		}
-		f.walk(nil, node.Decl.Body)
+		f.walk(node.Decl.Body)
 	}
 
 	reportCycles(p, edges)

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestSelfCheck asserts the repo itself stays vollint-clean — the same
 // gate `make lint` and CI enforce, kept inside `go test ./...` so a
@@ -29,7 +26,7 @@ func TestSelfCheck(t *testing.T) {
 			t.Fatalf("typecheck %s: %v", p.Path, e)
 		}
 	}
-	res := Run(pkgs, Options{SchemaPath: filepath.Join(l.ModDir, "wire_schema.json")})
+	res := Run(pkgs)
 	for _, f := range res.Findings {
 		t.Errorf("vollint: %s", f)
 	}

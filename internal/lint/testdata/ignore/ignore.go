@@ -5,26 +5,20 @@ package ignore
 
 import "time"
 
-func runForever(work func()) {
-	for {
-		work()
-	}
-}
-
 // Suppressed demonstrates a justified suppression with an audit reason.
-func Suppressed(work func()) {
-	go runForever(work) //vollint:ignore goroutinehygiene fixture: the process owns this loop for its whole life
+func Suppressed() {
+	_ = time.NewTicker(time.Second) //vollint:ignore tickleak fixture: the process owns this ticker for its whole life
 }
 
 // MissingReason drops the mandatory reason: the directive is malformed
 // and the finding stays active.
-func MissingReason(work func()) {
-	go runForever(work) //vollint:ignore goroutinehygiene
+func MissingReason() {
+	_ = time.NewTicker(time.Second) //vollint:ignore tickleak
 }
 
 // UnknownCheck names a check that does not exist.
-func UnknownCheck(work func()) {
-	go runForever(work) //vollint:ignore gophers because reasons
+func UnknownCheck() {
+	_ = time.NewTicker(time.Second) //vollint:ignore gophers because reasons
 }
 
 //vollint:ignore tickleak stale: the ticker below is stopped

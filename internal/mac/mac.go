@@ -75,6 +75,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 }
 
 // Config returns the scheduler's configuration.
+//
+// Kept: the mac tests read the transport cap from it.
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // AirtimeFrac returns the fraction of the beacon interval available for

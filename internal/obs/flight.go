@@ -196,6 +196,8 @@ func (f *FlightRecorder) Captured() int64 {
 }
 
 // Suppressed returns the number of captures skipped by the rate limit.
+//
+// Kept: the flight-recorder tests count rate-limited dumps with it.
 func (f *FlightRecorder) Suppressed() int64 {
 	if f == nil {
 		return 0

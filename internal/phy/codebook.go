@@ -128,4 +128,6 @@ func (cb *Codebook) BestSector(a *Array, dir geom.Vec3) (Sector, float64) {
 }
 
 // Len returns the number of sectors.
+//
+// Kept: the link tests draw random sectors with it.
 func (cb *Codebook) Len() int { return len(cb.Sectors) }

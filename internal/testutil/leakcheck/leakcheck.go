@@ -1,8 +1,9 @@
-// Package leakcheck asserts that a test leaves no goroutines behind. It
-// snapshots the full goroutine dump before the code under test runs and
-// diffs a fresh dump against it afterwards, by goroutine ID, with a
-// bounded retry so goroutines that are mid-exit when the test finishes
-// get a chance to clear the scheduler:
+// Package leakcheck asserts that a test leaves no goroutines and no
+// wire.Buffer references behind. It snapshots the full goroutine dump and
+// the count of live buffers before the code under test runs and diffs
+// both afterwards — goroutines by ID, buffers by count — with a bounded
+// retry so goroutines that are mid-exit when the test finishes get a
+// chance to clear the scheduler and release what they hold:
 //
 //	snap := leakcheck.Take()
 //	// ... run clients, shut the server down ...
@@ -20,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"volcast/internal/wire"
 )
 
 // TB is the subset of testing.TB leakcheck needs (an interface so the
@@ -34,19 +37,22 @@ type TB interface {
 // need seconds.
 const DefaultWait = 5 * time.Second
 
-// Snapshot is a baseline goroutine dump to diff against.
+// Snapshot is a baseline goroutine dump and buffer count to diff
+// against.
 type Snapshot struct {
-	base map[int64]string
+	base    map[int64]string
+	buffers int64
 }
 
-// Take captures the current goroutine set. Call it before starting the
-// code under test.
+// Take captures the current goroutine set and live buffer count. Call it
+// before starting the code under test.
 func Take() *Snapshot {
-	return &Snapshot{base: stacks()}
+	return &Snapshot{base: stacks(), buffers: wire.LiveBuffers()}
 }
 
 // Check fails t with the stacks of every goroutine that appeared since
-// the snapshot and still has not exited after DefaultWait.
+// the snapshot and still has not exited after DefaultWait, and with the
+// number of wire buffers acquired since the snapshot and not released.
 func (s *Snapshot) Check(t TB) {
 	t.Helper()
 	s.CheckWithin(t, DefaultWait)
@@ -57,15 +63,23 @@ func (s *Snapshot) CheckWithin(t TB, wait time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(wait)
 	var leaked map[int64]string
+	var held int64
 	for {
 		leaked = s.leakedNow()
-		if len(leaked) == 0 {
+		held = wire.LiveBuffers() - s.buffers
+		if len(leaked) == 0 && held <= 0 {
 			return
 		}
 		if !time.Now().Before(deadline) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	if held > 0 {
+		t.Errorf("leakcheck: %d wire buffer(s) acquired and not released after %v", held, wait)
+	}
+	if len(leaked) == 0 {
+		return
 	}
 	ids := make([]int64, 0, len(leaked))
 	for id := range leaked {

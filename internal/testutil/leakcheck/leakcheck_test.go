@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"volcast/internal/testutil/leakcheck"
+	"volcast/internal/wire"
 )
 
 // fakeTB captures failures instead of failing the real test.
@@ -59,5 +60,38 @@ func TestDetectsLeakThenClears(t *testing.T) {
 	snap.CheckWithin(&f2, 2*time.Second)
 	if len(f2.errors) != 0 {
 		t.Errorf("false positive after goroutine exit: %v", f2.errors)
+	}
+}
+
+// TestCountsBuffers: a wire.Buffer acquired after the snapshot and still
+// held fails the check with the count; released, the same snapshot
+// passes.
+func TestCountsBuffers(t *testing.T) {
+	snap := leakcheck.Take()
+	b, err := wire.NewBuffer(&wire.Ping{Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Retain(1)
+
+	var f fakeTB
+	snap.CheckWithin(&f, 50*time.Millisecond)
+	if len(f.errors) != 1 || !strings.Contains(f.errors[0], "1 wire buffer(s)") {
+		t.Fatalf("held buffer reported as %q, want one error naming 1 buffer", f.errors)
+	}
+
+	// One reference of two released: the buffer is still held.
+	b.Release()
+	var f2 fakeTB
+	snap.CheckWithin(&f2, 50*time.Millisecond)
+	if len(f2.errors) != 1 {
+		t.Fatalf("buffer with a reference left not reported: %v", f2.errors)
+	}
+
+	b.Release()
+	var f3 fakeTB
+	snap.CheckWithin(&f3, 2*time.Second)
+	if len(f3.errors) != 0 {
+		t.Errorf("released buffer reported: %v", f3.errors)
 	}
 }

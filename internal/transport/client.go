@@ -231,21 +231,21 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 	// at a wakeup coalesces into one vectored write; the writer owns one
 	// reference per queued buffer and releases it after the write.
 	out := make(chan *wire.Buffer, 64)
+	release := func() {
+		for {
+			select {
+			case b := <-out:
+				b.Release()
+			default:
+				return
+			}
+		}
+	}
 	stopWriter := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		defer conn.Close()
-		release := func() {
-			for {
-				select {
-				case b := <-out:
-					b.Release()
-				default:
-					return
-				}
-			}
-		}
 		defer release()
 		batch := make([]*wire.Buffer, 0, 16)
 		scratch := make([][]byte, 16)
@@ -315,7 +315,9 @@ func runClientConn(sessionCtx context.Context, cfg ClientConfig, stats *ClientSt
 			b.Release()
 		}
 	}
-	defer func() { close(stopWriter); <-writerDone }()
+	// What was enqueued after a dead writer's last drain is released once
+	// it has exited; by then nothing enqueues any more.
+	defer func() { close(stopWriter); <-writerDone; release() }()
 
 	// Pose sender at the trace rate, clocked against the session start so
 	// the viewport stays on-trace across reconnects. Its first pose goes

@@ -97,9 +97,6 @@ func New(g *cell.Grid, p Params) *Visibility {
 	return &Visibility{g: g, p: p}
 }
 
-// Grid returns the underlying cell grid.
-func (v *Visibility) Grid() *cell.Grid { return v.g }
-
 // Visible returns the frustum-culled subset of occupied cells.
 func (v *Visibility) Visible(occ *cell.Set, pose geom.Pose) *cell.Set {
 	return v.g.VisibleCells(occ, geom.NewFrustum(pose, v.p.Frustum))

@@ -16,8 +16,9 @@ const maxPooledBuffer = 1 << 20
 // tree retains one reference per reader, and the last Release returns
 // the array to the pool.
 //
-// Ownership rules (enforced interprocedurally by the vollint bufown
-// check across the hub, transport and wire packages):
+// Ownership rules (leakcheck.Check holds the count: every buffer a
+// leakcheck'd test acquires is released by the time it returns, and an
+// over-release panics):
 //
 //   - NewBuffer returns the buffer with a reference count of 1, owned by
 //     the caller.
@@ -37,6 +38,13 @@ type Buffer struct {
 
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
+// live counts buffers between NewBuffer and their final Release.
+var live atomic.Int64
+
+// LiveBuffers returns how many buffers are held: made by NewBuffer and
+// not yet finally released. leakcheck compares it against a baseline.
+func LiveBuffers() int64 { return live.Load() }
+
 // NewBuffer frames m into a pooled buffer and returns it with a
 // reference count of 1.
 //
@@ -50,6 +58,7 @@ func NewBuffer(m Message) (*Buffer, error) {
 	}
 	b.data = data
 	b.refs.Store(1)
+	live.Add(1)
 	return b, nil
 }
 
@@ -96,6 +105,7 @@ func (b *Buffer) Release() {
 	}
 	switch n := b.refs.Add(-1); {
 	case n == 0:
+		live.Add(-1)
 		if cap(b.data) <= maxPooledBuffer {
 			b.data = b.data[:0]
 			bufferPool.Put(b)
