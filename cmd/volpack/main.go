@@ -72,22 +72,10 @@ func runPack(args []string) error {
 		}
 		video = v
 		log.Printf("volpack: loaded %d PLY frames from %s", len(video.Frames), *plyDir)
-	} else if *performers <= 1 {
-		video = pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: *frames, FPS: 30, PointsPerFrame: *points, Seed: *seed, Sway: 1,
-		})
 	} else {
-		video = pointcloud.SynthScene(pointcloud.DefaultSceneConfig(*frames, *points, *seed))
+		video = pointcloud.Stage{Frames: *frames, Points: *points, Performers: *performers, Seed: *seed}.Video()
 	}
-	b, ok := video.Bounds()
-	if !ok {
-		return fmt.Errorf("empty video")
-	}
-	g, err := cell.NewGrid(b, *cellSize)
-	if err != nil {
-		return err
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	store, err := vivo.BuildVideo(video, *cellSize, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		return err
 	}
@@ -145,7 +133,7 @@ func runInfo(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("info needs a container path")
 	}
-	store, err := openStore(args[0])
+	store, err := vivo.LoadStore(args[0])
 	if err != nil {
 		return err
 	}
@@ -171,7 +159,7 @@ func runExport(args []string) error {
 		return fmt.Errorf("export needs a container path")
 	}
 	fs.Parse(args[1:])
-	store, err := openStore(args[0])
+	store, err := vivo.LoadStore(args[0])
 	if err != nil {
 		return err
 	}
@@ -190,13 +178,4 @@ func runExport(args []string) error {
 	}
 	log.Printf("volpack: exported frame %d (%d points) to %s", *frame, cloud.Len(), *out)
 	return nil
-}
-
-func openStore(path string) (*vivo.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return vivo.ReadStore(f)
 }

@@ -93,13 +93,8 @@ func main() {
 	// blocks) encodes once, and /metrics splits the hits per scene.
 	var shared *vivo.Store
 	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		shared, err = vivo.ReadStore(f)
-		f.Close()
-		if err != nil {
+		var err error
+		if shared, err = vivo.LoadStore(*load); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("volserve: loaded %s (%d frames, %.0f KB/frame, %.0f Mbps at 30 FPS) — all scenes share it",
@@ -114,30 +109,11 @@ func main() {
 		log.Printf("volserve: scene %d: generating %d frames × %d points (seed %d)…",
 			scene, *frames, *points, sceneSeed)
 		gen := obs.Default().Begin(-1, obs.PipelineUser, obs.StageGenerate)
-		var video *pointcloud.Video
-		if *performers <= 1 {
-			video = pointcloud.SynthVideo(pointcloud.SynthConfig{
-				Frames: *frames, FPS: 30, PointsPerFrame: *points, Seed: sceneSeed, Sway: 1,
-			})
-		} else {
-			video = pointcloud.SynthScene(pointcloud.DefaultSceneConfig(*frames, *points, sceneSeed))
-		}
+		video := pointcloud.Stage{Frames: *frames, Points: *points, Performers: *performers, Seed: sceneSeed}.Video()
 		gen.End()
-		b, ok := video.Bounds()
-		if !ok {
-			return nil, fmt.Errorf("scene %d: empty video", scene)
-		}
-		g, err := cell.NewGrid(b, cell.Size50)
+		store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()).Cached(blocks), []int{1, 2, 3, 4})
 		if err != nil {
-			return nil, err
-		}
-		enc := codec.NewEncoder(codec.DefaultParams())
-		if blocks != nil {
-			enc = enc.Cached(blocks)
-		}
-		store, err := vivo.BuildStore(video, g, enc, []int{1, 2, 3, 4})
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scene %d: %w", scene, err)
 		}
 		// The build returned at frame 0 and finishes behind the session:
 		// log what frame 0 and the ladder already say, not an average that

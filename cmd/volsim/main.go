@@ -370,14 +370,9 @@ func runSession(args []string) error {
 	fs.Parse(args)
 
 	gen := obs.Default().Begin(-1, obs.PipelineUser, obs.StageGenerate)
-	video := pointcloud.SynthScene(pointcloud.DefaultSceneConfig(30, *points, *seed))
+	video := pointcloud.Stage{Frames: 30, Points: *points, Performers: 3, Seed: *seed}.Video()
 	gen.End()
-	b, _ := video.Bounds()
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		return err
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		return err
 	}

@@ -129,6 +129,8 @@ func NewBuffer(capacity float64) *Buffer {
 }
 
 // Level returns the buffered seconds.
+//
+// Kept: stream's kept reference session loop prices its steer with it.
 func (b *Buffer) Level() float64 { return b.level }
 
 // Add inserts downloaded content (seconds of playback), clamped to

@@ -15,15 +15,7 @@ import (
 func decideWorld(t testing.TB) (*vivo.Store, vivo.Request) {
 	t.Helper()
 	video := pointcloud.SynthVideo(pointcloud.SynthConfig{Frames: 1, FPS: 30, PointsPerFrame: 20_000, Seed: 1})
-	b, ok := video.Bounds()
-	if !ok {
-		t.Fatal("no bounds")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,17 +154,3 @@ func GroupIoU(maps []*Set) float64 {
 	}
 	return float64(inter.Count()) / float64(u)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -14,15 +14,8 @@ import (
 
 func testStore(t testing.TB, frames, points int) *vivo.Store {
 	t.Helper()
-	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-		Frames: frames, FPS: 30, PointsPerFrame: points, Seed: 1, Sway: 1,
-	})
-	b, _ := video.Bounds()
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
+	video := pointcloud.Stage{Frames: frames, Points: points, Seed: 1}.Video()
+	st, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,16 +126,8 @@ func MultiAP(points, users int, seed int64) ([]MultiAPRow, error) {
 	if users <= 0 {
 		users = 8
 	}
-	video := pointcloud.SynthScene(pointcloud.DefaultSceneConfig(2, points, seed))
-	b, ok := video.Bounds()
-	if !ok {
-		return nil, fmt.Errorf("experiments: empty video")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		return nil, err
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
+	video := pointcloud.Stage{Frames: 2, Points: points, Performers: 3, Seed: seed}.Video()
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +136,7 @@ func MultiAP(points, users int, seed int64) ([]MultiAPRow, error) {
 		Users: users, Device: trace.DeviceHeadset, Frames: 2, Hz: 30,
 		Seed: seed, ContentHeight: 1.8, POIs: trace.StudyPOIs(),
 	})
-	vis := vivo.New(g, vivo.DefaultParams())
+	vis := vivo.New(store.Grid(), vivo.DefaultParams())
 	occ := store.Frame(0).Occupied
 	positions := make([]geom.Vec3, users)
 	reqs := make([]vivo.Request, users)
@@ -222,16 +214,8 @@ func Ablation(cfg AblationConfig) ([]AblationRow, error) {
 	if cfg.Points <= 0 {
 		cfg.Points = 300_000
 	}
-	video := pointcloud.SynthScene(pointcloud.DefaultSceneConfig(30, cfg.Points, cfg.Seed))
-	b, ok := video.Bounds()
-	if !ok {
-		return nil, fmt.Errorf("experiments: empty video")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		return nil, err
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	video := pointcloud.Stage{Frames: 30, Points: cfg.Points, Performers: 3, Seed: cfg.Seed}.Video()
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		return nil, err
 	}

@@ -28,21 +28,12 @@ func renderLayerParity(t *testing.T) string {
 	t.Helper()
 	const qb, frames = uint8(10), 2
 	strides := []int{1, 2, 4}
-	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-		Frames: frames, FPS: 30, PointsPerFrame: 12_000, Seed: 5, Sway: 1,
-	})
-	b, ok := video.Bounds()
-	if !ok {
-		t.Fatal("empty synth video")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
+	video := pointcloud.Stage{Frames: frames, Points: 12_000, Seed: 5}.Video()
+	st, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.Params{QuantBits: qb}), strides)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.Params{QuantBits: qb}), strides)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := st.Grid()
 
 	// The same layering BuildStore applied, for the independent per-tier
 	// reference encodes (uncached on purpose: the reference path must not

@@ -73,19 +73,8 @@ func table1World(cfg Table1Config) (map[pointcloud.Quality]*vivo.Store, *trace.S
 	stores := make(map[pointcloud.Quality]*vivo.Store, 3)
 	for _, q := range pointcloud.Qualities() {
 		pts := int(float64(q.Points()) * cfg.Scale)
-		video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: cfg.Frames, FPS: 30, PointsPerFrame: pts, Seed: cfg.Seed, Sway: 1,
-		})
-		b, ok := video.Bounds()
-		if !ok {
-			return nil, nil, fmt.Errorf("experiments: empty video")
-		}
-		g, err := cell.NewGrid(b, cell.Size50)
-		if err != nil {
-			return nil, nil, err
-		}
-		enc := codec.NewEncoder(codec.DefaultParams())
-		st, err := vivo.BuildStore(video, g, enc, []int{1, 2, 3, 4})
+		video := pointcloud.Stage{Frames: cfg.Frames, Points: pts, Performers: 1, Seed: cfg.Seed}.Video()
+		st, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 		if err != nil {
 			return nil, nil, err
 		}

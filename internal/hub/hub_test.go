@@ -30,19 +30,8 @@ func testFactory(builds *atomic.Int64) func(uint32, codec.BlockCache) (*vivo.Sto
 		if builds != nil {
 			builds.Add(1)
 		}
-		video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: 4, FPS: 30, PointsPerFrame: 1500, Seed: 7, Sway: 1,
-		})
-		b, _ := video.Bounds()
-		g, err := cell.NewGrid(b, cell.Size50)
-		if err != nil {
-			return nil, err
-		}
-		enc := codec.NewEncoder(codec.DefaultParams())
-		if blocks != nil {
-			enc = enc.Cached(blocks)
-		}
-		return vivo.BuildStore(video, g, enc, []int{1, 2})
+		video := pointcloud.Stage{Frames: 4, Points: 1500, Seed: 7}.Video()
+		return vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()).Cached(blocks), []int{1, 2})
 	}
 }
 
@@ -521,19 +510,16 @@ type heldBuild struct {
 
 func newHeldBuild(t *testing.T) *heldBuild {
 	t.Helper()
-	video := pointcloud.SynthVideo(pointcloud.SynthConfig{Frames: 4, FPS: 30, PointsPerFrame: 1500, Seed: 7, Sway: 1})
+	// Frame 0's cells as testFactory's build encodes them: on the whole
+	// video's grid, two layers for the strides {1, 2}.
+	video := pointcloud.Stage{Frames: 4, Points: 1500, Seed: 7}.Video()
 	b, _ := video.Bounds()
 	g, err := cell.NewGrid(b, cell.Size50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &keyRecorder{keys: map[codec.CacheKey]bool{}}
-	first := &pointcloud.Video{FPS: video.FPS, Frames: video.Frames[:1]}
-	st, err := vivo.BuildStore(first, g, codec.NewEncoder(codec.DefaultParams()).Cached(rec), []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Wait()
+	codec.NewEncoder(codec.DefaultParams()).Layered(2).Cached(rec).EncodeFrame(g, video.Frames[0])
 	hb := &heldBuild{pass: rec.keys, gate: make(chan struct{})}
 	hb.release = sync.OnceFunc(func() { close(hb.gate) })
 	return hb

@@ -61,15 +61,8 @@ func bareSub(degrade int, layers bool) *subscriber {
 
 // threeRungFactory builds a seven-frame store over the rungs {1, 2, 4}.
 func threeRungFactory(uint32, codec.BlockCache) (*vivo.Store, error) {
-	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-		Frames: 7, FPS: 30, PointsPerFrame: 6000, Seed: 7, Sway: 1,
-	})
-	b, _ := video.Bounds()
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		return nil, err
-	}
-	return vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
+	video := pointcloud.Stage{Frames: 7, Points: 6000, Seed: 7}.Video()
+	return vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 }
 
 // drainMsgs empties a subscriber's queue, parsing and releasing every
@@ -110,15 +103,8 @@ func cellDatas(msgs []wire.Message) []*wire.CellData {
 // wire carries stride 40 and the payload is that rung's bytes.
 func TestDegradeSaturatesAtCoarsestRung(t *testing.T) {
 	factory := func(scene uint32, blocks codec.BlockCache) (*vivo.Store, error) {
-		video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: 2, FPS: 30, PointsPerFrame: 1500, Seed: 7, Sway: 1,
-		})
-		b, _ := video.Bounds()
-		g, err := cell.NewGrid(b, cell.Size50)
-		if err != nil {
-			return nil, err
-		}
-		return vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 40})
+		video := pointcloud.Stage{Frames: 2, Points: 1500, Seed: 7}.Video()
+		return vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 40})
 	}
 	_, s := bareSession(t, Config{NewStore: factory})
 
@@ -183,15 +169,8 @@ func TestDegradeSaturatesAtCoarsestRung(t *testing.T) {
 // → Prefix) — same cells, same strides, same total.
 func TestModeledBytesMatchServedBytes(t *testing.T) {
 	factory := func(uint32, codec.BlockCache) (*vivo.Store, error) {
-		video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: 2, FPS: 30, PointsPerFrame: 6000, Seed: 7, Sway: 1,
-		})
-		b, _ := video.Bounds()
-		g, err := cell.NewGrid(b, cell.Size50)
-		if err != nil {
-			return nil, err
-		}
-		return vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+		video := pointcloud.Stage{Frames: 2, Points: 6000, Seed: 7}.Video()
+		return vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	}
 	_, s := bareSession(t, Config{NewStore: factory})
 	store, lad := s.store, s.store.Ladder()

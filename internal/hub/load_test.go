@@ -36,22 +36,8 @@ func TestLoadSmokeMultiSession(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h, err := hub.New(hub.Config{
 		NewStore: func(scene uint32, blocks codec.BlockCache) (*vivo.Store, error) {
-			video := pointcloud.SynthVideo(pointcloud.SynthConfig{
-				Frames: 4, FPS: 30, PointsPerFrame: 1200, Seed: 7, Sway: 1,
-			})
-			b, ok := video.Bounds()
-			if !ok {
-				return nil, fmt.Errorf("scene %d: empty video", scene)
-			}
-			g, err := cell.NewGrid(b, cell.Size50)
-			if err != nil {
-				return nil, err
-			}
-			enc := codec.NewEncoder(codec.DefaultParams())
-			if blocks != nil {
-				enc = enc.Cached(blocks)
-			}
-			return vivo.BuildStore(video, g, enc, []int{1, 2})
+			video := pointcloud.Stage{Frames: 4, Points: 1200, Seed: 7}.Video()
+			return vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()).Cached(blocks), []int{1, 2})
 		},
 		Logf:      t.Logf,
 		Metrics:   reg,

@@ -395,3 +395,45 @@ func TestEnqueueDropUsesHoistedCounter(t *testing.T) {
 		t.Errorf("hub.session.0.drops.enqueue = %d, want %d", got, drops)
 	}
 }
+
+// TestEnqueueToClosedSubscriber: an enqueue to a subscriber that is
+// already closed fails and leaves no buffer reference behind, whichever
+// way it fails. The queue has room, so each enqueue either sees done
+// closed and releases its buffer, or lands in the queue, sees done closed
+// after the send and drains the queue the writer will never read.
+func TestEnqueueToClosedSubscriber(t *testing.T) {
+	snap := leakcheck.Take()
+	base := wire.LiveBuffers()
+	h, err := New(Config{
+		NewStore: func(uint32, codec.BlockCache) (*vivo.Store, error) { return nil, nil },
+		Metrics:  metrics.NewRegistry(),
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &session{hub: h}
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	c := &subscriber{
+		conn:  conn,
+		out:   make(chan outBuf, 8),
+		done:  make(chan struct{}),
+		drain: make(chan struct{}),
+	}
+	c.close()
+	for i := 0; i < 256; i++ {
+		b, err := wire.NewBuffer(&wire.Ping{Seq: uint32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.enqueue(c, outBuf{buf: b, fc: -1}) {
+			t.Fatalf("enqueue %d to a closed subscriber succeeded", i)
+		}
+	}
+	if held := wire.LiveBuffers() - base; held > 0 {
+		t.Errorf("%d buffer(s) held after enqueues to a closed subscriber", held)
+	}
+	h.Shutdown()
+	snap.Check(t)
+}

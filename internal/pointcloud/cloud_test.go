@@ -3,6 +3,7 @@ package pointcloud
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"volcast/internal/geom"
@@ -297,6 +298,38 @@ func TestSynthAnimates(t *testing.T) {
 	g45 := SynthFrame(cfg, 45)
 	if centroid(g0).Dist(centroid(g45)) > 0.02 {
 		t.Errorf("sway=0 moved too much")
+	}
+}
+
+// TestStageVideo pins the one content rule: at most one performer is the
+// single swaying humanoid, n performers are SynthScene over the first n
+// of DefaultSceneConfig's offsets, and more than three clamp to three.
+func TestStageVideo(t *testing.T) {
+	const frames, points, seed = 2, 3000, 5
+	scene := func(n int) *Video {
+		cfg := DefaultSceneConfig(frames, points, seed)
+		cfg.Offsets = cfg.Offsets[:n]
+		return SynthScene(cfg)
+	}
+	single := SynthVideo(SynthConfig{Frames: frames, FPS: 30, PointsPerFrame: points, Seed: seed, Sway: 1})
+	for _, tc := range []struct {
+		performers int
+		want       *Video
+	}{
+		{0, single},
+		{1, single},
+		{2, scene(2)},
+		{3, scene(3)},
+		{5, scene(3)},
+	} {
+		got := Stage{Frames: frames, Points: points, Performers: tc.performers, Seed: seed}.Video()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Stage{Performers: %d}.Video() is not the rule's video (%s, %d frames)",
+				tc.performers, got.Name, len(got.Frames))
+		}
+	}
+	if reflect.DeepEqual(scene(2), scene(3)) {
+		t.Fatal("two and three performers synthesize the same video: the rule is not pinned")
 	}
 }
 

@@ -219,6 +219,26 @@ func DefaultSceneConfig(frames, pointsPerFrame int, seed int64) SceneConfig {
 	}
 }
 
+// Stage describes synthetic content: Performers humanoids sharing Points
+// per frame over Frames frames at 30 FPS. It is the one rule every
+// content builder follows.
+type Stage struct {
+	Frames, Points, Performers int
+	Seed                       int64
+}
+
+// Video synthesizes the stage: one swaying humanoid (SynthVideo) for at
+// most one performer, otherwise SynthScene over the first
+// min(Performers, 3) offsets of DefaultSceneConfig.
+func (s Stage) Video() *Video {
+	if s.Performers <= 1 {
+		return SynthVideo(SynthConfig{Frames: s.Frames, FPS: 30, PointsPerFrame: s.Points, Seed: s.Seed, Sway: 1})
+	}
+	scene := DefaultSceneConfig(s.Frames, s.Points, s.Seed)
+	scene.Offsets = scene.Offsets[:min(s.Performers, len(scene.Offsets))]
+	return SynthScene(scene)
+}
+
 // SynthScene generates a video with one humanoid per offset, each with its
 // own animation phase, sharing the frame's point budget.
 func SynthScene(cfg SceneConfig) *Video {

@@ -20,16 +20,8 @@ import (
 // stage that depends on the link rate, so the attribution is
 // deterministic regardless of host speed.
 func TestSessionDeadlineAttribution(t *testing.T) {
-	video := pointcloud.SynthScene(pointcloud.DefaultSceneConfig(4, 20_000, 1))
-	b, ok := video.Bounds()
-	if !ok {
-		t.Fatal("empty synth video")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	video := pointcloud.Stage{Frames: 4, Points: 20_000, Performers: 3, Seed: 1}.Video()
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +136,8 @@ func TestSessionTraceDump(t *testing.T) {
 	obs.SetDefault(tr)
 	t.Cleanup(func() { obs.SetDefault(prev) })
 
-	video := pointcloud.SynthScene(pointcloud.DefaultSceneConfig(30, 20_000, 1))
-	b, ok := video.Bounds()
-	if !ok {
-		t.Fatal("empty synth video")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := vivo.BuildStore(video, g, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
+	video := pointcloud.Stage{Frames: 30, Points: 20_000, Performers: 3, Seed: 1}.Video()
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +191,10 @@ func TestSessionTraceDump(t *testing.T) {
 		}
 		if n < minStages {
 			t.Errorf("frame %d covers %d distinct stages, want at least %d: %v", f, n, minStages, frameStages[f])
+		}
+		// The store build is not session work: its spans sit at frame −1.
+		if frameStages[f][obs.StageEncode.String()] {
+			t.Errorf("frame %d has an encode span: the store build is charged to a session frame", f)
 		}
 	}
 	if checked == 0 {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"volcast/internal/abr"
-	"volcast/internal/codec"
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
@@ -219,45 +218,31 @@ func (s *Session) Run() (QoE, error) {
 		}
 
 		// Cross-layer reaction to predicted blockage (sequential: the
-		// controller, buffers and QoE counters are shared state).
+		// QoE counters are shared state). A user forecast as blocked has a
+		// reflection to switch to, so the controller's answer is always a
+		// beam switch: steer a dedicated beam along the strongest path
+		// instead of the blocked LOS sector, on the link the step has just
+		// prepared toward poses[u]; the channel still holds the previous
+		// frame's bodies.
 		beamSwitched := map[int]bool{}
 		steer := func(reqs []vivo.Request) map[int]float64 {
 			if len(futureBlocked) == 0 {
 				return nil
 			}
 			floors := map[int]float64{}
-			size := s.path.store.SizeOracle(step)
 			for u := range reqs {
 				if !futureBlocked[u] {
 					continue
 				}
-				st8 := abr.State{
-					PredictedMbps:       s.bwPred[u].Predict(),
-					DemandMbps:          codec.BitrateMbps(float64(reqs[u].Bytes(size)), 30),
-					BufferLevel:         s.buffers[u].Level(),
-					BufferCapacity:      s.buffers[u].Capacity,
-					BlockageExpected:    true,
-					ReflectionAvailable: true,
-				}
-				switch s.ctrl.Decide(st8) {
-				case abr.ActionBeamSwitch:
-					// Steer a dedicated beam along the strongest path
-					// (reflection) instead of the blocked LOS sector, on the
-					// link the step has just prepared toward poses[u]; the
-					// channel still holds the previous frame's bodies.
-					l := s.path.planner.Link(u)
-					blocked := l.BlockedBy(s.net.Radio.Channel.Bodies)
-					if dir, ok := l.BestPathDir(blocked); ok {
-						rss := l.RSS(s.net.Radio.Array.SteerTo(dir), blocked)
-						if r2 := s.net.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rss)); r2 > 0 {
-							floors[u] = r2
-						}
-						q.BeamSwitches++
-						beamSwitched[u] = true
+				l := s.path.planner.Link(u)
+				blocked := l.BlockedBy(s.net.Radio.Channel.Bodies)
+				if dir, ok := l.BestPathDir(blocked); ok {
+					rss := l.RSS(s.net.Radio.Array.SteerTo(dir), blocked)
+					if r2 := s.net.MAC.EffectiveRate(phy.RateForRSS(phy.AD_SC_MCS, rss)); r2 > 0 {
+						floors[u] = r2
 					}
-				case abr.ActionPrefetch:
-					// Pull future frames while the link is still good.
-					s.buffers[u].Add(0.2)
+					q.BeamSwitches++
+					beamSwitched[u] = true
 				}
 			}
 			return floors

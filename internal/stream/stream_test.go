@@ -18,20 +18,9 @@ import (
 // testWorld builds a small but real content store + study for fast tests.
 func testWorld(t testing.TB, frames, points int) (*vivo.Store, *trace.Study) {
 	t.Helper()
-	video := pointcloud.SynthScene(pointcloud.SceneConfig{
-		Base:    pointcloud.SynthConfig{Frames: frames, FPS: 30, PointsPerFrame: points, Seed: 1, Sway: 1},
-		Offsets: trace.StudyPOIs(),
-	})
-	b, ok := video.Bounds()
-	if !ok {
-		t.Fatal("no bounds")
-	}
-	g, err := cell.NewGrid(b, cell.Size50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := codec.NewEncoder(codec.DefaultParams())
-	store, err := vivo.BuildStore(video, g, enc, []int{1, 2, 4})
+	// The study watches DefaultSceneConfig's three performers.
+	video := pointcloud.Stage{Frames: frames, Points: points, Performers: 3, Seed: 1}.Video()
+	store, err := vivo.BuildVideo(video, cell.Size50, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"volcast/internal/cell"
 	"volcast/internal/codec"
@@ -135,6 +136,16 @@ func WriteStore(w io.Writer, s *Store) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// LoadStore reads the container file at path.
+func LoadStore(path string) (*Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadStore(f)
 }
 
 // ReadStore deserializes a store written by WriteStore.

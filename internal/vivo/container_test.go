@@ -200,6 +200,53 @@ func BenchmarkBuildStoreCold(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildStoreWarm measures rebuilding the content store when the
+// process-wide encode cache already holds every cell (a re-encode of an
+// unchanged video): each cell costs one content hash instead of a full
+// quantize+sort+code pass. "whole" times the build to its last frame
+// (Wait); "first-frame" times only BuildStore's return, which is frame 0.
+func BenchmarkBuildStoreWarm(b *testing.B) {
+	video := pointcloud.SynthVideo(pointcloud.SynthConfig{
+		Frames: 4, FPS: 30, PointsPerFrame: 60_000, Seed: 1, Sway: 1,
+	})
+	bounds, _ := video.Bounds()
+	g, err := cell.NewGrid(bounds, cell.Size50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer blockcache.SetBudgetMB(-1)
+	blockcache.SetBudgetMB(256)
+	enc := codec.NewEncoder(codec.DefaultParams())
+	st, err := BuildStore(video, g, enc, []int{1, 2})
+	if err != nil {
+		b.Fatal(err) // prime the encode tier
+	}
+	st.Wait()
+	for _, whole := range []bool{true, false} {
+		name := "whole"
+		if !whole {
+			name = "first-frame"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := BuildStore(video, g, enc, []int{1, 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if whole {
+					st.Wait()
+				} else {
+					// Off the clock: the next build starts from an idle pool.
+					b.StopTimer()
+					st.Wait()
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkColdFactory is a store factory's path to frame 0 on cold_join's
 // content (ten 50 K-point frames, strides {1, 2}), as the benchmark rig
 // and volserve run it: synth (SynthVideo), bounds (Video.Bounds), frame0

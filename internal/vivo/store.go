@@ -127,7 +127,9 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 				b.failed[fi] = framePanic(fi, r)
 			}
 		}()
-		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
+		// The span sits at frame −1: a video frame's index is not a
+		// session frame's, and Analyze skips negative frames.
+		sp := tr.Begin(-1, obs.PipelineUser, obs.StageEncode)
 		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
 		st.frames[fi].Store(encodeFrame(src[fi], g, enc, st.ladder, width))
 		src[fi] = nil
@@ -151,6 +153,20 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 		stopBuild()
 	}()
 	return st, nil
+}
+
+// BuildVideo builds v's store, as BuildStore does, on a grid of cellSize
+// cells over the video's own bounds. An empty video is an error.
+func BuildVideo(v *pointcloud.Video, cellSize float64, enc *codec.Encoder, strides []int) (*Store, error) {
+	b, ok := v.Bounds()
+	if !ok {
+		return nil, fmt.Errorf("vivo: empty video")
+	}
+	g, err := cell.NewGrid(b, cellSize)
+	if err != nil {
+		return nil, err
+	}
+	return BuildStore(v, g, enc, strides)
 }
 
 // framePanic is frame fi's *par.PanicError for a panic recovered while

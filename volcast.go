@@ -64,38 +64,16 @@ func NewContent(opts ContentOptions) (*Content, error) {
 	if opts.PointsPerFrame <= 0 {
 		opts.PointsPerFrame = 100_000
 	}
-	if opts.Performers <= 0 {
-		opts.Performers = 1
-	}
 	if opts.CellSize <= 0 {
 		opts.CellSize = cell.Size50
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	var video *pointcloud.Video
-	if opts.Performers == 1 {
-		video = pointcloud.SynthVideo(pointcloud.SynthConfig{
-			Frames: opts.Frames, FPS: 30, PointsPerFrame: opts.PointsPerFrame,
-			Seed: opts.Seed, Sway: 1,
-		})
-	} else {
-		scene := pointcloud.DefaultSceneConfig(opts.Frames, opts.PointsPerFrame, opts.Seed)
-		if opts.Performers != len(scene.Offsets) {
-			scene.Offsets = scene.Offsets[:min(opts.Performers, len(scene.Offsets))]
-		}
-		video = pointcloud.SynthScene(scene)
-	}
-	b, ok := video.Bounds()
-	if !ok {
-		return nil, fmt.Errorf("volcast: generated video is empty")
-	}
-	g, err := cell.NewGrid(b, opts.CellSize)
-	if err != nil {
-		return nil, err
-	}
-	enc := codec.NewEncoder(codec.DefaultParams())
-	store, err := vivo.BuildStore(video, g, enc, []int{1, 2, 3, 4})
+	video := pointcloud.Stage{
+		Frames: opts.Frames, Points: opts.PointsPerFrame, Performers: opts.Performers, Seed: opts.Seed,
+	}.Video()
+	store, err := vivo.BuildVideo(video, opts.CellSize, codec.NewEncoder(codec.DefaultParams()), []int{1, 2, 3, 4})
 	if err != nil {
 		return nil, err
 	}
@@ -106,12 +84,7 @@ func NewContent(opts ContentOptions) (*Content, error) {
 // cmd/volpack). Loaded content can be served and evaluated but reports
 // AvgPoints from the encoded blocks rather than the raw video.
 func LoadContent(path string) (*Content, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	store, err := vivo.ReadStore(f)
+	store, err := vivo.LoadStore(path)
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +291,4 @@ func PullPlay(ctx context.Context, addr string, userID int, a *Audience, d time.
 	return transport.RunPullClient(ctx, transport.PullClientConfig{
 		Addr: addr, ID: uint32(userID), Trace: tr, Duration: d, Stride: 1, Decode: true,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
