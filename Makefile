@@ -84,7 +84,10 @@ sim-parity:
 # power against math.Pow(10, y) (the same bits for any y), and the
 # sector sweeps, which rank sectors in linear power and evaluate only
 # the contenders, against the pre-kernel formula (the same sector and
-# the same RSS for any receiver, bodies and reflection order).
+# the same RSS for any receiver, bodies and reflection order), and the
+# multicast merge, which prices only the pairs whose airtime floor can
+# still win, against the full scan it replaced (the same partition and
+# plan time bits, and no more multicast-rate calls, on any problem).
 # Minimizing each new input is capped at a second so it cannot eat the
 # ten.
 fuzz-smoke:
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzShadeMatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzPow10MatchesMath -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
 	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/phy
+	$(GO) test -run '^$$' -fuzz FuzzGreedyMatchesReference -fuzztime 10s -fuzzminimizetime 1s ./internal/multicast
 
 # chaos-smoke soaks a 3-push + 1-pull session against a seeded fault
 # injector (mid-stream resets, read stalls, bandwidth caps, accept

@@ -160,6 +160,23 @@ func (n *Network) MulticastRateOffset(positions []geom.Vec3, offsetsDB []float64
 	return n.groupRate(members, offsetsDB, customBeams)
 }
 
+// rateCeiling is at least every rate the planner prices a link or a group
+// at, so the greedy merge can bound a group's airtime before it designs
+// a beam. Each such rate is the MAC's EffectiveRate of a PHY rate no
+// higher than the top entry of the network's MCS table (which is in
+// ascending order; the 802.11ac basic rate is below it too), and a
+// group's is then divided by GCR.ExpectedTx ≥ 1. EffectiveRate grows
+// with the PHY rate up to the transport cap, so the ceiling is the
+// effective rate of the top entry: 1302 Mbps, the transport cap, on
+// 802.11ad (TestRateCeilingBoundsPlannedRates, mac.TestExpectedTxAtLeastOne).
+func (n *Network) rateCeiling() float64 {
+	table := phy.AD_SC_MCS
+	if n.Kind == NetAC {
+		table = phy.AC_VHT80_MCS
+	}
+	return n.MAC.EffectiveRate(table[len(table)-1].RateMbps)
+}
+
 // basicMulticastRate is the 802.11ac multicast rate: legacy Wi-Fi
 // multicast runs at a basic rate; it is never a win, which is why the
 // paper's multicast design targets mmWave.

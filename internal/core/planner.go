@@ -338,6 +338,7 @@ func (pl *Planner) Plan(mode Mode, in FrameInput) (*FramePlan, error) {
 			}
 			return pl.groupRate(in, members)
 		},
+		RateCeilingMbps: pl.Net.rateCeiling(),
 	}
 	var groups [][]int
 	if mode == ModeMulticast {

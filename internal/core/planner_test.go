@@ -452,3 +452,71 @@ func BenchmarkPlan(b *testing.B) {
 	b.Run("users=4", func(b *testing.B) { benchmarkPlan(b, 4) })
 	b.Run("users=7", func(b *testing.B) { benchmarkPlan(b, 7) })
 }
+
+// TestRateCeilingBoundsPlannedRates holds the ceiling Plan passes to the
+// greedy merge to what it bounds, over study frames of 4 and 7 users with
+// fading on and custom beams on and off, on both networks: every unicast
+// rate, and the group rate of every ordered member list of two or more
+// the merge could ask (each set in sorted order and in the greedy's
+// merged orders alike: every ordered pair, and at 4 users every ordered
+// triple), is at most the ceiling. The bound would otherwise prune a merge that wins.
+func TestRateCeilingBoundsPlannedRates(t *testing.T) {
+	st := testStore(t, 2, 20_000)
+	study := trace.GenerateStudy(121, 1)
+	fading := make([]*phy.Fading, 7)
+	for u := range fading {
+		fading[u] = phy.NewFading(int64(200 + u))
+	}
+	for _, mk := range []func() (*Network, error){NewAD, NewAC} {
+		net, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := net.MAC.Config().TransportCapMbps; net.Kind == NetAD && net.rateCeiling() != want {
+			t.Errorf("802.11ad ceiling %v, want the transport cap %v", net.rateCeiling(), want)
+		}
+		pl := NewPlanner(net)
+		atCeiling := 0
+		for f := 0; f < 8; f++ {
+			n, custom := []int{4, 7}[f%2], f/2%2 == 0
+			in := studyFrame(st, study, fading, n, 15*f, custom)
+			fp, err := pl.Plan(ModeMulticast, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ceiling := fp.problem.RateCeilingMbps
+			if ceiling != net.rateCeiling() || ceiling <= 0 {
+				t.Fatalf("%v frame %d: Plan passed ceiling %v, network's is %v", net.Kind, f, ceiling, net.rateCeiling())
+			}
+			for _, u := range fp.Users {
+				if u.UnicastRateMbps > ceiling {
+					t.Errorf("%v frame %d: user %d unicast rate %v above the ceiling %v", net.Kind, f, u.ID, u.UnicastRateMbps, ceiling)
+				}
+				if u.UnicastRateMbps == ceiling {
+					atCeiling++
+				}
+			}
+			lists := [][]int{{0, 1, 2, 3}, {3, 1, 0, 2}}
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					if b != a {
+						lists = append(lists, []int{a, b})
+					}
+					for c := 0; n == 4 && b != a && c < n; c++ {
+						if c != a && c != b {
+							lists = append(lists, []int{a, b, c})
+						}
+					}
+				}
+			}
+			for _, g := range lists {
+				if rm := fp.problem.MulticastRate(g); rm > ceiling {
+					t.Errorf("%v frame %d: group %v rate %v above the ceiling %v", net.Kind, f, g, rm, ceiling)
+				}
+			}
+		}
+		if atCeiling == 0 {
+			t.Errorf("%v: no unicast rate reached the ceiling; the sweep shows no rate near it", net.Kind)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +139,49 @@ func TestPropertyExpectedTxMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExpectedTxAtLeastOne holds the fact the planner's rate ceiling rests
+// on: a reliable multicast rate is a MAC rate divided by ExpectedTx, which
+// is at least 1 for every mode (unknown ones included) and retry setting
+// and any member PERs in [0, 1], so the division never raises a rate.
+func TestExpectedTxAtLeastOne(t *testing.T) {
+	policies := []GCR{
+		{},
+		DefaultGCR(),
+		{Mode: GCRUnsolicited},
+		{Mode: GCRUnsolicited, UnsolicitedRetries: -3},
+		{Mode: GCRUnsolicited, UnsolicitedRetries: 4},
+		{Mode: GCRBlockAck},
+		{Mode: GCRBlockAck, RetryLimit: -1},
+		{Mode: GCRBlockAck, RetryLimit: 1, BAOverheadFrac: 0.5},
+		{Mode: GCRMode(9), RetryLimit: 3},
+	}
+	rnd := rand.New(rand.NewSource(7))
+	edges := []float64{0, 1e-9, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-12, 1}
+	for _, g := range policies {
+		for trial := 0; trial < 500; trial++ {
+			pers := make([]float64, trial%8)
+			for i := range pers {
+				if rnd.Intn(2) == 0 {
+					pers[i] = edges[rnd.Intn(len(edges))]
+				} else {
+					pers[i] = rnd.Float64()
+				}
+			}
+			if x := g.ExpectedTx(pers); !(x >= 1) {
+				t.Fatalf("%+v: ExpectedTx(%v) = %v, below 1", g, pers, x)
+			}
+			margins := make([]float64, len(pers))
+			for i := range margins {
+				margins[i] = -20 + 50*rnd.Float64()
+			}
+			for _, rate := range []float64{0, 1, 1302, 2864.4} {
+				if r := g.ReliableMulticastRate(rate, margins); r > rate {
+					t.Fatalf("%+v: ReliableMulticastRate(%v, %v) = %v, above the rate", g, rate, margins, r)
+				}
+			}
+		}
 	}
 }

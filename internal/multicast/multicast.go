@@ -13,6 +13,7 @@
 package multicast
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -35,12 +36,17 @@ type User struct {
 type Problem struct {
 	// Users are the clients to serve.
 	Users []User
-	// OverlapBytes returns Sm for a member set (indices into Users).
+	// OverlapBytes returns Sm ≥ 0 for a member set (indices into Users).
 	OverlapBytes func(members []int) int
 	// MulticastRate returns rm (Mbps) for a member set — what the beam
 	// designer + common-MCS rule sustain. Return 0 when the group cannot
 	// be served reliably (forces unicast).
 	MulticastRate func(members []int) float64
+	// RateCeilingMbps is at least every rate MulticastRate returns.
+	// Greedy prices a candidate group's shared bytes at it to bound the
+	// merge's gain before it asks MulticastRate; 0 prices them at nothing,
+	// a looser bound that is still valid.
+	RateCeilingMbps float64
 }
 
 // validate checks the problem is well-formed.
@@ -69,11 +75,23 @@ func (p *Problem) GroupTime(members []int) float64 {
 	if len(members) == 1 {
 		return p.unicastTime(members[0])
 	}
+	return p.groupTime(members, p.OverlapBytes(members))
+}
+
+// groupTime is GroupTime for two or more members whose Sm is sm.
+func (p *Problem) groupTime(members []int, sm int) float64 {
 	rm := p.MulticastRate(members)
 	if rm <= 0 {
 		return math.Inf(1)
 	}
-	sm := p.OverlapBytes(members)
+	return p.timeAt(members, sm, rm)
+}
+
+// timeAt is Tm(k) for two or more members sharing sm bytes at rm Mbps:
+// the shared bytes first, then each member's leftover bytes at their
+// unicast rate, in member order. A +Inf rm prices the shared bytes at
+// nothing.
+func (p *Problem) timeAt(members []int, sm int, rm float64) float64 {
 	t := float64(sm) * 8 / (rm * 1e6)
 	for _, i := range members {
 		rest := p.Users[i].RequestBytes - sm
@@ -88,6 +106,19 @@ func (p *Problem) GroupTime(members []int) float64 {
 	return t
 }
 
+// floor is a lower bound on groupTime(members, sm) that asks no rate:
+// timeAt at the rate ceiling. Float multiplication, division and
+// addition round monotonically, sm ≥ 0 and rm ≤ RateCeilingMbps, so the
+// shared term is no larger and the same leftover terms follow in the
+// same order: the bound holds bit for bit.
+func (p *Problem) floor(members []int, sm int) float64 {
+	ceil := p.RateCeilingMbps
+	if ceil <= 0 {
+		ceil = math.Inf(1)
+	}
+	return p.timeAt(members, sm, ceil)
+}
+
 // PlanTime sums GroupTime over a partition.
 func (p *Problem) PlanTime(plan [][]int) float64 {
 	total := 0.0
@@ -97,48 +128,93 @@ func (p *Problem) PlanTime(plan [][]int) float64 {
 	return total
 }
 
+// minGain is the airtime a merge must save to be applied: anything
+// strictly above it.
+const minGain = 1e-12
+
+// candidate is one pair of groups in a merge round: gain ≤ bound.
+type candidate struct {
+	bound float64
+	a, b  int
+	sm    int
+}
+
 // Greedy builds a partition by agglomerative merging: start from all
 // singletons (pure unicast) and repeatedly apply the pairwise group merge
 // with the largest airtime reduction, until no merge helps. Groups with
 // high viewport similarity merge first because their shared bytes Sm —
 // and hence the multicast saving — are largest.
+//
+// A round bounds every pair's gain by its floor (times[a] + times[b] −
+// floor ≥ the gain, bit for bit) and prices pairs best bound first, only
+// while a pair could still win: a strictly greater gain wins, and an
+// equal gain goes to the lexicographically first pair (a, b), as in a
+// scan of all pairs in (a, b) order. So MulticastRate runs only for
+// pairs that could change the answer. The member lists Greedy passes to
+// the callbacks live in scratch it reuses: they must not keep them.
 func (p *Problem) Greedy() ([][]int, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	plan := make([][]int, len(p.Users))
-	times := make([]float64, len(p.Users))
+	n := len(p.Users)
+	plan := make([][]int, n)
+	times := make([]float64, n)
 	for i := range p.Users {
 		plan[i] = []int{i}
 		times[i] = p.GroupTime(plan[i])
 	}
+	merged := make([]int, 0, n)
+	cands := make([]candidate, 0, n*(n-1)/2)
 	for {
-		bestA, bestB := -1, -1
-		bestGain := 1e-12 // require strictly positive gain
-		var bestTime float64
+		cands = cands[:0]
 		for a := 0; a < len(plan); a++ {
 			for b := a + 1; b < len(plan); b++ {
-				merged := append(append([]int{}, plan[a]...), plan[b]...)
-				mt := p.GroupTime(merged)
-				gain := times[a] + times[b] - mt
-				if gain > bestGain {
-					bestA, bestB, bestGain, bestTime = a, b, gain, mt
+				merged = append(append(merged[:0], plan[a]...), plan[b]...)
+				sm := p.OverlapBytes(merged)
+				// NaN (a member with no unicast link) fails the test too.
+				if bound := times[a] + times[b] - p.floor(merged, sm); bound > minGain {
+					cands = append(cands, candidate{bound: bound, a: a, b: b, sm: sm})
 				}
+			}
+		}
+		slices.SortFunc(cands, func(x, y candidate) int { return cmp.Compare(y.bound, x.bound) })
+		bestA, bestB := -1, -1
+		bestGain := minGain
+		var bestTime float64
+		for _, c := range cands {
+			if c.bound < bestGain {
+				break
+			}
+			if c.bound == bestGain && !firstPair(c.a, c.b, bestA, bestB) {
+				continue
+			}
+			merged = append(append(merged[:0], plan[c.a]...), plan[c.b]...)
+			mt := p.groupTime(merged, c.sm)
+			gain := times[c.a] + times[c.b] - mt
+			if gain > bestGain || gain == bestGain && firstPair(c.a, c.b, bestA, bestB) {
+				bestA, bestB, bestGain, bestTime = c.a, c.b, gain, mt
 			}
 		}
 		if bestA < 0 {
 			break
 		}
-		merged := append(append([]int{}, plan[bestA]...), plan[bestB]...)
-		slices.Sort(merged)
+		group := append(append([]int{}, plan[bestA]...), plan[bestB]...)
+		slices.Sort(group)
 		// Remove b first (higher index), then replace a.
 		plan = append(plan[:bestB], plan[bestB+1:]...)
 		times = append(times[:bestB], times[bestB+1:]...)
-		plan[bestA] = merged
+		plan[bestA] = group
 		times[bestA] = bestTime
 	}
 	sortPlan(plan)
 	return plan, nil
+}
+
+// firstPair reports whether pair (a, b) comes before the best pair so
+// far, (bestA, bestB), in scan order; with no best yet (bestA < 0) it
+// does not, since a first winner must clear minGain strictly.
+func firstPair(a, b, bestA, bestB int) bool {
+	return bestA >= 0 && (a < bestA || a == bestA && b < bestB)
 }
 
 // Optimal finds the airtime-minimal partition by subset dynamic
