@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/cmplx"
 	"sync/atomic"
 
 	"volcast/internal/geom"
@@ -32,22 +33,31 @@ type Codebook struct {
 	radiated atomic.Pointer[radiatedSectors]
 }
 
-// radiatedSectors holds every sector's radiated weights on one array; it
-// is read-only once published.
+// radiatedSectors holds every sector's radiated weights on one array,
+// and each sector's peak bound: peak[s] is at least the computed
+// max(re² + im², 1e−18) of the s-th sector's array factor toward any
+// direction, Σ_i |w_i·e_i| squared with a slack for the roundings of the
+// dot product and of the bound itself (DESIGN.md §14). It is read-only
+// once published.
 type radiatedSectors struct {
 	array *Array
 	w     []AWV
+	peak  []float64
 }
 
-// radiatedOn returns every sector's radiated weights on a, computing them
-// on the codebook's first use with a (or with another array since). Two
-// first uses may race: each computes the same table and either may be
-// kept, so the read path takes no lock.
-func (cb *Codebook) radiatedOn(a *Array) []AWV {
+// peakSlack is the relative slack the peak bound carries: the roundings
+// it covers come to under 160 u ≈ 1.8e−14 (DESIGN.md §14).
+const peakSlack = 1e-12
+
+// radiatedOn returns every sector's radiated weights and peak bound on a,
+// computing them on the codebook's first use with a (or with another
+// array since). Two first uses may race: each computes the same table and
+// either may be kept, so the read path takes no lock.
+func (cb *Codebook) radiatedOn(a *Array) *radiatedSectors {
 	if t := cb.radiated.Load(); t != nil && t.array == a {
-		return t.w
+		return t
 	}
-	t := &radiatedSectors{array: a, w: make([]AWV, len(cb.Sectors))}
+	t := &radiatedSectors{array: a, w: make([]AWV, len(cb.Sectors)), peak: make([]float64, len(cb.Sectors))}
 	n := 0
 	for _, sec := range cb.Sectors {
 		n += len(sec.W)
@@ -56,9 +66,14 @@ func (cb *Codebook) radiatedOn(a *Array) []AWV {
 	for s, sec := range cb.Sectors {
 		t.w[s] = a.weigh(slab[:len(sec.W):len(sec.W)], sec.W)
 		slab = slab[len(sec.W):]
+		var sum float64
+		for _, c := range t.w[s] {
+			sum += cmplx.Abs(c)
+		}
+		t.peak[s] = max(sum*sum*(1+peakSlack), 1e-18)
 	}
 	cb.radiated.Store(t)
-	return t.w
+	return t
 }
 
 // CodebookConfig controls DefaultCodebook generation.

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -239,10 +240,13 @@ func TestLinkBuiltFor(t *testing.T) {
 
 // BenchmarkSweepBestSector times the full sector sweep toward a receiver
 // with two blockers in the room, and its parts: building the link
-// response, sweeping a built link under a mask it has swept before (a
-// memoised row), and one user-frame of a session, where every pose moves:
-// a Reset toward one of two alternating receivers, then a Sweep under its
-// fresh mask.
+// response (which fills no sector table), sweeping a built link under a
+// mask it has swept before (a memoised row), one user-frame of a
+// session, where every pose moves: a Reset toward one of two alternating
+// receivers, then a Sweep under its fresh mask, and the common sector of
+// a two- and a three-member group whose links are built afresh (one of
+// two alternating sets of receivers), so that the common sector's sweep
+// fills their tables itself.
 func BenchmarkSweepBestSector(b *testing.B) {
 	a, _ := NewArray(8, 4, geom.V(0, 2.5, -4), geom.QuatIdent())
 	ch := NewChannel(DefaultRoom())
@@ -278,16 +282,42 @@ func BenchmarkSweepBestSector(b *testing.B) {
 			l.Sweep(l.BlockedBy(ch.Bodies))
 		}
 	})
+	groups := [2][3]geom.Vec3{
+		{rx, geom.V(-1.2, 1.4, 1.5), geom.V(2.2, 1.2, 0.4)},
+		{geom.V(1.1, 1.5, 2.1), geom.V(-1.3, 1.4, 1.4), geom.V(2.1, 1.3, 0.6)},
+	}
+	b.Run("link-common", func(b *testing.B) {
+		var (
+			ls    [3]Link
+			masks [3]uint64
+		)
+		member := func(k int) (*Link, uint64) { return &ls[k], masks[k] }
+		for _, n := range []int{2, 3} {
+			b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for k, pos := range groups[i&1][:n] {
+						ls[k].Reset(r, cb, pos)
+						masks[k] = ls[k].BlockedBy(ch.Bodies)
+					}
+					BestCommonSector(cb, n, member)
+				}
+			})
+		}
+	})
 }
 
-// TestSectorTableMatchesReference pins Reset's sector table, filled two
-// sectors per pass with a one-sector tail, to one arrayFactor sum per
-// entry by Float64bits, over codebooks of 1, 3, 15 and 97 sectors (odd
-// and even passes, the tail alone and behind a pass) and one whose
-// sectors alternate between full and half-length weights, on the
-// differential draws (receivers level with the panel, so some paths leave
-// behind it). Sweep and every SectorRSS must still equal the pre-kernel
-// formula's.
+// TestSectorTableMatchesReference pins the sector table's two fills to
+// one arrayFactor sum per entry by Float64bits: a sweep's column fill,
+// two sectors per pass with a one-sector tail, forced for every column
+// with every sector alive, and the one-sector row fill, forced for every
+// sector of another link. The codebooks have 1, 3, 15 and 97 sectors (odd
+// and even passes, the tail alone and behind a pass, a second block of
+// 64), and one's sectors alternate between full and half-length weights,
+// on the differential draws (receivers level with the panel, so some
+// paths leave behind it, whose entries Reset sets to 1). Every entry must
+// be marked filled, and Sweep and every SectorRSS must still equal the
+// pre-kernel formula's.
 func TestSectorTableMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(40))
 	behind := 0
@@ -302,22 +332,36 @@ func TestSectorTableMatchesReference(t *testing.T) {
 			mixed.Sectors[s].W = mixed.Sectors[s].W[:a.Elements()/2]
 		}
 		for _, cb := range []*Codebook{grid(1, 1), grid(3, 1), grid(5, 3), grid(97, 1), mixed} {
-			l := r.Link(cb, rx)
-			np, ne := len(l.paths), a.Elements()
-			if len(l.acc) != len(cb.Sectors)*np {
-				t.Fatalf("draw %d, %d sectors: table of %d entries for %d paths", i, len(cb.Sectors), len(l.acc), np)
+			ns := len(cb.Sectors)
+			cols, rows := r.Link(cb, rx), r.Link(cb, rx)
+			np, ne := len(cols.paths), a.Elements()
+			if len(cols.acc) != ns*np {
+				t.Fatalf("draw %d, %d sectors: table of %d entries for %d paths", i, ns, len(cols.acc), np)
 			}
-			for s, we := range cb.radiatedOn(a) {
-				for p, term := range l.terms {
+			for p, term := range cols.terms {
+				for b := 0; 64*b < ns && !term.behind; b++ {
+					cols.fill(p, b, ^uint64(0)>>(64-min(64, ns-64*b)))
+				}
+			}
+			for s := range ns {
+				rows.entries(s)
+			}
+			for s, we := range cb.radiatedOn(a).w {
+				for p, term := range cols.terms {
 					want := complex(1, 0)
 					if term.behind {
 						behind++
 					} else {
-						want = arrayFactor(we, l.sv[p*ne:(p+1)*ne])
+						want = arrayFactor(we, cols.sv[p*ne:(p+1)*ne])
 					}
-					got := l.acc[s*np+p]
-					if math.Float64bits(real(got)) != math.Float64bits(real(want)) || math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-						t.Fatalf("draw %d, %d sectors, sector %d path %d: acc %v, one sum %v", i, len(cb.Sectors), s, p, got, want)
+					for fill, l := range map[string]*Link{"column": cols, "row": rows} {
+						got := l.acc[p*ns+s]
+						if !l.has(s, p) {
+							t.Fatalf("draw %d, %d sectors, sector %d path %d: the %s fill left the entry unmarked", i, ns, s, p, fill)
+						}
+						if math.Float64bits(real(got)) != math.Float64bits(real(want)) || math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+							t.Fatalf("draw %d, %d sectors, sector %d path %d: %s fill %v, one sum %v", i, ns, s, p, fill, got, want)
+						}
 					}
 				}
 			}
