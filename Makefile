@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-bench bench-selftest sim-parity fuzz-smoke chaos-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench allocs bench-selftest sim-parity fuzz-smoke chaos-smoke verify
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,9 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint type-checks the module and runs the vollint suite — the six
+# lint type-checks the module and runs the vollint suite — the five
 # project-specific invariants of DESIGN.md §9 (determinism, lockedsend,
-# tickleak, wireerr, lockorder, hotpathalloc). Any finding exits 1; a
+# tickleak, wireerr, lockorder). Any finding exits 1; a
 # //vollint:ignore <check> <reason> comment is the only way to tolerate
 # one. The wire schema is held by `go test ./internal/wire` (run
 # `go test ./internal/wire -run TestWireSchema -args -update` to rewrite
@@ -31,14 +31,23 @@ lint:
 	$(GO) run ./cmd/vollint ./...
 
 # lint-bench guards the lint suite's own latency: one full vollint run
-# over the module (all six checks — determinism, lockedsend, tickleak,
-# wireerr, lockorder, hotpathalloc — call graph included) must finish
+# over the module (all five checks — determinism, lockedsend, tickleak,
+# wireerr, lockorder with its call graph) must finish
 # within 60 seconds, so the gate never comes to dominate CI.
 lint-bench:
 	@$(GO) build -o /tmp/vollint-bench ./cmd/vollint
 	@start=$$(date +%s); /tmp/vollint-bench ./... || exit 1; \
 	 end=$$(date +%s); d=$$((end-start)); echo "vollint ./... took $${d}s"; \
 	 if [ $$d -gt 60 ]; then echo "lint-bench: vollint exceeded the 60s budget"; exit 1; fi
+
+# allocs runs every allocation count in the module without the race
+# detector: each frame-path package's TestHotPathAllocs (its kernels at 0
+# allocations, DESIGN.md §9) and the other AllocsPerRun tests. Their
+# pooled rows, TestDecodeAllocs and TestLayeredEncodeAllocs skip under
+# -race, which drops pooled items at random, so `make race` cannot hold
+# them.
+allocs:
+	$(GO) test -count=1 -run Alloc ./...
 
 # bench-selftest builds and self-tests the benchmark of BENCHMARK.json.
 # bench/ is its own module (it imports internal/ through a replace), so
@@ -111,7 +120,8 @@ chaos-smoke:
 
 # verify is the CI gate: static checks (vet, gofmt, vollint), a full
 # build, the test suite under the race detector (the parallel
-# execution substrate makes -race part of tier-1, not an extra), and the
-# benchmark module's own build and self-test, which is the only thing
-# that notices a deleted name bench/ compiles against.
-verify: vet fmt-check lint build race bench-selftest
+# execution substrate makes -race part of tier-1, not an extra), the
+# allocation counts without it, and the benchmark module's own build and
+# self-test, which is the only thing that notices a deleted name bench/
+# compiles against.
+verify: vet fmt-check lint build race allocs bench-selftest

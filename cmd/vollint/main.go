@@ -1,8 +1,8 @@
 // Command vollint type-checks the module and runs volcast's
-// project-specific static-analysis suite (internal/lint): six checks
-// (determinism, lockedsend, tickleak, wireerr, lockorder,
-// hotpathalloc), each one pass over every loaded package with the
-// module call graph at hand.
+// project-specific static-analysis suite (internal/lint): five checks
+// (determinism, lockedsend, tickleak, wireerr, lockorder), each one pass
+// over every loaded package; lockorder builds the module call graph it
+// needs.
 // Findings carry file:line, the check name and a fix hint; a
 // //vollint:ignore <check> <reason> comment suppresses one with an audit
 // trail, and is the only way to tolerate a finding.

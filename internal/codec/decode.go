@@ -351,8 +351,6 @@ func residualAt(p []byte, pos int) (resid int64, zeros uint64, next int) {
 
 // readDeltaPlane fills vals with one base colour plane read from p[pos:]
 // — delta-chained residuals — and returns the offset past it.
-//
-//vollint:hotpath
 func readDeltaPlane(vals []int64, p []byte, pos int) (int, bool) {
 	var prev int64
 	for i := 0; i < len(vals); i++ {
@@ -382,8 +380,6 @@ func readDeltaPlane(vals []int64, p []byte, pos int) (int, bool) {
 // or more children than out holds — which, out being bounded by eight
 // nodes per byte at hand, happens exactly when they outnumber the
 // header's point count.
-//
-//vollint:hotpath
 func expandCodes(out, codes []uint64, occ []byte) (int, bool) {
 	n := 0
 	for i, o := range occ {
@@ -406,8 +402,6 @@ func expandCodes(out, codes []uint64, occ []byte) (int, bool) {
 // body-surface cell at depth 10 — is therefore a copy and reads nothing.
 // It fails on a malformed residual and on a zero run that outlasts the
 // plane.
-//
-//vollint:hotpath
 func expandPlane(newv, oldv []int64, occ []byte, p []byte, pos int) (int, bool) {
 	ci, zeros := 0, uint64(0)
 	for pi, o := range occ {
@@ -436,8 +430,6 @@ func expandPlane(newv, oldv []int64, occ []byte, p []byte, pos int) (int, bool) 
 
 // readDupCounts reads the final layer's per-node point counts (stored as
 // count-1 uvarints) into counts; they must sum to the header's N.
-//
-//vollint:hotpath
 func readDupCounts(counts []uint64, N int, p []byte, pos int) (int, bool) {
 	var total uint64
 	for i := range counts {
@@ -460,8 +452,6 @@ func readDupCounts(counts []uint64, N int, p []byte, pos int) (int, bool) {
 // emitPoints writes the output: node i's voxel-center position, counts[i]
 // times over (once when counts is nil), and its representative colour on
 // the first of them. len(pts) is the sum of the counts.
-//
-//vollint:hotpath
 func emitPoints(pts []pointcloud.Point, codes, counts []uint64, g, rg, bg []int64, depth uint, origin geom.Vec3, scale float64) {
 	pi := 0
 	for i, code := range codes {
@@ -488,8 +478,6 @@ func emitPoints(pts []pointcloud.Point, codes, counts []uint64, g, rg, bg []int6
 // finishes channel ch of every duplicate point (the points after the
 // first of each node, which emitPoints coloured). Channel 0 is G, kept
 // unclamped in dupG for the two chroma planes that follow to add to.
-//
-//vollint:hotpath
 func emitDupColors(pts []pointcloud.Point, counts []uint64, rep, dupG []int64, ch int, p []byte, pos int) (int, bool) {
 	pi, di, zeros := 0, 0, uint64(0)
 	for i, c := range counts {

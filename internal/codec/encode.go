@@ -231,8 +231,6 @@ const radixMin = 48
 // otherwise the points are first radix-sorted by idx (through the same
 // kernel, with the two fields swapped). codeBits is the OR of all codes
 // and bounds the digits worth sorting on.
-//
-//vollint:hotpath
 func sortQpoints(qs []qpoint, codeBits uint64, idxAscending bool) {
 	if len(qs) < radixMin {
 		for i := 1; i < len(qs); i++ {
@@ -269,8 +267,6 @@ func swapFields(qs []qpoint) (codeBits uint64) {
 // significant, ping-ponging between qs and tmp (same length). Only the
 // bytes codeBits has are visited, and a byte every element agrees on is
 // skipped. The result always ends in qs.
-//
-//vollint:hotpath
 func radixByCode(qs, tmp []qpoint, codeBits uint64) {
 	ndig := (bits.Len64(codeBits) + 7) / 8
 	var hist [8][256]uint32
@@ -313,8 +309,6 @@ type colorPlanes [3][]int64
 // gatherColors reads each sorted point's colour from the cloud once, into
 // the three planes carved from dst (length >= 3*len(qs)); every colour
 // pass of every coder and layer then runs over the planes.
-//
-//vollint:hotpath
 func gatherColors(dst []int64, c *pointcloud.Cloud, qs []qpoint) colorPlanes {
 	n := len(qs)
 	g, rg, bg := dst[:n], dst[n:2*n], dst[2*n:3*n]

@@ -21,8 +21,6 @@ import "math/bits"
 // after everything belonging to earlier subtrees, before anything of its
 // own — which is exactly its DFS pre-order position; later children only
 // OR into the reserved byte.
-//
-//vollint:hotpath
 func octreeEncode(buf []byte, codes []uint64, qb uint) []byte {
 	if len(codes) == 0 {
 		return buf
@@ -72,8 +70,6 @@ func occAt(buf []byte, pos int) uint8 {
 // are leaves and read nothing, so all of them are emitted at once, and
 // the leaf bound checked once against their popcount rejects exactly the
 // trees that a check before each leaf does.
-//
-//vollint:hotpath
 func octreeWalk(buf []byte, depth int, out []uint64) (n, used int, ok bool) {
 	var stack [22]struct {
 		prefix uint64

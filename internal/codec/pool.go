@@ -11,8 +11,6 @@ import "sync"
 var qpointPool = sync.Pool{New: func() any { return new([]qpoint) }}
 
 // getQpoints returns a zero-length qpoint slice with capacity ≥ n.
-//
-//vollint:hotpath
 func getQpoints(n int) *[]qpoint {
 	p := qpointPool.Get().(*[]qpoint)
 	if cap(*p) < n {
@@ -28,8 +26,6 @@ func putQpoints(p *[]qpoint) { qpointPool.Put(p) }
 var u64Pool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // getU64 returns a zero-length uint64 slice with capacity ≥ n.
-//
-//vollint:hotpath
 func getU64(n int) *[]uint64 {
 	p := u64Pool.Get().(*[]uint64)
 	if cap(*p) < n {
@@ -45,8 +41,6 @@ func putU64(p *[]uint64) { u64Pool.Put(p) }
 var i64Pool = sync.Pool{New: func() any { return new([]int64) }}
 
 // getI64 returns an int64 slice of length n (contents undefined).
-//
-//vollint:hotpath
 func getI64(n int) *[]int64 {
 	p := i64Pool.Get().(*[]int64)
 	if cap(*p) < n {
@@ -75,8 +69,6 @@ var decodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 // getDecodeScratch returns a scratch whose code and plane slices all have
 // length m (contents undefined); the caller hands it back via
 // putDecodeScratch.
-//
-//vollint:hotpath
 func getDecodeScratch(m int) *decodeScratch {
 	s := decodeScratchPool.Get().(*decodeScratch)
 	if cap(s.codes[0]) < m {
@@ -118,8 +110,6 @@ var (
 // getBuf returns a zero-length byte slice with capacity ≥ n; the caller
 // hands it back via putBuf (a Block's Data is never pooled — it is
 // allocated at its exact size).
-//
-//vollint:hotpath
 func getBuf(n int) []byte {
 	p := bufPool.Get().(*[]byte)
 	b := *p

@@ -128,7 +128,7 @@ type Hub struct {
 	cCreated, cReaped, cBuilt *metrics.Counter
 	// Hot-path counters, resolved once: enqueue and the write loop run
 	// per frame per subscriber, so they must not pay a registry lookup
-	// (hotpathalloc gates them).
+	// (TestHotPathAllocs counts enqueue's allocations).
 	cEnqueueDrops, cWriterDeaths *metrics.Counter
 }
 

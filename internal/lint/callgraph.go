@@ -2,39 +2,30 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file is the interprocedural substrate of vollint v2: a module-wide
+// This file is lockorder's interprocedural substrate: a module-wide
 // call graph over every loaded package, built from the go/types results
 // the loader already produces. Resolution is type-based and
 // deliberately conservative — a call through an interface method, a func
-// value, or a builtin resolves to a nil Callee, and the checks built on
-// the graph (lockorder, hotpathalloc) treat unknown callees as
-// contributing nothing rather than everything. That keeps the suite free
-// of x/tools-style whole-program pointer analysis while still following
-// the concrete call chains (hub → session → subscriber, pushFrame →
-// enqueue) the project's invariants actually run through.
-
-// HotpathDirective marks a function whose body and module-resolved
-// callees must stay allocation-free (checked by hotpathalloc).
-const HotpathDirective = "vollint:hotpath"
+// value, or a builtin resolves to a nil Callee, and lockorder treats
+// unknown callees as contributing nothing rather than everything. That
+// keeps the suite free of x/tools-style whole-program pointer analysis
+// while still following the concrete call chains (hub → session →
+// subscriber, blockcache's global lock → a cache's own) the lock
+// hierarchy actually runs through.
 
 // CallSite is one call expression inside a function body.
 type CallSite struct {
-	Pos  token.Pos
-	Call *ast.CallExpr
 	// Callee is the statically resolved target; nil means unknown
 	// (interface method, func value, builtin — the conservative case).
 	Callee *types.Func
-	// Go marks a call that is the operand of a go statement; Defer marks
-	// a deferred call. Calls inside a go-spawned FuncLit body are NOT
-	// recorded against the enclosing function at all: they run
-	// concurrently, so they inherit neither held locks nor the hot path.
-	Go    bool
-	Defer bool
+	// Go marks a call that is the operand of a go statement. Calls inside
+	// a go-spawned FuncLit body are NOT recorded against the enclosing
+	// function at all: they run concurrently, so they inherit no held
+	// locks.
+	Go bool
 }
 
 // FuncNode is one declared function or method in the module call graph.
@@ -45,8 +36,6 @@ type FuncNode struct {
 	// Calls lists every call made synchronously or via defer on the
 	// function's own goroutine, plus go-statement launch sites.
 	Calls []CallSite
-	// Hotpath is set when the declaration carries //vollint:hotpath.
-	Hotpath bool
 }
 
 // CallGraph is the module-wide graph keyed by *types.Func identity
@@ -110,12 +99,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{
-					Fn:      fn,
-					Decl:    fd,
-					Pkg:     pkg,
-					Hotpath: hasHotpathDirective(fd),
-				}
+				node := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
 				collectCalls(pkg, fd.Body, node)
 				g.Nodes[fn] = node
 				g.order = append(g.order, node)
@@ -125,78 +109,33 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// hasHotpathDirective reports whether the declaration's doc comment
-// carries //vollint:hotpath.
-func hasHotpathDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		fields := strings.Fields(text)
-		if len(fields) > 0 && fields[0] == HotpathDirective {
-			return true
-		}
-	}
-	return false
-}
-
 // collectCalls walks a function body recording call sites on node. The
 // walk descends into deferred and immediately-invoked function literals
 // (they run on the same goroutine) but not into go-spawned literal
 // bodies.
 func collectCalls(pkg *Package, body ast.Node, node *FuncNode) {
-	var walk func(n ast.Node, deferred bool)
-	walk = func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				node.Calls = append(node.Calls, CallSite{
-					Pos:    n.Call.Pos(),
-					Call:   n.Call,
-					Callee: resolveCallee(pkg, n.Call),
-					Go:     true,
-				})
-				// Arguments to the spawned call are evaluated on this
-				// goroutine; the spawned body is not.
-				for _, arg := range n.Call.Args {
-					if _, isLit := arg.(*ast.FuncLit); !isLit {
-						walk(arg, deferred)
-					}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			node.Calls = append(node.Calls, CallSite{Callee: resolveCallee(pkg, n.Call), Go: true})
+			// Arguments to the spawned call are evaluated on this
+			// goroutine; the spawned body is not.
+			for _, arg := range n.Call.Args {
+				if _, isLit := arg.(*ast.FuncLit); !isLit {
+					collectCalls(pkg, arg, node)
 				}
-				if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
-					walk(n.Call.Fun, deferred)
-				}
-				return false
-			case *ast.DeferStmt:
-				node.Calls = append(node.Calls, CallSite{
-					Pos:    n.Call.Pos(),
-					Call:   n.Call,
-					Callee: resolveCallee(pkg, n.Call),
-					Defer:  true,
-				})
-				for _, arg := range n.Call.Args {
-					walk(arg, deferred)
-				}
-				// A deferred func literal's body runs on this goroutine.
-				walk(n.Call.Fun, true)
-				return false
-			case *ast.CallExpr:
-				if isConversion(pkg, n) {
-					return true
-				}
-				node.Calls = append(node.Calls, CallSite{
-					Pos:    n.Pos(),
-					Call:   n,
-					Callee: resolveCallee(pkg, n),
-					Defer:  deferred,
-				})
-				return true
 			}
-			return true
-		})
-	}
-	walk(body, false)
+			if _, isLit := ast.Unparen(n.Call.Fun).(*ast.FuncLit); !isLit {
+				collectCalls(pkg, n.Call.Fun, node)
+			}
+			return false
+		case *ast.CallExpr:
+			if !isConversion(pkg, n) {
+				node.Calls = append(node.Calls, CallSite{Callee: resolveCallee(pkg, n)})
+			}
+		}
+		return true
+	})
 }
 
 // isConversion reports whether the call expression is a type conversion

@@ -14,9 +14,9 @@ func buildFixtureGraph(t *testing.T) *CallGraph {
 }
 
 // TestCallGraphResolution pins the resolution rules: concrete calls and
-// methods resolve, interface dispatch and func values stay nil, go/defer
-// sites are marked, go-literal bodies are excluded, conversions are not
-// call sites, and the hotpath annotation is read.
+// methods resolve, interface dispatch and func values stay nil, go sites
+// are marked, go-literal bodies are excluded, deferred calls are call
+// sites and conversions are not.
 func TestCallGraphResolution(t *testing.T) {
 	g := buildFixtureGraph(t)
 
@@ -65,20 +65,14 @@ func TestCallGraphResolution(t *testing.T) {
 			t.Errorf("Spawns call %v not marked Go", c)
 		}
 	}
-	// defer is marked and resolved.
-	if cs := calls("Defers"); len(cs) != 1 || !cs[0].Defer || calleeName(cs[0]) != "helper" {
-		t.Errorf("Defers calls = %v, want one deferred resolved call to helper", cs)
+	// A deferred call is a resolved call site on the function's own
+	// goroutine.
+	if cs := calls("Defers"); len(cs) != 1 || cs[0].Go || calleeName(cs[0]) != "helper" {
+		t.Errorf("Defers calls = %v, want one resolved call to helper", cs)
 	}
 	// Conversions are not call sites.
 	if cs := calls("Convert"); len(cs) != 0 {
 		t.Errorf("Convert calls = %v, want none (conversion)", cs)
-	}
-	// Hotpath annotation.
-	if !g.Lookup(cgFixPath, "", "Hot").Hotpath {
-		t.Error("Hot not marked Hotpath")
-	}
-	if g.Lookup(cgFixPath, "", "helper").Hotpath {
-		t.Error("helper wrongly marked Hotpath")
 	}
 	// Methods are nodes too.
 	if g.Lookup(cgFixPath, "Dog", "Sound") == nil {
@@ -95,18 +89,17 @@ func TestPropagate(t *testing.T) {
 	helper := g.Lookup(cgFixPath, "", "helper")
 	sound := g.Lookup(cgFixPath, "Dog", "Sound")
 	direct := map[*types.Func]facts{
-		helper.Fn: {"helper-fact": {Pos: helper.Decl.Pos()}},
-		sound.Fn:  {"sound-fact": {Pos: sound.Decl.Pos()}},
+		helper.Fn: {"helper-fact": true},
+		sound.Fn:  {"sound-fact": true},
 	}
-	got := propagate(g, direct, nil)
+	got := propagate(g, direct)
 
 	has := func(fn, fact string) bool {
 		n := g.Lookup(cgFixPath, "", fn)
 		if n == nil {
 			t.Fatalf("function %s not in graph", fn)
 		}
-		_, ok := got[n.Fn][fact]
-		return ok
+		return got[n.Fn][fact]
 	}
 	if !has("Hot", "helper-fact") {
 		t.Error("Hot must inherit helper-fact through its direct call")

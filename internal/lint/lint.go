@@ -8,19 +8,18 @@
 // block while it holds a mutex (lockedsend), and the transport must never
 // silently drop a write error (wireerr).
 //
-// Every check is one Pass over all loaded packages with a module-wide
-// call graph and per-function summaries at hand (callgraph.go,
-// summary.go), and the two flow checks — lockedsend, lockorder — share
-// one statement-order walker (flow.go). Two checks look across function
-// boundaries: lockorder (mutex acquisition order across
-// hub/session/transport/blockcache must stay acyclic and follow the
-// declared hierarchy) and hotpathalloc (functions annotated
-// //vollint:hotpath must not reach an allocation site outside a pool).
+// Every check is one Pass over all loaded packages, and the two flow
+// checks — lockedsend, lockorder — share one statement-order walker
+// (flow.go). One check looks across function boundaries: lockorder (mutex
+// acquisition order across hub/session/transport/blockcache must stay
+// acyclic and follow the declared hierarchy) builds a module-wide call
+// graph and per-function summaries (callgraph.go, summary.go) for it.
 //
 // Rules a runtime test holds in fewer lines are not checks here: goroutine
 // and wire.Buffer leaks (leakcheck), nil-safe observability types (the nil
-// receiver sweeps in obs and metrics) and wire protocol evolution
-// (wire.TestWireSchema against wire_schema.json).
+// receiver sweeps in obs and metrics), wire protocol evolution
+// (wire.TestWireSchema against wire_schema.json) and the frame path's
+// zero allocations (each kernel package's TestHotPathAllocs).
 //
 // Findings carry file:line, the check name and a one-line fix hint. A
 // deliberate exception is suppressed — with an audit trail — by a
@@ -70,14 +69,11 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Pass is one analyzer's run over every loaded package, with the shared
-// module call graph for the checks that look across function
-// boundaries; a per-package check loops over Pkgs. All packages share
-// one FileSet (the loader guarantees it), so positions are comparable
-// across packages.
+// Pass is one analyzer's run over every loaded package; a per-package
+// check loops over Pkgs. All packages share one FileSet (the loader
+// guarantees it), so positions are comparable across packages.
 type Pass struct {
-	Pkgs  []*Package
-	Graph *CallGraph
+	Pkgs []*Package
 
 	check    string
 	findings []Finding
@@ -104,7 +100,6 @@ func Analyzers() []*Analyzer {
 		analyzerTickLeak,
 		analyzerWireErr,
 		analyzerLockOrder,
-		analyzerHotPathAlloc,
 	}
 }
 
@@ -130,10 +125,9 @@ type Result struct {
 	Suppressed []Finding `json:"suppressed,omitempty"`
 }
 
-// Run applies the full suite to the packages over one shared call
-// graph. Ignore directives are collected module-wide, so a finding can
-// be suppressed at the line it lands on regardless of which package
-// triggered the analysis.
+// Run applies the full suite to the packages. Ignore directives are
+// collected module-wide, so a finding can be suppressed at the line it
+// lands on regardless of which package triggered the analysis.
 func Run(pkgs []*Package) Result {
 	var res Result
 	if len(pkgs) == 0 {
@@ -149,9 +143,8 @@ func Run(pkgs []*Package) Result {
 	}
 
 	var found []Finding
-	graph := BuildCallGraph(pkgs)
 	for _, a := range Analyzers() {
-		pass := &Pass{Pkgs: pkgs, Graph: graph, check: a.Name}
+		pass := &Pass{Pkgs: pkgs, check: a.Name}
 		a.Run(pass)
 		found = append(found, pass.findings...)
 	}

@@ -78,7 +78,6 @@ func TestGolden(t *testing.T) {
 		{"tickleak", "volcast/internal/lint/testdata/tickleak"},
 		{"wireerr", "volcast/internal/transport"},
 		{"lockorder", "volcast/internal/hub"},
-		{"hotpathalloc", "volcast/internal/lint/testdata/hotpathalloc"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -25,9 +25,12 @@ import (
 // statement-order walk of every function body (flow.go, whose rules
 // for branches, deferred unlocks and literals the held set follows): a
 // direct Lock with other classes held, and a call into a module
-// function whose transitive summary (propagate over the call graph)
-// says it acquires classes of its own. go-spawned literals contribute
-// nothing to the spawner's summary.
+// function whose transitive summary (propagate over the call graph
+// this check builds, callgraph.go) says it acquires classes of its own.
+// go-spawned literals contribute nothing to the spawner's summary. The
+// summaries are what the check needs the graph for: both edges the
+// module has (blockcache.gMu → Cache.mu, Hub.mu → session.mu) are taken
+// through a callee.
 
 // lockOrderPackages are the packages whose mutexes form lock classes.
 var lockOrderPackages = map[string]bool{
@@ -67,15 +70,16 @@ func runLockOrder(p *Pass) {
 	// Pass 1: direct acquisitions per function (go-literal bodies
 	// excluded — they acquire on their own goroutine), then the
 	// transitive closure over the call graph.
+	graph := BuildCallGraph(p.Pkgs)
 	direct := map[*types.Func]facts{}
-	for _, node := range p.Graph.Funcs() {
+	for _, node := range graph.Funcs() {
 		f := facts{}
 		collectAcquires(node.Pkg, node.Decl.Body, f)
 		if len(f) > 0 {
 			direct[node.Fn] = f
 		}
 	}
-	acquires := propagate(p.Graph, direct, nil)
+	acquires := propagate(graph, direct)
 
 	// Pass 2: statement-order walk computing held sets and edges.
 	edges := map[lockEdge]token.Pos{}
@@ -86,7 +90,7 @@ func runLockOrder(p *Pass) {
 			}
 		}
 	}
-	for _, node := range p.Graph.Funcs() {
+	for _, node := range graph.Funcs() {
 		pkg := node.Pkg
 		f := &flow[string, token.Pos]{
 			pkg: pkg,
@@ -170,10 +174,8 @@ func collectAcquires(pkg *Package, body ast.Node, out facts) {
 		if !ok {
 			return true
 		}
-		if class, op := mutexOp(pkg, call); op == "Lock" || op == "RLock" {
-			if _, have := out[class]; !have && class != "" {
-				out[class] = witness{Pos: call.Pos()}
-			}
+		if class, op := mutexOp(pkg, call); class != "" && (op == "Lock" || op == "RLock") {
+			out[class] = true
 		}
 		return true
 	})

@@ -1,42 +1,28 @@
 package lint
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
 // Per-function summaries and their fixpoint propagation. A summary is a
-// set of string-keyed facts (lock classes acquired, allocation sources)
-// each carrying one witness: a representative position, and for an
-// inherited fact the callee it came through, so a finding can name the
-// chain down to the source. propagate closes the direct facts over the
-// call graph: a function owns every fact of every module-resolved callee
-// it can reach on its own goroutine. Unknown callees (nil Callee) and
-// go-spawned calls contribute nothing — the conservative direction for
-// every check built on this layer, because a fact that cannot be proven
-// to flow into the caller must not produce a finding there.
+// set of string-keyed facts (the lock classes a function acquires).
+// propagate closes the direct facts over the call graph: a function owns
+// every fact of every module-resolved callee it can reach on its own
+// goroutine. Unknown callees (nil Callee) and go-spawned calls contribute
+// nothing — the conservative direction, because a fact that cannot be
+// proven to flow into the caller must not produce a finding there.
 
-// facts is one function's summary: fact key → witness.
-type facts map[string]witness
-
-// witness is where a function gets a fact: the fact's own position with
-// a nil Via, or the call site that imports it from Via.
-type witness struct {
-	Pos token.Pos
-	Via *types.Func
-}
+// facts is one function's summary.
+type facts map[string]bool
 
 // propagate returns the transitive closure of direct over g: for every
 // function, the union of its own facts and those of every callee
-// reachable through synchronous (non-go) module-resolved calls.
-// Functions sealed reports true for keep only their direct facts (a nil
-// sealed seals none). The input maps are not mutated.
-func propagate(g *CallGraph, direct map[*types.Func]facts, sealed func(*types.Func) bool) map[*types.Func]facts {
+// reachable through synchronous (non-go) module-resolved calls. The
+// input maps are not mutated.
+func propagate(g *CallGraph, direct map[*types.Func]facts) map[*types.Func]facts {
 	out := make(map[*types.Func]facts, len(g.Nodes))
 	for fn := range g.Nodes {
 		f := facts{}
-		for k, w := range direct[fn] {
-			f[k] = w
+		for k := range direct[fn] {
+			f[k] = true
 		}
 		out[fn] = f
 	}
@@ -70,26 +56,15 @@ func propagate(g *CallGraph, direct map[*types.Func]facts, sealed func(*types.Fu
 		fn := work[0]
 		work = work[1:]
 		queued[fn] = false
-		if sealed != nil && sealed(fn) {
-			continue
-		}
-		node := g.Nodes[fn]
 		set := out[fn]
 		changed := false
-		for _, call := range node.Calls {
+		for _, call := range g.Nodes[fn].Calls {
 			if call.Go || call.Callee == nil {
 				continue
 			}
-			calleeSet, inModule := out[call.Callee]
-			if !inModule {
-				continue
-			}
-			for k := range calleeSet {
-				if _, ok := set[k]; !ok {
-					// The witness for an inherited fact is the call site
-					// that imports it, which reads better in findings
-					// than a position deep in the callee.
-					set[k] = witness{Pos: call.Pos, Via: call.Callee}
+			for k := range out[call.Callee] {
+				if !set[k] {
+					set[k] = true
 					changed = true
 				}
 			}

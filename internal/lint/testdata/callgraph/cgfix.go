@@ -1,8 +1,8 @@
 // Package cgfix is the callgraph unit-test fixture: one small module of
 // shapes whose resolution the graph builder must pin — direct calls,
 // concrete method calls, interface dispatch (unresolved), func values
-// (unresolved), go/defer marking, go-literal body exclusion, type
-// conversions (not calls), and the //vollint:hotpath annotation.
+// (unresolved), go marking, go-literal body exclusion, deferred calls
+// and type conversions (not calls).
 package cgfix
 
 // Animal is dispatched dynamically; its method calls must stay
@@ -15,9 +15,7 @@ type Dog struct{ name string }
 // Sound implements Animal.
 func (d *Dog) Sound() string { return d.name }
 
-// Hot is the annotated function the graph must mark.
-//
-//vollint:hotpath
+// Hot calls helper directly: resolved.
 func Hot() { helper() }
 
 func helper() {}

@@ -2,10 +2,10 @@
 // volcast/internal/hub, so it must define the declared hierarchy types
 // (Hub, session, subscriber) with their mutex fields; frameCache is an
 // undeclared class of its own. It exercises: an A/B cycle across two
-// functions, an interprocedural self-deadlock through a callee summary,
-// a hierarchy-rank violation, and the clean shapes (declared order,
-// sequential reuse, branch-local critical sections, go-literal
-// isolation, local mutexes).
+// functions, interprocedural self-deadlocks through a callee summary one
+// and two calls down, a hierarchy-rank violation, and the clean shapes
+// (declared order, sequential reuse, branch-local critical sections,
+// go-literal isolation, local mutexes).
 package lockorder
 
 import "sync"
@@ -72,6 +72,28 @@ func (p *poller) Poll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.bump() //want:lockorder
+}
+
+// relay re-enters its own lock two calls down, so only the transitive
+// summary (step owns what inc acquires) sees it.
+type relay struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (r *relay) inc() {
+	r.mu.Lock()
+	r.n++
+	r.mu.Unlock()
+}
+
+func (r *relay) step() { r.inc() }
+
+// Relay holds its lock across step.
+func (r *relay) Relay() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.step() //want:lockorder
 }
 
 // Demote locks the hub while holding a session — against the declared

@@ -113,8 +113,6 @@ func (w *Windowed) rotate() {
 }
 
 // Observe records one sample into the current sub-window.
-//
-//vollint:hotpath
 func (w *Windowed) Observe(v float64) {
 	if w == nil {
 		return
@@ -247,8 +245,6 @@ func (c *WindowedCounter) rotate() {
 }
 
 // Add records n events in the current sub-window.
-//
-//vollint:hotpath
 func (c *WindowedCounter) Add(n int64) {
 	if c == nil {
 		return
@@ -264,8 +260,6 @@ func (c *WindowedCounter) Add(n int64) {
 //
 // Kept: the metrics tests count events with it, the nil-safety test
 // included.
-//
-//vollint:hotpath
 func (c *WindowedCounter) Inc() { c.Add(1) }
 
 // Value returns the event count over the window.

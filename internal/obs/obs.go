@@ -142,8 +142,6 @@ func (t *Tracer) StageBudget(s Stage) time.Duration {
 }
 
 // Record stores one measured span.
-//
-//vollint:hotpath
 func (t *Tracer) Record(frame, user int, stage Stage, start time.Time, dur time.Duration) {
 	t.record(frame, user, stage, 0, start, dur)
 }
@@ -155,7 +153,6 @@ func (t *Tracer) RecordModeled(frame, user int, stage Stage, dur time.Duration) 
 	t.record(frame, user, stage, FlagModeled, time.Now(), dur)
 }
 
-//vollint:hotpath
 func (t *Tracer) record(frame, user int, stage Stage, flags uint8, start time.Time, dur time.Duration) {
 	if t == nil {
 		return

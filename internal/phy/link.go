@@ -227,8 +227,6 @@ func (l *Link) rows(b int) uint64 {
 
 // entries fills each entry of the s-th sector's row of the table that it
 // lacks, by one arrayFactor sum.
-//
-//vollint:hotpath
 func (l *Link) entries(s int) {
 	ns, ne := len(l.codebook.Sectors), l.array.Elements()
 	for p := range l.paths {
@@ -245,8 +243,6 @@ func (l *Link) entries(s int) {
 // dependency chains overlap (DESIGN.md §14). Two sectors whose weights
 // differ in length go one sum each, and an odd one out is a one-sector
 // tail.
-//
-//vollint:hotpath
 func (l *Link) fill(p, b int, alive uint64) {
 	ne := l.array.Elements()
 	sv, w, col := l.sv[p*ne:(p+1)*ne], l.rad.w, l.acc[p*len(l.codebook.Sectors):]
@@ -343,8 +339,6 @@ func toDBm(linear float64) float64 {
 // RSS returns the received signal strength (dBm) for transmit weights w,
 // summing power over all propagation paths (LOS + reflections), the paths
 // in the blocked mask attenuated by the body loss.
-//
-//vollint:hotpath
 func (l *Link) RSS(w AWV, blocked uint64) float64 {
 	l.weigh(w)
 	var linear float64
@@ -383,8 +377,6 @@ const (
 func survives(upper, best float64) bool { return contends(upper*(1+pruneSlack), best) }
 
 // SectorRSS is RSS for the s-th sector of the link's codebook.
-//
-//vollint:hotpath
 func (l *Link) SectorRSS(s int, blocked uint64) float64 {
 	return l.exactAt(l.row(blocked), s, blocked)
 }
@@ -572,8 +564,6 @@ func (g *group) cut(cs *cuts, i, r int) (*Link, *cut) {
 // filled whole. So every sector whose ranked power may contend has every
 // entry filled in every member's table (DESIGN.md §14 proves the
 // bounds); so may others, filled earlier.
-//
-//vollint:hotpath
 func (g *group) narrow(ns int) {
 	widest := 0
 	for i := 0; i < g.n; i++ {
@@ -641,8 +631,6 @@ func (g *group) narrow(ns int) {
 // every member's columns of round r filled, to the weakest member's lower
 // and upper bounds after the round, and returns their mask. The group
 // must have a member; cs is scratch.
-//
-//vollint:hotpath
 func (g *group) bound(cs *cuts, cand uint64, b, r int, lo, hi *[64]float64) uint64 {
 	var v [64]float64
 	for i := 0; i < g.n && cand != 0; i++ {
@@ -707,8 +695,6 @@ func (g *group) weakest(s int) float64 {
 // including reflections around a blocked LOS) and that RSS, the lowest
 // index among equals. This is what 802.11ad SLS training measures, and it
 // is why real links survive blockage by falling back to reflected paths.
-//
-//vollint:hotpath
 func (l *Link) Sweep(blocked uint64) (Sector, float64) {
 	i := l.row(blocked)
 	if i >= 0 && l.swept[i] > 0 {
@@ -757,8 +743,6 @@ func (l *Link) Sweep(blocked uint64) (Sector, float64) {
 // member's ranked power, and evaluates the members' SectorRSS only for
 // the sectors that contend, so sector and RSS are those of comparing
 // every sector's minimum SectorRSS.
-//
-//vollint:hotpath
 func BestCommonSector(cb *Codebook, n int, member func(i int) (*Link, uint64)) (int, float64) {
 	g := group{n: n, member: member}
 	ns := len(cb.Sectors)

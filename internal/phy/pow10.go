@@ -43,8 +43,6 @@ var pow10Ladder = func() (ladder [10]struct {
 }()
 
 // pow10 returns math.Pow(10, y), the same bits.
-//
-//vollint:hotpath
 func pow10(y float64) float64 {
 	if !(math.Abs(y) < pow10Max) || y == 0.5 || y == -0.5 {
 		return math.Pow(10, y)

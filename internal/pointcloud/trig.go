@@ -40,8 +40,6 @@ var cosCoef = [...]float64{
 }
 
 // sinPos returns math.Sin(x) for finite 0 ≤ x < 2^29 without branching.
-//
-//vollint:hotpath
 func sinPos(x float64) float64 {
 	s, _ := sincosPos(x)
 	return s
@@ -49,8 +47,6 @@ func sinPos(x float64) float64 {
 
 // sincosPos returns math.Sin(x), math.Cos(x) for finite 0 ≤ x < 2^29
 // without branching.
-//
-//vollint:hotpath
 func sincosPos(x float64) (sin, cos float64) {
 	j := uint64(x * (4 / math.Pi))
 	j += j & 1 // map odd octants up to the next zero, as the stdlib does
@@ -105,8 +101,6 @@ const (
 // sinNearBound: the nearest node's sin and cos, and Taylor polynomials of
 // the offset d (|d| ≤ 1/64) in the angle-sum formula. Outside that domain
 // the result is unspecified, or the table index panics.
-//
-//vollint:hotpath
 func sinNear(x float64) float64 {
 	k := int(x*sinNearScale + 0.5)
 	d := x - float64(k)*(1.0/sinNearScale)
@@ -120,8 +114,6 @@ func sinNear(x float64) float64 {
 // with sinNear is within shadeBound of that expression's; unless it lies
 // within shadeGuard of an integer, both lie strictly between the same two
 // integers and truncate alike. Otherwise the exact expression is computed.
-//
-//vollint:hotpath
 func shadeOf(h, theta float64) uint8 {
 	v := 12 + 11*sinNear(8*h+3*theta) + 4*sinNear(40*h)
 	if nearInteger(v) {
@@ -131,8 +123,6 @@ func shadeOf(h, theta float64) uint8 {
 }
 
 // nearInteger reports whether v lies within shadeGuard of an integer.
-//
-//vollint:hotpath
 func nearInteger(v float64) bool {
 	f := v - math.Floor(v)
 	return f < shadeGuard || f > 1-shadeGuard

@@ -299,8 +299,6 @@ func (s *Store) Strides() []int { return append([]int(nil), s.strides...) }
 // Frame returns frame fi's blocks (fi wraps around for looped playback).
 // A built frame costs one atomic load; a frame the build has not stored
 // yet is waited for (counted in vivo.frame_waits).
-//
-//vollint:hotpath
 func (s *Store) Frame(fi int) *FrameBlocks {
 	n := len(s.frames)
 	if n == 0 {

@@ -47,8 +47,6 @@ func LiveBuffers() int64 { return live.Load() }
 
 // NewBuffer frames m into a pooled buffer and returns it with a
 // reference count of 1.
-//
-//vollint:hotpath
 func NewBuffer(m Message) (*Buffer, error) {
 	b := bufferPool.Get().(*Buffer)
 	data, err := AppendMessage(b.data[:0], m)
@@ -64,8 +62,6 @@ func NewBuffer(m Message) (*Buffer, error) {
 
 // Bytes returns the framed message bytes. The slice is valid until the
 // holder releases its reference and must never be mutated.
-//
-//vollint:hotpath
 func (b *Buffer) Bytes() []byte {
 	if b == nil {
 		return nil
@@ -83,8 +79,6 @@ func (b *Buffer) Len() int {
 
 // Retain adds n references: the holder is about to hand the buffer to n
 // more readers, each of which must Release it.
-//
-//vollint:hotpath
 func (b *Buffer) Retain(n int) {
 	if b == nil || n <= 0 {
 		return
@@ -97,8 +91,6 @@ func (b *Buffer) Retain(n int) {
 // an unrelated message — holding Bytes past Release is a use-after-free
 // class bug. Releasing more times than retained panics: a silent
 // double-release would corrupt a buffer some other writer still owns.
-//
-//vollint:hotpath
 func (b *Buffer) Release() {
 	if b == nil {
 		return

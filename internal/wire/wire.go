@@ -545,8 +545,6 @@ func newMessage(t MsgType) (Message, error) {
 // batch framing reuse one backing array across messages. Multiple
 // messages may be framed back to back onto the same slice; a reader
 // consumes them as a valid stream.
-//
-//vollint:hotpath
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0)
